@@ -113,7 +113,9 @@ def cmd_oracle(args) -> int:
     delta = abs(lam_closed - res.value)
     payload = {**_meta(args), "report": {
         "lambda_closed": lam_closed, "lambda_seesaw": res.value,
-        "delta": delta, "cutoff": cutoff, "converged": res.converged,
+        "delta": delta, "cutoff": cutoff,
+        "truncated_trace": float(np.real(np.trace(rho))),
+        "converged": res.converged,
         "iterations": res.iterations}}
     dump_report(payload, sys.stdout)
     return EXIT_SEPARABLE if delta <= 1e-3 else EXIT_ERROR

@@ -2,8 +2,10 @@
 
 Everything here is independent of the closed-form machinery: Gaussian operators
 are built from their covariance matrices by Williamson plus Bloch-Messiah in a
-per-mode-truncated Fock basis, means are plain traces, and the product-state
-maximum is found by an alternating eigenvector seesaw.
+per-mode-truncated Fock basis (passive factors as photon-number sector blocks,
+squeezers mode by mode; no register-sized unitary is formed), means are plain
+traces, and the product-state maximum is found by an alternating eigenvector
+seesaw.
 """
 
 import itertools
@@ -85,43 +87,31 @@ def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
     return la.expm(mu * a.T - np.conj(mu) * a)
 
 
-def _passive_unitary(o: np.ndarray, cutoff: int) -> np.ndarray:
-    """Fock representation of an orthogonal symplectic (number conserving).
-
-    Built sector by sector in total photon number, which keeps the expm cost
-    at the sector sizes instead of the full register dimension.
-    """
+def _passive_blocks(o: np.ndarray, cutoff: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fock representation of an orthogonal symplectic (number conserving) as
+    (register indices, unitary block) pairs, one per total photon number: the
+    generator sum_jk h_jk a_j^dag a_k of u = e^h, exponentiated per sector."""
     n = o.shape[0] // 2
-    u = orthogonal_symplectic_to_unitary(o)
-    h = la.logm(u)
-    basis = list(itertools.product(range(cutoff), repeat=n))
-    index = {b: i for i, b in enumerate(basis)}
-    dim = cutoff ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    sectors: dict[int, list[int]] = {}
-    for i, b in enumerate(basis):
-        sectors.setdefault(sum(b), []).append(i)
-    for idxs in sectors.values():
-        local = {gi: li for li, gi in enumerate(idxs)}
-        g = np.zeros((len(idxs), len(idxs)), dtype=complex)
-        for gi in idxs:
-            b = basis[gi]
-            for j in range(n):
-                for k in range(n):
-                    if h[j, k] == 0 or b[k] == 0:
-                        continue
-                    nb = list(b)
-                    nb[k] -= 1
-                    nb[j] += 1
-                    if nb[j] >= cutoff:
-                        continue
-                    amp = h[j, k] * np.sqrt(b[k] * nb[j])
-                    g[local[index[tuple(nb)]], local[gi]] += amp
-        us = la.expm(g)
-        for li, gi in enumerate(idxs):
-            for lj, gj in enumerate(idxs):
-                out[gi, gj] = us[li, lj]
-    return out
+    h = la.logm(orthogonal_symplectic_to_unitary(o))
+    occ = np.indices((cutoff,) * n).reshape(n, -1)
+    sector = occ.sum(axis=0)
+    order = np.argsort(sector, kind="stable")
+    sizes = np.bincount(sector)
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes ** 2) - sizes ** 2
+    pos = np.empty_like(order)  # place of each basis state within its sector
+    pos[order] = np.arange(order.size) - starts[sector[order]]
+    stride = cutoff ** np.arange(n - 1, -1, -1)
+    flat = np.zeros(np.sum(sizes ** 2), dtype=complex)
+    for j, k in itertools.product(range(n), repeat=2):
+        bump = int(j != k)
+        src = np.flatnonzero((occ[k] > 0) & (occ[j] + bump < cutoff))
+        sec = sector[src]
+        # keys are distinct for one (j, k), so the fancy += drops no term
+        flat[offsets[sec] + pos[src + stride[j] - stride[k]] * sizes[sec] + pos[src]] += (
+            h[j, k] * np.sqrt(occ[k, src] * (occ[j, src] + bump)))
+    return [(order[a:a + m], la.expm(flat[off:off + m * m].reshape(m, m)))
+            for a, off, m in zip(starts, offsets, sizes)]
 
 
 def _squeezer_unitary(r: float, cutoff: int) -> np.ndarray:
@@ -152,27 +142,41 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int,
                      tail_tol: float = 5e-2) -> np.ndarray:
     """Trace-one Gaussian operator with covariance matrix `gamma`.
 
-    Route: Williamson gamma = S nu S^T, thermal core for nu, then the
-    Bloch-Messiah factors of S as Fock unitaries.  Raises CutoffTooSmallError
+    Route: Williamson gamma = S nu S^T, thermal core diag(p) for nu, then the
+    Bloch-Messiah factors S = O1 D O2 as Fock unitaries: rho = A X A^dag with
+    A = U1 (x)_j S_j and X = U2 diag(p) U2^dag.  Raises CutoffTooSmallError
     when the truncated trace drops below 1 - tail_tol.
     """
     n = gamma.n_modes
     s, nu = williamson(gamma)
     o1, d_diag, o2 = polar_bloch_messiah(s)
-    p = _thermal_diagonal(nu[0] - 0.5, cutoff)
-    for j in range(1, n):
-        p = np.kron(p, _thermal_diagonal(nu[j] - 0.5, cutoff))
-    u = _passive_unitary(o1, cutoff)
-    sq = _squeezer_unitary(np.log(d_diag[0, 0]), cutoff)
-    for j in range(1, n):
-        sq = np.kron(sq, _squeezer_unitary(np.log(d_diag[2 * j, 2 * j]), cutoff))
-    u = u @ sq @ _passive_unitary(o2, cutoff)
-    rho = (u * p) @ u.conj().T
-    trace = float(np.real(np.trace(rho)))
+    p = np.ones(1)
+    for v in nu:
+        p = np.kron(p, _thermal_diagonal(v - 0.5, cutoff))
+    squeezers = [_squeezer_unitary(np.log(d_diag[2 * j, 2 * j]), cutoff)
+                 for j in range(n)]
+    u1 = _passive_blocks(o1, cutoff)
+    cur = np.zeros((cutoff ** n, cutoff ** n), dtype=complex)
+    for idx, u in _passive_blocks(o2, cutoff):
+        cur[np.ix_(idx, idx)] = (u * p[idx]) @ u.conj().T
+    nxt = np.empty_like(cur)
+    # A acts on rows only: with X Hermitian, A X A^dag = A (A X)^dag, so the
+    # second half is the first applied again to one adjoint copy.
+    for half in range(2):
+        for j, sq in enumerate(squeezers):
+            # real S_j on the float view; (re, im) pairs ride in the last axis
+            np.matmul(sq, cur.view(float).reshape(cutoff ** j, cutoff, -1),
+                      out=nxt.view(float).reshape(cutoff ** j, cutoff, -1))
+            cur, nxt = nxt, cur
+        for idx, u in u1:
+            nxt[idx] = u @ cur[idx]
+        if half == 0:
+            np.conjugate(nxt.T, out=cur)
+    trace = float(np.real(np.trace(nxt)))
     if trace < 1.0 - tail_tol:
         raise CutoffTooSmallError(
             f"truncated trace {trace:g} below 1 - {tail_tol:g}; raise the cutoff")
-    return rho
+    return nxt
 
 
 def fock_mean(rho: np.ndarray, op: np.ndarray) -> float:
@@ -191,14 +195,6 @@ def partial_trace(op: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarra
     return np.trace(t, axis1=0, axis2=2)
 
 
-def apply_detector_fock(m_op: np.ndarray, rho_b: np.ndarray,
-                        dims: tuple[int, int]) -> np.ndarray:
-    """Output operator Tr_B(M (I_A x rho_B)) of the measurement-induced map."""
-    da, db = dims
-    t = m_op.reshape(da, db, da, db)
-    return np.einsum("ijkl,lj->ik", t, rho_b)
-
-
 @dataclass(frozen=True)
 class SeesawResult:
     value: float
@@ -209,8 +205,9 @@ class SeesawResult:
 
 
 def _top_eigvec(h: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = la.eigh(h)
-    return float(w[-1]), v[:, -1]
+    top = len(h) - 1
+    w, v = la.eigh((h + h.conj().T) / 2, subset_by_index=[top, top])
+    return float(w[0]), v[:, 0]
 
 
 def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
@@ -225,8 +222,8 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
     if m_op.shape != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator shape {m_op.shape} does not match dims {dims}")
-    m_op = (m_op + m_op.conj().T) / 2
-    t = m_op.reshape(da, db, da, db)
+    # one matrix-vector pass over M per half-step; _top_eigvec symmetrizes
+    m_op = np.ascontiguousarray(m_op)
     rng = np.random.default_rng(seed)
 
     def rand_vec(d):
@@ -243,12 +240,15 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
         iters = 0
         a = None
         for iters in range(1, max_iter + 1):
-            ha = np.einsum("ijkl,j,l->ik", t, np.conj(b), b)
+            ha = np.conj(b) @ (m_op.reshape(-1, db) @ b).reshape(da, db, da)
             val_a, a = _top_eigvec(ha)
-            hb = np.einsum("ijkl,i,k->jl", t, np.conj(a), a)
+            hb = a @ (np.conj(a) @ m_op.reshape(da, -1)).reshape(db, da, db)
             val, b = _top_eigvec(hb)
-            assert val >= val_a - 1e-10 and val >= val_prev - 1e-10, \
-                "seesaw objective decreased"
+            if val < val_a - 1e-10 or val < val_prev - 1e-10:
+                raise OptimizerStalledError(
+                    "seesaw objective decreased",
+                    diagnostics={"iteration": iters, "value": val,
+                                 "value_a": val_a, "value_prev": val_prev})
             if val - val_prev <= tol * max(1.0, abs(val)):
                 converged = True
                 val_prev = val

@@ -145,6 +145,7 @@ def test_cli_oracle(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["report"]["delta"] <= 1e-3
+    assert 0.95 <= report["report"]["truncated_trace"] <= 1.0
 
 
 def test_cli_sweep_tmsv(tmp_path, capsys):

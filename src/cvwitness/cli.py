@@ -7,9 +7,7 @@ and output is byte-identical for identical seed and configuration.
 
 import argparse
 import csv
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,7 +17,7 @@ from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams,
                        werner_wolf_family, werner_wolf_family_lhs_claim,
                        werner_wolf_lhs)
 from .exceptions import CvWitnessError
-from .fock import seesaw_lambda, gaussian_op_fock
+from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
 from .nongauss import decide_separability_nongauss
@@ -37,13 +35,6 @@ _VERDICT_EXIT = {
     Verdict.ENTANGLED: EXIT_ENTANGLED,
     Verdict.BOUNDARY: EXIT_BOUNDARY,
 }
-
-
-def _n_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CVW_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _meta(args) -> dict:
@@ -65,12 +56,12 @@ def cmd_check(args) -> int:
             if criterion == "nongauss" else load_cm(args.input)
 
     if criterion == "nongauss":
-        report = decide_separability_nongauss(gamma, partition)
+        report = decide_separability_nongauss(gamma, partition, tol=args.tol_psd)
         payload = {**_meta(args), "report": criterion_report_dict(report)}
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[report.verdict]
     if criterion == "ppt":
-        ppt = ppt_decide(gamma, partition)
+        ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
         verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
         payload = {**_meta(args), "report": {
             "verdict": verdict.value, "criterion": "ppt",
@@ -79,7 +70,7 @@ def cmd_check(args) -> int:
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[verdict]
     if criterion == "witness":
-        report = minmax_optimize(gamma, restarts=args.restarts, seed=args.seed)
+        report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
                    Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)
         payload = {**_meta(args), "report": {
@@ -94,7 +85,7 @@ def cmd_check(args) -> int:
         raise CvWitnessError(
             f"criterion {criterion} needs a {wanted.value} state, "
             f"got {gamma.n_modes} modes")
-    report = decide_separability(gamma, partition)
+    report = decide_separability(gamma, partition, tol=args.tol_psd)
     payload = {**_meta(args), "report": criterion_report_dict(report)}
     dump_report(payload, sys.stdout)
     return _VERDICT_EXIT[report.verdict]
@@ -106,7 +97,8 @@ def cmd_oracle(args) -> int:
     if cutoff is None:
         cutoff = 25 if d.family is Family.TWO_MODE else 6
     lam_closed, _ = lambda_closed_form(d)
-    rho = gaussian_op_fock(d.to_cm(), cutoff)
+    gamma = d.to_cm()
+    rho = gaussian_op_fock(gamma, cutoff)
     n_b = d.n_modes // 2
     dims = (cutoff ** n_b, cutoff ** n_b)
     res = seesaw_lambda(rho, dims, restarts=args.restarts, seed=args.seed)
@@ -115,6 +107,7 @@ def cmd_oracle(args) -> int:
         "lambda_closed": lam_closed, "lambda_seesaw": res.value,
         "delta": delta, "cutoff": cutoff,
         "truncated_trace": float(np.real(np.trace(rho))),
+        "mean_photon_defect": mean_photon_defect(rho, gamma, cutoff),
         "converged": res.converged,
         "iterations": res.iterations}}
     dump_report(payload, sys.stdout)
@@ -129,22 +122,23 @@ def _ww_sample(rng: np.random.Generator) -> WWFamilyParams:
             return WWFamilyParams(a, b, c, d, e)
 
 
-def _sweep_row_ww(p: WWFamilyParams) -> list:
+def _sweep_row_ww(p: WWFamilyParams, tol: float) -> list:
     form = werner_wolf_family(p)
     gamma = form.to_cm()
-    rep = minmax_optimize(gamma, restarts=2)
+    rep = minmax_optimize(gamma)
     return [p.a, p.b, p.c, p.d, p.e,
             werner_wolf_lhs(form), werner_wolf_family_lhs_claim(p),
-            ppt_decide(gamma).is_ppt, rep.ell_limit]
+            ppt_decide(gamma, tol=tol).is_ppt, rep.ell_limit]
 
 
-def _sweep_row_tmsv(r: float) -> list:
+def _sweep_row_tmsv(r: float, tol: float) -> list:
     a = np.cosh(2 * r) / 2
     c = np.sinh(2 * r) / 2
     form = TwoModeStandardForm(a, a, c, c)
     gamma = form.to_cm()
-    rep = minmax_optimize(gamma, restarts=2)
-    return [r, simon_lhs(form), "", ppt_decide(gamma).is_ppt, rep.ell_limit]
+    rep = minmax_optimize(gamma)
+    return [r, simon_lhs(form), "", ppt_decide(gamma, tol=tol).is_ppt,
+            rep.ell_limit]
 
 
 def cmd_sweep(args) -> int:
@@ -160,8 +154,7 @@ def cmd_sweep(args) -> int:
         header = ["r", "lhs_criterion", "lhs_closed_form_claim", "is_ppt", "ell"]
         inputs = [0.1 * i for i in range(args.n_samples)]
         worker = _sweep_row_tmsv
-    with ThreadPoolExecutor(max_workers=_n_threads()) as pool:
-        rows = list(pool.map(worker, inputs))
+    rows = [worker(v, args.tol_psd) for v in inputs]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -182,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cutoff", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=5)
         p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p_check = sub.add_parser("check", help="decide separability of a state file")
     p_check.add_argument("input")
@@ -198,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", help="compare closed-form and Fock-seesaw detector maxima")
     p_oracle.add_argument("input")
+    p_oracle.add_argument("--cutoff", type=int, default=None)
+    p_oracle.add_argument("--restarts", type=int, default=5)
     common(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 

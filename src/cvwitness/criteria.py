@@ -15,7 +15,7 @@ import scipy.optimize as opt
 from .exceptions import ConstraintViolatedError, PatternMismatchError
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
-from .symplectic import CovMatrix, symplectic_form, validate_cm
+from .symplectic import TOL_PSD, CovMatrix, symplectic_form, validate_cm
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -103,11 +103,13 @@ def momentum_flip(n_modes: int, party_b: list[int]) -> np.ndarray:
     return np.diag(p)
 
 
-def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None) -> PptReport:
+def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
+               tol: float = TOL_PSD) -> PptReport:
     """Momentum-flip partial transpose test.
 
     `partition` lists party A's modes; momenta of the remaining modes are flipped.
-    Defaults to the first half of the modes.
+    Defaults to the first half of the modes.  `tol` is the bona-fide tolerance
+    of `validate_cm` on the partial transpose.
     """
     n = gamma.n_modes
     if partition is None:
@@ -115,7 +117,7 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None) -> PptRepor
     party_b = [m for m in range(n) if m not in partition]
     p = momentum_flip(n, party_b)
     pt = p @ gamma.mat @ p
-    rep = validate_cm(CovMatrix(pt))
+    rep = validate_cm(CovMatrix(pt), tol)
     eigs = la.eigvals(1j * symplectic_form(n) @ pt)
     min_nu = float(np.min(np.abs(eigs.real)))
     return PptReport(is_ppt=rep.is_physical, min_pt_symplectic_eig=min_nu)
@@ -239,10 +241,13 @@ def _default_partition(family: Family) -> list[int]:
     return [0] if family is Family.TWO_MODE else [0, 1]
 
 
-def decide_separability(gamma: CovMatrix, partition: list[int] | None = None) -> CriterionReport:
+def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
+                        tol: float = TOL_PSD) -> CriterionReport:
     """Full closed-form decision: standard-form reduction, family criterion,
-    feasibility certificate and PPT annotation."""
-    if not validate_cm(gamma).is_physical:
+    feasibility certificate and PPT annotation.  `tol` is the bona-fide
+    tolerance of `validate_cm`, applied to the state and its partial
+    transpose."""
+    if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
     family = detect_family(gamma)
     if partition is not None and sorted(partition) != _default_partition(family):
@@ -255,7 +260,7 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None) ->
     else:
         lhs = werner_wolf_lhs(form)
         name = "werner_wolf"
-    ppt = ppt_decide(gamma, _default_partition(family))
+    ppt = ppt_decide(gamma, _default_partition(family), tol)
 
     if lhs < -TOL_BOUNDARY:
         return CriterionReport(

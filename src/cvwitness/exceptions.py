@@ -38,7 +38,8 @@ class NotEntangledError(CvWitnessError):
 
 
 class OptimizerStalledError(CvWitnessError):
-    """Min-max optimization exceeded its iteration budget."""
+    """An iterative solver (determinant minimization, Fock seesaw) exceeded
+    its iteration budget or stopped making progress."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -179,6 +179,17 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int,
     return nxt
 
 
+def mean_photon_defect(rho: np.ndarray, gamma: CovMatrix, cutoff: int) -> float:
+    """1 - <N>_Fock / <N>_gamma: the share of the mean photon number
+    (tr gamma - n) / 2 that the truncated operator misses, read off its
+    diagonal.  Unlike the truncated trace it sees a truncated squeezer; 0 for
+    a vacuum-variance CM."""
+    photons = sum(np.ix_(*(np.arange(cutoff),) * gamma.n_modes)).ravel()
+    n_fock = float(np.real(np.diagonal(rho)) @ photons)
+    n_exact = float(np.trace(gamma.mat) - gamma.n_modes) / 2
+    return 1 - n_fock / n_exact if n_exact != 0 else 0.0
+
+
 def fock_mean(rho: np.ndarray, op: np.ndarray) -> float:
     """Re Tr(rho op)."""
     if rho.shape != op.shape:

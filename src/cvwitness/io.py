@@ -33,7 +33,10 @@ def _check_mean(obj: dict, n_modes: int) -> None:
 def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
     """Read {"n_modes": int, "cm": [[row...]...], "partition": [modes of A]}."""
     with open(path) as fh:
-        obj = json.load(fh)
+        return _parse_cm(json.load(fh), path)
+
+
+def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
     try:
         n = int(obj["n_modes"])
         mat = np.asarray(obj["cm"], dtype=float)
@@ -53,9 +56,9 @@ def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
 
 def load_nongauss(path: str) -> tuple[NonGaussState, list[int] | None]:
     """Read a kernel CM file extended with {"add": [k...], "subtract": [m...]}."""
-    kernel, partition = load_cm(path)
     with open(path) as fh:
         obj = json.load(fh)
+    kernel, partition = _parse_cm(obj, path)
     n = kernel.n_modes
     add = tuple(int(v) for v in obj.get("add", [0] * n))
     sub = tuple(int(v) for v in obj.get("subtract", [0] * n))
@@ -121,6 +124,7 @@ def witness_report_dict(report: WitnessReport) -> dict:
         "scaling_audit": [list(pair) for pair in report.scaling_audit],
         "entangled": report.entangled,
         "boundary": report.boundary,
+        "diagnostics": dict(report.diagnostics),
     }
 
 

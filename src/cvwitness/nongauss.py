@@ -17,7 +17,7 @@ from .criteria import CriterionReport, decide_separability
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
                          OrderTooHighError, SingularSumError)
 from .fock import destroy, gaussian_op_fock, mode_op
-from .symplectic import CovMatrix, cm_to_ccm
+from .symplectic import TOL_PSD, CovMatrix, cm_to_ccm
 from .witness import DetectorSpec
 
 #: maximum total number of ladder operators |k| + |m|.
@@ -220,13 +220,14 @@ def asymptotic_check(s: NonGaussState, d0: DetectorSpec,
 
 
 def decide_separability_nongauss(s: NonGaussState,
-                                 partition: list[int] | None = None) -> CriterionReport:
+                                 partition: list[int] | None = None,
+                                 tol: float = TOL_PSD) -> CriterionReport:
     """Separability of the photon-added/subtracted state.
 
     Local ladder operations neither create nor destroy entanglement across the
     partition, so the verdict is that of the Gaussian kernel.
     """
-    report = decide_separability(s.kernel, partition)
+    report = decide_separability(s.kernel, partition, tol)
     note = "kernel-level decision; ladder operations are local"
     if report.note:
         note = report.note + "; " + note

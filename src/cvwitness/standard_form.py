@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .exceptions import PatternMismatchError
-from .symplectic import CovMatrix, LocalSymplectic, symplectic_eigenvalues
+from .symplectic import CovMatrix, LocalSymplectic
 
 
 class Family(str, Enum):
@@ -168,10 +168,3 @@ def detect_family(gamma: CovMatrix) -> Family:
     if gamma.n_modes == 4:
         return Family.WERNER_WOLF
     raise PatternMismatchError(f"no supported family for {gamma.n_modes} modes")
-
-
-def williamson_agreement(gamma: CovMatrix, form) -> float:
-    """Max deviation between symplectic spectra of input and reconstruction."""
-    nu_in = symplectic_eigenvalues(gamma)
-    nu_out = symplectic_eigenvalues(form.to_cm())
-    return float(np.max(np.abs(nu_in - nu_out)))

@@ -2,15 +2,16 @@
 the detection ratio, and the min-max search for the matched detector.
 
 For both supported detector families the determinant of gamma_M + gamma_A (+)
-gamma_B factorizes into two scalar factors g1, g2; all optimizations below work
-on that factorization.
+gamma_B factorizes into two scalar factors g1, g2; the product-state maximum is
+a Newton minimization of that factorization.  The min-max over detectors has a
+closed form: one quadratic root, compared with its edge limits.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.optimize as opt
 
 from .exceptions import (DimensionMismatchError, NonPositiveDeterminantError,
                          NotEntangledError, OptimizerStalledError)
@@ -20,6 +21,10 @@ from .symplectic import CovMatrix, gaussian_overlap
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
 TOL_ELL_BOUNDARY = 1e-9
+
+#: relative gain over the edge limits below which the interior root of the
+#: limit ratio is taken to lie at infinity (a few ulps of rounding).
+_EDGE_MARGIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -68,55 +73,89 @@ def detector_from_cm(gamma: CovMatrix) -> DetectorSpec:
     return DetectorSpec(family, form.A, form.B, form.C, form.D, form.E, form.F)
 
 
-def _det_factors(d: DetectorSpec, x: float, y: float) -> tuple[float, float]:
-    g1 = (d.m1 + x / 2) * (d.m3 + y / 2) - d.m5 ** 2
-    g2 = (d.m2 + 1 / (2 * x)) * (d.m4 + 1 / (2 * y)) - d.m6 ** 2
-    return g1, g2
+def _bilinear(c: tuple[float, float, float, float], x: float,
+              y: float) -> tuple[float, float, float, float]:
+    """G = c0 + cx x + cy y + cxy x y and its (log x, log y) derivatives
+    G_u, G_v, G_uv; since G is linear in each variable, G_uu = G_u and
+    G_vv = G_v."""
+    c0, cx, cy, cxy = c
+    gu = x * (cx + cxy * y)
+    gv = y * (cy + cxy * x)
+    return c0 + cy * y + gu, gu, gv, cxy * x * y
 
 
-def _min_det_factors(d: DetectorSpec, tol: float = 1e-14,
-                     max_iter: int = 200) -> tuple[float, tuple[float, float]]:
+def _min_det_factors(d: DetectorSpec, tol: float = 1e-16,
+                     max_iter: int = 100) -> tuple[float, tuple[float, float]]:
     """Minimize g1(x, y) * g2(x, y) over x, y > 0.
 
-    Coordinate updates are closed-form: for fixed y the product is
-    (alpha + beta x)(gamma + delta / x), minimized at x = sqrt(alpha delta /
-    (beta gamma)).  A coarse log grid seeds the alternation.
+    With g1 = G1 and g2 = G2 / (x y), where G1 = (m1 + x/2)(m3 + y/2) - m5^2
+    and G2 = (m2 x + 1/2)(m4 y + 1/2) - m6^2 x y are bilinear, the objective
+    in u = log x, v = log y is F = log G1 + log G2 - u - v.  It is convex for
+    a physical detector (both G are then posynomials in e^u, e^v).  A coarse
+    log grid seeds a Newton iteration with a backtracking line search; the
+    iteration stops once the Newton decrement, half of which estimates the
+    relative distance of the value from the minimum, falls below `tol`.
     """
+    m1, m2, m3, m4, m5, m6 = d.params
+    c1 = (m1 * m3 - m5 ** 2, m3 / 2, m1 / 2, 0.25)
+    c2 = (0.25, m2 / 2, m4 / 2, m2 * m4 - m6 ** 2)
     xs = np.exp(np.linspace(-3, 3, 13))
     xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    g1 = (d.m1 + xg / 2) * (d.m3 + yg / 2) - d.m5 ** 2
-    g2 = (d.m2 + 1 / (2 * xg)) * (d.m4 + 1 / (2 * yg)) - d.m6 ** 2
-    prod = g1 * g2
+    prod = _bilinear(c1, xg, yg)[0] * _bilinear(c2, xg, yg)[0] / (xg * yg)
     if np.min(prod) <= 0:
         raise NonPositiveDeterminantError(
             "det(gamma_M + gamma_A (+) gamma_B) is non-positive on the grid")
     i, j = np.unravel_index(np.argmin(prod), prod.shape)
-    x, y = float(xs[i]), float(xs[j])
-    val = float(prod[i, j])
-    for _ in range(max_iter):
-        u = d.m3 + y / 2
-        alpha, beta = d.m1 * u - d.m5 ** 2, u / 2
-        v = d.m4 + 1 / (2 * y)
-        gam, delta = d.m2 * v - d.m6 ** 2, v / 2
-        if min(alpha, gam) <= 0:
+    u, v = np.log(xs[i]), np.log(xs[j])
+
+    def objective(u, v):
+        x, y = math.exp(u), math.exp(v)
+        t1, t2 = _bilinear(c1, x, y), _bilinear(c2, x, y)
+        if t1[0] <= 0 or t2[0] <= 0:
+            return math.inf, t1, t2
+        return math.log(t1[0]) + math.log(t2[0]) - u - v, t1, t2
+
+    f, t1, t2 = objective(u, v)
+    if math.isinf(f):
+        raise NonPositiveDeterminantError("determinant factor is non-positive")
+    decrement = math.inf
+    for it in range(max_iter):
+        (g1, g1u, g1v, g1uv), (g2, g2u, g2v, g2uv) = t1, t2
+        pu, pv, qu, qv = g1u / g1, g1v / g1, g2u / g2, g2v / g2
+        gu, gv = pu + qu - 1, pv + qv - 1
+        huu = pu - pu * pu + qu - qu * qu
+        hvv = pv - pv * pv + qv - qv * qv
+        huv = g1uv / g1 - pu * pv + g2uv / g2 - qu * qv
+        det = huu * hvv - huv * huv
+        if huu > 0 and det > 0:
+            su, sv = (huv * gv - hvv * gu) / det, (huv * gu - huu * gv) / det
+        else:   # not convex here: steepest descent
+            su, sv = -gu, -gv
+        decrement = -(gu * su + gv * sv)
+        if decrement <= tol:
             break
-        x = np.sqrt(alpha * delta / (beta * gam))
-        u = d.m1 + x / 2
-        alpha, beta = d.m3 * u - d.m5 ** 2, u / 2
-        v = d.m2 + 1 / (2 * x)
-        gam, delta = d.m4 * v - d.m6 ** 2, v / 2
-        if min(alpha, gam) <= 0:
-            break
-        y = np.sqrt(alpha * delta / (beta * gam))
-        g1, g2 = _det_factors(d, x, y)
-        new_val = g1 * g2
-        if abs(new_val - val) <= tol * max(1.0, abs(val)):
-            val = new_val
-            break
-        val = new_val
-    if val <= 0:
-        raise NonPositiveDeterminantError("determinant minimum is non-positive")
-    return val, (x, y)
+        t = 1.0
+        for _ in range(60):
+            f_new, t1_new, t2_new = objective(u + t * su, v + t * sv)
+            if f_new <= f - 1e-4 * t * decrement:
+                break
+            t /= 2
+        if not f_new < f:
+            if decrement <= 1e-12:   # F is flat to rounding: converged
+                break
+            raise OptimizerStalledError(
+                "determinant minimization: line search failed",
+                diagnostics={"iterations": it, "decrement": decrement,
+                             "value": math.exp(f)})
+        u, v = u + t * su, v + t * sv
+        f, t1, t2 = f_new, t1_new, t2_new
+    else:
+        raise OptimizerStalledError(
+            "determinant minimization did not converge",
+            diagnostics={"iterations": max_iter, "decrement": decrement,
+                         "value": math.exp(f)})
+    x, y = math.exp(u), math.exp(v)
+    return t1[0] * t2[0] / (x * y), (x, y)
 
 
 def lambda_closed_form(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
@@ -168,16 +207,62 @@ def _limit_objective(form) -> tuple:
     and w2 = m2/m4 fix the detector direction.
     """
     if isinstance(form, TwoModeStandardForm):
-        return (form.a, form.b, abs(form.c1)), (form.a, form.b, abs(form.c2)), 0.5
-    return (form.A, form.C, abs(form.E)), (form.B, form.D, abs(form.F)), 1.0
+        a1, b1, c1, a2, b2, c2 = form.a, form.b, form.c1, form.a, form.b, form.c2
+        power = 0.5
+    else:
+        a1, b1, c1, a2, b2, c2 = form.A, form.C, form.E, form.B, form.D, form.F
+        power = 1.0
+    # Python floats: an overflow in the closed forms is inf, not a warning
+    return ((float(a1), float(b1), abs(float(c1))),
+            (float(a2), float(b2), abs(float(c2))), power)
 
 
 def _limit_ratio(form, w1: float, w2: float) -> float:
     (a1, b1, c1), (a2, b2, c2), _ = _limit_objective(form)
     n1 = w1 * b1 + a1 / w1 - 2 * c1
     n2 = w2 * b2 + a2 / w2 - 2 * c2
-    u = np.sqrt(w1 * w2)
-    return 4 * n1 * n2 / (u + 1 / u) ** 2
+    u = math.sqrt(w1) * math.sqrt(w2)
+    return 4 * (n1 / (u + 1 / u)) * (n2 / (u + 1 / u))
+
+
+def _limit_argmin(form) -> tuple[float, tuple[float, float], str]:
+    """Minimum of the limit ratio over cone directions, in closed form.
+
+    With x = w1, y = w2 the ratio is 4 n1(x) n2(y) / (x y + 1)^2, where
+    n_i(z) = b_i z^2 - 2 c_i z + a_i.  Its stationarity conditions are the
+    bilinear maps y = (b1 x - c1) / (a1 - c1 x) and y = (a2 x + c2) /
+    (c2 x + b2); equating them leaves (a2 c1 + b1 c2) x^2 + (b1 b2 - a1 a2) x
+    - (a1 c2 + b2 c1) = 0, whose leading coefficient is >= 0 and constant
+    term <= 0, so it has exactly one positive root unless c1 = c2 = 0.  The
+    root is compared with the limits along the four edges x, y -> 0, inf.
+    For a product form (c1 = c2 = 0) the infimum is 4 min(a1 a2, b1 b2).
+
+    Returns (minimum, direction (w1, w2), path) with path "root", "edge" or
+    "product"; edge and product minima are approached only at infinity, so
+    they report the fixed finite direction w = (1, 1).
+    """
+    (a1, b1, c1), (a2, b2, c2), _ = _limit_objective(form)
+    if c1 == 0 and c2 == 0:
+        return 4 * min(a1 * a2, b1 * b2), (1.0, 1.0), "product"
+    edge = 4 * min(a1 * (a2 - c2 ** 2 / b2), b1 * (b2 - c2 ** 2 / a2),
+                   a2 * (a1 - c1 ** 2 / b1), b2 * (b1 - c1 ** 2 / a1))
+    qa, qb, qc = a2 * c1 + b1 * c2, b1 * b2 - a1 * a2, a1 * c2 + b2 * c1
+    disc = math.sqrt(qb * qb + 4 * qa * qc)
+    # the positive root, in the form free of cancellation for the sign of qb
+    if qb > 0:
+        x = 2 * qc / (qb + disc)
+    elif qa > 0:
+        x = (disc - qb) / (2 * qa)
+    else:
+        x = math.inf   # qa underflowed: the root is at the edge
+    y = (a2 * x + c2) / (c2 * x + b2)
+    if 0 < x < math.inf and 0 < y < math.inf:
+        val = _limit_ratio(form, x, y)
+        # a root that does not beat the edges by more than rounding lies at
+        # infinity to working precision (|c| -> 0 sends x or 1/x -> inf)
+        if val < edge * (1 - _EDGE_MARGIN):
+            return val, (x, y), "root"
+    return edge, (1.0, 1.0), "edge"
 
 
 @dataclass(frozen=True)
@@ -191,49 +276,30 @@ class WitnessReport:
     scaling_audit: tuple[tuple[float, float], ...]
     entangled: bool
     boundary: bool
-    form: object = field(repr=False, default=None)
+    diagnostics: dict
 
 
-def minmax_optimize(gamma: CovMatrix, restarts: int = 5, seed: int = 0,
-                    budget: int = 10_000, scales=(1e2, 1e3, 1e4)) -> WitnessReport:
+def minmax_optimize(gamma: CovMatrix, scales=(1e2, 1e3, 1e4)) -> WitnessReport:
     """Minimize the detection ratio over detectors of the state's family.
 
-    The outer search runs over detector directions on the degenerate cone
-    (log w1, log w2) with Nelder-Mead restarts; the asymptotic ratio there is
-    closed-form.  The matched detector is realized at finite scales t and the
-    ratio convergence along t is reported as the scaling audit.
+    The outer minimum over detector directions on the degenerate cone is the
+    closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
+    matched detector is realized at finite scales t and the ratio convergence
+    along t is reported as the scaling audit.
     """
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
     gamma_std = form.to_cm()
-    rng = np.random.default_rng(seed)
-
-    def objective(v):
-        return _limit_ratio(form, np.exp(v[0]), np.exp(v[1]))
-
-    starts = [np.zeros(2)] + [rng.uniform(-2, 2, 2) for _ in range(restarts)]
-    best = None
-    evals = 0
-    for v0 in starts:
-        res = opt.minimize(objective, v0, method="Nelder-Mead",
-                           options={"xatol": 1e-12, "fatol": 1e-14,
-                                    "maxfev": budget // len(starts)})
-        evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None or not np.isfinite(best.fun):
-        raise OptimizerStalledError("outer minimization failed",
-                                    diagnostics={"evals": evals})
-    w1, w2 = np.exp(best.x)
-    (_, _, c1), (_, _, c2), power = _limit_objective(form)
-    s5 = np.sign(_signed_c(form)[0]) or 1.0
-    s6 = np.sign(_signed_c(form)[1]) or 1.0
-    ell_limit = float(best.fun ** power)
-
-    direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2, s5, s6)
-    audit = []
-    for t in scales:
-        audit.append((float(t), ell_ratio(gamma_std, direction.scaled(t))))
+    limit, (w1, w2), path = _limit_argmin(form)
+    if not limit > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
+        raise NonPositiveDeterminantError(
+            "det(gamma + gamma_M) is non-positive in the large-detector limit")
+    ell_limit = float(limit ** _limit_objective(form)[2])
+    c5, c6 = _signed_c(form)
+    direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
+                             np.sign(c5) or 1.0, np.sign(c6) or 1.0)
+    audit = tuple((float(t), ell_ratio(gamma_std, direction.scaled(t)))
+                  for t in scales)
     matched = direction.scaled(scales[-1])
     lam, xy = lambda_closed_form(matched)
     trace = gaussian_overlap(gamma_std, matched.to_cm())
@@ -242,8 +308,9 @@ def minmax_optimize(gamma: CovMatrix, restarts: int = 5, seed: int = 0,
     return WitnessReport(
         lam=float(lam), ell=float(ell), ell_limit=ell_limit,
         matched_params=matched, argmax_xy=(float(xy[0]), float(xy[1])),
-        trace_mean=float(trace), scaling_audit=tuple(audit),
-        entangled=(not boundary) and ell < 1, boundary=boundary, form=form)
+        trace_mean=float(trace), scaling_audit=audit,
+        entangled=(not boundary) and ell < 1, boundary=boundary,
+        diagnostics={"path": path})
 
 
 def _signed_c(form) -> tuple[float, float]:
@@ -252,9 +319,9 @@ def _signed_c(form) -> tuple[float, float]:
     return form.E, form.F
 
 
-def matched_witness(gamma: CovMatrix, **kwargs) -> tuple[float, DetectorSpec, float]:
+def matched_witness(gamma: CovMatrix) -> tuple[float, DetectorSpec, float]:
     """(Lambda, matched detector, violation) with violation = Lambda - Tr(rho M*)."""
-    report = minmax_optimize(gamma, **kwargs)
+    report = minmax_optimize(gamma)
     if not report.entangled:
         raise NotEntangledError(f"state has ell = {report.ell:.6g} >= 1")
     violation = report.lam - report.trace_mean

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.optimize as opt
 
 from cvwitness.criteria import WWFamilyParams, simon_lhs
 from cvwitness.standard_form import Family, TwoModeStandardForm
-from cvwitness.witness import DetectorSpec
+from cvwitness.witness import DetectorSpec, _limit_ratio
 
 
 def tmsv_form(r: float) -> TwoModeStandardForm:
@@ -66,3 +67,20 @@ def sample_ww_family_params(rng: np.random.Generator) -> WWFamilyParams:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
+                      budget: int = 10_000) -> float:
+    """Oracle for the closed-form witness min-max: the smallest limit ratio
+    that Nelder-Mead restarts find over cone directions (log w1, log w2)."""
+    rng = np.random.default_rng(seed)
+
+    def objective(v):
+        return _limit_ratio(form, np.exp(v[0]), np.exp(v[1]))
+
+    starts = [np.zeros(2)] + [rng.uniform(-2, 2, 2) for _ in range(restarts)]
+    return float(min(
+        opt.minimize(objective, v0, method="Nelder-Mead",
+                     options={"xatol": 1e-12, "fatol": 1e-14,
+                              "maxfev": budget // len(starts)}).fun
+        for v0 in starts))

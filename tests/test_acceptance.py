@@ -83,7 +83,7 @@ def test_criterion_4_witness_matches_simon_sign():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         f = sample_standard_form(rng, exclude_band=1e-6)
-        rep = minmax_optimize(f.to_cm(), restarts=2)
+        rep = minmax_optimize(f.to_cm())
         assert np.sign(rep.ell_limit - 1) == np.sign(simon_lhs(f))
 
 

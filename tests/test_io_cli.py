@@ -106,6 +106,7 @@ def test_cli_witness_criterion(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["report"]["ell"] < 1
+    assert report["report"]["diagnostics"] == {"path": "root"}
 
 
 def test_cli_nongauss(tmp_path, capsys):
@@ -146,6 +147,46 @@ def test_cli_oracle(tmp_path, capsys):
     assert code == 0
     assert report["report"]["delta"] <= 1e-3
     assert 0.95 <= report["report"]["truncated_trace"] <= 1.0
+    assert abs(report["report"]["mean_photon_defect"]) < 1e-3
+
+
+def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
+    """A TMSV detector at r = 1 is badly truncated at cutoff 10: the trace
+    cannot see it, the mean photon number can."""
+    f = tmsv_form(1.0)
+    path = write_json(tmp_path / "det.json", {
+        "family": "two_mode", "m": [f.a, f.b, f.a, f.b, f.c1, f.c2]})
+    reports = {}
+    for cutoff in (10, 25):
+        main(["oracle", path, "--cutoff", str(cutoff), "--restarts", "1"])
+        reports[cutoff] = json.loads(capsys.readouterr().out)["report"]
+    assert reports[10]["truncated_trace"] > 0.99
+    assert reports[10]["mean_photon_defect"] > 0.05
+    assert reports[25]["mean_photon_defect"] < 1e-3
+
+
+def test_cli_tol_psd_applied(tmp_path, capsys):
+    """TMSV minus 1e-9 I has a bona-fide eigenvalue of -1e-9."""
+    mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
+    path = cm_file(tmp_path, mat)
+    assert main(["check", path, "--tol-psd", "1e-12"]) == 1
+    assert "not physical" in capsys.readouterr().err
+    assert main(["check", path, "--tol-psd", "1e-8"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"]["verdict"] == "Entangled"
+    assert report["tolerances"]["tol_psd"] == 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "state.json", "--restarts", "2"],
+    ["check", "state.json", "--cutoff", "10"],
+    ["check", "state.json", "--format", "csv"],
+    ["sweep", "--family", "tmsv", "-n", "2", "out.csv", "--restarts", "2"],
+])
+def test_cli_rejects_removed_flags(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_sweep_tmsv(tmp_path, capsys):

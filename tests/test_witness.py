@@ -1,16 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize as opt
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cvwitness.criteria import WWFamilyParams, ppt_decide, simon_lhs, werner_wolf_family
-from cvwitness.exceptions import NotEntangledError
-from cvwitness.standard_form import Family, TwoModeStandardForm
+from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
+                                werner_wolf_family, werner_wolf_lhs)
+from cvwitness.exceptions import (ConstraintViolatedError, NotEntangledError,
+                                  OptimizerStalledError)
+from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix, gaussian_overlap
-from cvwitness.witness import (DetectorSpec, detector_from_cm, ell_factorized,
-                               ell_ratio, lambda_closed_form, matched_witness,
+from cvwitness.witness import (DetectorSpec, _min_det_factors,
+                               detector_from_cm, ell_factorized, ell_ratio,
+                               lambda_closed_form, matched_witness,
                                minmax_optimize)
 
-from conftest import (sample_standard_form, sample_two_mode_detector,
-                      sample_ww_detector, tmsv_form)
+from conftest import (nelder_mead_limit, sample_standard_form,
+                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
+
+# derandomized and without an example database: tier-1 stays deterministic
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
 
 
 def test_lambda_vacuum_detector():
@@ -60,7 +72,7 @@ def test_ww_ell_ratio_equals_factorized(rng):
 
 def test_minmax_tmsv_limit_is_exponential():
     for r in (0.2, 0.5):
-        rep = minmax_optimize(tmsv_form(r).to_cm(), restarts=3)
+        rep = minmax_optimize(tmsv_form(r).to_cm())
         assert rep.entangled
         assert abs(rep.ell_limit - np.exp(-2 * r)) < 1e-6
         # the finite-scale audit approaches the limit from above
@@ -69,13 +81,13 @@ def test_minmax_tmsv_limit_is_exponential():
 
 
 def test_minmax_vacuum_product_is_boundary():
-    rep = minmax_optimize(CovMatrix(np.eye(4) / 2), restarts=2)
+    rep = minmax_optimize(CovMatrix(np.eye(4) / 2))
     assert rep.boundary
     assert not rep.entangled
 
 
 def test_minmax_thermal_product_separable():
-    rep = minmax_optimize(CovMatrix(np.eye(4) * 1.5), restarts=2)
+    rep = minmax_optimize(CovMatrix(np.eye(4) * 1.5))
     assert not rep.entangled and not rep.boundary
     assert rep.ell_limit > 1
 
@@ -83,7 +95,7 @@ def test_minmax_thermal_product_separable():
 def test_minmax_ww_bound_entangled():
     form = werner_wolf_family(WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0))
     gamma = form.to_cm()
-    rep = minmax_optimize(gamma, restarts=3)
+    rep = minmax_optimize(gamma)
     assert ppt_decide(gamma).is_ppt
     assert rep.entangled
     assert rep.ell_limit < 1
@@ -106,7 +118,135 @@ def test_matched_witness_rejects_separable():
 
 def test_determinism_same_seed(rng):
     gamma = sample_standard_form(rng).to_cm()
-    r1 = minmax_optimize(gamma, restarts=3, seed=7)
-    r2 = minmax_optimize(gamma, restarts=3, seed=7)
+    r1 = minmax_optimize(gamma)
+    r2 = minmax_optimize(gamma)
     assert r1.ell_limit == r2.ell_limit
     assert r1.matched_params.params == r2.matched_params.params
+    assert r1.diagnostics == r2.diagnostics
+
+
+# ------------------------------------------------ closed-form witness min-max
+
+def _unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def two_mode_forms(draw):
+    f = TwoModeStandardForm(draw(_unit(0.5, 2.0)), draw(_unit(0.5, 2.0)),
+                            draw(_unit(-1.0, 1.0)), draw(_unit(-1.0, 1.0)))
+    assume(f.to_cm().is_physical())
+    return f
+
+
+@st.composite
+def ww_forms(draw):
+    """Werner-Wolf family points (bound entangled) and random pattern forms."""
+    if draw(st.booleans()):
+        try:
+            return werner_wolf_family(WWFamilyParams(
+                *(draw(_unit(0.2, 3.0)) for _ in range(5))))
+        except ConstraintViolatedError:
+            assume(False)
+    f = WernerWolfForm(*(draw(_unit(0.5, 1.5)) for _ in range(4)),
+                       draw(_unit(-0.5, 0.5)), draw(_unit(-0.5, 0.5)))
+    assume(f.to_cm().is_physical())
+    return f
+
+
+def _check_against_oracle(form, power):
+    ell_limit = minmax_optimize(form.to_cm()).ell_limit
+    oracle = nelder_mead_limit(form) ** power
+    assert ell_limit <= oracle * (1 + 1e-10)
+    assert abs(ell_limit - oracle) <= 1e-9 * oracle
+
+
+@PROPERTY
+@given(two_mode_forms())
+def test_closed_form_matches_nelder_mead_two_mode(form):
+    _check_against_oracle(form, 0.5)
+
+
+@PROPERTY
+@given(ww_forms())
+def test_closed_form_matches_nelder_mead_ww(form):
+    _check_against_oracle(form, 1.0)
+
+
+@PROPERTY
+@given(st.one_of(two_mode_forms(), ww_forms()))
+def test_ell_limit_sign_matches_criterion(form):
+    lhs = (simon_lhs(form) if isinstance(form, TwoModeStandardForm)
+           else werner_wolf_lhs(form))
+    assume(abs(lhs) > 1e-6)
+    rep = minmax_optimize(form.to_cm())
+    assert np.sign(rep.ell_limit - 1) == np.sign(lhs)
+
+
+@pytest.mark.parametrize("a, b", [(0.7, 1.9), (2.5, 0.6)])
+def test_product_form_limit(a, b):
+    rep = minmax_optimize(TwoModeStandardForm(a, b, 0.0, 0.0).to_cm())
+    assert rep.diagnostics == {"path": "product"}
+    assert abs(rep.ell_limit - 2 * min(a, b)) <= 1e-12
+    assert rep.matched_params.params[:2] == (1e4, 1e4)   # w = (1, 1)
+
+
+@pytest.mark.parametrize("form, path", [
+    (tmsv_form(0.5), "root"),
+    (TwoModeStandardForm(1.2, 0.8, 0.0, 0.0), "product"),
+    # |c2| = 1e-12 puts the root at x ~ 1e12, where it does not beat the
+    # x -> inf edge limit 4 b (b - c2^2 / a) by more than rounding
+    (TwoModeStandardForm(2.0, 1.0, 0.0, 1e-12), "edge"),
+])
+def test_diagnostics_path(form, path):
+    rep = minmax_optimize(form.to_cm())
+    assert rep.diagnostics == {"path": path}
+    assert rep.ell_limit > 0 and math.isfinite(rep.ell)
+
+
+def test_edge_limit_value():
+    rep = minmax_optimize(TwoModeStandardForm(2.0, 1.0, 0.0, 1e-12).to_cm())
+    # x -> inf edge: 4 b1 (b2 - c2^2 / a2) = 4, so ell_limit = 2
+    assert abs(rep.ell_limit - 2.0) <= 1e-12
+
+
+# ---------------------------------------------- determinant-factor minimum
+
+def _min_det_reference(d: DetectorSpec) -> float:
+    """Independent reference: eliminate x in closed form (the product is
+    (alpha + beta x)(gamma + delta / x) at fixed y, minimized at
+    x = sqrt(alpha delta / (beta gamma))) and minimize over log y by Brent."""
+    m1, m2, m3, m4, m5, m6 = d.params
+
+    def reduced(v):
+        y = np.exp(v)
+        u, w = m3 + y / 2, m4 + 1 / (2 * y)
+        alpha, beta, gam, delta = m1 * u - m5 ** 2, u / 2, m2 * w - m6 ** 2, w / 2
+        x = np.sqrt(alpha * delta / (beta * gam))
+        return (alpha + beta * x) * (gam + delta / x)
+
+    grid = np.linspace(-15, 15, 301)
+    v0 = grid[np.argmin([reduced(v) for v in grid])]
+    return opt.minimize_scalar(reduced, bracket=(v0 - 0.1, v0, v0 + 0.1),
+                               tol=1e-14).fun
+
+
+def test_min_det_factors_scaled_cone_detectors(rng):
+    """Scale-1e4 detectors on the degenerate cone, as built by the matched
+    witness and its scaling audit: the minimum converges to 1e-10."""
+    for family in Family:
+        for _ in range(4):
+            w1, w2 = np.exp(rng.uniform(-2, 2, 2))
+            s5, s6 = rng.choice([-1.0, 1.0], 2)
+            d = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2, s5, s6).scaled(1e4)
+            val, _ = _min_det_factors(d)
+            ref = _min_det_reference(d)
+            assert abs(val - ref) <= 1e-10 * ref
+
+
+def test_min_det_factors_unconverged_raises():
+    d = DetectorSpec(Family.TWO_MODE, 1.0, 2.0, 1.0, 0.5, 0.0, 0.0).scaled(1e4)
+    with pytest.raises(OptimizerStalledError) as info:
+        _min_det_factors(d, max_iter=1)
+    assert info.value.diagnostics["iterations"] == 1
+    assert info.value.diagnostics["decrement"] > 0

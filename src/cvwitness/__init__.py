@@ -17,7 +17,7 @@ from .fock import (SeesawResult, displacement_element, fock_cm, fock_mean,
                    gaussian_op_fock, seesaw_lambda)
 from .nongauss import (NonGaussState, asymptotic_check, build_fock_state,
                        decide_separability_nongauss, fock_direct_trace,
-                       mean_on_detector, normalization, q_char)
+                       mean_on_detector, q_char)
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
 from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
@@ -42,7 +42,7 @@ __all__ = [
     "gaussian_op_fock", "seesaw_lambda",
     "NonGaussState", "asymptotic_check", "build_fock_state",
     "decide_separability_nongauss", "fock_direct_trace",
-    "mean_on_detector", "normalization", "q_char",
+    "mean_on_detector", "q_char",
     "Family", "TwoModeStandardForm", "WernerWolfForm", "detect_family",
     "reduce_to_standard_form",
     "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",

@@ -16,13 +16,13 @@ from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams,
                        decide_separability, ppt_decide, simon_lhs,
                        werner_wolf_family, werner_wolf_family_lhs_claim,
                        werner_wolf_lhs)
-from .exceptions import CvWitnessError
+from .exceptions import CvWitnessError, PatternMismatchError
 from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
 from .nongauss import decide_separability_nongauss
 from .standard_form import Family, TwoModeStandardForm, detect_family
-from .symplectic import TOL_PSD, CovMatrix
+from .symplectic import TOL_PSD, validate_cm
 from .witness import lambda_closed_form, minmax_optimize
 
 EXIT_SEPARABLE = 0
@@ -70,6 +70,8 @@ def cmd_check(args) -> int:
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[verdict]
     if criterion == "witness":
+        if not validate_cm(gamma, args.tol_psd).is_physical:
+            raise PatternMismatchError("covariance matrix is not physical")
         report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
                    Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)

@@ -4,11 +4,14 @@ A state rho = N a^{k dag} a^m rho_G a^{m dag} a^k is handled through the
 generating operator Q(xi, eta) = e^{xi a^dag} e^{-eta* a} rho_G e^{eta a^dag}
 e^{-xi* a}: every trace against a Gaussian detector is a mixed derivative of an
 explicit quadratic exponential, extracted exactly as a multivariate Taylor
-coefficient.
+coefficient. That coefficient is a hafnian with repeated rows and columns,
+computed by Kan's formula (Kan, J. Multivariate Anal. 99, 2008; Bjorklund,
+Gupt & Quesada, arXiv:1805.12498) as a signed sum over prod(n_i + 1) points.
 """
 
 from dataclasses import dataclass, field
-from math import factorial
+from functools import reduce
+from math import comb, factorial, prod
 
 import numpy as np
 import scipy.linalg as la
@@ -64,12 +67,6 @@ class NonGaussState:
     def order(self) -> int:
         return sum(self.add) + sum(self.subtract)
 
-    def ccm_plus(self) -> np.ndarray:
-        return cm_to_ccm(self.kernel).mat + _ladder_shift(self.kernel.n_modes)
-
-    def ccm_minus(self) -> np.ndarray:
-        return cm_to_ccm(self.kernel).mat - _ladder_shift(self.kernel.n_modes)
-
 
 def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
            mu: np.ndarray) -> complex:
@@ -91,43 +88,34 @@ def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
 def _quadratic_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:
     """Taylor coefficient of prod t_i^{target_i} in exp(1/2 t q t^T).
 
-    The exponent is homogeneous quadratic, so only the power
-    p = sum(target) / 2 of the series contributes; the expansion is pruned to
-    exponent vectors dominated by the target.
+    This is haf(q_n) / prod n_i!, where q_n repeats row and column i n_i
+    times, and Kan's formula gives the repeated-index hafnian as a signed sum
+    over the box 0 <= v <= n:
+
+        sum_v (-1)^{|v|} prod C(n_i, v_i) (h q h^T / 2)^p / p!,
+
+    with h = n/2 - v and p = |n|/2. Zero entries of the target are dropped
+    first; h q h^T sees only the symmetric part of q.
     """
-    total = sum(target)
+    n = np.asarray(target, dtype=int)
+    keep = n > 0
+    n = n[keep]
+    total = int(n.sum())
     if total % 2 == 1:
         return 0.0
     p = total // 2
     if p == 0:
         return 1.0
-    d = len(target)
-    # terms of the quadratic E = 1/2 t q t^T as monomial dict
-    e_terms: dict[tuple[int, ...], complex] = {}
-    for i in range(d):
-        for j in range(i, d):
-            c = q[i, i] / 2 if i == j else (q[i, j] + q[j, i]) / 2
-            if c == 0:
-                continue
-            expo = [0] * d
-            expo[i] += 1
-            expo[j] += 1
-            key = tuple(expo)
-            if all(k <= t for k, t in zip(key, target)):
-                e_terms[key] = e_terms.get(key, 0.0) + c
-    poly: dict[tuple[int, ...], complex] = {tuple([0] * d): 1.0}
-    for _ in range(p):
-        nxt: dict[tuple[int, ...], complex] = {}
-        for expo, c in poly.items():
-            for de, dc in e_terms.items():
-                ne = tuple(a + b for a, b in zip(expo, de))
-                if any(a > t for a, t in zip(ne, target)):
-                    continue
-                nxt[ne] = nxt.get(ne, 0.0) + c * dc
-        poly = nxt
-        if not poly:
-            return 0.0
-    return poly.get(target, 0.0) / factorial(p)
+    q = q[np.ix_(keep, keep)]
+    v = np.indices(n + 1).reshape(len(n), -1).T
+    h = n / 2 - v
+    quad = np.einsum("ki,ki->k", h @ q, h) / 2
+    # the weight factorises over the box axes, in the C order of np.indices
+    weight = reduce(np.multiply.outer,
+                    [[(-1) ** j * comb(k, j) for j in range(k + 1)] for k in n],
+                    1.0)
+    denom = factorial(p) * prod(factorial(k) for k in n)
+    return weight.ravel() @ quad ** p / denom
 
 
 def _derivative_value(q: np.ndarray, add: tuple[int, ...],
@@ -175,10 +163,6 @@ def normalization_raw(kernel: CovMatrix, add: tuple[int, ...],
         raise DegeneratePreparationError(
             f"ladder pattern annihilates the kernel (derivative {denom:g})")
     return 1.0 / denom
-
-
-def normalization(s: NonGaussState) -> float:
-    return s.norm
 
 
 def mean_on_detector(s: NonGaussState, d: DetectorSpec | CovMatrix) -> float:

@@ -1,5 +1,7 @@
 """Shared samplers and helpers for the test suite."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.optimize as opt
@@ -84,3 +86,43 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
                      options={"xatol": 1e-12, "fatol": 1e-14,
                               "maxfev": budget // len(starts)}).fun
         for v0 in starts))
+
+
+def dict_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:
+    """Oracle for the Kan-formula coefficient extraction: the Taylor
+    coefficient of prod t_i^{target_i} in exp(1/2 t q t^T), from the power
+    p = sum(target) / 2 of the series expanded as a monomial dictionary pruned
+    to exponent vectors dominated by the target."""
+    total = sum(target)
+    if total % 2 == 1:
+        return 0.0
+    p = total // 2
+    if p == 0:
+        return 1.0
+    d = len(target)
+    # terms of the quadratic E = 1/2 t q t^T as monomial dict
+    e_terms: dict[tuple[int, ...], complex] = {}
+    for i in range(d):
+        for j in range(i, d):
+            c = q[i, i] / 2 if i == j else (q[i, j] + q[j, i]) / 2
+            if c == 0:
+                continue
+            expo = [0] * d
+            expo[i] += 1
+            expo[j] += 1
+            key = tuple(expo)
+            if all(k <= t for k, t in zip(key, target)):
+                e_terms[key] = e_terms.get(key, 0.0) + c
+    poly: dict[tuple[int, ...], complex] = {tuple([0] * d): 1.0}
+    for _ in range(p):
+        nxt: dict[tuple[int, ...], complex] = {}
+        for expo, c in poly.items():
+            for de, dc in e_terms.items():
+                ne = tuple(a + b for a, b in zip(expo, de))
+                if any(a > t for a, t in zip(ne, target)):
+                    continue
+                nxt[ne] = nxt.get(ne, 0.0) + c * dc
+        poly = nxt
+        if not poly:
+            return 0.0
+    return poly.get(target, 0.0) / factorial(p)

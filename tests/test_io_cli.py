@@ -177,6 +177,19 @@ def test_cli_tol_psd_applied(tmp_path, capsys):
     assert report["tolerances"]["tol_psd"] == 1e-8
 
 
+def test_cli_witness_tol_psd_applied(tmp_path, capsys):
+    mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
+    path = cm_file(tmp_path, mat)
+    assert main(["check", path, "--criterion", "witness",
+                 "--tol-psd", "1e-12"]) == 1
+    assert "not physical" in capsys.readouterr().err
+    assert main(["check", path, "--criterion", "witness",
+                 "--tol-psd", "1e-8"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["report"]["verdict"] == "Entangled"
+    assert report["report"]["criterion"] == "witness"
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "state.json", "--restarts", "2"],
     ["check", "state.json", "--cutoff", "10"],

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
 from cvwitness.exceptions import (DegeneratePreparationError,
                                   OrderTooHighError)
 from cvwitness.fock import gaussian_op_fock
-from cvwitness.nongauss import (NonGaussState, asymptotic_check,
-                                build_fock_state, decide_separability_nongauss,
-                                fock_direct_trace, mean_on_detector,
-                                normalization, q_char)
+from cvwitness.nongauss import (NonGaussState, _quadratic_coeff_extract,
+                                asymptotic_check, build_fock_state,
+                                decide_separability_nongauss, fock_direct_trace,
+                                mean_on_detector, q_char)
+from cvwitness.standard_form import TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import detector_from_cm
 
-from conftest import tmsv_form
+from conftest import dict_coeff_extract, sample_two_mode_detector, tmsv_form
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
 THERMAL_1 = CovMatrix(1.5 * np.eye(2))  # nbar = 1
@@ -45,18 +48,18 @@ def test_q_char_matches_fock():
 
 def test_normalization_single_photon():
     s = NonGaussState(VACUUM_1, add=(1,), subtract=(0,))
-    assert abs(normalization(s) - 1.0) < 1e-12
+    assert abs(s.norm - 1.0) < 1e-12
 
 
 def test_normalization_thermal_subtraction():
     s = NonGaussState(THERMAL_1, add=(0,), subtract=(1,))
-    assert abs(normalization(s) - 1.0) < 1e-10  # 1/nbar at nbar=1
+    assert abs(s.norm - 1.0) < 1e-10  # 1/nbar at nbar=1
 
 
 def test_normalization_tmsv_addition():
     r = 0.4
     s = NonGaussState(tmsv_form(r).to_cm(), add=(1, 0), subtract=(0, 0))
-    assert abs(normalization(s) - 1.0 / np.cosh(r) ** 2) < 1e-10
+    assert abs(s.norm - 1.0 / np.cosh(r) ** 2) < 1e-10
 
 
 def test_subtract_from_vacuum_degenerate():
@@ -141,3 +144,72 @@ def test_decide_subtracted_ww_bound_entangled():
     report = decide_separability_nongauss(s)
     assert report.verdict is Verdict.ENTANGLED
     assert report.bound_entangled
+
+
+# the dictionary oracle's cost grows with the index box prod(n_i + 1)
+_ORACLE_BOX = 1296
+
+
+def _trim(values: list[int], max_box: int, max_total: int) -> list[int]:
+    """Zero each entry that would push prod(v + 1) past max_box or the sum
+    past max_total, so that every draw is used."""
+    out, box, total = [], 1, 0
+    for v in values:
+        if box * (v + 1) > max_box or total + v > max_total:
+            v = 0
+        box *= v + 1
+        total += v
+        out.append(v)
+    return out
+
+
+@st.composite
+def coefficient_cases(draw):
+    """(q size, seed, diagonal shift, target) with sum(target) <= 16: ladder
+    targets (k, k, m, m) as _derivative_value builds them, or unstructured."""
+    d = draw(st.sampled_from([4, 8, 16]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    shift = draw(st.floats(-5.0, 5.0))
+    if draw(st.booleans()):
+        # each ladder index appears twice in the target, squaring the box
+        half = _trim(draw(st.lists(st.integers(0, 4), min_size=d // 2,
+                                   max_size=d // 2)),
+                     max_box=36, max_total=8)
+        k, m = half[:d // 4], half[d // 4:]
+        target = k + k + m + m
+    else:
+        target = _trim(draw(st.lists(st.integers(0, 8), min_size=d,
+                                     max_size=d)),
+                       max_box=_ORACLE_BOX, max_total=16)
+    return d, seed, shift, tuple(target)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coefficient_cases())
+@example((4, 0, 0.0, (0, 0, 0, 0)))
+@example((8, 1, 1.0, (1, 0, 2, 0, 0, 0, 0, 0)))
+def test_kan_coefficient_matches_dictionary_oracle(case):
+    d, seed, shift, target = case
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q = (a + a.T) / 2 + shift * np.eye(d)
+    got = _quadratic_coeff_extract(q, target)
+    if sum(target) % 2 == 1:
+        assert got == 0
+    elif not any(target):
+        assert got == 1
+    else:
+        ref = dict_coeff_extract(q, target)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("add,sub", [((2, 1), (1, 2)), ((2, 2), (2, 2))])
+def test_mean_matches_fock_high_order(add, sub):
+    """Orders 6 and 8 on a low-occupancy kernel, where cutoff 26 truncates
+    far below the tolerance."""
+    kernel = TwoModeStandardForm(0.7, 0.65, 0.15, -0.1).to_cm()
+    d = sample_two_mode_detector(np.random.default_rng(3))
+    s = NonGaussState(kernel, add, sub)
+    mean = mean_on_detector(s, d)
+    oracle = fock_direct_trace(s, d, cutoff=26)
+    assert abs(mean - oracle) < 1e-8

@@ -9,11 +9,10 @@ applies the channel to Gaussian inputs.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import DegenerateLimitError, DimensionMismatchError
 from .standard_form import Family
-from .symplectic import CovMatrix, symplectic_form
+from .symplectic import CovMatrix, block_diag, symplectic_form
 from .witness import DetectorSpec
 
 
@@ -56,7 +55,7 @@ class GaussianChannel:
         """Minimum eigenvalue of alpha + (i/2)(sigma - K^T sigma K); CP iff >= 0."""
         sigma = symplectic_form(self.n_modes)
         h = self.alpha + 0.5j * (sigma - self.k.T @ sigma @ self.k)
-        return float(np.min(la.eigvalsh(h)))
+        return float(np.min(np.linalg.eigvalsh(h)))
 
     def is_cp(self, tol: float = 1e-10) -> bool:
         return self.cp_min_eig() >= -tol
@@ -184,7 +183,7 @@ def overlap_identity_ratio(d: DetectorSpec, gamma_a: np.ndarray,
     """
     ch = detector_to_channel(d)
     gm = d.to_cm().mat
-    direct = 1.0 / np.sqrt(la.det(gm + la.block_diag(gamma_a, gamma_b)))
+    direct = 1.0 / np.sqrt(np.linalg.det(gm + block_diag(gamma_a, gamma_b)))
     g_out = ch.k.T @ gamma_b @ ch.k + ch.alpha
-    via_channel = ch.norm_factor() / np.sqrt(la.det(gamma_a + g_out))
+    via_channel = ch.norm_factor() / np.sqrt(np.linalg.det(gamma_a + g_out))
     return float(direct / via_channel)

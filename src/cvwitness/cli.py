@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 Separable, 2 Entangled, 3 Boundary/undecided, 1 error.
-Every report embeds the tool version, the seed and the tolerances in effect,
-and output is byte-identical for identical seed and configuration.
+Every report embeds the tool version and the options that shape it: `check`
+its tolerances, `oracle` the seed of its random seesaw starts.  Output is
+byte-identical for the same input and options.  `sweep` draws its
+Werner-Wolf samples from `--seed` and applies `--tol-psd` to its `is_ppt`
+column.
 """
 
 import argparse
@@ -37,10 +40,9 @@ _VERDICT_EXIT = {
 }
 
 
-def _meta(args) -> dict:
+def _check_meta(args) -> dict:
     return {
         "version": __version__,
-        "seed": args.seed,
         "tolerances": {"tol_psd": args.tol_psd, "tol_boundary": TOL_BOUNDARY},
     }
 
@@ -57,13 +59,13 @@ def cmd_check(args) -> int:
 
     if criterion == "nongauss":
         report = decide_separability_nongauss(gamma, partition, tol=args.tol_psd)
-        payload = {**_meta(args), "report": criterion_report_dict(report)}
+        payload = {**_check_meta(args), "report": criterion_report_dict(report)}
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[report.verdict]
     if criterion == "ppt":
         ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
         verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
-        payload = {**_meta(args), "report": {
+        payload = {**_check_meta(args), "report": {
             "verdict": verdict.value, "criterion": "ppt",
             "is_ppt": ppt.is_ppt,
             "min_pt_symplectic_eig": ppt.min_pt_symplectic_eig}}
@@ -75,7 +77,7 @@ def cmd_check(args) -> int:
         report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
                    Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)
-        payload = {**_meta(args), "report": {
+        payload = {**_check_meta(args), "report": {
             **witness_report_dict(report), "verdict": verdict.value,
             "criterion": "witness"}}
         dump_report(payload, sys.stdout)
@@ -88,7 +90,7 @@ def cmd_check(args) -> int:
             f"criterion {criterion} needs a {wanted.value} state, "
             f"got {gamma.n_modes} modes")
     report = decide_separability(gamma, partition, tol=args.tol_psd)
-    payload = {**_meta(args), "report": criterion_report_dict(report)}
+    payload = {**_check_meta(args), "report": criterion_report_dict(report)}
     dump_report(payload, sys.stdout)
     return _VERDICT_EXIT[report.verdict]
 
@@ -105,7 +107,7 @@ def cmd_oracle(args) -> int:
     dims = (cutoff ** n_b, cutoff ** n_b)
     res = seesaw_lambda(rho, dims, restarts=args.restarts, seed=args.seed)
     delta = abs(lam_closed - res.value)
-    payload = {**_meta(args), "report": {
+    payload = {"version": __version__, "seed": args.seed, "report": {
         "lambda_closed": lam_closed, "lambda_seesaw": res.value,
         "delta": delta, "cutoff": cutoff,
         "truncated_trace": float(np.real(np.trace(rho))),
@@ -175,8 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed(p):
         p.add_argument("--seed", type=int, default=0)
+
+    def tol_psd(p):
         p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
 
     p_check = sub.add_parser("check", help="decide separability of a state file")
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--criterion", default="auto",
                          choices=["auto", "simon", "wernerwolf", "ppt",
                                   "witness", "nongauss"])
-    common(p_check)
+    tol_psd(p_check)
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser(
@@ -192,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("input")
     p_oracle.add_argument("--cutoff", type=int, default=None)
     p_oracle.add_argument("--restarts", type=int, default=5)
-    common(p_oracle)
+    seed(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a state family")
@@ -201,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-n", "--n-samples", dest="n_samples", type=int,
                          required=True)
     p_sweep.add_argument("out")
-    common(p_sweep)
+    seed(p_sweep)
+    tol_psd(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,21 +1,24 @@
-"""Closed-form separability criteria and feasibility certificates.
+"""Closed-form separability criteria and separability certificates.
 
 The two-mode decision is Simon's condition; the four-mode decision is the
-generalized Werner-Wolf condition.  Both come with a product-squeezed-state
-feasibility search that produces an explicit separability certificate (x, y).
+generalized Werner-Wolf condition.  A state with a nonnegative criterion is
+certified separable by an explicit product squeezed state (x, y) that its CM
+dominates (Werner & Wolf, PRL 86, 3658 (2001)).  The certificate is closed
+form: the vacuum point (1, 1) when it works, otherwise the maximum of a
+log-concave function of x at the root of one quadratic.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as la
-import scipy.optimize as opt
 
 from .exceptions import ConstraintViolatedError, PatternMismatchError
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
-from .symplectic import TOL_PSD, CovMatrix, symplectic_form, validate_cm
+from .symplectic import (TOL_PSD, CovMatrix, block_diag, symplectic_form,
+                         validate_cm)
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -118,7 +121,7 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     p = momentum_flip(n, party_b)
     pt = p @ gamma.mat @ p
     rep = validate_cm(CovMatrix(pt), tol)
-    eigs = la.eigvals(1j * symplectic_form(n) @ pt)
+    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ pt)
     min_nu = float(np.min(np.abs(eigs.real)))
     return PptReport(is_ppt=rep.is_physical, min_pt_symplectic_eig=min_nu)
 
@@ -133,38 +136,44 @@ def _feasibility_conditions(form) -> tuple[tuple, tuple]:
     raise PatternMismatchError(f"unsupported form {type(form).__name__}")
 
 
-def _slacks(x, y, cond1, cond2):
-    a1, b1, c1 = cond1
-    a2, b2, c2 = cond2
-    s1 = min(a1 - x / 2, b1 - y / 2, (a1 - x / 2) * (b1 - y / 2) - c1 ** 2)
-    s2 = min(a2 - 1 / (2 * x), b2 - 1 / (2 * y),
-             (a2 - 1 / (2 * x)) * (b2 - 1 / (2 * y)) - c2 ** 2)
-    return min(s1, s2)
+def _peak(cond1, cond2) -> tuple[float, float, float]:
+    """(x*, f1(x*), f2(x*)) at the maximum of phi = 4 f1 f2 over x, where
+    f1 = b1 - c1^2/(a1 - x/2) and f2 = b2 - c2^2/(a2 - 1/(2x)).
 
-
-def _quadratic_candidates(cond1, cond2):
-    """Intersection points of the two equality curves: the combination reduces
-    to a quadratic in x after clearing denominators."""
-    a1, b1, c1 = cond1
-    a2, b2, c2 = cond2
-    # y(x) = N(x)/D(x) on the first equality curve
-    n_poly = np.poly1d([-b1, 2 * a1 * b1 - 2 * c1 ** 2])
-    d_poly = np.poly1d([-0.5, a1])
-    lhs = np.poly1d([2 * a2, -1]) * (2 * b2 * n_poly - d_poly)
-    rhs = 4 * c2 ** 2 * np.poly1d([1, 0]) * n_poly
-    p = lhs - rhs
-    cands = []
-    for x in np.roots(p.coeffs):
-        if abs(x.imag) > 1e-9 or x.real <= 0:
-            continue
-        x = float(x.real)
-        d = d_poly(x)
-        if abs(d) < 1e-14:
-            continue
-        y = float(n_poly(x) / d)
-        if y > 0:
-            cands.append((x, y))
-    return cands
+    log phi is concave where both factors are positive, so its maximum is the
+    one stationary point there: the root of c1^2 (2a2x - 1)(b2(2a2x - 1) -
+    2c2^2 x) = c2^2 (2a1 - x)(b1(2a1 - x) - 2c1^2).  For |c1| <= |c2| it is
+    solved for the offset u = a1 - x/2 from the end x = 2a1, near which the
+    root lies when c1 is small, so a small c1 costs no precision; at c1 = 0,
+    phi increases in x and the maximum is that end, u = 0.  For |c1| > |c2|
+    the problem is mirrored: x -> 1/x swaps the two conditions.  Returns
+    zero factors when phi is nowhere positive.
+    """
+    if abs(cond1[2]) > abs(cond2[2]):
+        x, f2, f1 = _peak(cond2, cond1)
+        return 1 / x, f1, f2
+    (a1, b1, c1), (a2, b2, c2) = cond1, cond2
+    k1, k2 = c1 ** 2, c2 ** 2   # a correlation that squares to 0 is 0
+    u = 0.0
+    if k1 > 0:
+        # k = 4 a1 (b2 w - c2^2) with w = a2 - 1/(4 a1), the sign of f2 at
+        # x = 2a1; f2 increases in x, so k <= 0 leaves no x with both f > 0
+        k = 4 * a1 * (a2 * b2 - k2) - b2
+        if k <= 0:
+            return 2 * a1, 0.0, 0.0
+        # the quadratic in u, divided by c2^2 >= c1^2 against underflow; as
+        # qb > 0 > qc, its valid root is the smaller positive one, qc/q: the
+        # other is negative or lies at x < 1/(2 a2), where f2 < 0
+        r = k1 / k2
+        qa = 4 * (b1 - 4 * a2 * r * (a2 * b2 - k2))
+        qb = 8 * a2 * r * k
+        qc = -r * (4 * a1 * a2 - 1) * k
+        u = -2 * qc / (qb + math.sqrt(max(qb * qb - 4 * qa * qc, 0.0)))
+    x = 2 * (a1 - u)
+    w = a2 - 1 / (2 * x) if x > 0 else -1.0
+    f1 = b1 - k1 / u if k1 > 0 else b1
+    f2 = b2 - k2 / w if w > 0 else (b2 if w == 0 and k2 == 0 else 0.0)
+    return (x, f1, f2) if f1 > 0 and f2 > 0 else (x, 0.0, 0.0)
 
 
 def product_cm(form, x: float, y: float) -> CovMatrix:
@@ -172,66 +181,31 @@ def product_cm(form, x: float, y: float) -> CovMatrix:
     ga = np.diag([x / 2, 1 / (2 * x)])
     gb = np.diag([y / 2, 1 / (2 * y)])
     if isinstance(form, TwoModeStandardForm):
-        return CovMatrix(la.block_diag(ga, gb))
-    return CovMatrix(la.block_diag(ga, ga, gb, gb))
+        return CovMatrix(block_diag(ga, gb))
+    return CovMatrix(block_diag(ga, ga, gb, gb))
 
 
 def certificate_min_eig(form, x: float, y: float) -> float:
     diff = form.to_cm().mat - product_cm(form, x, y).mat
-    return float(np.min(la.eigvalsh(diff)))
+    return float(np.min(np.linalg.eigvalsh(diff)))
 
 
-def feasibility_search(form, grid: int = 256) -> tuple[float, float] | None:
-    """Search for (x, y) making the state a classical mixture of displaced
-    product squeezed states.  None when no such point exists."""
-    cond1, cond2 = _feasibility_conditions(form)
-    a1, b1, c1 = cond1
-    a2, b2, c2 = cond2
-    x_lo, x_hi = 1 / (2 * a2), 2 * a1
-    y_lo, y_hi = 1 / (2 * b2), 2 * b1
-    if x_lo > x_hi or y_lo > y_hi:
+def feasibility_search(form) -> tuple[float, float] | None:
+    """Product squeezed state (x, y) whose CM the form's CM dominates (to
+    within TOL_CERT): the separability certificate.  None when there is none.
+
+    The vacuum point (1, 1) comes first.  Otherwise the two conditions bound
+    y between g2(x) = 1/(2 f2(x)) and g1(x) = 2 f1(x), so a certificate
+    exists iff phi = g1/g2 = 4 f1 f2 reaches 1; `_peak` gives the maximum of
+    phi in closed form and y* = sqrt(g1 g2) is the geometric mean of the two
+    bounds.  `certificate_min_eig` is the final check.
+    """
+    if certificate_min_eig(form, 1.0, 1.0) >= -TOL_CERT:
+        return 1.0, 1.0
+    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    if not (f1 > 0 and f2 > 0):
         return None
-
-    candidates = [(1.0, 1.0)] if x_lo <= 1 <= x_hi and y_lo <= 1 <= y_hi else []
-    candidates += _quadratic_candidates(cond1, cond2)
-    # equality-curve intersection may be reported in either variable order
-    candidates += [(x, y) for (y, x) in _quadratic_candidates(
-        (b1, a1, c1), (b2, a2, c2))]
-
-    best = None
-    best_slack = -np.inf
-    for x, y in candidates:
-        if not (x_lo - 1e-12 <= x <= x_hi + 1e-12 and y_lo - 1e-12 <= y <= y_hi + 1e-12):
-            continue
-        s = _slacks(x, y, cond1, cond2)
-        if s > best_slack:
-            best, best_slack = (x, y), s
-
-    if best_slack < TOL_CERT:
-        # adaptive grid fallback (also the independent oracle for the roots path)
-        xs = np.linspace(x_lo, x_hi, grid)
-        ys = np.linspace(y_lo, y_hi, grid)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        s1 = np.minimum((a1 - xg / 2) * (b1 - yg / 2) - c1 ** 2,
-                        np.minimum(a1 - xg / 2, b1 - yg / 2))
-        s2 = np.minimum((a2 - 1 / (2 * xg)) * (b2 - 1 / (2 * yg)) - c2 ** 2,
-                        np.minimum(a2 - 1 / (2 * xg), b2 - 1 / (2 * yg)))
-        s = np.minimum(s1, s2)
-        i, j = np.unravel_index(np.argmax(s), s.shape)
-        x0, y0 = xs[i], ys[j]
-        res = opt.minimize(
-            lambda v: -_slacks(np.exp(v[0]), np.exp(v[1]), cond1, cond2),
-            [np.log(x0), np.log(y0)], method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 2000})
-        x1, y1 = np.exp(res.x)
-        for x, y in [(x0, y0), (x1, y1)]:
-            srefined = _slacks(x, y, cond1, cond2)
-            if srefined > best_slack:
-                best, best_slack = (x, y), srefined
-
-    if best is None or best_slack < -TOL_CERT:
-        return None
-    x, y = best
+    y = math.sqrt(f1 / f2)
     if certificate_min_eig(form, x, y) < -TOL_CERT:
         return None
     return float(x), float(y)

@@ -5,14 +5,14 @@ are built from their covariance matrices by Williamson plus Bloch-Messiah in a
 per-mode-truncated Fock basis (passive factors as photon-number sector blocks,
 squeezers mode by mode; no register-sized unitary is formed), means are plain
 traces, and the product-state maximum is found by an alternating eigenvector
-seesaw.
+seesaw.  scipy.linalg is imported by the functions that use it, so importing
+the package does not load scipy.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import (CutoffTooSmallError, DimensionMismatchError,
                          OptimizerStalledError)
@@ -83,6 +83,7 @@ def displacement_element(m: int, k: int, mu: complex) -> complex:
 
 def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
     """Truncated D(mu) = exp(mu a^dag - mu* a)."""
+    import scipy.linalg as la
     a = destroy(cutoff)
     return la.expm(mu * a.T - np.conj(mu) * a)
 
@@ -91,6 +92,7 @@ def _passive_blocks(o: np.ndarray, cutoff: int) -> list[tuple[np.ndarray, np.nda
     """Fock representation of an orthogonal symplectic (number conserving) as
     (register indices, unitary block) pairs, one per total photon number: the
     generator sum_jk h_jk a_j^dag a_k of u = e^h, exponentiated per sector."""
+    import scipy.linalg as la
     n = o.shape[0] // 2
     h = la.logm(orthogonal_symplectic_to_unitary(o))
     occ = np.indices((cutoff,) * n).reshape(n, -1)
@@ -116,6 +118,7 @@ def _passive_blocks(o: np.ndarray, cutoff: int) -> list[tuple[np.ndarray, np.nda
 
 def _squeezer_unitary(r: float, cutoff: int) -> np.ndarray:
     """Single-mode unitary sending x -> e^r x, p -> e^{-r} p."""
+    import scipy.linalg as la
     a = destroy(cutoff)
     return la.expm((r / 2) * (a.T @ a.T - a @ a))
 
@@ -216,6 +219,7 @@ class SeesawResult:
 
 
 def _top_eigvec(h: np.ndarray) -> tuple[float, np.ndarray]:
+    import scipy.linalg as la
     top = len(h) - 1
     w, v = la.eigh((h + h.conj().T) / 2, subset_by_index=[top, top])
     return float(w[0]), v[:, 0]
@@ -239,7 +243,7 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
 
     def rand_vec(d):
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        return v / la.norm(v)
+        return v / np.linalg.norm(v)
 
     vac = np.zeros(db, dtype=complex)
     vac[0] = 1.0

@@ -10,16 +10,14 @@ Gupt & Quesada, arXiv:1805.12498) as a signed sum over prod(n_i + 1) points.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial, prod
 
 import numpy as np
-import scipy.linalg as la
 
 from .criteria import CriterionReport, decide_separability
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
                          OrderTooHighError, SingularSumError)
-from .fock import destroy, gaussian_op_fock, mode_op
 from .symplectic import TOL_PSD, CovMatrix, cm_to_ccm
 from .witness import DetectorSpec
 
@@ -27,15 +25,19 @@ from .witness import DetectorSpec
 MAX_ORDER = 8
 
 
+@lru_cache
 def _ladder_shift(n: int) -> np.ndarray:
-    """(sigma_1 (x) I_n) / 2 in the (mu, mu*) ordering.
+    """(sigma_1 (x) I_n) / 2 in the (mu, mu*) ordering; cached per mode
+    count, read-only.
 
     This is the commutator shift between the two ladder orderings; the factor
     1/2 matches the vacuum-variance-1/2 convention used throughout (the
     variance-1 convention would make it sigma_1 (x) I_n).
     """
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.kron(sx, np.eye(n)) / 2
+    shift = np.kron(sx, np.eye(n)) / 2
+    shift.flags.writeable = False
+    return shift
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +142,10 @@ def _derivative_value(q: np.ndarray, add: tuple[int, ...],
     return float(np.real(val))
 
 
-def _zero_quadratic(kernel: CovMatrix) -> np.ndarray:
-    """Quadratic form of log chi_Q(0, xi, eta) over t = (xi, xi*, eta, eta*)."""
-    n = kernel.n_modes
-    g = cm_to_ccm(kernel).mat
+def _zero_quadratic(g: np.ndarray) -> np.ndarray:
+    """Quadratic form of log chi_Q(0, xi, eta) over t = (xi, xi*, eta, eta*),
+    for the kernel CCM g."""
+    n = len(g) // 2
     gp = g + _ladder_shift(n)
     gm = g - _ladder_shift(n)
     d = 2 * n
@@ -158,7 +160,7 @@ def _zero_quadratic(kernel: CovMatrix) -> np.ndarray:
 def normalization_raw(kernel: CovMatrix, add: tuple[int, ...],
                       sub: tuple[int, ...]) -> float:
     """1 / (derivative of chi_Q(0, xi, eta)); trace-one normalization."""
-    denom = _derivative_value(_zero_quadratic(kernel), add, sub)
+    denom = _derivative_value(_zero_quadratic(cm_to_ccm(kernel).mat), add, sub)
     if denom <= 1e-12:
         raise DegeneratePreparationError(
             f"ladder pattern annihilates the kernel (derivative {denom:g})")
@@ -178,17 +180,17 @@ def mean_on_detector(s: NonGaussState, d: DetectorSpec | CovMatrix) -> float:
     gp = g + _ladder_shift(n)
     gmn = g - _ladder_shift(n)
     total = g + g_m
-    det = la.det(total)
+    det = np.linalg.det(total)
     if abs(det) < 1e-12:
         raise SingularSumError(f"det(ccm_G + ccm_M) = {det:g} is singular")
-    w = la.inv(total)
+    w = np.linalg.inv(total)
     # f(xi, eta) = 1/2 (u gp + v gmn) W (gp u^T + gmn v^T)
     vmat = np.vstack([gp, gmn])
     vmat2 = np.vstack([gp.T, gmn.T])
     mf = vmat @ w @ vmat2.T
-    q = _zero_quadratic(kernel) + mf
+    q = _zero_quadratic(g) + mf
     deriv = _derivative_value(q, s.add, s.subtract)
-    return s.norm * deriv / np.sqrt(abs(la.det(kernel.mat + gm_cm.mat)))
+    return s.norm * deriv / np.sqrt(abs(np.linalg.det(kernel.mat + gm_cm.mat)))
 
 
 def asymptotic_check(s: NonGaussState, d0: DetectorSpec,
@@ -198,7 +200,7 @@ def asymptotic_check(s: NonGaussState, d0: DetectorSpec,
     for t in scales:
         dt = d0.scaled(float(t))
         mean = mean_on_detector(s, dt)
-        det = la.det(s.kernel.mat + dt.to_cm().mat)
+        det = np.linalg.det(s.kernel.mat + dt.to_cm().mat)
         out.append(abs(mean * np.sqrt(abs(det)) - 1.0))
     return out
 
@@ -223,6 +225,7 @@ def decide_separability_nongauss(s: NonGaussState,
 
 def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
     """Normalized density matrix of the photon-added/subtracted state."""
+    from .fock import destroy, gaussian_op_fock, mode_op
     n = s.kernel.n_modes
     rho_g = gaussian_op_fock(s.kernel, cutoff)
     a = destroy(cutoff)
@@ -243,6 +246,7 @@ def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
 def fock_direct_trace(s: NonGaussState, d: DetectorSpec | CovMatrix,
                       cutoff: int) -> float:
     """Oracle for mean_on_detector: explicit Fock matrices, plain trace."""
+    from .fock import gaussian_op_fock
     rho = build_fock_state(s, cutoff)
     gm_cm = d if isinstance(d, CovMatrix) else d.to_cm()
     m_op = gaussian_op_fock(gm_cm, cutoff)

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import PatternMismatchError
-from .symplectic import CovMatrix, LocalSymplectic
+from .symplectic import CovMatrix, LocalSymplectic, block_diag
 
 
 class Family(str, Enum):
@@ -60,20 +59,26 @@ def _rotation(theta: float) -> np.ndarray:
 
 
 def _single_mode_normal(block: np.ndarray) -> np.ndarray:
-    """Symplectic S with S block S^T = sqrt(det block) * I for a 2x2 PD block."""
-    nu = np.sqrt(la.det(block))
-    s = np.sqrt(nu) * la.inv(la.sqrtm(block).real)
-    return s  # det = 1, hence symplectic
+    """Symplectic S with S block S^T = sqrt(det block) * I for a 2x2 PD block.
+
+    S = sqrt(nu) M^{-1/2} in closed form: with nu = sqrt(det M), the square
+    root of a 2x2 PD matrix is (M + nu I) / sqrt(tr M + 2 nu), so
+    M^{-1/2} = (adj M + nu I) / (nu sqrt(tr M + 2 nu)).
+    """
+    nu = np.sqrt(np.linalg.det(block))
+    adj = np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]])
+    # det = 1, hence symplectic
+    return (adj + nu * np.eye(2)) / (np.sqrt(nu) * np.sqrt(np.trace(block) + 2 * nu))
 
 
 def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c = o1 @ diag(d1, d2) @ o2.T with o1, o2 proper rotations, d1 >= |d2|."""
-    u, s, vt = la.svd(c)
+    u, s, vt = np.linalg.svd(c)
     d = np.diag(s.copy())
-    if la.det(u) < 0:
+    if np.linalg.det(u) < 0:
         u = u @ np.diag([1.0, -1.0])
         d[1, 1] *= -1
-    if la.det(vt) < 0:
+    if np.linalg.det(vt) < 0:
         vt = np.diag([1.0, -1.0]) @ vt
         d[1, 1] *= -1
     return u, d, vt.T
@@ -85,11 +90,11 @@ def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[TwoModeStandardForm,
     m = gamma.mat
     sa = _single_mode_normal(m[:2, :2])
     sb = _single_mode_normal(m[2:, 2:])
-    s = la.block_diag(sa, sb)
+    s = block_diag(sa, sb)
     m1 = s @ m @ s.T
     # local blocks are now nu_A*I, nu_B*I; rotate to diagonalize the cross block
     o1, d, o2 = _signed_svd_2x2(m1[:2, 2:])
-    s = la.block_diag(o1.T, o2.T) @ s
+    s = block_diag(o1.T, o2.T) @ s
     m2 = s @ m @ s.T
     form = TwoModeStandardForm(a=m2[0, 0], b=m2[2, 2], c1=m2[0, 2], c2=-m2[1, 3])
     residual = np.max(np.abs(m2 - form.to_cm().mat))
@@ -138,9 +143,9 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[WernerWolfForm, L
         rows.append(([-1, 1, 1, -1], 2 * np.log(abs(f[1] / f[0]))))
     a_mat = np.array([r[0] for r in rows], dtype=float)
     rhs = np.array([r[1] for r in rows])
-    u, *_ = la.lstsq(a_mat, rhs)
+    u, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     sq = np.exp(u / 2)
-    s = la.block_diag(*[np.diag([sj, 1.0 / sj]) for sj in sq])
+    s = block_diag(*[np.diag([sj, 1.0 / sj]) for sj in sq])
     m2 = s @ m @ s.T
     form = WernerWolfForm(
         A=(m2[0, 0] + m2[2, 2]) / 2, B=(m2[1, 1] + m2[3, 3]) / 2,

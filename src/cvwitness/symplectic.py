@@ -6,9 +6,9 @@ variance 1/2 on the diagonal.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import DimensionMismatchError, SingularSumError
 
@@ -22,6 +22,16 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """2n x 2n symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(n_modes), j)
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix with the given square blocks."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def _check_even_square(mat: np.ndarray) -> int:
@@ -92,25 +102,29 @@ def validate_cm(gamma: CovMatrix | np.ndarray, tol: float = TOL_PSD) -> Validity
         n = _check_even_square(mat)
     is_sym = np.max(np.abs(mat - mat.T)) <= _SYMMETRY_TOL
     h = mat + 0.5j * symplectic_form(n)
-    min_eig = float(np.min(la.eigvalsh(h)))
+    min_eig = float(np.min(np.linalg.eigvalsh(h)))
     return ValidityReport(is_symmetric=is_sym, min_eig=min_eig, is_physical=min_eig >= -tol)
 
 
+@lru_cache
 def _ccm_transform(n_modes: int) -> np.ndarray:
-    """Matrix T with (mu, mu*) = T z for mu_j = (-z_{2j} + i z_{2j-1}) / sqrt(2)."""
+    """Unitary T with (mu, mu*) = T z for mu_j = (-z_{2j} + i z_{2j-1}) / sqrt(2);
+    cached per mode count, read-only."""
     t = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
     for j in range(n_modes):
         t[j, 2 * j] = 1j / np.sqrt(2)
         t[j, 2 * j + 1] = -1.0 / np.sqrt(2)
         t[n_modes + j, 2 * j] = -1j / np.sqrt(2)
         t[n_modes + j, 2 * j + 1] = -1.0 / np.sqrt(2)
+    t.flags.writeable = False
     return t
 
 
 def cm_to_ccm(gamma: CovMatrix) -> ComplexCovMatrix:
     """Re-express the quadratic form of the characteristic function over (mu, mu*)."""
-    t_inv = la.inv(_ccm_transform(gamma.n_modes))
-    return ComplexCovMatrix(t_inv.T @ gamma.mat @ t_inv)
+    t = _ccm_transform(gamma.n_modes)
+    # T is unitary, so T^{-1} = T^dag and T^{-T} = conj(T)
+    return ComplexCovMatrix(t.conj() @ gamma.mat @ t.conj().T)
 
 
 def ccm_to_cm(gamma_c: ComplexCovMatrix) -> CovMatrix:
@@ -127,7 +141,7 @@ def gaussian_overlap(gamma_1: CovMatrix, gamma_2: CovMatrix, tol: float = 1e-12)
     if gamma_1.dim != gamma_2.dim:
         raise DimensionMismatchError(
             f"dimension mismatch: {gamma_1.dim} vs {gamma_2.dim}")
-    det = la.det(gamma_1.mat + gamma_2.mat)
+    det = np.linalg.det(gamma_1.mat + gamma_2.mat)
     if abs(det) < tol:
         raise SingularSumError(f"det(gamma_1 + gamma_2) = {det:g} is singular")
     return 1.0 / np.sqrt(abs(det))
@@ -137,7 +151,7 @@ def symplectic_eigenvalues(gamma: CovMatrix | np.ndarray) -> np.ndarray:
     """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
     mat = gamma.mat if isinstance(gamma, CovMatrix) else np.asarray(gamma, dtype=float)
     n = _check_even_square(mat)
-    eigs = la.eigvals(1j * symplectic_form(n) @ mat)
+    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ mat)
     nu = np.sort(np.abs(eigs.real))
     # eigenvalues come in +/- pairs; keep one of each
     return nu[::2][:n] if len(nu) == 2 * n else nu[:n]
@@ -148,6 +162,7 @@ def williamson(gamma: CovMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (S, nu) with S symplectic and nu the symplectic eigenvalues.
     """
+    import scipy.linalg as la   # Fock-oracle path only
     mat = gamma.mat if isinstance(gamma, CovMatrix) else np.asarray(gamma, dtype=float)
     n = _check_even_square(mat)
     sigma = symplectic_form(n)
@@ -179,6 +194,7 @@ def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:
 def polar_bloch_messiah(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factor a symplectic S as O1 @ D @ O2 with O1, O2 orthogonal symplectic
     and D = diag(e^{r_1}, e^{-r_1}, ...) single-mode squeezers."""
+    import scipy.linalg as la   # Fock-oracle path only
     s = np.asarray(s, dtype=float)
     n = _check_even_square(s)
     sigma = symplectic_form(n)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .exceptions import (DimensionMismatchError, NonPositiveDeterminantError,
                          NotEntangledError, OptimizerStalledError)
@@ -172,7 +171,7 @@ def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
     gm = d.to_cm()
     if gm.dim != gamma.dim:
         raise DimensionMismatchError(f"dimension mismatch: {gamma.dim} vs {gm.dim}")
-    num = la.det(gamma.mat + gm.mat)
+    num = np.linalg.det(gamma.mat + gm.mat)
     if num <= 0:
         raise NonPositiveDeterminantError("det(gamma + gamma_M) is non-positive")
     val, _ = _min_det_factors(d)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize as opt
 
-from cvwitness.criteria import WWFamilyParams, simon_lhs
+from cvwitness.criteria import WWFamilyParams, _feasibility_conditions, simon_lhs
 from cvwitness.standard_form import Family, TwoModeStandardForm
 from cvwitness.witness import DetectorSpec, _limit_ratio
 
@@ -126,3 +126,30 @@ def dict_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:
         if not poly:
             return 0.0
     return poly.get(target, 0.0) / factorial(p)
+
+
+def grid_certificate(form, grid: int = 256) -> tuple[float, float, float] | None:
+    """Oracle for the closed-form separability certificate: the point of the
+    (x, y) box with the largest slack of the two conditions on a grid x grid
+    mesh, refined by Nelder-Mead in (log x, log y).  Returns (x, y, slack),
+    or None when the box is empty."""
+    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+
+    def slack(x, y):
+        u1, v1 = a1 - x / 2, b1 - y / 2
+        u2, v2 = a2 - 1 / (2 * x), b2 - 1 / (2 * y)
+        return np.minimum(np.minimum(np.minimum(u1, v1), u1 * v1 - c1 ** 2),
+                          np.minimum(np.minimum(u2, v2), u2 * v2 - c2 ** 2))
+
+    x_lo, x_hi = 1 / (2 * a2), 2 * a1
+    y_lo, y_hi = 1 / (2 * b2), 2 * b1
+    if x_lo > x_hi or y_lo > y_hi:
+        return None
+    xs, ys = np.linspace(x_lo, x_hi, grid), np.linspace(y_lo, y_hi, grid)
+    s = slack(*np.meshgrid(xs, ys, indexing="ij"))
+    i, j = np.unravel_index(np.argmax(s), s.shape)
+    res = opt.minimize(lambda v: -slack(np.exp(v[0]), np.exp(v[1])),
+                       [np.log(xs[i]), np.log(ys[j])], method="Nelder-Mead",
+                       options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 2000})
+    best = max([(xs[i], ys[j]), tuple(np.exp(res.x))], key=lambda p: slack(*p))
+    return float(best[0]), float(best[1]), float(slack(*best))

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cvwitness.criteria import (Verdict, WWFamilyParams, certificate_min_eig,
+from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
+                                _feasibility_conditions, certificate_min_eig,
                                 decide_separability, feasibility_search,
                                 ppt_decide, simon_lhs, werner_wolf_family,
                                 werner_wolf_family_lhs_claim, werner_wolf_lhs)
 from cvwitness.exceptions import ConstraintViolatedError, PatternMismatchError
-from cvwitness.standard_form import TwoModeStandardForm
+from cvwitness.standard_form import TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix
 
-from conftest import sample_ww_family_params, tmsv_form
+from conftest import grid_certificate, sample_ww_family_params, tmsv_form
+
+# derandomized and without an example database: tier-1 stays deterministic
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
 
 
 def test_simon_lhs_tmsv_closed_form():
@@ -99,3 +106,109 @@ def test_decide_rejects_unphysical():
 def test_decide_rejects_wrong_partition():
     with pytest.raises(PatternMismatchError):
         decide_separability(CovMatrix(np.eye(4) * 1.5), partition=[1])
+
+
+def _phi(form, x):
+    """phi(x) = 4 f1 f2 where both factors are positive, else 0 (numpy);
+    a zero correlation drops its term also where its denominator is 0."""
+    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+    u, w = a1 - x / 2, a2 - 1 / (2 * x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1 = np.where(u > 0, b1 - c1 ** 2 / u, b1 * ((u == 0) & (c1 ** 2 == 0)))
+        f2 = np.where(w > 0, b2 - c2 ** 2 / w, b2 * ((w == 0) & (c2 ** 2 == 0)))
+    return np.where((f1 > 0) & (f2 > 0), 4 * f1 * f2, 0.0)
+
+
+def _forms():
+    unit = st.floats(-1.0, 1.0)
+    two_mode = st.builds(TwoModeStandardForm, st.floats(0.5, 2.0),
+                         st.floats(0.5, 2.0), unit, unit)
+    corr = st.floats(-0.5, 0.5)
+    ww = st.builds(WernerWolfForm, *[st.floats(0.5, 1.5)] * 4, corr, corr)
+    return st.one_of(two_mode, ww)
+
+
+def _lhs(form):
+    return simon_lhs(form) if isinstance(form, TwoModeStandardForm) \
+        else werner_wolf_lhs(form)
+
+
+@PROPERTY
+@given(_forms())
+def test_certificate_matches_grid_oracle(form):
+    """Outside a 1e-9 band of the criterion the closed form finds a
+    certificate iff the grid plus Nelder-Mead oracle does, and the
+    certificate is sound."""
+    assume(form.to_cm().is_physical() and abs(_lhs(form)) > 1e-9)
+    cert = feasibility_search(form)
+    oracle = grid_certificate(form)
+    found = (oracle is not None and oracle[2] >= -TOL_CERT
+             and certificate_min_eig(form, *oracle[:2]) >= -TOL_CERT)
+    assert (cert is not None) == found
+    assert (cert is not None) == (_lhs(form) > 0)
+    if cert is not None:
+        assert certificate_min_eig(form, *cert) >= -1e-10
+
+
+@PROPERTY
+@given(_forms())
+def test_peak_dominates_dense_scan(form):
+    assume(form.to_cm().is_physical())
+    (a1, _, _), (a2, _, _) = _feasibility_conditions(form)
+    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    scan = _phi(form, np.linspace(1 / (2 * a2), 2 * a1, 20001))
+    assert 4 * f1 * f2 >= np.max(scan) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("form, want_x", [
+    # the vacuum point is taken whenever it is a certificate
+    (TwoModeStandardForm(1.5, 1.5, 0.2, 0.1), 1.0),
+    (TwoModeStandardForm(0.5, 0.5, 0.0, 0.0), 1.0),
+    # c1 = 0: phi increases in x, the maximum is the end x = 2a
+    (TwoModeStandardForm(1.22, 0.72, 0.0, -0.42), 2.44),
+    # c2 = 0: phi decreases in x, the maximum is the end x = 1/(2a)
+    (TwoModeStandardForm(0.95, 1.24, 0.7, 0.0), 1 / 1.9),
+])
+def test_certificate_vacuum_and_end_branches(form, want_x):
+    cert = feasibility_search(form)
+    assert cert is not None and abs(cert[0] - want_x) < 1e-12
+    assert certificate_min_eig(form, *cert) >= -TOL_CERT
+
+
+@pytest.mark.parametrize("form", [
+    TwoModeStandardForm(1.25, 1.57, 0.18, -0.93),     # |c1| < |c2|
+    TwoModeStandardForm(1.82, 0.85, -0.9, -0.2),      # mirrored: |c1| > |c2|
+    WernerWolfForm(0.6, 1.3, 1.4, 0.55, 0.35, -0.2),
+])
+def test_certificate_interior_root(form):
+    """(1, 1) fails, and the certificate sits at the stationary point of
+    log phi, between the two bounds on y."""
+    assert certificate_min_eig(form, 1.0, 1.0) < -TOL_CERT
+    x, y = feasibility_search(form)
+    _, f1, f2 = _peak(*_feasibility_conditions(form))
+    assert abs(4 * f1 * f2 - _phi(form, np.array(x))) < 1e-12 * f1 * f2
+    h = 1e-5 * x
+    assert abs(np.log(_phi(form, np.array(x + h)) / _phi(form, np.array(x - h)))) < 1e-8
+    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+    g1 = 2 * (b1 - c1 ** 2 / (a1 - x / 2))
+    g2 = 1 / (2 * (b2 - c2 ** 2 / (a2 - 1 / (2 * x))))
+    assert g2 < y < g1 and abs(y - np.sqrt(g1 * g2)) < 1e-12 * y
+
+
+def test_no_certificate_below_one():
+    """An entangled form: (1, 1) fails and max phi < 1."""
+    form = tmsv_form(0.4)
+    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    assert 4 * f1 * f2 < 1
+    assert feasibility_search(form) is None
+
+
+def test_certificate_small_correlation_keeps_precision():
+    """A small c1 puts the maximum of phi within O(c1) of the end x = 2a;
+    the root, solved for the offset from that end, still finds it."""
+    for c1 in (1e-6, 1e-9, -1e-12, 1e-30, 0.0):
+        form = TwoModeStandardForm(0.81, 0.89, c1, 0.5)
+        assert certificate_min_eig(form, 1.0, 1.0) < -TOL_CERT
+        x, y = feasibility_search(form)
+        assert 0 <= 2 * 0.81 - x <= 10 * abs(c1)
+        assert certificate_min_eig(form, x, y) >= -TOL_CERT

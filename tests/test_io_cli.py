@@ -1,15 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cvwitness
 from cvwitness.channel import detector_to_channel
-from cvwitness.cli import main
+from cvwitness.cli import _VERDICT_EXIT, main
+from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability,
+                                ppt_decide, werner_wolf_family)
 from cvwitness.exceptions import DimensionMismatchError, NonZeroMeanError
 from cvwitness.io import (dump_channel, load_channel, load_cm, load_detector,
                           load_nongauss)
-from cvwitness.standard_form import Family
-from cvwitness.witness import DetectorSpec
+from cvwitness.nongauss import NonGaussState, decide_separability_nongauss
+from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
+from cvwitness.symplectic import CovMatrix
+from cvwitness.witness import DetectorSpec, minmax_optimize
 
 from conftest import tmsv_form
 
@@ -82,7 +91,8 @@ def test_cli_tmsv_entangled(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["report"]["verdict"] == "Entangled"
-    assert report["seed"] == 0 and "tolerances" in report
+    assert "seed" not in report
+    assert report["tolerances"]["tol_psd"] == 1e-10
 
 
 def test_cli_vacuum_product_separable(tmp_path, capsys):
@@ -132,9 +142,9 @@ def test_cli_missing_file(capsys):
 
 def test_cli_deterministic_output(tmp_path, capsys):
     path = cm_file(tmp_path, tmsv_form(0.4).to_cm().mat)
-    main(["check", path, "--criterion", "witness", "--seed", "3"])
+    main(["check", path, "--criterion", "witness"])
     out1 = capsys.readouterr().out
-    main(["check", path, "--criterion", "witness", "--seed", "3"])
+    main(["check", path, "--criterion", "witness"])
     out2 = capsys.readouterr().out
     assert out1 == out2
 
@@ -148,6 +158,7 @@ def test_cli_oracle(tmp_path, capsys):
     assert report["report"]["delta"] <= 1e-3
     assert 0.95 <= report["report"]["truncated_trace"] <= 1.0
     assert abs(report["report"]["mean_photon_defect"]) < 1e-3
+    assert report["seed"] == 0 and "tolerances" not in report
 
 
 def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
@@ -195,6 +206,8 @@ def test_cli_witness_tol_psd_applied(tmp_path, capsys):
     ["check", "state.json", "--cutoff", "10"],
     ["check", "state.json", "--format", "csv"],
     ["sweep", "--family", "tmsv", "-n", "2", "out.csv", "--restarts", "2"],
+    ["check", "state.json", "--seed", "3"],
+    ["oracle", "det.json", "--tol-psd", "1e-8"],
 ])
 def test_cli_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit):
@@ -226,3 +239,67 @@ def test_cli_sweep_ww(tmp_path, capsys):
         cells = row.split(",")
         assert float(cells[lhs_i]) < 0
         assert cells[ppt_i] == "True"
+
+
+# Runs CLI argument lists in a fresh interpreter and prints their exit codes,
+# with the reports discarded.  "block" makes every scipy import fail; "trace"
+# prints the scipy modules loaded after the import and after the commands.
+_CHILD = """
+import contextlib, io, json, sys
+block, argvs = sys.argv[1] == "block", json.loads(sys.argv[2])
+if block:
+    sys.modules["scipy"] = None
+import cvwitness.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = [scipy_modules()]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cvwitness.cli.main(argv) for argv in argvs]
+loaded.append(scipy_modules())
+print(json.dumps({"codes": codes, "scipy": [] if block else loaded}))
+"""
+
+
+def _run_child(mode, argvs, cwd):
+    src = str(Path(cvwitness.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, mode, json.dumps(argvs)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_decision_path_needs_no_scipy(tmp_path):
+    """`check` on both families and with every criterion, and `sweep`, run
+    with scipy unimportable and exit as the in-process verdicts say; the
+    certificate cases take the closed form, not the vacuum point."""
+    two = TwoModeStandardForm(1.25, 1.57, 0.18, -0.93).to_cm()
+    ww = WernerWolfForm(0.6, 1.3, 1.4, 0.55, 0.35, -0.2).to_cm()
+    bound = werner_wolf_family(WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0)).to_cm()
+    tmsv = tmsv_form(0.5).to_cm()
+    files = {name: cm_file(tmp_path, g.mat, f"{name}.json")
+             for name, g in [("two", two), ("ww", ww), ("bound", bound), ("tmsv", tmsv)]}
+    files["ladder"] = cm_file(tmp_path, tmsv.mat, "ladder.json",
+                              extra={"add": [1, 0], "subtract": [0, 1]})
+    witness = minmax_optimize(tmsv)
+    cases = [
+        (["check", files["two"]], decide_separability(two).verdict),
+        (["check", files["ww"]], decide_separability(ww).verdict),
+        (["check", files["bound"], "--criterion", "ppt"],
+         Verdict.SEPARABLE if ppt_decide(bound).is_ppt else Verdict.ENTANGLED),
+        (["check", files["tmsv"], "--criterion", "witness"],
+         Verdict.ENTANGLED if witness.entangled else Verdict.SEPARABLE),
+        (["check", files["ladder"], "--criterion", "nongauss"],
+         decide_separability_nongauss(
+             NonGaussState(tmsv, (1, 0), (0, 1))).verdict),
+    ]
+    assert [v for _, v in cases[:2]] == [Verdict.SEPARABLE] * 2
+    argvs = [a for a, _ in cases] + [
+        ["sweep", "--family", "wernerwolf", "-n", "5", str(tmp_path / "ww.csv")]]
+    want = [_VERDICT_EXIT[v] for _, v in cases] + [0]
+    assert _run_child("block", argvs, tmp_path)["codes"] == want
+    traced = _run_child("trace", argvs, tmp_path)
+    assert traced["codes"] == want
+    assert traced["scipy"] == [[], []]

@@ -9,6 +9,7 @@ from cvwitness.symplectic import CovMatrix, is_symplectic
 
 from conftest import sample_ww_family_params, tmsv_form
 from cvwitness.criteria import werner_wolf_family
+from cvwitness.standard_form import _single_mode_normal
 
 
 def rotate_locally(gamma: CovMatrix, thetas) -> CovMatrix:
@@ -81,3 +82,16 @@ def test_two_mode_form_cm_pattern():
     assert np.allclose(np.diag(m), [0.9, 0.9, 1.1, 1.1])
     # p-quadrature correlation enters with flipped sign
     assert m[0, 2] == 0.3 and m[1, 3] == 0.2
+
+
+@pytest.mark.parametrize("r", [0.0, 0.7, 2.0])
+def test_single_mode_normal_closed_form(r, rng):
+    """S = sqrt(nu) M^{-1/2} from the 2x2 closed form: symmetric, det 1, and
+    S M S^T = nu I, for a rotated squeezed thermal block M."""
+    th = rng.uniform(0, np.pi)
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    block = 1.3 * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
+    s = _single_mode_normal(block)
+    assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
+    assert abs(np.linalg.det(s) - 1) < 1e-12
+    assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)

@@ -22,8 +22,7 @@ from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
 from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
                          cm_to_ccm, ccm_to_cm, gaussian_overlap, is_symplectic,
-                         polar_bloch_messiah, symplectic_eigenvalues,
-                         symplectic_form, validate_cm, williamson)
+                         symplectic_eigenvalues, symplectic_form, validate_cm)
 from .witness import (DetectorSpec, WitnessReport, detector_from_cm,
                       ell_factorized, ell_ratio, lambda_closed_form,
                       matched_witness, minmax_optimize)
@@ -46,8 +45,8 @@ __all__ = [
     "Family", "TwoModeStandardForm", "WernerWolfForm", "detect_family",
     "reduce_to_standard_form",
     "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",
-    "ccm_to_cm", "gaussian_overlap", "is_symplectic", "polar_bloch_messiah",
-    "symplectic_eigenvalues", "symplectic_form", "validate_cm", "williamson",
+    "ccm_to_cm", "gaussian_overlap", "is_symplectic",
+    "symplectic_eigenvalues", "symplectic_form", "validate_cm",
     "DetectorSpec", "WitnessReport", "detector_from_cm", "ell_factorized",
     "ell_ratio", "lambda_closed_form", "matched_witness", "minmax_optimize",
 ]

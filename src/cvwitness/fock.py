@@ -1,24 +1,25 @@
 """Truncated Fock-space oracle.
 
-Everything here is independent of the closed-form machinery: Gaussian operators
-are built from their covariance matrices by Williamson plus Bloch-Messiah in a
-per-mode-truncated Fock basis (passive factors as photon-number sector blocks,
-squeezers mode by mode; no register-sized unitary is formed), means are plain
-traces, and the product-state maximum is found by an alternating eigenvector
-seesaw.  scipy.linalg is imported by the functions that use it, so importing
-the package does not load scipy.
+Everything here is independent of the closed-form machinery.  A Gaussian
+operator is filled straight from its covariance matrix by the multidimensional
+Hermite (Bargmann) recurrence of Quesada et al., PRA 100, 022341 (2019) and
+Miatto & Quesada, Quantum 4, 366 (2020): every entry below the cutoff is exact,
+so the truncated trace measures the whole tail, thermal and squeezed alike.
+Displacements come from their own exact recurrence, means are plain traces,
+and the product-state maximum is found by an alternating eigenvector seesaw.
+numpy only.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (CutoffTooSmallError, DimensionMismatchError,
                          OptimizerStalledError)
-from .symplectic import (CovMatrix, orthogonal_symplectic_to_unitary,
-                         polar_bloch_messiah, williamson)
+from .symplectic import CovMatrix
 
+#: largest share of the trace that may fall beyond the cutoff
+TAIL_TOL = 5e-2
 _MAX_FACT = 512
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _MAX_FACT + 1)))))
 
@@ -82,111 +83,96 @@ def displacement_element(m: int, k: int, mu: complex) -> complex:
 
 
 def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
-    """Truncated D(mu) = exp(mu a^dag - mu* a)."""
-    import scipy.linalg as la
-    a = destroy(cutoff)
-    return la.expm(mu * a.T - np.conj(mu) * a)
+    """<m|D(mu)|n> below the cutoff, exact.  Row 0 is
+    e^{-|mu|^2/2} (-mu*)^n / sqrt(n!), and a D = D (a + mu) gives
+    sqrt(m + 1) D_{m+1,n} = mu D_{m,n} + sqrt(n) D_{m,n-1}."""
+    mu = complex(mu)
+    root = np.sqrt(np.arange(cutoff))
+    d = np.zeros((cutoff, cutoff), dtype=complex)
+    d[0] = np.exp(-abs(mu) ** 2 / 2) * np.cumprod(
+        np.concatenate(([1.0], -np.conj(mu) / root[1:])))
+    for m in range(cutoff - 1):
+        d[m + 1] = mu * d[m]
+        d[m + 1, 1:] += root[1:] * d[m, :-1]
+        d[m + 1] /= root[m + 1]
+    return d
 
 
-def _passive_blocks(o: np.ndarray, cutoff: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Fock representation of an orthogonal symplectic (number conserving) as
-    (register indices, unitary block) pairs, one per total photon number: the
-    generator sum_jk h_jk a_j^dag a_k of u = e^h, exponentiated per sector."""
-    import scipy.linalg as la
-    n = o.shape[0] // 2
-    h = la.logm(orthogonal_symplectic_to_unitary(o))
-    occ = np.indices((cutoff,) * n).reshape(n, -1)
-    sector = occ.sum(axis=0)
-    order = np.argsort(sector, kind="stable")
-    sizes = np.bincount(sector)
-    starts = np.cumsum(sizes) - sizes
-    offsets = np.cumsum(sizes ** 2) - sizes ** 2
-    pos = np.empty_like(order)  # place of each basis state within its sector
-    pos[order] = np.arange(order.size) - starts[sector[order]]
-    stride = cutoff ** np.arange(n - 1, -1, -1)
-    flat = np.zeros(np.sum(sizes ** 2), dtype=complex)
-    for j, k in itertools.product(range(n), repeat=2):
-        bump = int(j != k)
-        src = np.flatnonzero((occ[k] > 0) & (occ[j] + bump < cutoff))
-        sec = sector[src]
-        # keys are distinct for one (j, k), so the fancy += drops no term
-        flat[offsets[sec] + pos[src + stride[j] - stride[k]] * sizes[sec] + pos[src]] += (
-            h[j, k] * np.sqrt(occ[k, src] * (occ[j, src] + bump)))
-    return [(order[a:a + m], la.expm(flat[off:off + m * m].reshape(m, m)))
-            for a, off, m in zip(starts, offsets, sizes)]
+def ladder_on_axis(t: np.ndarray, axis: int, dagger: bool) -> np.ndarray:
+    """Truncated a (or a^dag) applied along one axis of a register tensor:
+    out[.., k, ..] = sqrt(k + 1) t[.., k + 1, ..] (or sqrt(k) t[.., k - 1, ..])."""
+    out = np.zeros_like(t)
+    src, dst = np.moveaxis(t, axis, -1), np.moveaxis(out, axis, -1)
+    root = np.sqrt(np.arange(1, t.shape[axis]))
+    if dagger:
+        dst[..., 1:] = root * src[..., :-1]
+    else:
+        dst[..., :-1] = root * src[..., 1:]
+    return out
 
 
-def _squeezer_unitary(r: float, cutoff: int) -> np.ndarray:
-    """Single-mode unitary sending x -> e^r x, p -> e^{-r} p."""
-    import scipy.linalg as la
-    a = destroy(cutoff)
-    return la.expm((r / 2) * (a.T @ a.T - a @ a))
+def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
+    """(G_0, A) of the Gaussian operator with covariance matrix `gamma`: its
+    entries G_k = <m|rho|n>, k = (m, n), are G_0 times the sqrt(k!)-scaled
+    Taylor coefficients of exp(alpha^T A alpha / 2).
 
-
-def _thermal_diagonal(nbar: float, cutoff: int) -> np.ndarray:
-    """Diagonal (1 - t) t^n with t = nbar / (nbar + 1).
-
-    Negative nbar > -1/2 is allowed: the diagonal then alternates in sign,
-    which is what a Gaussian kernel with symplectic eigenvalue below 1/2
-    (a non-positive operator, e.g. a witness kernel) requires.
-    """
-    if nbar <= -0.5:
-        raise DimensionMismatchError(
-            f"symplectic eigenvalue {nbar + 0.5:g} is not representable")
-    if abs(nbar) < 1e-14:
-        p = np.zeros(cutoff)
-        p[0] = 1.0
-        return p
-    ns = np.arange(cutoff)
-    return (1.0 / (nbar + 1.0)) * (nbar / (nbar + 1.0)) ** ns
-
-
-def gaussian_op_fock(gamma: CovMatrix, cutoff: int,
-                     tail_tol: float = 5e-2) -> np.ndarray:
-    """Trace-one Gaussian operator with covariance matrix `gamma`.
-
-    Route: Williamson gamma = S nu S^T, thermal core diag(p) for nu, then the
-    Bloch-Messiah factors S = O1 D O2 as Fock unitaries: rho = A X A^dag with
-    A = U1 (x)_j S_j and X = U2 diag(p) U2^dag.  Raises CutoffTooSmallError
-    when the truncated trace drops below 1 - tail_tol.
+    Over the ladder variables (a_1..a_n, a^dag_1..a^dag_n),
+    sigma = W gamma W^dag, Q = sigma + I/2, G_0 = det(Q)^{-1/2} and
+    A = X (I - Q^{-1})^* with X = [[0, I], [I, 0]].  Raises
+    DimensionMismatchError for a CM that is not positive definite.
     """
     n = gamma.n_modes
-    s, nu = williamson(gamma)
-    o1, d_diag, o2 = polar_bloch_messiah(s)
-    p = np.ones(1)
-    for v in nu:
-        p = np.kron(p, _thermal_diagonal(v - 0.5, cutoff))
-    squeezers = [_squeezer_unitary(np.log(d_diag[2 * j, 2 * j]), cutoff)
-                 for j in range(n)]
-    u1 = _passive_blocks(o1, cutoff)
-    cur = np.zeros((cutoff ** n, cutoff ** n), dtype=complex)
-    for idx, u in _passive_blocks(o2, cutoff):
-        cur[np.ix_(idx, idx)] = (u * p[idx]) @ u.conj().T
-    nxt = np.empty_like(cur)
-    # A acts on rows only: with X Hermitian, A X A^dag = A (A X)^dag, so the
-    # second half is the first applied again to one adjoint copy.
-    for half in range(2):
-        for j, sq in enumerate(squeezers):
-            # real S_j on the float view; (re, im) pairs ride in the last axis
-            np.matmul(sq, cur.view(float).reshape(cutoff ** j, cutoff, -1),
-                      out=nxt.view(float).reshape(cutoff ** j, cutoff, -1))
-            cur, nxt = nxt, cur
-        for idx, u in u1:
-            nxt[idx] = u @ cur[idx]
-        if half == 0:
-            np.conjugate(nxt.T, out=cur)
-    trace = float(np.real(np.trace(nxt)))
-    if trace < 1.0 - tail_tol:
+    if not np.linalg.eigvalsh(gamma.mat)[0] > 0:
+        raise DimensionMismatchError(
+            "CM is not positive definite; no Gaussian operator")
+    w = np.vstack([np.kron(np.eye(n), [1, 1j]),
+                   np.kron(np.eye(n), [1, -1j])]) / np.sqrt(2)
+    q = w @ gamma.mat @ w.conj().T + np.eye(2 * n) / 2
+    x = np.roll(np.eye(2 * n), n, axis=0)
+    a = x @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
+    return float(np.linalg.det(q).real) ** -0.5, a
+
+
+def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
+    """Trace-one Gaussian operator with covariance matrix `gamma`, exact in
+    every entry below the cutoff.
+
+    The entries of `_bargmann` obey G_{k+e_i} = sum_j A_ij sqrt(k_j) G_{k-e_j}
+    / sqrt(k_i + 1).  Raises DimensionMismatchError for a cutoff below 1 or a
+    CM that is not positive definite, and CutoffTooSmallError when the
+    truncated trace drops below 1 - TAIL_TOL.
+    """
+    if cutoff < 1:
+        raise DimensionMismatchError(f"cutoff must be at least 1, got {cutoff}")
+    n = gamma.n_modes
+    g0, a = _bargmann(gamma)
+    g = np.zeros((cutoff,) * (2 * n), dtype=complex)
+    g[(0,) * (2 * n)] = g0
+    # Fill the entries whose first nonzero index is i, for i from the last
+    # axis to the first: every G_{k-e_j} they need (j >= i) is filled already.
+    for i in reversed(range(2 * n)):
+        tail = g[(0,) * i]
+        for t in range(1, cutoff):
+            # length-1 slices keep the axis, so even the last one is a view
+            nxt, prev = tail[t:t + 1], tail[t - 1:t]
+            for j in range(i + 1, 2 * n):
+                nxt += a[i, j] * ladder_on_axis(prev, j - i, dagger=True)
+            if t >= 2:
+                nxt += a[i, i] * np.sqrt(t - 1) * tail[t - 2:t - 1]
+            nxt /= np.sqrt(t)
+    rho = g.reshape(cutoff ** n, cutoff ** n)
+    trace = float(np.real(np.trace(rho)))
+    if not trace >= 1.0 - TAIL_TOL:
         raise CutoffTooSmallError(
-            f"truncated trace {trace:g} below 1 - {tail_tol:g}; raise the cutoff")
-    return nxt
+            f"truncated trace {trace:g} below 1 - {TAIL_TOL:g}; raise the cutoff")
+    return rho
 
 
 def mean_photon_defect(rho: np.ndarray, gamma: CovMatrix, cutoff: int) -> float:
     """1 - <N>_Fock / <N>_gamma: the share of the mean photon number
     (tr gamma - n) / 2 that the truncated operator misses, read off its
-    diagonal.  Unlike the truncated trace it sees a truncated squeezer; 0 for
-    a vacuum-variance CM."""
+    diagonal.  It weights the tail by photon number; 0 for a vacuum-variance
+    CM."""
     photons = sum(np.ix_(*(np.arange(cutoff),) * gamma.n_modes)).ravel()
     n_fock = float(np.real(np.diagonal(rho)) @ photons)
     n_exact = float(np.trace(gamma.mat) - gamma.n_modes) / 2
@@ -219,10 +205,8 @@ class SeesawResult:
 
 
 def _top_eigvec(h: np.ndarray) -> tuple[float, np.ndarray]:
-    import scipy.linalg as la
-    top = len(h) - 1
-    w, v = la.eigh((h + h.conj().T) / 2, subset_by_index=[top, top])
-    return float(w[0]), v[:, 0]
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return float(w[-1]), v[:, -1]
 
 
 def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,

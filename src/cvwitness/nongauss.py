@@ -225,18 +225,18 @@ def decide_separability_nongauss(s: NonGaussState,
 
 def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
     """Normalized density matrix of the photon-added/subtracted state."""
-    from .fock import destroy, gaussian_op_fock, mode_op
+    from .fock import gaussian_op_fock, ladder_on_axis
     n = s.kernel.n_modes
-    rho_g = gaussian_op_fock(s.kernel, cutoff)
-    a = destroy(cutoff)
-    left = np.eye(cutoff ** n)
+    t = gaussian_op_fock(s.kernel, cutoff).reshape((cutoff,) * (2 * n))
+    # L = prod_j a_j^{dag k_j} a_j^{m_j} shifts row axis j; the ladders are
+    # real, so rho L^dag takes the same shifts on column axis n + j
     for j in range(n):
-        for _ in range(s.subtract[j]):
-            left = mode_op(a, j, n, cutoff) @ left
-    for j in range(n):
-        for _ in range(s.add[j]):
-            left = mode_op(a.T, j, n, cutoff) @ left
-    rho = left @ rho_g @ left.conj().T
+        for axis in (j, n + j):
+            for _ in range(s.subtract[j]):
+                t = ladder_on_axis(t, axis, dagger=False)
+            for _ in range(s.add[j]):
+                t = ladder_on_axis(t, axis, dagger=True)
+    rho = t.reshape(cutoff ** n, cutoff ** n)
     tr = float(np.real(np.trace(rho)))
     if tr <= 1e-12:
         raise DegeneratePreparationError(f"Fock trace {tr:g} vanishes")

@@ -1,5 +1,5 @@
 """Covariance-matrix core: symplectic form, validity checks, CM/CCM conversion,
-Gaussian overlaps and the Williamson / Bloch-Messiah decompositions.
+Gaussian overlaps and symplectic eigenvalues.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
@@ -157,87 +157,10 @@ def symplectic_eigenvalues(gamma: CovMatrix | np.ndarray) -> np.ndarray:
     return nu[::2][:n] if len(nu) == 2 * n else nu[:n]
 
 
-def williamson(gamma: CovMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose a positive definite CM as gamma = S diag(nu_1, nu_1, ...) S^T.
-
-    Returns (S, nu) with S symplectic and nu the symplectic eigenvalues.
-    """
-    import scipy.linalg as la   # Fock-oracle path only
-    mat = gamma.mat if isinstance(gamma, CovMatrix) else np.asarray(gamma, dtype=float)
-    n = _check_even_square(mat)
-    sigma = symplectic_form(n)
-    root = la.sqrtm(mat).real
-    m = root @ sigma @ root  # antisymmetric
-    # Real Schur form of an antisymmetric matrix: 2x2 blocks [[0, nu], [-nu, 0]].
-    t, q = la.schur(m, output="real")
-    nu = np.empty(n)
-    for j in range(n):
-        b = t[2 * j, 2 * j + 1]
-        if b < 0:
-            # flip block orientation by swapping the column pair
-            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
-            b = -b
-        nu[j] = b
-    if np.any(nu <= 0):
-        raise DimensionMismatchError("CM is not positive definite; Williamson undefined")
-    scale = np.repeat(1.0 / np.sqrt(nu), 2)
-    s = root @ q @ np.diag(scale)
-    return s, nu
-
-
 def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:
     n = _check_even_square(s)
     sigma = symplectic_form(n)
     return np.max(np.abs(s @ sigma @ s.T - sigma)) <= tol
-
-
-def polar_bloch_messiah(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor a symplectic S as O1 @ D @ O2 with O1, O2 orthogonal symplectic
-    and D = diag(e^{r_1}, e^{-r_1}, ...) single-mode squeezers."""
-    import scipy.linalg as la   # Fock-oracle path only
-    s = np.asarray(s, dtype=float)
-    n = _check_even_square(s)
-    sigma = symplectic_form(n)
-    p = la.sqrtm(s.T @ s).real  # symmetric positive definite symplectic
-    w = s @ la.inv(p)  # orthogonal symplectic
-    evals, evecs = la.eigh(p)
-    # Pair each eigenvector v (eigenvalue lam >= 1) with -sigma v (eigenvalue 1/lam).
-    cols = []
-    order = np.argsort(evals)[::-1]
-    mode = 0
-    for idx in order:
-        if mode == n:
-            break
-        v = evecs[:, idx]
-        # Project out directions already consumed (handles degenerate eigenvalues
-        # and skips eigenvectors that were claimed as a partner -sigma v).
-        for c in cols:
-            v = v - c * (c @ v)
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        v = v / nv
-        wv = -sigma @ v
-        for c in cols:
-            wv = wv - c * (c @ wv)
-        wv = wv / np.linalg.norm(wv)
-        cols.extend([v, wv])
-        mode += 1
-    o = np.column_stack(cols)
-    d_mat = o.T @ p @ o
-    # off-diagonal residue should vanish; keep the diagonal
-    d_diag = np.diag(np.diag(d_mat))
-    return w @ o, d_diag, o.T
-
-
-def orthogonal_symplectic_to_unitary(o: np.ndarray) -> np.ndarray:
-    """Mode-space unitary u with a' = u a for an orthogonal symplectic O."""
-    n = _check_even_square(o)
-    a = np.zeros((n, 2 * n), dtype=complex)
-    for j in range(n):
-        a[j, 2 * j] = 1.0 / np.sqrt(2)
-        a[j, 2 * j + 1] = 1j / np.sqrt(2)
-    return a @ o @ a.conj().T
 
 
 @dataclass(frozen=True, eq=False)

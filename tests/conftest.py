@@ -8,6 +8,7 @@ import scipy.optimize as opt
 
 from cvwitness.criteria import WWFamilyParams, _feasibility_conditions, simon_lhs
 from cvwitness.standard_form import Family, TwoModeStandardForm
+from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import DetectorSpec, _limit_ratio
 
 
@@ -17,6 +18,13 @@ def tmsv_form(r: float) -> TwoModeStandardForm:
     a = np.cosh(2 * r) / 2
     c = np.sinh(2 * r) / 2
     return TwoModeStandardForm(a, a, c, c)
+
+
+def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
+    """Random positive definite CM above the vacuum variance."""
+    d = 2 * n_modes
+    a = rng.normal(size=(d, d))
+    return CovMatrix(a @ a.T / d + 0.5 * np.eye(d))
 
 
 def sample_two_mode_detector(rng: np.random.Generator,

@@ -1,20 +1,21 @@
 import itertools
+from math import factorial, prod
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from cvwitness import fock
-from cvwitness.exceptions import CutoffTooSmallError, OptimizerStalledError
+from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
+                                  OptimizerStalledError)
 from cvwitness.fock import (destroy, displacement_element, displacement_matrix,
                             fock_cm, fock_mean, gaussian_op_fock,
                             partial_trace, quadrature_ops, seesaw_lambda)
 from cvwitness.standard_form import Family
-from cvwitness.symplectic import (CovMatrix, orthogonal_symplectic_to_unitary,
-                                  polar_bloch_messiah, williamson)
+from cvwitness.symplectic import CovMatrix, is_symplectic, symplectic_form
 from cvwitness.witness import DetectorSpec, detector_from_cm, lambda_closed_form
 
-from conftest import tmsv_form
+from conftest import dict_coeff_extract, random_physical_cm, tmsv_form
 
 
 def test_destroy_commutator():
@@ -29,13 +30,78 @@ def test_displacement_element_matches_expm():
     c = 30
     mu = 0.4 - 0.3j
     d = displacement_matrix(mu, c)
-    for m, k in [(0, 0), (1, 0), (2, 3), (5, 5)]:
-        assert abs(displacement_element(m, k, mu) - d[m, k]) < 1e-10
+    elements = np.array([[displacement_element(m, k, mu) for k in range(c)]
+                         for m in range(c)])
+    assert np.max(np.abs(elements - d)) < 1e-12
+    # the truncated generator's expm is exact only well below its cutoff
+    a = destroy(80)
+    assert np.max(np.abs(la.expm(mu * a.T - np.conj(mu) * a)[:c, :c] - d)) < 1e-12
+
+
+# Reference route for the recurrence, kept from the former build: Williamson
+# gamma = S nu S^T, thermal core diag(p), Bloch-Messiah S = O1 D O2, and
+# rho = U diag(p) U^dag with U = U1 (S_1 x ... x S_n) U2 as dense truncated
+# unitaries.  Truncation makes it exact only in a corner well below its cutoff.
+
+def williamson(gamma):
+    """gamma = S diag(nu_1, nu_1, ...) S^T for a positive definite CM."""
+    mat = gamma.mat
+    n = gamma.n_modes
+    root = la.sqrtm(mat).real
+    # real Schur form of an antisymmetric matrix: 2x2 blocks [[0, nu], [-nu, 0]]
+    t, q = la.schur(root @ symplectic_form(n) @ root, output="real")
+    nu = np.empty(n)
+    for j in range(n):
+        b = t[2 * j, 2 * j + 1]
+        if b < 0:
+            q[:, [2 * j, 2 * j + 1]] = q[:, [2 * j + 1, 2 * j]]
+            b = -b
+        nu[j] = b
+    return root @ q @ np.diag(np.repeat(1.0 / np.sqrt(nu), 2)), nu
+
+
+def polar_bloch_messiah(s):
+    """S = O1 @ D @ O2 with O1, O2 orthogonal symplectic and
+    D = diag(e^{r_1}, e^{-r_1}, ...)."""
+    n = len(s) // 2
+    sigma = symplectic_form(n)
+    p = la.sqrtm(s.T @ s).real
+    w = s @ la.inv(p)
+    evals, evecs = la.eigh(p)
+    # pair each eigenvector v (eigenvalue >= 1) with -sigma v (its reciprocal)
+    cols = []
+    for idx in np.argsort(evals)[::-1]:
+        if len(cols) == 2 * n:
+            break
+        v = evecs[:, idx]
+        for c in cols:
+            v = v - c * (c @ v)
+        if np.linalg.norm(v) < 1e-8:
+            continue
+        v = v / np.linalg.norm(v)
+        wv = -sigma @ v
+        for c in cols:
+            wv = wv - c * (c @ wv)
+        cols.extend([v, wv / np.linalg.norm(wv)])
+    o = np.column_stack(cols)
+    return w @ o, np.diag(np.diag(o.T @ p @ o)), o.T
+
+
+def orthogonal_symplectic_to_unitary(o):
+    """Mode-space unitary u with a' = u a for an orthogonal symplectic O."""
+    n = len(o) // 2
+    a = np.kron(np.eye(n), [1, 1j]) / np.sqrt(2)
+    return a @ o @ a.conj().T
+
+
+def _thermal_diagonal(nbar, cutoff):
+    """(1 - t) t^n with t = nbar / (nbar + 1); alternating for -1/2 < nbar < 0."""
+    return (1.0 / (nbar + 1.0)) * (nbar / (nbar + 1.0)) ** np.arange(cutoff)
 
 
 def _dense_passive_unitary(o, cutoff):
-    """Reference: full-register Fock unitary of an orthogonal symplectic,
-    filled basis state by basis state."""
+    """Full-register Fock unitary of an orthogonal symplectic, filled basis
+    state by basis state and exponentiated per photon-number sector."""
     n = o.shape[0] // 2
     h = la.logm(orthogonal_symplectic_to_unitary(o))
     basis = list(itertools.product(range(cutoff), repeat=n))
@@ -64,8 +130,6 @@ def _dense_passive_unitary(o, cutoff):
 
 
 def _dense_gaussian_op(gamma, cutoff):
-    """Reference: U = U1 (S_1 x ... x S_n) U2 as dense register matrices,
-    rho = U diag(p) U^dag."""
     n = gamma.n_modes
     s, nu = williamson(gamma)
     o1, d_diag, o2 = polar_bloch_messiah(s)
@@ -73,21 +137,84 @@ def _dense_gaussian_op(gamma, cutoff):
     sq = np.ones((1, 1))
     a = destroy(cutoff)
     for j in range(n):
-        p = np.kron(p, fock._thermal_diagonal(nu[j] - 0.5, cutoff))
+        p = np.kron(p, _thermal_diagonal(nu[j] - 0.5, cutoff))
         r = np.log(d_diag[2 * j, 2 * j])
         sq = np.kron(sq, la.expm((r / 2) * (a.T @ a.T - a @ a)))
     u = _dense_passive_unitary(o1, cutoff) @ sq @ _dense_passive_unitary(o2, cutoff)
     return (u * p) @ u.conj().T
 
 
-@pytest.mark.parametrize("gamma, cutoff", [
-    (DetectorSpec(Family.TWO_MODE, 1.3, 0.8, 1.1, 0.9, 0.6, -0.4).to_cm(), 12),
-    (DetectorSpec(Family.WERNER_WOLF, 0.9, 0.7, 0.8, 0.75, 0.3, -0.2).to_cm(), 4),
-    (CovMatrix(np.diag([0.3, 0.4])), 12),
-], ids=["squeezed-thermal", "werner-wolf", "nu-below-half"])
-def test_gaussian_op_matches_dense_route(gamma, cutoff):
-    rho = gaussian_op_fock(gamma, cutoff)
-    assert np.max(np.abs(rho - _dense_gaussian_op(gamma, cutoff))) <= 1e-12
+def test_williamson_reconstructs(rng):
+    for n in (1, 2):
+        gamma = random_physical_cm(rng, n)
+        s, nu = williamson(gamma)
+        assert is_symplectic(s)
+        # interleaved ordering: each mode contributes nu_j I_2
+        core = np.diag(np.repeat(nu, 2))
+        assert np.allclose(s @ core @ s.T, gamma.mat, atol=1e-10)
+        assert np.all(nu >= 0.5 - 1e-10)
+
+
+def test_polar_bloch_messiah(rng):
+    gamma = random_physical_cm(rng, 2)
+    s, _ = williamson(gamma)
+    o1, d, o2 = polar_bloch_messiah(s)
+    assert np.allclose(o1 @ d @ o2, s, atol=1e-10)
+    for o in (o1, o2):
+        assert is_symplectic(o)
+        assert np.allclose(o @ o.T, np.eye(4), atol=1e-10)
+    assert np.allclose(d, np.diag(np.diag(d)))
+    # squeezer entries come in reciprocal pairs
+    assert abs(d[0, 0] * d[1, 1] - 1.0) < 1e-10
+    assert abs(d[2, 2] * d[3, 3] - 1.0) < 1e-10
+
+
+def test_orthogonal_symplectic_to_unitary(rng):
+    gamma = random_physical_cm(rng, 2)
+    s, _ = williamson(gamma)
+    o1, _, _ = polar_bloch_messiah(s)
+    u = orthogonal_symplectic_to_unitary(o1)
+    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)
+
+
+def _corner(rho, n_modes, cutoff, levels):
+    t = rho.reshape((cutoff,) * (2 * n_modes))[(slice(levels),) * (2 * n_modes)]
+    return t.reshape(levels ** n_modes, levels ** n_modes)
+
+
+@pytest.mark.parametrize("gamma", [
+    DetectorSpec(Family.TWO_MODE, 1.3, 0.8, 1.1, 0.9, 0.6, -0.4).to_cm(),
+    CovMatrix(np.diag([0.3, 0.4])),
+    CovMatrix(np.array([[0.9, 0.3], [0.3, 0.7]])),
+], ids=["squeezed-thermal", "nu-below-half", "xp-correlated"])
+def test_gaussian_op_matches_dense_route(gamma):
+    """Every entry at cutoff 12 is exact: it matches the 12-level corner of
+    the reference built at cutoff 40."""
+    n = gamma.n_modes
+    ref = _corner(_dense_gaussian_op(gamma, 40), n, 40, 12)
+    assert np.max(np.abs(gaussian_op_fock(gamma, 12) - ref)) <= 1e-12
+
+
+def test_gaussian_op_four_mode_matches_coefficients():
+    """Four-mode entries against the generating function: G_k is G_0 sqrt(k!)
+    times the Taylor coefficient of t^k in exp(t A t^T / 2)."""
+    gamma = DetectorSpec(Family.WERNER_WOLF, 0.9, 0.7, 0.8, 0.75, 0.3, -0.2).to_cm()
+    cutoff = 4
+    g = gaussian_op_fock(gamma, cutoff).reshape((cutoff,) * 8)
+    g0, a = fock._bargmann(gamma)
+    rng = np.random.default_rng(5)
+    ks = [k for k in itertools.product(range(cutoff), repeat=8) if sum(k) <= 4]
+    ks += [tuple(k) for k in rng.integers(0, cutoff, size=(40, 8))]
+    for k in ks:
+        expect = g0 * np.sqrt(prod(factorial(v) for v in k)) * dict_coeff_extract(a, k)
+        assert abs(g[k] - expect) <= 1e-15, k
+
+
+@pytest.mark.parametrize("mat", [np.diag([0.3, -0.1]), np.diag([0.5, 0.0])],
+                         ids=["negative", "singular"])
+def test_gaussian_op_rejects_non_positive_definite(mat):
+    with pytest.raises(DimensionMismatchError, match="positive definite"):
+        gaussian_op_fock(CovMatrix(mat), 8)
 
 
 def test_gaussian_op_vacuum():
@@ -129,6 +256,17 @@ def test_cutoff_too_small_raises():
     nbar = 30.0
     with pytest.raises(CutoffTooSmallError):
         gaussian_op_fock(CovMatrix((nbar + 0.5) * np.eye(2)), 6)
+
+
+def test_gaussian_op_rejects_empty_cutoff():
+    with pytest.raises(DimensionMismatchError, match="cutoff"):
+        gaussian_op_fock(CovMatrix(0.7 * np.eye(2)), 0)
+
+
+def test_squeezing_truncation_raises():
+    # TMSV at r = 1.5 keeps 1 - tanh(r)^20 = 0.8637 of its trace below cutoff 10
+    with pytest.raises(CutoffTooSmallError, match="0.8637"):
+        gaussian_op_fock(tmsv_form(1.5).to_cm(), 10)
 
 
 def test_fock_mean_single_photon_thermal():

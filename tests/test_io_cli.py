@@ -163,7 +163,7 @@ def test_cli_oracle(tmp_path, capsys):
 
 def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     """A TMSV detector at r = 1 is badly truncated at cutoff 10: the trace
-    cannot see it, the mean photon number can."""
+    shows it and the mean photon number shows it more."""
     f = tmsv_form(1.0)
     path = write_json(tmp_path / "det.json", {
         "family": "two_mode", "m": [f.a, f.b, f.a, f.b, f.c1, f.c2]})
@@ -171,8 +171,8 @@ def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     for cutoff in (10, 25):
         main(["oracle", path, "--cutoff", str(cutoff), "--restarts", "1"])
         reports[cutoff] = json.loads(capsys.readouterr().out)["report"]
-    assert reports[10]["truncated_trace"] > 0.99
-    assert reports[10]["mean_photon_defect"] > 0.05
+    assert reports[10]["truncated_trace"] < 0.999
+    assert reports[10]["mean_photon_defect"] > 0.03
     assert reports[25]["mean_photon_defect"] < 1e-3
 
 
@@ -272,9 +272,9 @@ def _run_child(mode, argvs, cwd):
 
 
 def test_cli_decision_path_needs_no_scipy(tmp_path):
-    """`check` on both families and with every criterion, and `sweep`, run
-    with scipy unimportable and exit as the in-process verdicts say; the
-    certificate cases take the closed form, not the vacuum point."""
+    """`check` on both families and with every criterion, `sweep` and
+    `oracle` run with scipy unimportable and exit as the in-process results
+    say; the certificate cases take the closed form, not the vacuum point."""
     two = TwoModeStandardForm(1.25, 1.57, 0.18, -0.93).to_cm()
     ww = WernerWolfForm(0.6, 1.3, 1.4, 0.55, 0.35, -0.2).to_cm()
     bound = werner_wolf_family(WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0)).to_cm()
@@ -296,9 +296,12 @@ def test_cli_decision_path_needs_no_scipy(tmp_path):
              NonGaussState(tmsv, (1, 0), (0, 1))).verdict),
     ]
     assert [v for _, v in cases[:2]] == [Verdict.SEPARABLE] * 2
+    det = write_json(tmp_path / "det.json",
+                     {"family": "two_mode", "m": [1, 1, 1, 1, 0.4, -0.3]})
     argvs = [a for a, _ in cases] + [
-        ["sweep", "--family", "wernerwolf", "-n", "5", str(tmp_path / "ww.csv")]]
-    want = [_VERDICT_EXIT[v] for _, v in cases] + [0]
+        ["sweep", "--family", "wernerwolf", "-n", "5", str(tmp_path / "ww.csv")],
+        ["oracle", det, "--cutoff", "14", "--restarts", "1"]]
+    want = [_VERDICT_EXIT[v] for _, v in cases] + [0, 0]
     assert _run_child("block", argvs, tmp_path)["codes"] == want
     traced = _run_child("trace", argvs, tmp_path)
     assert traced["codes"] == want

@@ -91,6 +91,23 @@ def test_mean_matches_fock_added_tmsv():
     assert abs(mean - oracle) < 1e-6
 
 
+def test_build_fock_state_matches_dense_ladders():
+    """The index-shift ladders equal dense register products L rho L^dag."""
+    from cvwitness.fock import destroy, mode_op
+    s = NonGaussState(TwoModeStandardForm(0.7, 0.65, 0.15, -0.1).to_cm(),
+                      add=(1, 2), subtract=(2, 1))
+    cutoff = 12
+    a = destroy(cutoff)
+    left = np.eye(cutoff ** 2)
+    for j in range(2):
+        left = (np.linalg.matrix_power(mode_op(a.T, j, 2, cutoff), s.add[j])
+                @ np.linalg.matrix_power(mode_op(a, j, 2, cutoff), s.subtract[j])
+                @ left)
+    rho = left @ gaussian_op_fock(s.kernel, cutoff) @ left.T
+    rho /= np.trace(rho).real
+    assert np.max(np.abs(build_fock_state(s, cutoff) - rho)) <= 1e-12
+
+
 def test_build_fock_state_normalized_hermitian():
     s = NonGaussState(tmsv_form(0.3).to_cm(), add=(1, 0), subtract=(0, 1))
     rho = build_fock_state(s, cutoff=18)

@@ -1,21 +1,12 @@
 import numpy as np
 import pytest
-import scipy.linalg as la
 
 from cvwitness.exceptions import DimensionMismatchError
 from cvwitness.symplectic import (CovMatrix, ccm_to_cm, cm_to_ccm,
-                                  gaussian_overlap, is_symplectic,
-                                  orthogonal_symplectic_to_unitary,
-                                  polar_bloch_messiah, symplectic_eigenvalues,
-                                  symplectic_form, validate_cm, williamson)
+                                  gaussian_overlap, symplectic_eigenvalues,
+                                  symplectic_form, validate_cm)
 
-from conftest import tmsv_form
-
-
-def random_physical_cm(rng, n_modes):
-    d = 2 * n_modes
-    a = rng.normal(size=(d, d))
-    return CovMatrix(a @ a.T / d + 0.5 * np.eye(d))
+from conftest import random_physical_cm, tmsv_form
 
 
 def test_symplectic_form_structure():
@@ -45,18 +36,6 @@ def test_symplectic_eigenvalues_thermal():
     nbar = 0.7
     gamma = CovMatrix((nbar + 0.5) * np.eye(4))
     assert np.allclose(symplectic_eigenvalues(gamma), nbar + 0.5)
-
-
-def test_williamson_reconstructs(rng):
-    for n in (1, 2):
-        gamma = random_physical_cm(rng, n)
-        s, nu = williamson(gamma)
-        assert is_symplectic(s)
-        core = np.kron(np.diag(nu), np.eye(2)) if n > 1 else nu[0] * np.eye(2)
-        # interleaved ordering: each mode contributes nu_j I_2
-        core = np.diag(np.repeat(nu, 2))
-        assert np.allclose(s @ core @ s.T, gamma.mat, atol=1e-10)
-        assert np.all(nu >= 0.5 - 1e-10)
 
 
 def test_ccm_roundtrip(rng):
@@ -89,25 +68,3 @@ def test_gaussian_overlap_vacuum_thermal():
     th = CovMatrix((nbar + 0.5) * np.eye(2))
     # <0|rho_th|0> = 1/(nbar+1)
     assert abs(gaussian_overlap(vac, th) - 1.0 / (nbar + 1)) < 1e-12
-
-
-def test_polar_bloch_messiah(rng):
-    gamma = random_physical_cm(rng, 2)
-    s, _ = williamson(gamma)
-    o1, d, o2 = polar_bloch_messiah(s)
-    assert np.allclose(o1 @ d @ o2, s, atol=1e-10)
-    for o in (o1, o2):
-        assert is_symplectic(o)
-        assert np.allclose(o @ o.T, np.eye(4), atol=1e-10)
-    assert np.allclose(d, np.diag(np.diag(d)))
-    # squeezer entries come in reciprocal pairs
-    assert abs(d[0, 0] * d[1, 1] - 1.0) < 1e-10
-    assert abs(d[2, 2] * d[3, 3] - 1.0) < 1e-10
-
-
-def test_orthogonal_symplectic_to_unitary(rng):
-    gamma = random_physical_cm(rng, 2)
-    s, _ = williamson(gamma)
-    o1, _, _ = polar_bloch_messiah(s)
-    u = orthogonal_symplectic_to_unitary(o1)
-    assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-10)

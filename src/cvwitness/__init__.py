@@ -24,8 +24,7 @@ from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
                          cm_to_ccm, ccm_to_cm, gaussian_overlap, is_symplectic,
                          symplectic_eigenvalues, symplectic_form, validate_cm)
 from .witness import (DetectorSpec, WitnessReport, detector_from_cm,
-                      ell_factorized, ell_ratio, lambda_closed_form,
-                      matched_witness, minmax_optimize)
+                      lambda_closed_form, matched_witness, minmax_optimize)
 
 __all__ = [
     "__version__",
@@ -47,6 +46,6 @@ __all__ = [
     "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",
     "ccm_to_cm", "gaussian_overlap", "is_symplectic",
     "symplectic_eigenvalues", "symplectic_form", "validate_cm",
-    "DetectorSpec", "WitnessReport", "detector_from_cm", "ell_factorized",
-    "ell_ratio", "lambda_closed_form", "matched_witness", "minmax_optimize",
+    "DetectorSpec", "WitnessReport", "detector_from_cm", "lambda_closed_form",
+    "matched_witness", "minmax_optimize",
 ]

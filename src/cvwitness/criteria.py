@@ -16,7 +16,8 @@ import numpy as np
 
 from .exceptions import ConstraintViolatedError, PatternMismatchError
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
-                            detect_family, reduce_to_standard_form)
+                            detect_family, quadrature_triples,
+                            reduce_to_standard_form)
 from .symplectic import (TOL_PSD, CovMatrix, block_diag, symplectic_form,
                          validate_cm)
 
@@ -126,16 +127,6 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     return PptReport(is_ppt=rep.is_physical, min_pt_symplectic_eig=min_nu)
 
 
-def _feasibility_conditions(form) -> tuple[tuple, tuple]:
-    """(alpha, beta, c) per condition: (alpha - x/2)(beta - y/2) >= c^2 and the
-    reciprocal-squeeze analogue."""
-    if isinstance(form, TwoModeStandardForm):
-        return (form.a, form.b, form.c1), (form.a, form.b, form.c2)
-    if isinstance(form, WernerWolfForm):
-        return (form.A, form.C, form.E), (form.B, form.D, form.F)
-    raise PatternMismatchError(f"unsupported form {type(form).__name__}")
-
-
 def _peak(cond1, cond2) -> tuple[float, float, float]:
     """(x*, f1(x*), f2(x*)) at the maximum of phi = 4 f1 f2 over x, where
     f1 = b1 - c1^2/(a1 - x/2) and f2 = b2 - c2^2/(a2 - 1/(2x)).
@@ -194,6 +185,8 @@ def feasibility_search(form) -> tuple[float, float] | None:
     """Product squeezed state (x, y) whose CM the form's CM dominates (to
     within TOL_CERT): the separability certificate.  None when there is none.
 
+    With the form's quadrature triples (a_i, b_i, c_i), the conditions are
+    (a1 - x/2)(b1 - y/2) >= c1^2 and (a2 - 1/(2x))(b2 - 1/(2y)) >= c2^2.
     The vacuum point (1, 1) comes first.  Otherwise the two conditions bound
     y between g2(x) = 1/(2 f2(x)) and g1(x) = 2 f1(x), so a certificate
     exists iff phi = g1/g2 = 4 f1 f2 reaches 1; `_peak` gives the maximum of
@@ -202,7 +195,7 @@ def feasibility_search(form) -> tuple[float, float] | None:
     """
     if certificate_min_eig(form, 1.0, 1.0) >= -TOL_CERT:
         return 1.0, 1.0
-    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    x, f1, f2 = _peak(*quadrature_triples(form))
     if not (f1 > 0 and f2 > 0):
         return None
     y = math.sqrt(f1 / f2)

@@ -1,5 +1,5 @@
-"""File formats: covariance matrices, photon-added/subtracted states,
-detectors and channels as JSON; reports as JSON or CSV rows.
+"""File formats: covariance matrices, photon-added/subtracted states and
+detectors as JSON; reports as JSON.
 
 First moments are not supported anywhere in the package; a file carrying a
 nonzero "mean" is rejected instead of silently centered.
@@ -9,7 +9,6 @@ import json
 
 import numpy as np
 
-from .channel import GaussianChannel
 from .criteria import CriterionReport
 from .exceptions import CvWitnessError, DimensionMismatchError, NonZeroMeanError
 from .nongauss import NonGaussState
@@ -77,23 +76,6 @@ def load_detector(path: str) -> DetectorSpec:
     if len(m) != 6:
         raise DimensionMismatchError(f"detector needs 6 parameters, got {len(m)}")
     return DetectorSpec(family, *m)
-
-
-def dump_channel(ch: GaussianChannel, path: str) -> None:
-    obj = {"K": ch.k.tolist(), "alpha": ch.alpha.tolist(),
-           "m3prime": ch.m3_prime, "m4prime": ch.m4_prime}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-
-
-def load_channel(path: str) -> GaussianChannel:
-    with open(path) as fh:
-        obj = json.load(fh)
-    return GaussianChannel(k=np.asarray(obj["K"], dtype=float),
-                           alpha=np.asarray(obj["alpha"], dtype=float),
-                           m3_prime=float(obj.get("m3prime", "nan")),
-                           m4_prime=float(obj.get("m4prime", "nan")))
 
 
 def criterion_report_dict(report: CriterionReport) -> dict:

@@ -53,6 +53,16 @@ class WernerWolfForm:
         return CovMatrix(m)
 
 
+def quadrature_triples(form) -> tuple[tuple, tuple]:
+    """The form's CM splits into two 2x2 blocks [[a, +-c], [+-c, b]], one per
+    quadrature pair (x then p); returns their (a, b, c), c signed."""
+    if isinstance(form, TwoModeStandardForm):
+        return (form.a, form.b, form.c1), (form.a, form.b, form.c2)
+    if isinstance(form, WernerWolfForm):
+        return (form.A, form.C, form.E), (form.B, form.D, form.F)
+    raise PatternMismatchError(f"unsupported form {type(form).__name__}")
+
+
 def _rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, s], [-s, c]])

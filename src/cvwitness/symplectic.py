@@ -53,6 +53,8 @@ class CovMatrix:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
         n = _check_even_square(mat)
+        if not np.all(np.isfinite(mat)):
+            raise DimensionMismatchError("matrix has non-finite entries")
         asym = np.max(np.abs(mat - mat.T))
         if asym > _SYMMETRY_TOL:
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
@@ -87,23 +89,15 @@ class ComplexCovMatrix:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    is_symmetric: bool
     min_eig: float
     is_physical: bool
 
 
-def validate_cm(gamma: CovMatrix | np.ndarray, tol: float = TOL_PSD) -> ValidityReport:
+def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
     """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite."""
-    if isinstance(gamma, CovMatrix):
-        mat = gamma.mat
-        n = gamma.n_modes
-    else:
-        mat = np.asarray(gamma, dtype=float)
-        n = _check_even_square(mat)
-    is_sym = np.max(np.abs(mat - mat.T)) <= _SYMMETRY_TOL
-    h = mat + 0.5j * symplectic_form(n)
+    h = gamma.mat + 0.5j * symplectic_form(gamma.n_modes)
     min_eig = float(np.min(np.linalg.eigvalsh(h)))
-    return ValidityReport(is_symmetric=is_sym, min_eig=min_eig, is_physical=min_eig >= -tol)
+    return ValidityReport(min_eig=min_eig, is_physical=min_eig >= -tol)
 
 
 @lru_cache

@@ -1,22 +1,35 @@
 """Matched-witness machinery: the product-state maximum of a Gaussian detector,
 the detection ratio, and the min-max search for the matched detector.
 
-For both supported detector families the determinant of gamma_M + gamma_A (+)
-gamma_B factorizes into two scalar factors g1, g2; the product-state maximum is
-a Newton minimization of that factorization.  The min-max over detectors has a
-closed form: one quadratic root, compared with its edge limits.
+For both supported detector families det(gamma_M + gamma_A (+) gamma_B)
+factorizes into two scalar factors g1, g2.  For a generic detector the
+product-state maximum Lambda is a safeguarded Newton minimization of g1 g2
+(`lambda_closed_form`).  The matched witness lies on the degenerate cone
+m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1, m2 = t w2, m4 = t/w2,
+m5 = +-t, m6 = +-t.  There, with s = u + 1/u and u = sqrt(w1 w2),
+
+    min g1 g2 = (1 + 2 t s)^2 / 16            at x = sqrt(w1/w2), y = 1/x,
+    factor i of det(gamma + gamma_M) = t n_i + d_i,
+    n_i = w_i b_i + a_i/w_i - 2|c_i|,   d_i = a_i b_i - c_i^2,
+
+over the quadrature triples (a_i, b_i, c_i) of the standard form.  So
+Lambda = (4 / (1 + 2 t s))^(2 power) and ell(t)^(1/power) = 16 (t n1 + d1)
+(t n2 + d2) / (1 + 2 t s)^2, with power 1/2 for two modes and 1 for
+Werner-Wolf, and no determinant is formed.  The min-max over directions is
+closed form too: one quadratic root, compared with its edge limits.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (DimensionMismatchError, NonPositiveDeterminantError,
                          NotEntangledError, OptimizerStalledError)
-from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
-                            detect_family, reduce_to_standard_form)
-from .symplectic import CovMatrix, gaussian_overlap
+from .standard_form import (Family, WernerWolfForm, detect_family,
+                            quadrature_triples, reduce_to_standard_form)
+from .symplectic import CovMatrix
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
 TOL_ELL_BOUNDARY = 1e-9
@@ -24,6 +37,13 @@ TOL_ELL_BOUNDARY = 1e-9
 #: relative gain over the edge limits below which the interior root of the
 #: limit ratio is taken to lie at infinity (a few ulps of rounding).
 _EDGE_MARGIN = 1e-14
+
+#: detector scales t of the scaling audit; the matched detector is the last.
+AUDIT_SCALES = (1e2, 1e3, 1e4)
+
+#: an edge or product minimum lies at infinity; its finite direction puts the
+#: far coordinate at eps = t^(-1/2) of the matched scale.
+_EDGE_EPS = AUDIT_SCALES[-1] ** -0.5
 
 
 @dataclass(frozen=True)
@@ -166,62 +186,43 @@ def lambda_closed_form(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
     return 1.0 / val, xy
 
 
-def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
-    """sqrt(det(gamma + gamma_M) / min_{x,y} det(gamma_A (+) gamma_B + gamma_M))."""
-    gm = d.to_cm()
-    if gm.dim != gamma.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {gamma.dim} vs {gm.dim}")
-    num = np.linalg.det(gamma.mat + gm.mat)
-    if num <= 0:
-        raise NonPositiveDeterminantError("det(gamma + gamma_M) is non-positive")
-    val, _ = _min_det_factors(d)
-    den = val ** 2 if d.family is Family.WERNER_WOLF else val
-    return float(np.sqrt(num / den))
+def _abs_triples(form) -> list[tuple[float, float, float]]:
+    """The form's quadrature triples (a, b, |c|) as Python floats, so that an
+    overflow in the closed forms is inf, not a warning."""
+    return [(float(a), float(b), abs(float(c)))
+            for a, b, c in quadrature_triples(form)]
 
 
-def ell_factorized(form, d: DetectorSpec) -> float:
-    """Detection ratio for a standard-form state via the f1*f2 factorization
-    (max over x, y); agrees with ell_ratio on family inputs."""
-    if isinstance(form, TwoModeStandardForm):
-        a1, b1, c1 = form.a, form.b, form.c1
-        a2, b2, c2 = form.a, form.b, form.c2
-        power = 0.5
-    else:
-        a1, b1, c1 = form.A, form.C, form.E
-        a2, b2, c2 = form.B, form.D, form.F
-        power = 1.0
-    num1 = (d.m1 + a1) * (d.m3 + b1) - (d.m5 + c1) ** 2
-    num2 = (d.m2 + a2) * (d.m4 + b2) - (d.m6 + c2) ** 2
-    if num1 <= 0 or num2 <= 0:
-        raise NonPositiveDeterminantError("det(gamma + gamma_M) factor is non-positive")
-    val, _ = _min_det_factors(d)
-    return float((num1 * num2 / val) ** power)
-
-
-def _limit_objective(form) -> tuple:
-    """Coefficients of the asymptotic detection ratio over cone detectors.
-
-    On the degenerate cone m5^2 = m1 m3, m6^2 = m2 m4 the large-scale limit of
-    the ratio is 4 n1 n2 / (u + 1/u)^2 with u = sqrt(w1 w2), where w1 = m1/m3
-    and w2 = m2/m4 fix the detector direction.
-    """
-    if isinstance(form, TwoModeStandardForm):
-        a1, b1, c1, a2, b2, c2 = form.a, form.b, form.c1, form.a, form.b, form.c2
-        power = 0.5
-    else:
-        a1, b1, c1, a2, b2, c2 = form.A, form.C, form.E, form.B, form.D, form.F
-        power = 1.0
-    # Python floats: an overflow in the closed forms is inf, not a warning
-    return ((float(a1), float(b1), abs(float(c1))),
-            (float(a2), float(b2), abs(float(c2))), power)
-
-
-def _limit_ratio(form, w1: float, w2: float) -> float:
-    (a1, b1, c1), (a2, b2, c2), _ = _limit_objective(form)
-    n1 = w1 * b1 + a1 / w1 - 2 * c1
-    n2 = w2 * b2 + a2 / w2 - 2 * c2
+def _cone_lambda(w1: float, w2: float, t: float,
+                 power: float) -> tuple[float, tuple[float, float]]:
+    """Lambda of the cone detector of direction (w1, w2) at scale t and its
+    maximizing (x, y): min g1 g2 = (1 + 2 t s)^2 / 16 at x = sqrt(w1/w2),
+    y = 1/x (module docstring), inverted as in `lambda_closed_form`."""
     u = math.sqrt(w1) * math.sqrt(w2)
-    return 4 * (n1 / (u + 1 / u)) * (n2 / (u + 1 / u))
+    x = math.sqrt(w1 / w2)
+    return (4 / (1 + 2 * t * (u + 1 / u))) ** (2 * power), (x, 1 / x)
+
+
+def _cone_ratio(form, w1: float, w2: float,
+                t: float = math.inf) -> tuple[float, float]:
+    """ell^(1/power) = 16 (t n1 + d1)(t n2 + d2) / (1 + 2 t s)^2 of the cone
+    detector of direction (w1, w2) at scale t (module docstring), and a
+    first-order bound on its relative rounding error in units of the machine
+    epsilon.  It is evaluated divided through by t^2, so t = inf gives the
+    large-detector limit 4 n1 n2 / s^2."""
+    u = math.sqrt(w1) * math.sqrt(w2)
+    den = 2 * (u + 1 / u) + 1 / t
+    ratio, cond = 16.0, 0.0
+    for (a, b, c), w in zip(_abs_triples(form), (w1, w2)):
+        f = w * b + a / w - 2 * c + (a * b - c * c) / t
+        if not f > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
+            where = ("in the large-detector limit" if t == math.inf
+                     else f"at detector scale {t:g}")
+            raise NonPositiveDeterminantError(
+                f"det(gamma + gamma_M) is non-positive {where}")
+        ratio *= f / den
+        cond = max(cond, (w * b + a / w + 2 * c + (a * b + c * c) / t) / f)
+    return ratio, cond
 
 
 def _limit_argmin(form) -> tuple[float, tuple[float, float], str]:
@@ -233,18 +234,29 @@ def _limit_argmin(form) -> tuple[float, tuple[float, float], str]:
     (c2 x + b2); equating them leaves (a2 c1 + b1 c2) x^2 + (b1 b2 - a1 a2) x
     - (a1 c2 + b2 c1) = 0, whose leading coefficient is >= 0 and constant
     term <= 0, so it has exactly one positive root unless c1 = c2 = 0.  The
-    root is compared with the limits along the four edges x, y -> 0, inf.
-    For a product form (c1 = c2 = 0) the infimum is 4 min(a1 a2, b1 b2).
+    root is compared with the limits along the four edges x -> 0, inf (at
+    y = c2/b2, a2/c2) and y -> 0, inf (at x = c1/b1, a1/c1).  For a product
+    form (c1 = c2 = 0) the infimum is the least edge, 4 min(a1 a2, b1 b2).
 
     Returns (minimum, direction (w1, w2), path) with path "root", "edge" or
-    "product"; edge and product minima are approached only at infinity, so
-    they report the fixed finite direction w = (1, 1).
+    "product".  Edge and product minima are approached only at infinity, so
+    they report the finite direction on the winning edge with the far
+    coordinate at eps (or 1/eps) and the other clipped to [eps, 1/eps].
     """
-    (a1, b1, c1), (a2, b2, c2), _ = _limit_objective(form)
+    (a1, b1, c1), (a2, b2, c2) = _abs_triples(form)
+    eps = _EDGE_EPS
+
+    def clip(z):
+        return min(max(z, eps), 1 / eps)
+
+    edges = [(a1 * (a2 - c2 ** 2 / b2), (eps, clip(c2 / b2))),
+             (b1 * (b2 - c2 ** 2 / a2), (1 / eps, 1 / clip(c2 / a2))),
+             (a2 * (a1 - c1 ** 2 / b1), (clip(c1 / b1), eps)),
+             (b2 * (b1 - c1 ** 2 / a1), (1 / clip(c1 / a1), 1 / eps))]
+    edge, w_edge = min(edges, key=lambda e: e[0])
+    edge *= 4
     if c1 == 0 and c2 == 0:
-        return 4 * min(a1 * a2, b1 * b2), (1.0, 1.0), "product"
-    edge = 4 * min(a1 * (a2 - c2 ** 2 / b2), b1 * (b2 - c2 ** 2 / a2),
-                   a2 * (a1 - c1 ** 2 / b1), b2 * (b1 - c1 ** 2 / a1))
+        return edge, w_edge, "product"
     qa, qb, qc = a2 * c1 + b1 * c2, b1 * b2 - a1 * a2, a1 * c2 + b2 * c1
     disc = math.sqrt(qb * qb + 4 * qa * qc)
     # the positive root, in the form free of cancellation for the sign of qb
@@ -256,12 +268,12 @@ def _limit_argmin(form) -> tuple[float, tuple[float, float], str]:
         x = math.inf   # qa underflowed: the root is at the edge
     y = (a2 * x + c2) / (c2 * x + b2)
     if 0 < x < math.inf and 0 < y < math.inf:
-        val = _limit_ratio(form, x, y)
+        val = _cone_ratio(form, x, y)[0]
         # a root that does not beat the edges by more than rounding lies at
         # infinity to working precision (|c| -> 0 sends x or 1/x -> inf)
         if val < edge * (1 - _EDGE_MARGIN):
             return val, (x, y), "root"
-    return edge, (1.0, 1.0), "edge"
+    return edge, w_edge, "edge"
 
 
 @dataclass(frozen=True)
@@ -278,44 +290,41 @@ class WitnessReport:
     diagnostics: dict
 
 
-def minmax_optimize(gamma: CovMatrix, scales=(1e2, 1e3, 1e4)) -> WitnessReport:
+def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
     """Minimize the detection ratio over detectors of the state's family.
 
     The outer minimum over detector directions on the degenerate cone is the
     closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
-    matched detector is realized at finite scales t and the ratio convergence
-    along t is reported as the scaling audit.
+    matched detector is realized at the scales `AUDIT_SCALES`, where Lambda
+    (`_cone_lambda`) and ell (`_cone_ratio`) are closed forms too; the ratio
+    along t is the scaling audit, and `diagnostics["ell_rel_err"]` bounds the
+    relative rounding error of the reported ell to first order.
     """
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
-    gamma_std = form.to_cm()
+    power = 0.5 if family is Family.TWO_MODE else 1.0
     limit, (w1, w2), path = _limit_argmin(form)
     if not limit > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
         raise NonPositiveDeterminantError(
             "det(gamma + gamma_M) is non-positive in the large-detector limit")
-    ell_limit = float(limit ** _limit_objective(form)[2])
-    c5, c6 = _signed_c(form)
+    ell_limit = float(limit ** power)
+    (_, _, c5), (_, _, c6) = quadrature_triples(form)
     direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
                              np.sign(c5) or 1.0, np.sign(c6) or 1.0)
-    audit = tuple((float(t), ell_ratio(gamma_std, direction.scaled(t)))
-                  for t in scales)
-    matched = direction.scaled(scales[-1])
-    lam, xy = lambda_closed_form(matched)
-    trace = gaussian_overlap(gamma_std, matched.to_cm())
-    ell = lam / trace
+    audit = []
+    for t in AUDIT_SCALES:
+        ratio, cond = _cone_ratio(form, w1, w2, t)
+        audit.append((t, ratio ** power))
+    ell = audit[-1][1]
+    lam, xy = _cone_lambda(w1, w2, AUDIT_SCALES[-1], power)
     boundary = abs(ell - 1) <= TOL_ELL_BOUNDARY or abs(ell_limit - 1) <= TOL_ELL_BOUNDARY
     return WitnessReport(
-        lam=float(lam), ell=float(ell), ell_limit=ell_limit,
-        matched_params=matched, argmax_xy=(float(xy[0]), float(xy[1])),
-        trace_mean=float(trace), scaling_audit=audit,
+        lam=lam, ell=ell, ell_limit=ell_limit,
+        matched_params=direction.scaled(AUDIT_SCALES[-1]), argmax_xy=xy,
+        trace_mean=lam / ell, scaling_audit=tuple(audit),
         entangled=(not boundary) and ell < 1, boundary=boundary,
-        diagnostics={"path": path})
-
-
-def _signed_c(form) -> tuple[float, float]:
-    if isinstance(form, TwoModeStandardForm):
-        return form.c1, form.c2
-    return form.E, form.F
+        diagnostics={"path": path,
+                     "ell_rel_err": sys.float_info.epsilon * power * cond})
 
 
 def matched_witness(gamma: CovMatrix) -> tuple[float, DetectorSpec, float]:

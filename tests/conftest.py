@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 import scipy.optimize as opt
 
-from cvwitness.criteria import WWFamilyParams, _feasibility_conditions, simon_lhs
-from cvwitness.standard_form import Family, TwoModeStandardForm
+from cvwitness.criteria import WWFamilyParams, simon_lhs
+from cvwitness.exceptions import (DimensionMismatchError,
+                                  NonPositiveDeterminantError)
+from cvwitness.standard_form import (Family, TwoModeStandardForm,
+                                     quadrature_triples)
 from cvwitness.symplectic import CovMatrix
-from cvwitness.witness import DetectorSpec, _limit_ratio
+from cvwitness.witness import DetectorSpec, _cone_ratio, _min_det_factors
 
 
 def tmsv_form(r: float) -> TwoModeStandardForm:
@@ -79,6 +82,21 @@ def rng():
     return np.random.default_rng(0)
 
 
+def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
+    """Determinant oracle for the detection ratio:
+    sqrt(det(gamma + gamma_M) / min_{x,y} det(gamma_A (+) gamma_B + gamma_M)),
+    the minimum by the Newton solve `_min_det_factors`."""
+    gm = d.to_cm()
+    if gm.dim != gamma.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {gamma.dim} vs {gm.dim}")
+    num = np.linalg.det(gamma.mat + gm.mat)
+    if num <= 0:
+        raise NonPositiveDeterminantError("det(gamma + gamma_M) is non-positive")
+    val, _ = _min_det_factors(d)
+    den = val ** 2 if d.family is Family.WERNER_WOLF else val
+    return float(np.sqrt(num / den))
+
+
 def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
                       budget: int = 10_000) -> float:
     """Oracle for the closed-form witness min-max: the smallest limit ratio
@@ -86,7 +104,7 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
     rng = np.random.default_rng(seed)
 
     def objective(v):
-        return _limit_ratio(form, np.exp(v[0]), np.exp(v[1]))
+        return _cone_ratio(form, np.exp(v[0]), np.exp(v[1]))[0]
 
     starts = [np.zeros(2)] + [rng.uniform(-2, 2, 2) for _ in range(restarts)]
     return float(min(
@@ -141,7 +159,7 @@ def grid_certificate(form, grid: int = 256) -> tuple[float, float, float] | None
     (x, y) box with the largest slack of the two conditions on a grid x grid
     mesh, refined by Nelder-Mead in (log x, log y).  Returns (x, y, slack),
     or None when the box is empty."""
-    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
 
     def slack(x, y):
         u1, v1 = a1 - x / 2, b1 - y / 2

@@ -4,12 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
-                                _feasibility_conditions, certificate_min_eig,
-                                decide_separability, feasibility_search,
-                                ppt_decide, simon_lhs, werner_wolf_family,
+                                certificate_min_eig, decide_separability,
+                                feasibility_search, ppt_decide, simon_lhs,
+                                werner_wolf_family,
                                 werner_wolf_family_lhs_claim, werner_wolf_lhs)
 from cvwitness.exceptions import ConstraintViolatedError, PatternMismatchError
-from cvwitness.standard_form import TwoModeStandardForm, WernerWolfForm
+from cvwitness.standard_form import (TwoModeStandardForm, WernerWolfForm,
+                                    quadrature_triples)
 from cvwitness.symplectic import CovMatrix
 
 from conftest import grid_certificate, sample_ww_family_params, tmsv_form
@@ -111,7 +112,7 @@ def test_decide_rejects_wrong_partition():
 def _phi(form, x):
     """phi(x) = 4 f1 f2 where both factors are positive, else 0 (numpy);
     a zero correlation drops its term also where its denominator is 0."""
-    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
     u, w = a1 - x / 2, a2 - 1 / (2 * x)
     with np.errstate(divide="ignore", invalid="ignore"):
         f1 = np.where(u > 0, b1 - c1 ** 2 / u, b1 * ((u == 0) & (c1 ** 2 == 0)))
@@ -154,8 +155,8 @@ def test_certificate_matches_grid_oracle(form):
 @given(_forms())
 def test_peak_dominates_dense_scan(form):
     assume(form.to_cm().is_physical())
-    (a1, _, _), (a2, _, _) = _feasibility_conditions(form)
-    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    (a1, _, _), (a2, _, _) = quadrature_triples(form)
+    x, f1, f2 = _peak(*quadrature_triples(form))
     scan = _phi(form, np.linspace(1 / (2 * a2), 2 * a1, 20001))
     assert 4 * f1 * f2 >= np.max(scan) * (1 - 1e-12)
 
@@ -185,11 +186,11 @@ def test_certificate_interior_root(form):
     log phi, between the two bounds on y."""
     assert certificate_min_eig(form, 1.0, 1.0) < -TOL_CERT
     x, y = feasibility_search(form)
-    _, f1, f2 = _peak(*_feasibility_conditions(form))
+    _, f1, f2 = _peak(*quadrature_triples(form))
     assert abs(4 * f1 * f2 - _phi(form, np.array(x))) < 1e-12 * f1 * f2
     h = 1e-5 * x
     assert abs(np.log(_phi(form, np.array(x + h)) / _phi(form, np.array(x - h)))) < 1e-8
-    (a1, b1, c1), (a2, b2, c2) = _feasibility_conditions(form)
+    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
     g1 = 2 * (b1 - c1 ** 2 / (a1 - x / 2))
     g2 = 1 / (2 * (b2 - c2 ** 2 / (a2 - 1 / (2 * x))))
     assert g2 < y < g1 and abs(y - np.sqrt(g1 * g2)) < 1e-12 * y
@@ -198,7 +199,7 @@ def test_certificate_interior_root(form):
 def test_no_certificate_below_one():
     """An entangled form: (1, 1) fails and max phi < 1."""
     form = tmsv_form(0.4)
-    x, f1, f2 = _peak(*_feasibility_conditions(form))
+    x, f1, f2 = _peak(*quadrature_triples(form))
     assert 4 * f1 * f2 < 1
     assert feasibility_search(form) is None
 

@@ -2,23 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvwitness
-from cvwitness.channel import detector_to_channel
 from cvwitness.cli import _VERDICT_EXIT, main
 from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability,
                                 ppt_decide, werner_wolf_family)
 from cvwitness.exceptions import DimensionMismatchError, NonZeroMeanError
-from cvwitness.io import (dump_channel, load_channel, load_cm, load_detector,
-                          load_nongauss)
+from cvwitness.io import load_cm, load_detector, load_nongauss
 from cvwitness.nongauss import NonGaussState, decide_separability_nongauss
 from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix
-from cvwitness.witness import DetectorSpec, minmax_optimize
+from cvwitness.witness import minmax_optimize
 
 from conftest import tmsv_form
 
@@ -73,18 +72,6 @@ def test_load_detector(tmp_path):
     assert d.m5 == 0.5 and d.m6 == -0.4
 
 
-def test_channel_roundtrip(tmp_path):
-    d = DetectorSpec(Family.TWO_MODE, 1.2, 1.6, 1.3, 1.3, 0.6, -0.45)
-    ch = detector_to_channel(d)
-    path = tmp_path / "chan.json"
-    dump_channel(ch, str(path))
-    back = load_channel(str(path))
-    assert np.allclose(back.k, ch.k)
-    assert np.allclose(back.alpha, ch.alpha)
-    assert back.m3_prime == ch.m3_prime
-    assert back.m4_prime == ch.m4_prime
-
-
 def test_cli_tmsv_entangled(tmp_path, capsys):
     path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat)
     code = main(["check", path])
@@ -116,7 +103,8 @@ def test_cli_witness_criterion(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 2
     assert report["report"]["ell"] < 1
-    assert report["report"]["diagnostics"] == {"path": "root"}
+    assert report["report"]["diagnostics"]["path"] == "root"
+    assert report["report"]["diagnostics"]["ell_rel_err"] < 1e-13
 
 
 def test_cli_nongauss(tmp_path, capsys):
@@ -133,6 +121,19 @@ def test_cli_family_criterion_mismatch(tmp_path, capsys):
     code = main(["check", path, "--criterion", "wernerwolf"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity"])
+def test_cli_rejects_non_finite_cm(tmp_path, capsys, entry):
+    """A JSON NaN or Infinity in the CM is a typed error: exit 1 with one
+    message line, no numpy error or warning."""
+    path = tmp_path / "bad.json"
+    path.write_text('{"n_modes": 2, "cm": [[%s, 0, 0, 0], [0, 1, 0, 0], '
+                    '[0, 0, 1, 0], [0, 0, 0, 1]]}' % entry)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", str(path), "--criterion", "ppt"]) == 1
+    assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
 
 
 def test_cli_missing_file(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,14 @@ def test_symplectic_form_structure():
 def test_covmatrix_rejects_odd_dimension():
     with pytest.raises(DimensionMismatchError):
         CovMatrix(np.eye(3))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_covmatrix_rejects_non_finite(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match="non-finite"):
+            CovMatrix(np.array([[entry, 0.0], [0.0, 1.0]]))
 
 
 def test_vacuum_is_physical_boundary():

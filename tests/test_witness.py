@@ -1,24 +1,29 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize as opt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cvwitness import witness
 from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError, NotEntangledError,
                                   OptimizerStalledError)
-from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
+from cvwitness.standard_form import (Family, TwoModeStandardForm,
+                                     WernerWolfForm, detect_family,
+                                     quadrature_triples,
+                                     reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, gaussian_overlap
-from cvwitness.witness import (DetectorSpec, _min_det_factors,
-                               detector_from_cm, ell_factorized, ell_ratio,
+from cvwitness.witness import (DetectorSpec, _cone_lambda, _cone_ratio,
+                               _min_det_factors, detector_from_cm,
                                lambda_closed_form, matched_witness,
                                minmax_optimize)
 
-from conftest import (nelder_mead_limit, sample_standard_form,
-                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
+from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
+                      tmsv_form)
 
 # derandomized and without an example database: tier-1 stays deterministic
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -46,28 +51,6 @@ def test_lambda_thermal_product():
     lam, _ = lambda_closed_form(d)
     # vacuum maximizes each thermal factor: (1/(nbar+1))^2
     assert abs(lam - 0.25) < 1e-12
-
-
-def test_ell_ratio_equals_factorized(rng):
-    for _ in range(30):
-        f = sample_standard_form(rng)
-        d = sample_two_mode_detector(rng, physical=False)
-        try:
-            e1 = ell_ratio(f.to_cm(), d)
-            e2 = ell_factorized(f, d)
-        except Exception:
-            continue
-        assert abs(e1 - e2) < 1e-9 * max(1.0, e1)
-
-
-def test_ww_ell_ratio_equals_factorized(rng):
-    p = WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0)
-    form = werner_wolf_family(p)
-    for _ in range(10):
-        d = sample_ww_detector(rng)
-        e1 = ell_ratio(form.to_cm(), d)
-        e2 = ell_factorized(form, d)
-        assert abs(e1 - e2) < 1e-9 * max(1.0, e1)
 
 
 def test_minmax_tmsv_limit_is_exponential():
@@ -183,24 +166,71 @@ def test_ell_limit_sign_matches_criterion(form):
     assert np.sign(rep.ell_limit - 1) == np.sign(lhs)
 
 
-@pytest.mark.parametrize("a, b", [(0.7, 1.9), (2.5, 0.6)])
-def test_product_form_limit(a, b):
-    rep = minmax_optimize(TwoModeStandardForm(a, b, 0.0, 0.0).to_cm())
-    assert rep.diagnostics == {"path": "product"}
-    assert abs(rep.ell_limit - 2 * min(a, b)) <= 1e-12
-    assert rep.matched_params.params[:2] == (1e4, 1e4)   # w = (1, 1)
+def _check_cone_closed_form(form, family, power, lw1, lw2, t):
+    w1, w2 = math.exp(lw1), math.exp(lw2)
+    (_, _, c5), (_, _, c6) = quadrature_triples(form)
+    d = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
+                     np.sign(c5) or 1.0, np.sign(c6) or 1.0).scaled(t)
+    lam, (x, y) = _cone_lambda(w1, w2, t, power)
+    assert abs(lam / lambda_closed_form(d)[0] - 1) <= 1e-10
+    m1, m2, m3, m4, m5, m6 = d.params
+    g1g2 = ((m1 + x / 2) * (m3 + y / 2) - m5 ** 2) \
+        * ((m2 * x + 0.5) * (m4 * y + 0.5) - m6 ** 2 * x * y) / (x * y)
+    assert abs(g1g2 ** -power / lam - 1) <= 1e-10   # (x, y) is the argmin
+    ell = _cone_ratio(form, w1, w2, t)[0] ** power
+    assert abs(ell / ell_ratio(form.to_cm(), d) - 1) <= 1e-10
 
 
-@pytest.mark.parametrize("form, path", [
+_CONE_SCALE = st.sampled_from([1.0, 1e2, 1e4])
+
+
+@PROPERTY
+@given(two_mode_forms(), _unit(-3, 3), _unit(-3, 3), _CONE_SCALE)
+def test_cone_closed_form_matches_oracles_two_mode(form, lw1, lw2, t):
+    """On cone detectors, Lambda and ell in closed form match the Newton
+    solve `_min_det_factors` and the determinant oracle `ell_ratio`."""
+    _check_cone_closed_form(form, Family.TWO_MODE, 0.5, lw1, lw2, t)
+
+
+@PROPERTY
+@given(ww_forms(), _unit(-3, 3), _unit(-3, 3), _CONE_SCALE)
+def test_cone_closed_form_matches_oracles_ww(form, lw1, lw2, t):
+    _check_cone_closed_form(form, Family.WERNER_WOLF, 1.0, lw1, lw2, t)
+
+
+_PATH_FORMS = [
     (tmsv_form(0.5), "root"),
     (TwoModeStandardForm(1.2, 0.8, 0.0, 0.0), "product"),
     # |c2| = 1e-12 puts the root at x ~ 1e12, where it does not beat the
     # x -> inf edge limit 4 b (b - c2^2 / a) by more than rounding
     (TwoModeStandardForm(2.0, 1.0, 0.0, 1e-12), "edge"),
-])
+    # |c1| = 1e-7: the y -> 0 edge limit 4 a (a - c1^2 / b) is the least by a
+    # few ulps, and the root does not beat it by more than rounding
+    (TwoModeStandardForm(0.6, 1.5, 1e-7, 0.0), "edge"),
+]
+_WW_PATH_FORMS = [
+    (werner_wolf_family(WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0)), "root"),
+    (WernerWolfForm(0.7, 0.7, 1.9, 1.9, 0.0, 0.0), "product"),
+    (WernerWolfForm(2.0, 2.0, 1.0, 1.0, 1e-12, 0.0), "edge"),
+    (WernerWolfForm(0.6, 0.6, 1.5, 1.5, 1e-7, 0.0), "edge"),
+]
+
+
+@pytest.mark.parametrize("a, b", [(0.7, 1.9), (2.5, 0.6)])
+def test_product_form_limit(a, b):
+    rep = minmax_optimize(TwoModeStandardForm(a, b, 0.0, 0.0).to_cm())
+    assert rep.diagnostics["path"] == "product"
+    assert abs(rep.ell_limit - 2 * min(a, b)) <= 1e-12
+    # the finite direction on the winning edge, (eps, eps) for a < b and
+    # (1/eps, 1/eps) otherwise, eps = 1e-2; it matches ell to ell_limit
+    assert rep.matched_params.params[:2] == ((1e2, 1e2) if a < b else (1e6, 1e6))
+    assert abs(rep.ell / rep.ell_limit - 1) <= 1e-3
+
+
+@pytest.mark.parametrize("form, path", _PATH_FORMS)
 def test_diagnostics_path(form, path):
     rep = minmax_optimize(form.to_cm())
-    assert rep.diagnostics == {"path": path}
+    assert rep.diagnostics["path"] == path
     assert rep.ell_limit > 0 and math.isfinite(rep.ell)
 
 
@@ -208,6 +238,65 @@ def test_edge_limit_value():
     rep = minmax_optimize(TwoModeStandardForm(2.0, 1.0, 0.0, 1e-12).to_cm())
     # x -> inf edge: 4 b1 (b2 - c2^2 / a2) = 4, so ell_limit = 2
     assert abs(rep.ell_limit - 2.0) <= 1e-12
+    assert abs(rep.ell / rep.ell_limit - 1) <= 1e-3
+
+
+@pytest.mark.parametrize("form, path", _PATH_FORMS + _WW_PATH_FORMS)
+def test_minmax_forms_no_determinant(form, path, monkeypatch):
+    """Past the standard-form reduction (whose single-mode normalization
+    takes 2x2 determinants, and which is stubbed here), the witness forms no
+    determinant and runs no Newton solve on any path, and the finite matched
+    detector reproduces the limit."""
+    gamma = form.to_cm()
+    reduced = reduce_to_standard_form(gamma, detect_family(gamma))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("determinant on the witness path")
+
+    monkeypatch.setattr(witness, "reduce_to_standard_form", lambda g, f: reduced)
+    monkeypatch.setattr(witness, "_min_det_factors", boom)
+    monkeypatch.setattr(np.linalg, "det", boom)
+    rep = minmax_optimize(gamma)
+    assert rep.diagnostics["path"] == path
+    assert abs(rep.ell / rep.ell_limit - 1) <= 1e-3
+
+
+def test_ell_rel_err_diagnostic():
+    """The rounding bound flags the TMSV rungs where d_i = a_i b_i - c_i^2
+    cancels (r = 8.3) and stays at rounding level at moderate squeezing."""
+    assert minmax_optimize(tmsv_form(8.3).to_cm()).diagnostics["ell_rel_err"] > 1e-3
+    assert minmax_optimize(tmsv_form(0.5).to_cm()).diagnostics["ell_rel_err"] < 1e-13
+
+
+def test_tmsv_ell_matches_50_digit_reference():
+    """ell for TMSV r = 3 against a 50-digit evaluation of its definition on
+    the same standard form and matched detector: det(gamma + gamma_M) by
+    mpmath and min G1 G2 / (x y) by mpmath's Newton on the gradient."""
+    gamma = tmsv_form(3.0).to_cm()
+    rep = minmax_optimize(gamma)
+    form, _ = reduce_to_standard_form(gamma, Family.TWO_MODE)
+    with mpmath.workdps(50):
+        m1, m2, m3, m4, m5, m6 = (mpmath.mpf(float(p))
+                                  for p in rep.matched_params.params)
+        half = mpmath.mpf(1) / 2
+
+        def factors(x, y):
+            return ((m1 + x / 2) * (m3 + y / 2) - m5 ** 2,
+                    (m2 * x + half) * (m4 * y + half) - m6 ** 2 * x * y)
+
+        def grad(x, y):   # of log(G1 G2 / (x y))
+            g1, g2 = factors(x, y)
+            return [(m3 + y / 2) / (2 * g1)
+                    + (m2 * (m4 * y + half) - m6 ** 2 * y) / g2 - 1 / x,
+                    (m1 + x / 2) / (2 * g1)
+                    + (m4 * (m2 * x + half) - m6 ** 2 * x) / g2 - 1 / y]
+
+        x, y = mpmath.findroot(grad, tuple(map(mpmath.mpf, rep.argmax_xy)))
+        g1, g2 = factors(x, y)
+        det = mpmath.det(mpmath.matrix(form.to_cm().mat.tolist())
+                         + mpmath.matrix(rep.matched_params.to_cm().mat.tolist()))
+        ref = mpmath.sqrt(det * x * y / (g1 * g2))
+        assert abs(rep.ell / ref - 1) <= 1e-12
 
 
 # ---------------------------------------------- determinant-factor minimum

@@ -13,8 +13,8 @@ from .criteria import (CriterionReport, PptReport, Verdict, WWFamilyParams,
                        werner_wolf_family, werner_wolf_family_lhs_claim,
                        werner_wolf_lhs)
 from .exceptions import CvWitnessError
-from .fock import (SeesawResult, displacement_element, fock_cm, fock_mean,
-                   gaussian_op_fock, seesaw_lambda)
+from .fock import (SeesawResult, displacement_element, gaussian_op_fock,
+                   seesaw_lambda)
 from .nongauss import (NonGaussState, asymptotic_check, build_fock_state,
                        decide_separability_nongauss, fock_direct_trace,
                        mean_on_detector, q_char)
@@ -36,8 +36,8 @@ __all__ = [
     "ppt_decide", "simon_lhs", "werner_wolf_family",
     "werner_wolf_family_lhs_claim", "werner_wolf_lhs",
     "CvWitnessError",
-    "SeesawResult", "displacement_element", "fock_cm", "fock_mean",
-    "gaussian_op_fock", "seesaw_lambda",
+    "SeesawResult", "displacement_element", "gaussian_op_fock",
+    "seesaw_lambda",
     "NonGaussState", "asymptotic_check", "build_fock_state",
     "decide_separability_nongauss", "fock_direct_trace",
     "mean_on_detector", "q_char",

@@ -5,8 +5,10 @@ operator is filled straight from its covariance matrix by the multidimensional
 Hermite (Bargmann) recurrence of Quesada et al., PRA 100, 022341 (2019) and
 Miatto & Quesada, Quantum 4, 366 (2020): every entry below the cutoff is exact,
 so the truncated trace measures the whole tail, thermal and squeezed alike.
-Displacements come from their own exact recurrence, means are plain traces,
-and the product-state maximum is found by an alternating eigenvector seesaw.
+The register is real whenever the CM has no x-p correlation, as every
+detector's has.  Displacements come from their own exact recurrence, and the
+product-state maximum is found by an alternating eigenvector seesaw that
+advances all its starts together, one pass over the operator per half-step.
 numpy only.
 """
 
@@ -22,50 +24,6 @@ from .symplectic import CovMatrix
 TAIL_TOL = 5e-2
 _MAX_FACT = 512
 _LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _MAX_FACT + 1)))))
-
-
-def destroy(cutoff: int) -> np.ndarray:
-    """Single-mode annihilation operator truncated at `cutoff` levels."""
-    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
-
-
-def mode_op(op: np.ndarray, mode: int, n_modes: int, cutoff: int) -> np.ndarray:
-    """Embed a single-mode operator at position `mode` of an n-mode register."""
-    mats = [np.eye(cutoff)] * n_modes
-    mats[mode] = op
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def quadrature_ops(n_modes: int, cutoff: int) -> list[np.ndarray]:
-    """x_j = (a + a^dag)/sqrt(2), p_j = i(a^dag - a)/sqrt(2), interleaved."""
-    a = destroy(cutoff)
-    x = (a + a.T) / np.sqrt(2)
-    p = 1j * (a.T - a) / np.sqrt(2)
-    ops = []
-    for j in range(n_modes):
-        ops.append(mode_op(x, j, n_modes, cutoff))
-        ops.append(mode_op(p, j, n_modes, cutoff))
-    return ops
-
-
-def fock_cm(rho: np.ndarray, n_modes: int, cutoff: int) -> np.ndarray:
-    """Covariance matrix of a (zero-mean) Fock-space density operator.
-
-    Uses gamma_ij = Re Tr(rho R_i R_j), valid for Hermitian rho and R, so only
-    one dense product per quadrature is needed.
-    """
-    ops = quadrature_ops(n_modes, cutoff)
-    d = 2 * n_modes
-    prods = [rho @ op for op in ops]
-    gamma = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            val = float(np.real(np.sum(prods[i].T * ops[j])))
-            gamma[i, j] = gamma[j, i] = val
-    return gamma
 
 
 def displacement_element(m: int, k: int, mu: complex) -> complex:
@@ -138,28 +96,37 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
     every entry below the cutoff.
 
     The entries of `_bargmann` obey G_{k+e_i} = sum_j A_ij sqrt(k_j) G_{k-e_j}
-    / sqrt(k_i + 1).  Raises DimensionMismatchError for a cutoff below 1 or a
-    CM that is not positive definite, and CutoffTooSmallError when the
-    truncated trace drops below 1 - TAIL_TOL.
+    / sqrt(k_i + 1).  The register is float64 when A is real (a CM with no
+    x-p correlation), complex128 otherwise.  Raises DimensionMismatchError for
+    a cutoff below 1 or a CM that is not positive definite, and
+    CutoffTooSmallError when the truncated trace drops below 1 - TAIL_TOL.
     """
     if cutoff < 1:
         raise DimensionMismatchError(f"cutoff must be at least 1, got {cutoff}")
     n = gamma.n_modes
     g0, a = _bargmann(gamma)
-    g = np.zeros((cutoff,) * (2 * n), dtype=complex)
+    if not a.imag.any():
+        a = a.real
+    g = np.zeros((cutoff,) * (2 * n), dtype=a.dtype)
     g[(0,) * (2 * n)] = g0
+    root = np.sqrt(np.arange(1, cutoff))
     # Fill the entries whose first nonzero index is i, for i from the last
     # axis to the first: every G_{k-e_j} they need (j >= i) is filled already.
+    # The order A_ij (sqrt(k) G) and the product with 1/sqrt(t) (what complex
+    # division does) keep a real register bit for bit equal to a complex one.
     for i in reversed(range(2 * n)):
         tail = g[(0,) * i]
         for t in range(1, cutoff):
             # length-1 slices keep the axis, so even the last one is a view
             nxt, prev = tail[t:t + 1], tail[t - 1:t]
             for j in range(i + 1, 2 * n):
-                nxt += a[i, j] * ladder_on_axis(prev, j - i, dagger=True)
+                # a^dag on axis j, added in place: nxt[.., k, ..] gets
+                # A_ij sqrt(k) prev[.., k - 1, ..]
+                np.moveaxis(nxt, j - i, -1)[..., 1:] += (
+                    a[i, j] * (root * np.moveaxis(prev, j - i, -1)[..., :-1]))
             if t >= 2:
                 nxt += a[i, i] * np.sqrt(t - 1) * tail[t - 2:t - 1]
-            nxt /= np.sqrt(t)
+            nxt *= 1 / np.sqrt(t)
     rho = g.reshape(cutoff ** n, cutoff ** n)
     trace = float(np.real(np.trace(rho)))
     if not trace >= 1.0 - TAIL_TOL:
@@ -179,22 +146,6 @@ def mean_photon_defect(rho: np.ndarray, gamma: CovMatrix, cutoff: int) -> float:
     return 1 - n_fock / n_exact if n_exact != 0 else 0.0
 
 
-def fock_mean(rho: np.ndarray, op: np.ndarray) -> float:
-    """Re Tr(rho op)."""
-    if rho.shape != op.shape:
-        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {op.shape}")
-    return float(np.real(np.sum(rho.T * op)))
-
-
-def partial_trace(op: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one tensor factor of a bipartite operator."""
-    da, db = dims
-    t = op.reshape(da, db, da, db)
-    if keep == 0:
-        return np.trace(t, axis1=1, axis2=3)
-    return np.trace(t, axis1=0, axis2=2)
-
-
 @dataclass(frozen=True)
 class SeesawResult:
     value: float
@@ -204,9 +155,36 @@ class SeesawResult:
     converged: bool
 
 
-def _top_eigvec(h: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return float(w[-1]), v[:, -1]
+def _top_eigvec(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue (k,) and eigenvector (k, d) of the Hermitian part of
+    each matrix in a (k, d, d) stack."""
+    w, v = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2)
+    return w[:, -1], v[:, :, -1]
+
+
+def _op_on_a(m_op: np.ndarray, b: np.ndarray, da: int, db: int) -> np.ndarray:
+    """sum_jl b*_j M_{ij,kl} b_l for each row b of a (k, db) stack, in one
+    pass over M: with b* M = L_re + i L_im for L = [Re b*; Im b*] M (j summed
+    for each i), the result is (L_re Re b - L_im Im b) + i (L_re Im b +
+    L_im Re b), l summed."""
+    k = len(b)
+    el = (np.concatenate([b.real, -b.imag]) @ m_op.reshape(da, db, -1)
+          ).reshape(da, 2, k, da, db)
+    coef = np.stack([[b.real, -b.imag], [b.imag, b.real]])
+    re, im = np.einsum("rtsl,itskl->rsik", coef, el)
+    return re + 1j * im
+
+
+def _op_on_b(m_op: np.ndarray, a: np.ndarray, da: int, db: int) -> np.ndarray:
+    """sum_ik a*_i M_{ij,kl} a_k for each row a of a (k, da) stack, in one
+    pass over M: with a* M = Q_re + i Q_im for Q = [Re a*; Im a*] M, the
+    result is (Q_re Re a - Q_im Im a) + i (Q_re Im a + Q_im Re a), k summed."""
+    k = len(a)
+    q = (np.concatenate([a.real, -a.imag]) @ m_op.reshape(da, -1)
+         ).reshape(2, k, db, da, db)
+    coef = np.stack([[a.real, -a.imag], [a.imag, a.real]])
+    re, im = np.einsum("rtsk,tsjkl->rsjl", coef, q)
+    return re + 1j * im
 
 
 def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
@@ -214,49 +192,57 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
                   tol: float = 1e-12) -> SeesawResult:
     """max <a,b| M |a,b> over product pure states by alternating eigensolves.
 
-    The objective is monotonically nondecreasing along the alternation; each
-    restart begins from a random product state, plus one vacuum start.
+    Starts from the vacuum and from `restarts` random product states, all
+    advanced together: each half-step is one pass over M for every start
+    still running, real M stays real.  Along each start the objective is
+    nondecreasing (OptimizerStalledError otherwise, with the first offending
+    start's diagnostics); a start stops once it gains at most
+    tol * max(1, |value|) or after `max_iter` iterations.  The result is the
+    first start whose value is within tol * max(1, |best|) of the best.
+    Raises DimensionMismatchError for a shape that does not match `dims`,
+    `restarts` below 0 or `max_iter` below 1.
     """
     da, db = dims
     if m_op.shape != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator shape {m_op.shape} does not match dims {dims}")
-    # one matrix-vector pass over M per half-step; _top_eigvec symmetrizes
+    if restarts < 0 or max_iter < 1:
+        raise DimensionMismatchError(
+            f"need restarts >= 0 and max_iter >= 1, got {restarts} and {max_iter}")
     m_op = np.ascontiguousarray(m_op)
     rng = np.random.default_rng(seed)
-
-    def rand_vec(d):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        return v / np.linalg.norm(v)
-
-    vac = np.zeros(db, dtype=complex)
-    vac[0] = 1.0
-    starts = [vac] + [rand_vec(db) for _ in range(restarts)]
-    best = None
-    for b in starts:
-        val_prev = -np.inf
-        converged = False
-        iters = 0
-        a = None
-        for iters in range(1, max_iter + 1):
-            ha = np.conj(b) @ (m_op.reshape(-1, db) @ b).reshape(da, db, da)
-            val_a, a = _top_eigvec(ha)
-            hb = a @ (np.conj(a) @ m_op.reshape(da, -1)).reshape(db, da, db)
-            val, b = _top_eigvec(hb)
-            if val < val_a - 1e-10 or val < val_prev - 1e-10:
-                raise OptimizerStalledError(
-                    "seesaw objective decreased",
-                    diagnostics={"iteration": iters, "value": val,
-                                 "value_a": val_a, "value_prev": val_prev})
-            if val - val_prev <= tol * max(1.0, abs(val)):
-                converged = True
-                val_prev = val
-                break
-            val_prev = val
-        res = SeesawResult(value=float(val_prev), vec_a=a, vec_b=b,
-                           iterations=iters, converged=converged)
-        if best is None or res.value > best.value:
-            best = res
-    if best is None:
-        raise OptimizerStalledError("seesaw produced no iterate")
-    return best
+    starts = 1 + restarts
+    vec_b = np.zeros((starts, db), dtype=complex)
+    vec_b[0, 0] = 1.0
+    for s in range(1, starts):
+        v = rng.normal(size=db) + 1j * rng.normal(size=db)
+        vec_b[s] = v / np.linalg.norm(v)
+    vec_a = np.zeros((starts, da), dtype=complex)
+    value = np.full(starts, -np.inf)
+    iterations = np.zeros(starts, dtype=int)
+    converged = np.zeros(starts, dtype=bool)
+    running = np.arange(starts)
+    for it in range(1, max_iter + 1):
+        val_a, a = _top_eigvec(_op_on_a(m_op, vec_b[running], da, db))
+        val, b = _top_eigvec(_op_on_b(m_op, a, da, db))
+        prev = value[running]
+        bad = (val < val_a - 1e-10) | (val < prev - 1e-10)
+        if bad.any():
+            s = int(np.argmax(bad))
+            raise OptimizerStalledError(
+                "seesaw objective decreased",
+                diagnostics={"start": int(running[s]), "iteration": it,
+                             "value": float(val[s]), "value_a": float(val_a[s]),
+                             "value_prev": float(prev[s])})
+        vec_a[running], vec_b[running] = a, b
+        value[running], iterations[running] = val, it
+        stop = val - prev <= tol * np.maximum(1.0, np.abs(val))
+        converged[running[stop]] = True
+        running = running[~stop]
+        if not running.size:
+            break
+    best = value.max()
+    win = int(np.argmax(value >= best - tol * max(1.0, abs(best))))
+    return SeesawResult(value=float(value[win]), vec_a=vec_a[win],
+                        vec_b=vec_b[win], iterations=int(iterations[win]),
+                        converged=bool(converged[win]))

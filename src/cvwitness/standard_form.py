@@ -27,7 +27,7 @@ class TwoModeStandardForm:
     c2: float
 
     def to_cm(self) -> CovMatrix:
-        m = np.diag([self.a, self.a, self.b, self.b])
+        m = np.diag(np.array([self.a, self.a, self.b, self.b], dtype=float))
         m[0, 2] = m[2, 0] = self.c1
         m[1, 3] = m[3, 1] = -self.c2
         return CovMatrix(m)
@@ -45,7 +45,8 @@ class WernerWolfForm:
     F: float
 
     def to_cm(self) -> CovMatrix:
-        m = np.diag([self.A, self.B, self.A, self.B, self.C, self.D, self.C, self.D])
+        m = np.diag(np.array([self.A, self.B, self.A, self.B,
+                             self.C, self.D, self.C, self.D], dtype=float))
         m[0, 4] = m[4, 0] = self.E
         m[2, 6] = m[6, 2] = -self.E
         m[1, 7] = m[7, 1] = -self.F

@@ -64,7 +64,7 @@ class DetectorSpec:
 
     def to_cm(self) -> CovMatrix:
         if self.family is Family.TWO_MODE:
-            m = np.diag([self.m1, self.m2, self.m3, self.m4])
+            m = np.diag(np.array([self.m1, self.m2, self.m3, self.m4], dtype=float))
             m[0, 2] = m[2, 0] = self.m5
             m[1, 3] = m[3, 1] = -self.m6
             return CovMatrix(m)

@@ -8,7 +8,9 @@ import scipy.optimize as opt
 
 from cvwitness.criteria import WWFamilyParams, simon_lhs
 from cvwitness.exceptions import (DimensionMismatchError,
-                                  NonPositiveDeterminantError)
+                                  NonPositiveDeterminantError,
+                                  OptimizerStalledError)
+from cvwitness.fock import SeesawResult
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      quadrature_triples)
 from cvwitness.symplectic import CovMatrix
@@ -179,3 +181,123 @@ def grid_certificate(form, grid: int = 256) -> tuple[float, float, float] | None
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 2000})
     best = max([(xs[i], ys[j]), tuple(np.exp(res.x))], key=lambda p: slack(*p))
     return float(best[0]), float(best[1]), float(slack(*best))
+
+
+def destroy(cutoff: int) -> np.ndarray:
+    """Single-mode annihilation operator truncated at `cutoff` levels."""
+    return np.diag(np.sqrt(np.arange(1, cutoff)), k=1)
+
+
+def mode_op(op: np.ndarray, mode: int, n_modes: int, cutoff: int) -> np.ndarray:
+    """Embed a single-mode operator at position `mode` of an n-mode register."""
+    mats = [np.eye(cutoff)] * n_modes
+    mats[mode] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def quadrature_ops(n_modes: int, cutoff: int) -> list[np.ndarray]:
+    """x_j = (a + a^dag)/sqrt(2), p_j = i(a^dag - a)/sqrt(2), interleaved."""
+    a = destroy(cutoff)
+    x = (a + a.T) / np.sqrt(2)
+    p = 1j * (a.T - a) / np.sqrt(2)
+    ops = []
+    for j in range(n_modes):
+        ops.append(mode_op(x, j, n_modes, cutoff))
+        ops.append(mode_op(p, j, n_modes, cutoff))
+    return ops
+
+
+def fock_cm(rho: np.ndarray, n_modes: int, cutoff: int) -> np.ndarray:
+    """Covariance matrix of a (zero-mean) Fock-space density operator.
+
+    Uses gamma_ij = Re Tr(rho R_i R_j), valid for Hermitian rho and R, so only
+    one dense product per quadrature is needed.
+    """
+    ops = quadrature_ops(n_modes, cutoff)
+    d = 2 * n_modes
+    prods = [rho @ op for op in ops]
+    gamma = np.empty((d, d))
+    for i in range(d):
+        for j in range(i, d):
+            val = float(np.real(np.sum(prods[i].T * ops[j])))
+            gamma[i, j] = gamma[j, i] = val
+    return gamma
+
+
+def fock_mean(rho: np.ndarray, op: np.ndarray) -> float:
+    """Re Tr(rho op)."""
+    if rho.shape != op.shape:
+        raise DimensionMismatchError(f"shape mismatch {rho.shape} vs {op.shape}")
+    return float(np.real(np.sum(rho.T * op)))
+
+
+def partial_trace(op: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
+    """Trace out one tensor factor of a bipartite operator."""
+    da, db = dims
+    t = op.reshape(da, db, da, db)
+    if keep == 0:
+        return np.trace(t, axis1=1, axis2=3)
+    return np.trace(t, axis1=0, axis2=2)
+
+
+def _top_eigvec(h: np.ndarray) -> tuple[float, np.ndarray]:
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    return float(w[-1]), v[:, -1]
+
+
+def seesaw_reference(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
+                     seed: int = 0, max_iter: int = 200,
+                     tol: float = 1e-12) -> SeesawResult:
+    """Oracle for the batched seesaw: the starts run one after another, each
+    half-step a matrix-vector pass, and the first strictly best start wins.
+
+    max <a,b| M |a,b> over product pure states by alternating eigensolves.
+    The objective is monotonically nondecreasing along the alternation; each
+    restart begins from a random product state, plus one vacuum start.
+    """
+    da, db = dims
+    if m_op.shape != (da * db, da * db):
+        raise DimensionMismatchError(
+            f"operator shape {m_op.shape} does not match dims {dims}")
+    # one matrix-vector pass over M per half-step; _top_eigvec symmetrizes
+    m_op = np.ascontiguousarray(m_op)
+    rng = np.random.default_rng(seed)
+
+    def rand_vec(d):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return v / np.linalg.norm(v)
+
+    vac = np.zeros(db, dtype=complex)
+    vac[0] = 1.0
+    starts = [vac] + [rand_vec(db) for _ in range(restarts)]
+    best = None
+    for b in starts:
+        val_prev = -np.inf
+        converged = False
+        iters = 0
+        a = None
+        for iters in range(1, max_iter + 1):
+            ha = np.conj(b) @ (m_op.reshape(-1, db) @ b).reshape(da, db, da)
+            val_a, a = _top_eigvec(ha)
+            hb = a @ (np.conj(a) @ m_op.reshape(da, -1)).reshape(db, da, db)
+            val, b = _top_eigvec(hb)
+            if val < val_a - 1e-10 or val < val_prev - 1e-10:
+                raise OptimizerStalledError(
+                    "seesaw objective decreased",
+                    diagnostics={"iteration": iters, "value": val,
+                                 "value_a": val_a, "value_prev": val_prev})
+            if val - val_prev <= tol * max(1.0, abs(val)):
+                converged = True
+                val_prev = val
+                break
+            val_prev = val
+        res = SeesawResult(value=float(val_prev), vec_a=a, vec_b=b,
+                           iterations=iters, converged=converged)
+        if best is None or res.value > best.value:
+            best = res
+    if best is None:
+        raise OptimizerStalledError("seesaw produced no iterate")
+    return best

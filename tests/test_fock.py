@@ -4,18 +4,21 @@ from math import factorial, prod
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvwitness import fock
 from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   OptimizerStalledError)
-from cvwitness.fock import (destroy, displacement_element, displacement_matrix,
-                            fock_cm, fock_mean, gaussian_op_fock,
-                            partial_trace, quadrature_ops, seesaw_lambda)
+from cvwitness.fock import (displacement_element, displacement_matrix,
+                            gaussian_op_fock, seesaw_lambda)
 from cvwitness.standard_form import Family
 from cvwitness.symplectic import CovMatrix, is_symplectic, symplectic_form
 from cvwitness.witness import DetectorSpec, detector_from_cm, lambda_closed_form
 
-from conftest import dict_coeff_extract, random_physical_cm, tmsv_form
+from conftest import (destroy, dict_coeff_extract, fock_cm, fock_mean,
+                      partial_trace, random_physical_cm, seesaw_reference,
+                      tmsv_form)
 
 
 def test_destroy_commutator():
@@ -182,17 +185,20 @@ def _corner(rho, n_modes, cutoff, levels):
     return t.reshape(levels ** n_modes, levels ** n_modes)
 
 
-@pytest.mark.parametrize("gamma", [
-    DetectorSpec(Family.TWO_MODE, 1.3, 0.8, 1.1, 0.9, 0.6, -0.4).to_cm(),
-    CovMatrix(np.diag([0.3, 0.4])),
-    CovMatrix(np.array([[0.9, 0.3], [0.3, 0.7]])),
+@pytest.mark.parametrize("gamma, dtype", [
+    (DetectorSpec(Family.TWO_MODE, 1.3, 0.8, 1.1, 0.9, 0.6, -0.4).to_cm(), np.float64),
+    (CovMatrix(np.diag([0.3, 0.4])), np.float64),
+    (CovMatrix(np.array([[0.9, 0.3], [0.3, 0.7]])), np.complex128),
 ], ids=["squeezed-thermal", "nu-below-half", "xp-correlated"])
-def test_gaussian_op_matches_dense_route(gamma):
+def test_gaussian_op_matches_dense_route(gamma, dtype):
     """Every entry at cutoff 12 is exact: it matches the 12-level corner of
-    the reference built at cutoff 40."""
+    the reference built at cutoff 40.  A CM without x-p correlation fills a
+    real register."""
     n = gamma.n_modes
     ref = _corner(_dense_gaussian_op(gamma, 40), n, 40, 12)
-    assert np.max(np.abs(gaussian_op_fock(gamma, 12) - ref)) <= 1e-12
+    rho = gaussian_op_fock(gamma, 12)
+    assert rho.dtype == dtype
+    assert np.max(np.abs(rho - ref)) <= 1e-12
 
 
 def test_gaussian_op_four_mode_matches_coefficients():
@@ -349,3 +355,61 @@ def test_seesaw_decrease_raises_typed_error(monkeypatch):
     diag = info.value.diagnostics
     assert diag["iteration"] == 1
     assert diag["value"] < diag["value_a"]
+
+
+@st.composite
+def seesaw_cases(draw):
+    da = draw(st.integers(2, 6))
+    db = draw(st.integers(2, 6).filter(lambda d: d != da))
+    return (da, db, draw(st.booleans()), draw(st.integers(0, 5)),
+            draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seesaw_cases())
+def test_seesaw_matches_reference(case):
+    """All starts advanced together reach the value of the starts run one by
+    one, and the returned product state attains it."""
+    da, db, cplx, restarts, seed = case
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(da * db,) * 2)
+    if cplx:
+        g = g + 1j * rng.normal(size=g.shape)
+    m_op = (g + g.conj().T) / 2
+    res = seesaw_lambda(m_op, (da, db), restarts=restarts, seed=seed)
+    ref = seesaw_reference(m_op, (da, db), restarts=restarts, seed=seed)
+    scale = 1e-12 * max(1.0, abs(ref.value))
+    assert abs(res.value - ref.value) <= scale
+    ab = np.kron(res.vec_a, res.vec_b)
+    assert abs(np.vdot(ab, m_op @ ab).real - res.value) <= scale
+
+
+def test_seesaw_real_operator_as_complex():
+    """A real M gives the same value whether it is passed as float64 or as
+    complex128."""
+    d = DetectorSpec(Family.TWO_MODE, 1.3, 0.8, 1.1, 0.9, 0.6, -0.4)
+    rho = gaussian_op_fock(d.to_cm(), 15)
+    assert rho.dtype == np.float64
+    real = seesaw_lambda(rho, (15, 15), restarts=3)
+    cplx = seesaw_lambda(rho.astype(complex), (15, 15), restarts=3)
+    assert abs(real.value - cplx.value) <= 1e-12 * max(1.0, abs(real.value))
+
+
+def test_seesaw_reports_first_start_within_tol():
+    """Starts that reach the maximum up to rounding report the first of them,
+    here the vacuum start as it runs alone; one later restart ends 1.1e-16
+    higher after 8 iterations."""
+    d = DetectorSpec(Family.TWO_MODE, 0.7432057352641908, 1.4505534043693418,
+                     1.5712267139974918, 1.683897229043874,
+                     0.48419968974471883, 0.32982622728564637)
+    rho = gaussian_op_fock(d.to_cm(), 25)
+    res = seesaw_lambda(rho, (25, 25))
+    alone = seesaw_lambda(rho, (25, 25), restarts=0)
+    assert res.iterations == alone.iterations == 3
+    assert abs(res.value - alone.value) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"max_iter": 0}])
+def test_seesaw_rejects_bad_counts(kwargs):
+    with pytest.raises(DimensionMismatchError, match="restarts"):
+        seesaw_lambda(np.eye(4), (2, 2), **kwargs)

@@ -162,6 +162,16 @@ def test_cli_oracle(tmp_path, capsys):
     assert report["seed"] == 0 and "tolerances" not in report
 
 
+def test_cli_oracle_rejects_negative_restarts(tmp_path, capsys):
+    path = write_json(tmp_path / "det.json",
+                      {"family": "two_mode", "m": [1, 1, 1, 1, 0.4, -0.3]})
+    code = main(["oracle", path, "--cutoff", "8", "--restarts", "-1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "restarts" in err
+
+
 def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     """A TMSV detector at r = 1 is badly truncated at cutoff 10: the trace
     shows it and the mean photon number shows it more."""

@@ -15,7 +15,8 @@ from cvwitness.standard_form import TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import detector_from_cm
 
-from conftest import dict_coeff_extract, sample_two_mode_detector, tmsv_form
+from conftest import (destroy, dict_coeff_extract, mode_op,
+                      sample_two_mode_detector, tmsv_form)
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
 THERMAL_1 = CovMatrix(1.5 * np.eye(2))  # nbar = 1
@@ -35,7 +36,7 @@ def test_q_char_matches_fock():
     kernel = CovMatrix(np.diag([0.7, 0.9]))
     cutoff = 20
     rho = gaussian_op_fock(kernel, cutoff)
-    from cvwitness.fock import destroy, displacement_matrix
+    from cvwitness.fock import displacement_matrix
     import scipy.linalg as la
     a = destroy(cutoff)
     xi, eta = 0.1 + 0.05j, -0.07 + 0.12j
@@ -93,7 +94,6 @@ def test_mean_matches_fock_added_tmsv():
 
 def test_build_fock_state_matches_dense_ladders():
     """The index-shift ladders equal dense register products L rho L^dag."""
-    from cvwitness.fock import destroy, mode_op
     s = NonGaussState(TwoModeStandardForm(0.7, 0.65, 0.15, -0.1).to_cm(),
                       add=(1, 2), subtract=(2, 1))
     cutoff = 12

@@ -6,6 +6,7 @@ from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, is_symplectic
+from cvwitness.witness import DetectorSpec
 
 from conftest import sample_ww_family_params, tmsv_form
 from cvwitness.criteria import werner_wolf_family
@@ -82,6 +83,18 @@ def test_two_mode_form_cm_pattern():
     assert np.allclose(np.diag(m), [0.9, 0.9, 1.1, 1.1])
     # p-quadrature correlation enters with flipped sign
     assert m[0, 2] == 0.3 and m[1, 3] == 0.2
+
+
+@pytest.mark.parametrize("spec, entry", [
+    (TwoModeStandardForm(1, 1, 0.5, 0.5), (0, 2)),
+    (WernerWolfForm(1, 1, 1, 1, 0.5, 0.5), (0, 4)),
+    (DetectorSpec(Family.TWO_MODE, 1, 1, 1, 1, 0.5, 0.5), (0, 2)),
+], ids=["two-mode-form", "werner-wolf-form", "two-mode-detector"])
+def test_to_cm_of_integer_arguments_is_float(spec, entry):
+    """Integer diagonal arguments do not truncate the correlations."""
+    m = spec.to_cm().mat
+    assert m.dtype == np.float64
+    assert m[entry] == 0.5
 
 
 @pytest.mark.parametrize("r", [0.0, 0.7, 2.0])

@@ -241,6 +241,13 @@ def test_edge_limit_value():
     assert abs(rep.ell / rep.ell_limit - 1) <= 1e-3
 
 
+def test_integer_form_takes_same_path():
+    """An integer-valued form reaches the same min-max path as its float twin."""
+    paths = [minmax_optimize(TwoModeStandardForm(*p).to_cm()).diagnostics["path"]
+             for p in ((2, 1, 0, 1e-12), (2.0, 1.0, 0.0, 1e-12))]
+    assert paths == ["edge", "edge"]
+
+
 @pytest.mark.parametrize("form, path", _PATH_FORMS + _WW_PATH_FORMS)
 def test_minmax_forms_no_determinant(form, path, monkeypatch):
     """Past the standard-form reduction (whose single-mode normalization

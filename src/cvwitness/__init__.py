@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .channel import (GaussianChannel, channel_commutator_norm,
                       channel_output_char, channel_output_vs_fock,
                       detector_to_channel, exact_output_char,
-                      fock_output_char, overlap_identity_ratio)
+                      fock_output_char)
 from .criteria import (CriterionReport, PptReport, Verdict, WWFamilyParams,
                        certificate_min_eig, decide_separability,
                        feasibility_search, ppt_decide, simon_lhs,
@@ -17,11 +17,11 @@ from .fock import (SeesawResult, displacement_element, gaussian_op_fock,
                    seesaw_lambda)
 from .nongauss import (NonGaussState, asymptotic_check, build_fock_state,
                        decide_separability_nongauss, fock_direct_trace,
-                       mean_on_detector, q_char)
+                       mean_on_detector)
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
 from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
-                         cm_to_ccm, ccm_to_cm, gaussian_overlap, is_symplectic,
+                         cm_to_ccm, gaussian_overlap, is_symplectic,
                          symplectic_eigenvalues, symplectic_form, validate_cm)
 from .witness import (DetectorSpec, WitnessReport, detector_from_cm,
                       lambda_closed_form, matched_witness, minmax_optimize)
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     "GaussianChannel", "channel_commutator_norm", "channel_output_char",
     "channel_output_vs_fock", "detector_to_channel", "exact_output_char",
-    "fock_output_char", "overlap_identity_ratio",
+    "fock_output_char",
     "CriterionReport", "PptReport", "Verdict", "WWFamilyParams",
     "certificate_min_eig", "decide_separability", "feasibility_search",
     "ppt_decide", "simon_lhs", "werner_wolf_family",
@@ -40,11 +40,11 @@ __all__ = [
     "seesaw_lambda",
     "NonGaussState", "asymptotic_check", "build_fock_state",
     "decide_separability_nongauss", "fock_direct_trace",
-    "mean_on_detector", "q_char",
+    "mean_on_detector",
     "Family", "TwoModeStandardForm", "WernerWolfForm", "detect_family",
     "reduce_to_standard_form",
     "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",
-    "ccm_to_cm", "gaussian_overlap", "is_symplectic",
+    "gaussian_overlap", "is_symplectic",
     "symplectic_eigenvalues", "symplectic_form", "validate_cm",
     "DetectorSpec", "WitnessReport", "detector_from_cm", "lambda_closed_form",
     "matched_witness", "minmax_optimize",

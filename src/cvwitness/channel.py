@@ -12,7 +12,7 @@ import numpy as np
 
 from .exceptions import DegenerateLimitError, DimensionMismatchError
 from .standard_form import Family
-from .symplectic import CovMatrix, block_diag, symplectic_form
+from .symplectic import CovMatrix, symplectic_form
 from .witness import DetectorSpec
 
 
@@ -171,19 +171,3 @@ def channel_output_vs_fock(d: DetectorSpec, k: int, m: int, cutoff: int,
                            - exact_output_char(d_big, k, m, nu)))
     return dev
 
-
-def overlap_identity_ratio(d: DetectorSpec, gamma_a: np.ndarray,
-                           gamma_b: np.ndarray) -> float:
-    """Ratio of the direct detector mean to the channel-picture mean.
-
-    Direct: Tr(M rho_A x rho_B) = 1/sqrt(det(gamma_M + gamma_A (+) gamma_B)).
-    Channel picture: norm / sqrt(det(gamma_A + K^T gamma_B K + alpha)) with
-    norm = (M3' M4')^{-n/2}.  The ratio tends to 1 as the detector scale
-    grows; the deviation is O(1/M3').
-    """
-    ch = detector_to_channel(d)
-    gm = d.to_cm().mat
-    direct = 1.0 / np.sqrt(np.linalg.det(gm + block_diag(gamma_a, gamma_b)))
-    g_out = ch.k.T @ gamma_b @ ch.k + ch.alpha
-    via_channel = ch.norm_factor() / np.sqrt(np.linalg.det(gamma_a + g_out))
-    return float(direct / via_channel)

@@ -18,8 +18,8 @@ from .exceptions import ConstraintViolatedError, PatternMismatchError
 from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                             detect_family, quadrature_triples,
                             reduce_to_standard_form)
-from .symplectic import (TOL_PSD, CovMatrix, block_diag, symplectic_form,
-                         validate_cm)
+from .symplectic import (TOL_PSD, CovMatrix, block_diag,
+                         symplectic_eigenvalues, validate_cm)
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -122,9 +122,8 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     p = momentum_flip(n, party_b)
     pt = p @ gamma.mat @ p
     rep = validate_cm(CovMatrix(pt), tol)
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ pt)
-    min_nu = float(np.min(np.abs(eigs.real)))
-    return PptReport(is_ppt=rep.is_physical, min_pt_symplectic_eig=min_nu)
+    return PptReport(is_ppt=rep.is_physical,
+                     min_pt_symplectic_eig=float(symplectic_eigenvalues(pt)[0]))
 
 
 def _peak(cond1, cond2) -> tuple[float, float, float]:

@@ -38,8 +38,8 @@ class NotEntangledError(CvWitnessError):
 
 
 class OptimizerStalledError(CvWitnessError):
-    """An iterative solver (determinant minimization, Fock seesaw) exceeded
-    its iteration budget or stopped making progress."""
+    """The Fock seesaw stopped making progress: its objective decreased
+    along a start."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

@@ -39,17 +39,19 @@ def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
     try:
         n = int(obj["n_modes"])
         mat = np.asarray(obj["cm"], dtype=float)
+        _check_mean(obj, n)
+        partition = obj.get("partition")
+        if partition is not None:
+            partition = [int(m) for m in partition]
     except KeyError as exc:
         raise DimensionMismatchError(f"missing field {exc} in {path}") from exc
+    except (TypeError, ValueError) as exc:   # a field of the wrong structure
+        raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
     if mat.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(
             f"cm shape {mat.shape} does not match n_modes = {n}")
-    _check_mean(obj, n)
-    partition = obj.get("partition")
-    if partition is not None:
-        partition = [int(m) for m in partition]
-        if any(m < 0 or m >= n for m in partition):
-            raise DimensionMismatchError(f"partition {partition} out of range")
+    if partition is not None and any(m < 0 or m >= n for m in partition):
+        raise DimensionMismatchError(f"partition {partition} out of range")
     return CovMatrix(mat), partition
 
 
@@ -59,8 +61,11 @@ def load_nongauss(path: str) -> tuple[NonGaussState, list[int] | None]:
         obj = json.load(fh)
     kernel, partition = _parse_cm(obj, path)
     n = kernel.n_modes
-    add = tuple(int(v) for v in obj.get("add", [0] * n))
-    sub = tuple(int(v) for v in obj.get("subtract", [0] * n))
+    try:
+        add = tuple(int(v) for v in obj.get("add", [0] * n))
+        sub = tuple(int(v) for v in obj.get("subtract", [0] * n))
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
     return NonGaussState(kernel, add, sub), partition
 
 
@@ -71,7 +76,7 @@ def load_detector(path: str) -> DetectorSpec:
     try:
         family = Family(obj["family"])
         m = [float(v) for v in obj["m"]]
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"bad detector file {path}: {exc}") from exc
     if len(m) != 6:
         raise DimensionMismatchError(f"detector needs 6 parameters, got {len(m)}")

@@ -70,23 +70,6 @@ class NonGaussState:
         return sum(self.add) + sum(self.subtract)
 
 
-def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
-           mu: np.ndarray) -> complex:
-    """Characteristic function of the generating operator Q(xi, eta) at mu."""
-    n = kernel.n_modes
-    xi = np.asarray(xi, dtype=complex).reshape(n)
-    eta = np.asarray(eta, dtype=complex).reshape(n)
-    mu = np.asarray(mu, dtype=complex).reshape(n)
-    g = cm_to_ccm(kernel).mat
-    gp = g + _ladder_shift(n)
-    gm = g - _ladder_shift(n)
-    u = np.concatenate([xi, xi.conj()])
-    v = np.concatenate([eta, eta.conj()])
-    w = np.concatenate([mu, mu.conj()])
-    at_zero = np.exp(-0.5 * u @ gp @ u - u @ gm @ v - 0.5 * v @ gm @ v)
-    return at_zero * np.exp(-0.5 * w @ g @ w - u @ gp @ w - v @ gm @ w)
-
-
 def _quadratic_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:
     """Taylor coefficient of prod t_i^{target_i} in exp(1/2 t q t^T).
 

@@ -121,15 +121,6 @@ def cm_to_ccm(gamma: CovMatrix) -> ComplexCovMatrix:
     return ComplexCovMatrix(t.conj() @ gamma.mat @ t.conj().T)
 
 
-def ccm_to_cm(gamma_c: ComplexCovMatrix) -> CovMatrix:
-    t = _ccm_transform(gamma_c.n_modes)
-    mat = t.T @ gamma_c.mat @ t
-    imag = np.max(np.abs(mat.imag))
-    if imag > 1e-9:
-        raise DimensionMismatchError(f"CCM does not correspond to a real CM (imag residue {imag:g})")
-    return CovMatrix(mat.real)
-
-
 def gaussian_overlap(gamma_1: CovMatrix, gamma_2: CovMatrix, tol: float = 1e-12) -> float:
     """Tr(rho_1 rho_2) for zero-mean Gaussians: 1 / sqrt(|det(gamma_1 + gamma_2)|)."""
     if gamma_1.dim != gamma_2.dim:

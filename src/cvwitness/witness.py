@@ -3,8 +3,9 @@ the detection ratio, and the min-max search for the matched detector.
 
 For both supported detector families det(gamma_M + gamma_A (+) gamma_B)
 factorizes into two scalar factors g1, g2.  For a generic detector the
-product-state maximum Lambda is a safeguarded Newton minimization of g1 g2
-(`lambda_closed_form`).  The matched witness lies on the degenerate cone
+product-state maximum Lambda (`lambda_closed_form`) takes the minimum of g1 g2
+over y in closed form and bisects one monotone slope in log x.  The matched
+witness lies on the degenerate cone
 m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1, m2 = t w2, m4 = t/w2,
 m5 = +-t, m6 = +-t.  There, with s = u + 1/u and u = sqrt(w1 w2),
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (DimensionMismatchError, NonPositiveDeterminantError,
-                         NotEntangledError, OptimizerStalledError)
+                         NotEntangledError)
 from .standard_form import (Family, WernerWolfForm, detect_family,
                             quadrature_triples, reduce_to_standard_form)
 from .symplectic import CovMatrix
@@ -37,6 +38,10 @@ TOL_ELL_BOUNDARY = 1e-9
 #: relative gain over the edge limits below which the interior root of the
 #: limit ratio is taken to lie at infinity (a few ulps of rounding).
 _EDGE_MARGIN = 1e-14
+
+#: relative tolerance on m1 m3 - m5^2 >= 0 and m2 m4 - m6^2 >= 0: the cone
+#: detectors of the matched witness lie on m5^2 = m1 m3 up to rounding.
+_BLOCK_RTOL = 1e-12
 
 #: detector scales t of the scaling audit; the matched detector is the last.
 AUDIT_SCALES = (1e2, 1e3, 1e4)
@@ -92,89 +97,51 @@ def detector_from_cm(gamma: CovMatrix) -> DetectorSpec:
     return DetectorSpec(family, form.A, form.B, form.C, form.D, form.E, form.F)
 
 
-def _bilinear(c: tuple[float, float, float, float], x: float,
-              y: float) -> tuple[float, float, float, float]:
-    """G = c0 + cx x + cy y + cxy x y and its (log x, log y) derivatives
-    G_u, G_v, G_uv; since G is linear in each variable, G_uu = G_u and
-    G_vv = G_v."""
-    c0, cx, cy, cxy = c
-    gu = x * (cx + cxy * y)
-    gv = y * (cy + cxy * x)
-    return c0 + cy * y + gu, gu, gv, cxy * x * y
+def _min_det_factors(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
+    """Minimize g1(x, y) * g2(x, y) = G1 G2 / (x y) over x, y > 0.
 
-
-def _min_det_factors(d: DetectorSpec, tol: float = 1e-16,
-                     max_iter: int = 100) -> tuple[float, tuple[float, float]]:
-    """Minimize g1(x, y) * g2(x, y) over x, y > 0.
-
-    With g1 = G1 and g2 = G2 / (x y), where G1 = (m1 + x/2)(m3 + y/2) - m5^2
-    and G2 = (m2 x + 1/2)(m4 y + 1/2) - m6^2 x y are bilinear, the objective
-    in u = log x, v = log y is F = log G1 + log G2 - u - v.  It is convex for
-    a physical detector (both G are then posynomials in e^u, e^v).  A coarse
-    log grid seeds a Newton iteration with a backtracking line search; the
-    iteration stops once the Newton decrement, half of which estimates the
-    relative distance of the value from the minimum, falls below `tol`.
+    G1 = (m1 + x/2)(m3 + y/2) - m5^2 and G2 = (m2 x + 1/2)(m4 y + 1/2)
+    - m6^2 x y are positive on the whole quadrant exactly when both blocks
+    [[m1, m5], [m5, m3]] and [[m2, m6], [m6, m4]] are positive semidefinite
+    with m1..m4 > 0; anything else is refused.  At fixed x, G_i = alpha_i +
+    beta_i y, so the y-minimum is y* = sqrt(alpha1 alpha2 / (beta1 beta2)).
+    The objective is convex in (log x, log y), so its profile in u = log x
+    is convex and, by the envelope theorem, its slope x (dG1/dx / G1 +
+    dG2/dx / G2) - 1 at y* rises from -1 to 1: doubling [-1, 1] brackets
+    the root, which is then bisected.
     """
     m1, m2, m3, m4, m5, m6 = d.params
-    c1 = (m1 * m3 - m5 ** 2, m3 / 2, m1 / 2, 0.25)
-    c2 = (0.25, m2 / 2, m4 / 2, m2 * m4 - m6 ** 2)
-    xs = np.exp(np.linspace(-3, 3, 13))
-    xg, yg = np.meshgrid(xs, xs, indexing="ij")
-    prod = _bilinear(c1, xg, yg)[0] * _bilinear(c2, xg, yg)[0] / (xg * yg)
-    if np.min(prod) <= 0:
+    d1, d2 = m1 * m3 - m5 * m5, m2 * m4 - m6 * m6   # inf, where ** 2 raises
+    if not (all(map(math.isfinite, d.params)) and min(m1, m2, m3, m4) > 0
+            and d1 >= -_BLOCK_RTOL * m1 * m3 and d2 >= -_BLOCK_RTOL * m2 * m4):
         raise NonPositiveDeterminantError(
-            "det(gamma_M + gamma_A (+) gamma_B) is non-positive on the grid")
-    i, j = np.unravel_index(np.argmin(prod), prod.shape)
-    u, v = np.log(xs[i]), np.log(xs[j])
+            "det(gamma_M + gamma_A (+) gamma_B) is non-positive for some "
+            "product state: a detector quadrature block is not positive "
+            "semidefinite")
 
-    def objective(u, v):
-        x, y = math.exp(u), math.exp(v)
-        t1, t2 = _bilinear(c1, x, y), _bilinear(c2, x, y)
-        if t1[0] <= 0 or t2[0] <= 0:
-            return math.inf, t1, t2
-        return math.log(t1[0]) + math.log(t2[0]) - u - v, t1, t2
+    def at(u):
+        """The profile's slope in u, x = e^u, y* and G1 G2 / (x y*)."""
+        x = math.exp(u)
+        a1, b1 = d1 + m3 * x / 2, m1 / 2 + x / 4
+        a2, b2 = 0.25 + m2 * x / 2, m4 / 2 + d2 * x
+        # d1, d2 < 0 within tolerance: a1 <= 0 far left, b2 <= 0 far right
+        if a1 <= 0 or b2 <= 0:
+            return (1.0 if b2 <= 0 else -1.0), x, math.nan, math.nan
+        y = math.sqrt(a1 * a2 / (b1 * b2))
+        g1, g2 = a1 + b1 * y, a2 + b2 * y
+        slope = x * ((m3 / 2 + y / 4) / g1 + (m2 / 2 + d2 * y) / g2) - 1
+        return slope, x, y, g1 * g2 / (x * y)
 
-    f, t1, t2 = objective(u, v)
-    if math.isinf(f):
-        raise NonPositiveDeterminantError("determinant factor is non-positive")
-    decrement = math.inf
-    for it in range(max_iter):
-        (g1, g1u, g1v, g1uv), (g2, g2u, g2v, g2uv) = t1, t2
-        pu, pv, qu, qv = g1u / g1, g1v / g1, g2u / g2, g2v / g2
-        gu, gv = pu + qu - 1, pv + qv - 1
-        huu = pu - pu * pu + qu - qu * qu
-        hvv = pv - pv * pv + qv - qv * qv
-        huv = g1uv / g1 - pu * pv + g2uv / g2 - qu * qv
-        det = huu * hvv - huv * huv
-        if huu > 0 and det > 0:
-            su, sv = (huv * gv - hvv * gu) / det, (huv * gu - huu * gv) / det
-        else:   # not convex here: steepest descent
-            su, sv = -gu, -gv
-        decrement = -(gu * su + gv * sv)
-        if decrement <= tol:
-            break
-        t = 1.0
-        for _ in range(60):
-            f_new, t1_new, t2_new = objective(u + t * su, v + t * sv)
-            if f_new <= f - 1e-4 * t * decrement:
-                break
-            t /= 2
-        if not f_new < f:
-            if decrement <= 1e-12:   # F is flat to rounding: converged
-                break
-            raise OptimizerStalledError(
-                "determinant minimization: line search failed",
-                diagnostics={"iterations": it, "decrement": decrement,
-                             "value": math.exp(f)})
-        u, v = u + t * su, v + t * sv
-        f, t1, t2 = f_new, t1_new, t2_new
-    else:
-        raise OptimizerStalledError(
-            "determinant minimization did not converge",
-            diagnostics={"iterations": max_iter, "decrement": decrement,
-                         "value": math.exp(f)})
-    x, y = math.exp(u), math.exp(v)
-    return t1[0] * t2[0] / (x * y), (x, y)
+    lo, hi = -1.0, 1.0
+    while at(lo)[0] > 0:
+        lo *= 2
+    while at(hi)[0] < 0:
+        hi *= 2
+    for _ in range(64):   # pins x = e^u to machine precision
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if at(mid)[0] > 0 else (mid, hi)
+    _, x, y, val = at((lo + hi) / 2)
+    return val, (x, y)
 
 
 def lambda_closed_form(d: DetectorSpec) -> tuple[float, tuple[float, float]]:

@@ -5,16 +5,26 @@ from math import factorial
 import numpy as np
 import pytest
 import scipy.optimize as opt
+from hypothesis import settings
 
+from cvwitness.channel import detector_to_channel
 from cvwitness.criteria import WWFamilyParams, simon_lhs
 from cvwitness.exceptions import (DimensionMismatchError,
                                   NonPositiveDeterminantError,
                                   OptimizerStalledError)
 from cvwitness.fock import SeesawResult
+from cvwitness.nongauss import _ladder_shift
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      quadrature_triples)
-from cvwitness.symplectic import CovMatrix
+from cvwitness.symplectic import (ComplexCovMatrix, CovMatrix, _ccm_transform,
+                                  block_diag, cm_to_ccm)
 from cvwitness.witness import DetectorSpec, _cone_ratio, _min_det_factors
+
+# every property test is derandomized and runs without an example database,
+# so tier-1 stays deterministic; each test sets its own max_examples
+settings.register_profile("deterministic", deadline=None, derandomize=True,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def tmsv_form(r: float) -> TwoModeStandardForm:
@@ -87,7 +97,7 @@ def rng():
 def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
     """Determinant oracle for the detection ratio:
     sqrt(det(gamma + gamma_M) / min_{x,y} det(gamma_A (+) gamma_B + gamma_M)),
-    the minimum by the Newton solve `_min_det_factors`."""
+    the minimum by `_min_det_factors`."""
     gm = d.to_cm()
     if gm.dim != gamma.dim:
         raise DimensionMismatchError(f"dimension mismatch: {gamma.dim} vs {gm.dim}")
@@ -114,6 +124,52 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
                      options={"xatol": 1e-12, "fatol": 1e-14,
                               "maxfev": budget // len(starts)}).fun
         for v0 in starts))
+
+
+def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
+           mu: np.ndarray) -> complex:
+    """Oracle for the non-Gaussian moments: the characteristic function of
+    the generating operator Q(xi, eta) at mu."""
+    n = kernel.n_modes
+    xi = np.asarray(xi, dtype=complex).reshape(n)
+    eta = np.asarray(eta, dtype=complex).reshape(n)
+    mu = np.asarray(mu, dtype=complex).reshape(n)
+    g = cm_to_ccm(kernel).mat
+    gp = g + _ladder_shift(n)
+    gm = g - _ladder_shift(n)
+    u = np.concatenate([xi, xi.conj()])
+    v = np.concatenate([eta, eta.conj()])
+    w = np.concatenate([mu, mu.conj()])
+    at_zero = np.exp(-0.5 * u @ gp @ u - u @ gm @ v - 0.5 * v @ gm @ v)
+    return at_zero * np.exp(-0.5 * w @ g @ w - u @ gp @ w - v @ gm @ w)
+
+
+def ccm_to_cm(gamma_c: ComplexCovMatrix) -> CovMatrix:
+    """Inverse of `cm_to_ccm`, for its round-trip test."""
+    t = _ccm_transform(gamma_c.n_modes)
+    mat = t.T @ gamma_c.mat @ t
+    imag = np.max(np.abs(mat.imag))
+    if imag > 1e-9:
+        raise DimensionMismatchError(f"CCM does not correspond to a real CM (imag residue {imag:g})")
+    return CovMatrix(mat.real)
+
+
+def overlap_identity_ratio(d: DetectorSpec, gamma_a: np.ndarray,
+                           gamma_b: np.ndarray) -> float:
+    """Oracle for the channel picture: the ratio of the direct detector mean
+    to the channel-picture mean.
+
+    Direct: Tr(M rho_A x rho_B) = 1/sqrt(det(gamma_M + gamma_A (+) gamma_B)).
+    Channel picture: norm / sqrt(det(gamma_A + K^T gamma_B K + alpha)) with
+    norm = (M3' M4')^{-n/2}.  The ratio tends to 1 as the detector scale
+    grows; the deviation is O(1/M3').
+    """
+    ch = detector_to_channel(d)
+    gm = d.to_cm().mat
+    direct = 1.0 / np.sqrt(np.linalg.det(gm + block_diag(gamma_a, gamma_b)))
+    g_out = ch.k.T @ gamma_b @ ch.k + ch.alpha
+    via_channel = ch.norm_factor() / np.sqrt(np.linalg.det(gamma_a + g_out))
+    return float(direct / via_channel)
 
 
 def dict_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:

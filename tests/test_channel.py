@@ -4,13 +4,14 @@ import pytest
 from cvwitness.channel import (GaussianChannel, channel_commutator_norm,
                                channel_output_char, channel_output_vs_fock,
                                detector_to_channel, exact_output_char,
-                               fock_output_char, overlap_identity_ratio)
+                               fock_output_char)
 from cvwitness.exceptions import DegenerateLimitError, DimensionMismatchError
 from cvwitness.standard_form import Family
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import DetectorSpec
 
-from conftest import sample_two_mode_detector, sample_ww_detector
+from conftest import (overlap_identity_ratio, sample_two_mode_detector,
+                      sample_ww_detector)
 
 D_ASYM = DetectorSpec(Family.TWO_MODE, 1.2, 1.6, 1.3, 1.3, 0.6, -0.45)
 

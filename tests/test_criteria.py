@@ -15,9 +15,7 @@ from cvwitness.symplectic import CovMatrix
 
 from conftest import grid_certificate, sample_ww_family_params, tmsv_form
 
-# derandomized and without an example database: tier-1 stays deterministic
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=60)
 
 
 def test_simon_lhs_tmsv_closed_form():

@@ -365,7 +365,7 @@ def seesaw_cases(draw):
             draw(st.integers(0, 2 ** 16)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seesaw_cases())
 def test_seesaw_matches_reference(case):
     """All starts advanced together reach the value of the starts run one by

@@ -172,6 +172,37 @@ def test_cli_oracle_rejects_negative_restarts(tmp_path, capsys):
     assert "restarts" in err
 
 
+def test_cli_oracle_rejects_non_psd_detector(tmp_path, capsys):
+    path = write_json(tmp_path / "det.json",
+                      {"family": "two_mode", "m": [1e-3, 1, 1e-3, 1, 1.1e-3, 0]})
+    code = main(["oracle", path, "--cutoff", "8"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "quadrature block" in err   # refused by lambda_closed_form
+
+
+_EYE4 = np.eye(4).tolist()
+
+
+@pytest.mark.parametrize("argv, obj", [
+    (["check"], [1, 2]),
+    (["check"], {"n_modes": 2, "cm": _EYE4, "partition": 5}),
+    (["check"], {"n_modes": None, "cm": _EYE4}),
+    (["check"], {"n_modes": 2, "cm": _EYE4, "mean": {"x": 0}}),
+    (["check", "--criterion", "nongauss"], {"n_modes": 2, "cm": _EYE4, "add": 5}),
+    (["oracle"], {"family": "two_mode", "m": 5}),
+])
+def test_cli_rejects_malformed_json(tmp_path, capsys, argv, obj):
+    """JSON of the wrong structure is a typed error naming the file: exit 1
+    with one message line."""
+    path = write_json(tmp_path / "bad.json", obj)
+    code = main([argv[0], path, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
+
 def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     """A TMSV detector at r = 1 is badly truncated at cutoff 10: the trace
     shows it and the mean photon number shows it more."""

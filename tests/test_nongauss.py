@@ -10,12 +10,12 @@ from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import (NonGaussState, _quadratic_coeff_extract,
                                 asymptotic_check, build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
-                                mean_on_detector, q_char)
+                                mean_on_detector)
 from cvwitness.standard_form import TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import detector_from_cm
 
-from conftest import (destroy, dict_coeff_extract, mode_op,
+from conftest import (destroy, dict_coeff_extract, mode_op, q_char,
                       sample_two_mode_detector, tmsv_form)
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
@@ -201,7 +201,7 @@ def coefficient_cases(draw):
     return d, seed, shift, tuple(target)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(coefficient_cases())
 @example((4, 0, 0.0, (0, 0, 0, 0)))
 @example((8, 1, 1.0, (1, 0, 2, 0, 0, 0, 0, 0)))

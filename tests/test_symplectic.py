@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cvwitness.exceptions import DimensionMismatchError
-from cvwitness.symplectic import (CovMatrix, ccm_to_cm, cm_to_ccm,
+from cvwitness.symplectic import (CovMatrix, cm_to_ccm,
                                   gaussian_overlap, symplectic_eigenvalues,
                                   symplectic_form, validate_cm)
 
-from conftest import random_physical_cm, tmsv_form
+from conftest import ccm_to_cm, random_physical_cm, tmsv_form
 
 
 def test_symplectic_form_structure():

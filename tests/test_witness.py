@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from cvwitness import witness
 from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
-from cvwitness.exceptions import (ConstraintViolatedError, NotEntangledError,
-                                  OptimizerStalledError)
+from cvwitness.exceptions import (ConstraintViolatedError,
+                                  NonPositiveDeterminantError,
+                                  NotEntangledError)
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      quadrature_triples,
@@ -23,11 +24,9 @@ from cvwitness.witness import (DetectorSpec, _cone_lambda, _cone_ratio,
                                minmax_optimize)
 
 from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
-                      tmsv_form)
+                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
 
-# derandomized and without an example database: tier-1 stays deterministic
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
-                    database=None)
+PROPERTY = settings(max_examples=40)
 
 
 def test_lambda_vacuum_detector():
@@ -173,10 +172,7 @@ def _check_cone_closed_form(form, family, power, lw1, lw2, t):
                      np.sign(c5) or 1.0, np.sign(c6) or 1.0).scaled(t)
     lam, (x, y) = _cone_lambda(w1, w2, t, power)
     assert abs(lam / lambda_closed_form(d)[0] - 1) <= 1e-10
-    m1, m2, m3, m4, m5, m6 = d.params
-    g1g2 = ((m1 + x / 2) * (m3 + y / 2) - m5 ** 2) \
-        * ((m2 * x + 0.5) * (m4 * y + 0.5) - m6 ** 2 * x * y) / (x * y)
-    assert abs(g1g2 ** -power / lam - 1) <= 1e-10   # (x, y) is the argmin
+    assert abs(_g1g2(d, x, y) ** -power / lam - 1) <= 1e-10   # the argmin
     ell = _cone_ratio(form, w1, w2, t)[0] ** power
     assert abs(ell / ell_ratio(form.to_cm(), d) - 1) <= 1e-10
 
@@ -187,7 +183,7 @@ _CONE_SCALE = st.sampled_from([1.0, 1e2, 1e4])
 @PROPERTY
 @given(two_mode_forms(), _unit(-3, 3), _unit(-3, 3), _CONE_SCALE)
 def test_cone_closed_form_matches_oracles_two_mode(form, lw1, lw2, t):
-    """On cone detectors, Lambda and ell in closed form match the Newton
+    """On cone detectors, Lambda and ell in closed form match the generic
     solve `_min_det_factors` and the determinant oracle `ell_ratio`."""
     _check_cone_closed_form(form, Family.TWO_MODE, 0.5, lw1, lw2, t)
 
@@ -252,8 +248,8 @@ def test_integer_form_takes_same_path():
 def test_minmax_forms_no_determinant(form, path, monkeypatch):
     """Past the standard-form reduction (whose single-mode normalization
     takes 2x2 determinants, and which is stubbed here), the witness forms no
-    determinant and runs no Newton solve on any path, and the finite matched
-    detector reproduces the limit."""
+    determinant and runs no generic `_min_det_factors` solve on any path, and
+    the finite matched detector reproduces the limit."""
     gamma = form.to_cm()
     reduced = reduce_to_standard_form(gamma, detect_family(gamma))
 
@@ -308,6 +304,13 @@ def test_tmsv_ell_matches_50_digit_reference():
 
 # ---------------------------------------------- determinant-factor minimum
 
+def _g1g2(d: DetectorSpec, x: float, y: float) -> float:
+    """g1 g2 = G1 G2 / (x y) from the factored determinant."""
+    m1, m2, m3, m4, m5, m6 = d.params
+    return (((m1 + x / 2) * (m3 + y / 2) - m5 ** 2)
+            * ((m2 * x + 0.5) * (m4 * y + 0.5) - m6 ** 2 * x * y) / (x * y))
+
+
 def _min_det_reference(d: DetectorSpec) -> float:
     """Independent reference: eliminate x in closed form (the product is
     (alpha + beta x)(gamma + delta / x) at fixed y, minimized at
@@ -327,9 +330,29 @@ def _min_det_reference(d: DetectorSpec) -> float:
                                tol=1e-14).fun
 
 
+@st.composite
+def detectors(draw):
+    """Random physical two-mode and Werner-Wolf detectors, off the cone, at
+    scale 1, 1e2 or 1e4."""
+    sampler = draw(st.sampled_from([sample_two_mode_detector,
+                                    sample_ww_detector]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return sampler(rng).scaled(draw(_CONE_SCALE))
+
+
+@PROPERTY
+@given(detectors())
+def test_min_det_factors_matches_reference(d):
+    val, (x, y) = _min_det_factors(d)
+    ref = _min_det_reference(d)
+    assert abs(val - ref) <= 1e-10 * ref
+    assert abs(_g1g2(d, x, y) / val - 1) <= 1e-12   # the value is at (x, y)
+
+
 def test_min_det_factors_scaled_cone_detectors(rng):
     """Scale-1e4 detectors on the degenerate cone, as built by the matched
-    witness and its scaling audit: the minimum converges to 1e-10."""
+    witness and its scaling audit, are accepted, and the minimum matches the
+    reference to 1e-10."""
     for family in Family:
         for _ in range(4):
             w1, w2 = np.exp(rng.uniform(-2, 2, 2))
@@ -340,9 +363,31 @@ def test_min_det_factors_scaled_cone_detectors(rng):
             assert abs(val - ref) <= 1e-10 * ref
 
 
-def test_min_det_factors_unconverged_raises():
-    d = DetectorSpec(Family.TWO_MODE, 1.0, 2.0, 1.0, 0.5, 0.0, 0.0).scaled(1e4)
-    with pytest.raises(OptimizerStalledError) as info:
-        _min_det_factors(d, max_iter=1)
-    assert info.value.diagnostics["iterations"] == 1
-    assert info.value.diagnostics["decrement"] > 0
+@pytest.mark.parametrize("params", [
+    (1e-3, 1, 1e-3, 1, 1.1e-3, 0),   # positive on a 13 x 13 log grid
+    (1, 1, 1, 1, math.sqrt(1 + 1e-6), 0),
+    (1, 1, 1, 1, 0, math.sqrt(1 + 1e-6)),
+    (-1, 1, -1, 1, 0, 0),   # m1 m3 - m5^2 > 0, but negative definite
+    (math.nan, 1, 1, 1, 0, 0),
+    (1, math.inf, 1, 1, 0, 0),
+    (1, 1, 1, 1, -math.inf, 0),
+    (1, 1, 1, 1, 1e200, 0),   # m5^2 overflows
+])
+def test_lambda_refuses_non_psd_block(params):
+    """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is
+    not positive semidefinite, or a non-finite parameter, is refused."""
+    for family in Family:
+        with pytest.raises(NonPositiveDeterminantError):
+            lambda_closed_form(DetectorSpec(family, *params))
+
+
+@pytest.mark.parametrize("w1, w2, block", [(1.0, 1e15, 5), (1e15, 1.0, 6)])
+def test_lambda_inside_block_tolerance(w1, w2, block):
+    """m5^2 = m1 m3 (m6^2 = m2 m4) exceeded by 1e-13 relative is taken as the
+    cone.  The minimum lies at |log x| = 17.3, so the bracket reaches
+    |log x| = 32, where rounding leaves alpha1 (beta2) non-positive."""
+    for family, power in ((Family.TWO_MODE, 0.5), (Family.WERNER_WOLF, 1.0)):
+        m = [w1, w2, 1 / w1, 1 / w2, 1.0, 1.0]
+        m[block - 1] = math.sqrt(1 + 1e-13)
+        lam, _ = lambda_closed_form(DetectorSpec(family, *m))
+        assert abs(lam / _cone_lambda(w1, w2, 1.0, power)[0] - 1) <= 1e-12

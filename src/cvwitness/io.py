@@ -29,6 +29,15 @@ def _check_mean(obj: dict, n_modes: int) -> None:
         raise NonZeroMeanError("nonzero first moments are not supported")
 
 
+def _count(value, field: str) -> int:
+    """A mode count or index as int; ValueError for a non-integral value such
+    as 2.7, which int() would truncate."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{field} {value!r} is not an integer")
+    return count
+
+
 def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
     """Read {"n_modes": int, "cm": [[row...]...], "partition": [modes of A]}."""
     with open(path) as fh:
@@ -37,15 +46,15 @@ def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
 
 def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
     try:
-        n = int(obj["n_modes"])
+        n = _count(obj["n_modes"], "n_modes")
         mat = np.asarray(obj["cm"], dtype=float)
         _check_mean(obj, n)
         partition = obj.get("partition")
         if partition is not None:
-            partition = [int(m) for m in partition]
+            partition = [_count(m, "partition") for m in partition]
     except KeyError as exc:
         raise DimensionMismatchError(f"missing field {exc} in {path}") from exc
-    except (TypeError, ValueError) as exc:   # a field of the wrong structure
+    except (TypeError, ValueError, OverflowError) as exc:   # a field of the wrong structure
         raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
     if mat.shape != (2 * n, 2 * n):
         raise DimensionMismatchError(
@@ -62,9 +71,9 @@ def load_nongauss(path: str) -> tuple[NonGaussState, list[int] | None]:
     kernel, partition = _parse_cm(obj, path)
     n = kernel.n_modes
     try:
-        add = tuple(int(v) for v in obj.get("add", [0] * n))
-        sub = tuple(int(v) for v in obj.get("subtract", [0] * n))
-    except (TypeError, ValueError) as exc:
+        add = tuple(_count(v, "add") for v in obj.get("add", [0] * n))
+        sub = tuple(_count(v, "subtract") for v in obj.get("subtract", [0] * n))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
     return NonGaussState(kernel, add, sub), partition
 

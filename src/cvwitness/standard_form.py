@@ -3,8 +3,16 @@
 Two-mode states are brought to diag-blocks (a, a), (b, b) with cross block
 diag(c1, -c2) by local rotations and squeezers.  Werner-Wolf states keep the
 8x8 sparsity pattern and are equalized by per-mode squeezers.
+
+A decision and a witness of the same state both need its standard form, so
+`reduce_to_standard_form` keeps each result per `CovMatrix` instance, family
+and tolerance, and a second call returns it without reducing again.  The memo
+is weak-keyed: an entry lives no longer than its matrix.  `CovMatrix` is
+frozen and read-only, and the form and `LocalSymplectic` are immutable, so a
+kept result cannot go stale.  A refusal is not kept and raises on every call.
 """
 
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,12 +178,21 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[WernerWolfForm, L
     return form, LocalSymplectic(s, n_modes_a=2)
 
 
+#: {CovMatrix: {(family, tol): (form, S)}}, see the module docstring.
+_REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10):
-    """Return (form, S) with S a local symplectic and S gamma S^T the form's CM."""
+    """Return (form, S) with S a local symplectic and S gamma S^T the form's
+    CM; computed once per matrix instance, family and tolerance."""
     family = Family(family)
-    if family is Family.TWO_MODE:
-        return _reduce_two_mode(gamma, tol)
-    return _reduce_werner_wolf(gamma, tol)
+    memo = _REDUCED.get(gamma)
+    if memo is not None and (family, tol) in memo:
+        return memo[family, tol]
+    reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
+    result = reduce(gamma, tol)
+    _REDUCED.setdefault(gamma, {})[family, tol] = result
+    return result
 
 
 def detect_family(gamma: CovMatrix) -> Family:

@@ -3,6 +3,11 @@ Gaussian overlaps and symplectic eigenvalues.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
+
+The symplectic form and the CCM transform depend on the mode count alone, so
+each is built once per mode count and cached as a read-only array: every
+validity check, symplectic spectrum and symplecticity test of a decision
+would otherwise rebuild the same matrix.
 """
 
 from dataclasses import dataclass, field
@@ -18,10 +23,13 @@ TOL_PSD = 1e-10
 _SYMMETRY_TOL = 1e-12
 
 
+@lru_cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """2n x 2n symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j)
+    """2n x 2n symplectic form, block-diagonal [[0, 1], [-1, 0]] per mode;
+    cached per mode count, read-only."""
+    sigma = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    sigma.flags.writeable = False
+    return sigma
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

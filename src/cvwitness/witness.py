@@ -108,11 +108,19 @@ def _min_det_factors(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
     The objective is convex in (log x, log y), so its profile in u = log x
     is convex and, by the envelope theorem, its slope x (dG1/dx / G1 +
     dG2/dx / G2) - 1 at y* rises from -1 to 1: doubling [-1, 1] brackets
-    the root, which is then bisected.
+    the root, which is then bisected.  A detector whose parameters or block
+    products overflow, or whose search leaves double precision, is refused
+    too, instead of returning nan.
     """
     m1, m2, m3, m4, m5, m6 = d.params
     d1, d2 = m1 * m3 - m5 * m5, m2 * m4 - m6 * m6   # inf, where ** 2 raises
-    if not (all(map(math.isfinite, d.params)) and min(m1, m2, m3, m4) > 0
+    # d1, d2 are finite exactly when the parameters and the block products
+    # m1 m3, m5^2, m2 m4, m6^2 are
+    if not all(map(math.isfinite, (*d.params, d1, d2))):
+        raise NonPositiveDeterminantError(
+            "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: a detector "
+            "parameter or block product is not finite in double precision")
+    if not (min(m1, m2, m3, m4) > 0
             and d1 >= -_BLOCK_RTOL * m1 * m3 and d2 >= -_BLOCK_RTOL * m2 * m4):
         raise NonPositiveDeterminantError(
             "det(gamma_M + gamma_A (+) gamma_B) is non-positive for some "
@@ -132,15 +140,22 @@ def _min_det_factors(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
         slope = x * ((m3 / 2 + y / 4) / g1 + (m2 / 2 + d2 * y) / g2) - 1
         return slope, x, y, g1 * g2 / (x * y)
 
-    lo, hi = -1.0, 1.0
-    while at(lo)[0] > 0:
-        lo *= 2
-    while at(hi)[0] < 0:
-        hi *= 2
-    for _ in range(64):   # pins x = e^u to machine precision
-        mid = (lo + hi) / 2
-        lo, hi = (lo, mid) if at(mid)[0] > 0 else (mid, hi)
-    _, x, y, val = at((lo + hi) / 2)
+    try:
+        lo, hi = -1.0, 1.0
+        while at(lo)[0] > 0:
+            lo *= 2
+        while at(hi)[0] < 0:
+            hi *= 2
+        for _ in range(64):   # pins x = e^u to machine precision
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if at(mid)[0] > 0 else (mid, hi)
+        _, x, y, val = at((lo + hi) / 2)
+    except (OverflowError, ZeroDivisionError):   # x, y* or a product left the range
+        val = math.nan
+    if not 0 < val < math.inf:
+        raise NonPositiveDeterminantError(
+            "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: the search "
+            "over product states leaves double precision")
     return val, (x, y)
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -54,6 +56,26 @@ def test_load_cm_rejects_bad_shape(tmp_path):
                       {"n_modes": 2, "cm": np.eye(2).tolist()})
     with pytest.raises(DimensionMismatchError):
         load_cm(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_modes", 2.7), ("partition", [0.9]), ("add", [1.5, 0]), ("subtract", [0, 0.5])])
+def test_load_refuses_non_integral_counts(tmp_path, field, value):
+    """int() would truncate 2.7 to 2 and 0.9 to mode 0; each count field is
+    refused by name instead."""
+    obj = {"n_modes": 2, "cm": (np.eye(4) / 2).tolist(), field: value}
+    path = write_json(tmp_path / "bad.json", obj)
+    with pytest.raises(DimensionMismatchError,
+                       match=rf"{re.escape(path)}: {field} \S+ is not an integer"):
+        load_nongauss(path)
+
+
+def test_load_accepts_integral_floats(tmp_path):
+    obj = {"n_modes": 2.0, "cm": (np.eye(4) / 2).tolist(), "partition": [0.0],
+           "add": [1.0, 0], "subtract": [0, 0]}
+    state, partition = load_nongauss(write_json(tmp_path / "state.json", obj))
+    assert state.kernel.n_modes == 2 and partition == [0]
+    assert state.add == (1, 0) and all(type(k) is int for k in state.add)
 
 
 def test_load_nongauss(tmp_path):
@@ -172,6 +194,18 @@ def test_cli_oracle_rejects_negative_restarts(tmp_path, capsys):
     assert "restarts" in err
 
 
+def test_cli_oracle_rejects_overflowing_detector(tmp_path, capsys):
+    """m1 m3 overflows: refused by `lambda_closed_form`, before the Fock
+    build could fail with a bare numpy error."""
+    path = write_json(tmp_path / "det.json",
+                      {"family": "two_mode", "m": [1e200, 1, 1e200, 1, 0, 0]})
+    code = main(["oracle", path, "--cutoff", "8"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite in double precision" in err
+
+
 def test_cli_oracle_rejects_non_psd_detector(tmp_path, capsys):
     path = write_json(tmp_path / "det.json",
                       {"family": "two_mode", "m": [1e-3, 1, 1e-3, 1, 1.1e-3, 0]})
@@ -192,6 +226,9 @@ _EYE4 = np.eye(4).tolist()
     (["check"], {"n_modes": 2, "cm": _EYE4, "mean": {"x": 0}}),
     (["check", "--criterion", "nongauss"], {"n_modes": 2, "cm": _EYE4, "add": 5}),
     (["oracle"], {"family": "two_mode", "m": 5}),
+    # counts are refused, not truncated by int()
+    (["check", "--criterion", "ppt"], {"n_modes": 2.7, "cm": _EYE4, "partition": [0.9]}),
+    (["check"], {"n_modes": math.inf, "cm": _EYE4}),
 ])
 def test_cli_rejects_malformed_json(tmp_path, capsys, argv, obj):
     """JSON of the wrong structure is a typed error naming the file: exit 1

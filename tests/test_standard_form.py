@@ -1,15 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from cvwitness import standard_form
+from cvwitness.criteria import decide_separability, werner_wolf_family
 from cvwitness.exceptions import PatternMismatchError
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, is_symplectic
-from cvwitness.witness import DetectorSpec
+from cvwitness.witness import DetectorSpec, minmax_optimize
 
 from conftest import sample_ww_family_params, tmsv_form
-from cvwitness.criteria import werner_wolf_family
 from cvwitness.standard_form import _single_mode_normal
 
 
@@ -108,3 +112,74 @@ def test_single_mode_normal_closed_form(r, rng):
     assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
     assert abs(np.linalg.det(s) - 1) < 1e-12
     assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)
+
+
+# ------------------------------------------------------- reduction memo
+
+def _count_reductions(monkeypatch) -> list:
+    """Record a name per family reduction actually run from now on."""
+    calls = []
+    for name in ("_reduce_two_mode", "_reduce_werner_wolf"):
+        def counted(*args, _name=name, _reduce=getattr(standard_form, name)):
+            calls.append(_name)
+            return _reduce(*args)
+        monkeypatch.setattr(standard_form, name, counted)
+    return calls
+
+
+def _dressed_two_mode(rng) -> CovMatrix:
+    return rotate_locally(tmsv_form(0.6).to_cm(), rng.uniform(0, np.pi, size=2))
+
+
+def _ww_family_cm(rng) -> CovMatrix:
+    return werner_wolf_family(sample_ww_family_params(rng)).to_cm()
+
+
+@pytest.mark.parametrize("make", [_dressed_two_mode, _ww_family_cm],
+                         ids=["two-mode", "werner-wolf"])
+@pytest.mark.parametrize("witness_first", [False, True])
+def test_memoized_reports_match_a_fresh_matrix(make, witness_first, rng, monkeypatch):
+    """`decide_separability` and `minmax_optimize` on one CovMatrix, in
+    either order and twice, reduce it once and report what they report on a
+    fresh copy of the matrix."""
+    gamma = make(rng)
+    fresh = repr((decide_separability(CovMatrix(gamma.mat.copy())),
+                  minmax_optimize(CovMatrix(gamma.mat.copy()))))
+    calls = _count_reductions(monkeypatch)
+    for _ in range(2):
+        if witness_first:
+            wit = minmax_optimize(gamma)
+            rep = decide_separability(gamma)
+        else:
+            rep = decide_separability(gamma)
+            wit = minmax_optimize(gamma)
+        assert repr((rep, wit)) == fresh
+    assert len(calls) == 1
+
+
+def test_memo_is_per_family_and_tolerance(rng):
+    gamma = _dressed_two_mode(rng)
+    first = reduce_to_standard_form(gamma, Family.TWO_MODE)
+    assert reduce_to_standard_form(gamma, "two_mode") is first
+    assert reduce_to_standard_form(gamma, Family.TWO_MODE, tol=1e-9) is not first
+
+
+def test_refusal_is_not_memoized(rng, monkeypatch):
+    """A CM that the reduction refuses is reduced again, and refused again,
+    on every call."""
+    a = rng.normal(size=(8, 8))
+    gamma = CovMatrix(a @ a.T / 8 + 0.5 * np.eye(8))
+    calls = _count_reductions(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(PatternMismatchError):
+            reduce_to_standard_form(gamma, Family.WERNER_WOLF)
+    assert len(calls) == 2
+
+
+def test_memo_does_not_keep_the_matrix_alive(rng):
+    gamma = _dressed_two_mode(rng)
+    reduce_to_standard_form(gamma, Family.TWO_MODE)
+    ref = weakref.ref(gamma)
+    del gamma
+    gc.collect()
+    assert ref() is None

@@ -18,6 +18,14 @@ def test_symplectic_form_structure():
     assert np.allclose(s @ s, -np.eye(4))
 
 
+def test_symplectic_form_is_cached_and_read_only():
+    s = symplectic_form(3)
+    assert symplectic_form(3) is s
+    with pytest.raises(ValueError):
+        s[0, 1] = 2.0
+    assert s[0, 1] == 1.0
+
+
 def test_covmatrix_rejects_odd_dimension():
     with pytest.raises(DimensionMismatchError):
         CovMatrix(np.eye(3))

@@ -372,10 +372,14 @@ def test_min_det_factors_scaled_cone_detectors(rng):
     (1, math.inf, 1, 1, 0, 0),
     (1, 1, 1, 1, -math.inf, 0),
     (1, 1, 1, 1, 1e200, 0),   # m5^2 overflows
+    (1e200, 1, 1e200, 1, 0, 0),   # m1 m3 overflows
+    (1e150, 1, 1e150, 1, 0, 0),   # finite products, the search overflows
+    (1e300, 1, 1e-300, 1, 0, 0),   # y* underflows to 0
 ])
 def test_lambda_refuses_non_psd_block(params):
     """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is
-    not positive semidefinite, or a non-finite parameter, is refused."""
+    not positive semidefinite, a non-finite parameter or block product, or a
+    search that leaves double precision, is refused."""
     for family in Family:
         with pytest.raises(NonPositiveDeterminantError):
             lambda_closed_form(DetectorSpec(family, *params))

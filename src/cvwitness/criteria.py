@@ -96,7 +96,14 @@ def werner_wolf_family(p: WWFamilyParams) -> WernerWolfForm:
 
 
 def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
-    """Closed-form family value quoted for the criterion LHS (audited, not normative)."""
+    """Closed-form family value quoted for the criterion LHS (audited, not
+    normative).
+
+    On the family it is exactly half of `werner_wolf_lhs`: over 1000 family
+    points the ratio is 0.5 to within 1e-12.  Same sign, so the quoted value
+    agrees with the verdict, but not the same number.  The sweep prints it as
+    `lhs_closed_form_claim` beside `lhs_criterion` to audit the quoted value;
+    no decision reads it."""
     return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))
 
 
@@ -212,13 +219,20 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     """Full closed-form decision: standard-form reduction, family criterion,
     feasibility certificate and PPT annotation.  `tol` is the bona-fide
     tolerance of `validate_cm`, applied to the state and its partial
-    transpose."""
+    transpose.
+
+    `partition` may name party A or party B of the family's cut: both labels
+    give the same report, since entanglement and PPT do not depend on which
+    party is called A.  Any other partition is refused."""
     if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
     family = detect_family(gamma)
-    if partition is not None and sorted(partition) != _default_partition(family):
-        raise PatternMismatchError(
-            f"family {family.value} fixes partition {_default_partition(family)}")
+    default = _default_partition(family)
+    if partition is not None:
+        complement = [m for m in range(gamma.n_modes) if m not in default]
+        if sorted(partition) not in (default, complement):
+            raise PatternMismatchError(
+                f"family {family.value} fixes partition {default} (or {complement})")
     form, _ = reduce_to_standard_form(gamma, family)
     if family is Family.TWO_MODE:
         lhs = simon_lhs(form)
@@ -226,7 +240,7 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     else:
         lhs = werner_wolf_lhs(form)
         name = "werner_wolf"
-    ppt = ppt_decide(gamma, _default_partition(family), tol)
+    ppt = ppt_decide(gamma, default, tol)
 
     if lhs < -TOL_BOUNDARY:
         return CriterionReport(

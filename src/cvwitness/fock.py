@@ -5,6 +5,11 @@ operator is filled straight from its covariance matrix by the multidimensional
 Hermite (Bargmann) recurrence of Quesada et al., PRA 100, 022341 (2019) and
 Miatto & Quesada, Quantum 4, 366 (2020): every entry below the cutoff is exact,
 so the truncated trace measures the whole tail, thermal and squeezed alike.
+A zero-mean Gaussian operator commutes with total photon parity, so every
+entry with an odd index sum is zero: only the even class is filled, on a
+half-size compact register, one contiguous array update per recurrence term,
+and then spread into the full register.  Each entry keeps the terms and term
+order of a full build, so a real register is the same bit for bit.
 The register is real whenever the CM has no x-p correlation, as every
 detector's has.  Displacements come from their own exact recurrence, and the
 product-state maximum is found by an alternating eigenvector seesaw that
@@ -12,6 +17,7 @@ advances all its starts together, one pass over the operator per half-step.
 numpy only.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,14 +97,79 @@ def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
     return float(np.linalg.det(q).real) ** -0.5, a
 
 
+def _fill_even_class(g: np.ndarray, g0, a: np.ndarray) -> None:
+    """Fill the even class of the recurrence into the compact register `g` of
+    shape (c,) * (2n - 1) + (h,), h = ceil(c / 2): slot q of the last axis
+    holds last index 2q + rho, rho the parity of the other indices.
+
+    The order is the full build's: the last axis from G_0, then for i from
+    the last-but-one axis down to 0 and t = 1..c-1, the entries with first
+    nonzero index i at value t.  Each is 0 + sum_{j>i} A_ij (sqrt(k_j)
+    G_{k-e_j}), j ascending, + (A_ii sqrt(t - 1)) G_{k-2e_i}, times
+    1/sqrt(t).  Every a^dag term is one contiguous flat update weighted by
+    sqrt(k_j) at the destination; weight 0 where k_j = 0 or the parity does
+    not match turns the extra terms into exact +-0 adds, so no sum changes.
+    On the last axis a^dag reads slot q (rho = 1, weight sqrt(2q + 1)) or
+    slot q - 1 (rho = 0, weight sqrt(2q)), and rho alternates with t.
+    """
+    c, h, ax = g.shape[0], g.shape[-1], len(a)
+    g[...] = 0
+    line = g[(0,) * (ax - 1)]
+    line[0] = g0
+    for q in range(1, h):
+        # length-1 slices: numpy's complex scalar arithmetic rounds otherwise
+        nxt = line[q:q + 1]
+        nxt += a[-1, -1] * np.sqrt(2 * q - 1) * line[q - 1:q]
+        nxt *= 1 / np.sqrt(2 * q)
+    # flat weights over the largest slice filled (i = 0); slice i is a prefix.
+    # Built from contiguous pieces: broadcasting a short last axis is slow.
+    size = c ** (ax - 2) * h
+    root = np.sqrt(np.arange(c))
+    w = [np.tile(np.repeat(root, size // c ** (p + 1)), c ** p) for p in range(ax - 2)]
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(ax - 2):
+        odd = (odd[:, None] ^ (np.arange(c) % 2 == 1)).ravel()
+    odd = np.repeat(odd, h)
+    slot = 2 * np.arange(h)
+    up = np.tile(np.where(slot + 1 < c, np.sqrt(slot + 1.0), 0.0), size // h)
+    down = np.tile(np.sqrt(slot.astype(float)), size // h)
+    # indexed by t % 2: rho = 1 where the other indices past i are odd at even t
+    w_up = [np.where(odd, up, 0.0), np.where(odd, 0.0, up)]
+    w_down = [np.where(odd, 0.0, down), np.where(odd, down, 0.0)]
+    buf = np.empty(size, dtype=a.dtype)
+    for i in reversed(range(ax - 1)):
+        tail = g[(0,) * i]
+        m = c ** (ax - 2 - i) * h
+        for t in range(1, c):
+            nxt, prev = tail[t].reshape(-1), tail[t - 1].reshape(-1)
+            for j in range(i + 1, ax - 1):
+                s = c ** (ax - 2 - j) * h
+                term = np.multiply(w[j - 1][s:m], prev[:m - s], out=buf[:m - s])
+                np.add(nxt[s:], np.multiply(a[i, j], term, out=term), out=nxt[s:])
+            term = np.multiply(w_up[t % 2][:m], prev, out=buf[:m])
+            nxt += np.multiply(a[i, -1], term, out=term)
+            term = np.multiply(w_down[t % 2][1:m], prev[:-1], out=buf[:m - 1])
+            np.add(nxt[1:], np.multiply(a[i, -1], term, out=term), out=nxt[1:])
+            if t >= 2:
+                nxt += a[i, i] * np.sqrt(t - 1) * tail[t - 2].reshape(-1)
+            nxt *= 1 / np.sqrt(t)
+
+
 def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
     """Trace-one Gaussian operator with covariance matrix `gamma`, exact in
     every entry below the cutoff.
 
     The entries of `_bargmann` obey G_{k+e_i} = sum_j A_ij sqrt(k_j) G_{k-e_j}
-    / sqrt(k_i + 1).  The register is float64 when A is real (a CM with no
-    x-p correlation), complex128 otherwise.  Raises DimensionMismatchError for
-    a cutoff below 1 or a CM that is not positive definite, and
+    / sqrt(k_i + 1).  Both sides have the same total parity and G_0 is even,
+    so every entry with an odd index sum is +0.0: only the even class is
+    filled (`_fill_even_class`), on a half-size compact register kept in the
+    top of the output's own buffer, and then spread out one first index at a
+    time.  Each entry gets the terms of a full build in its order, so a real
+    register is the same bit for bit; a complex one may differ in the last
+    bit, where numpy's contiguous complex multiply rounds apart from its
+    strided one.  The register is float64 when A is real (a CM with no x-p
+    correlation), complex128 otherwise.  Raises DimensionMismatchError for a
+    cutoff below 1 or a CM that is not positive definite, and
     CutoffTooSmallError when the truncated trace drops below 1 - TAIL_TOL.
     """
     if cutoff < 1:
@@ -107,27 +178,23 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
     g0, a = _bargmann(gamma)
     if not a.imag.any():
         a = a.real
-    g = np.zeros((cutoff,) * (2 * n), dtype=a.dtype)
-    g[(0,) * (2 * n)] = g0
-    root = np.sqrt(np.arange(1, cutoff))
-    # Fill the entries whose first nonzero index is i, for i from the last
-    # axis to the first: every G_{k-e_j} they need (j >= i) is filled already.
-    # The order A_ij (sqrt(k) G) and the product with 1/sqrt(t) (what complex
-    # division does) keep a real register bit for bit equal to a complex one.
-    for i in reversed(range(2 * n)):
-        tail = g[(0,) * i]
-        for t in range(1, cutoff):
-            # length-1 slices keep the axis, so even the last one is a view
-            nxt, prev = tail[t:t + 1], tail[t - 1:t]
-            for j in range(i + 1, 2 * n):
-                # a^dag on axis j, added in place: nxt[.., k, ..] gets
-                # A_ij sqrt(k) prev[.., k - 1, ..]
-                np.moveaxis(nxt, j - i, -1)[..., 1:] += (
-                    a[i, j] * (root * np.moveaxis(prev, j - i, -1)[..., :-1]))
-            if t >= 2:
-                nxt += a[i, i] * np.sqrt(t - 1) * tail[t - 2:t - 1]
-            nxt *= 1 / np.sqrt(t)
-    rho = g.reshape(cutoff ** n, cutoff ** n)
+    c, h = cutoff, (cutoff + 1) // 2
+    g = np.empty((c,) * (2 * n), dtype=a.dtype)
+    flat = g.reshape(-1)
+    even = flat[flat.size - c ** (2 * n - 1) * h:].reshape(
+        (c,) * (2 * n - 1) + (h,))
+    _fill_even_class(even, g0, a)
+    # g[k] may overlap even[k] but never even[k + 1:], so only block k is
+    # copied out before g[k] is written; odd entries are written as +0.0
+    half = (slice(0, None, 2), slice(1, None, 2))
+    for k in range(c):
+        block = even[k].copy()
+        g[k] = 0
+        for bits in itertools.product((0, 1), repeat=2 * n - 2):
+            par = (k + sum(bits)) % 2
+            idx = tuple(half[b] for b in bits)
+            g[k][idx + (half[par],)] = block[idx + (slice((c - par + 1) // 2),)]
+    rho = g.reshape(c ** n, c ** n)
     trace = float(np.real(np.trace(rho)))
     if not trace >= 1.0 - TAIL_TOL:
         raise CutoffTooSmallError(

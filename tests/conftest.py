@@ -9,10 +9,10 @@ from hypothesis import settings
 
 from cvwitness.channel import detector_to_channel
 from cvwitness.criteria import WWFamilyParams, simon_lhs
-from cvwitness.exceptions import (DimensionMismatchError,
+from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   NonPositiveDeterminantError,
                                   OptimizerStalledError)
-from cvwitness.fock import SeesawResult
+from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import _ladder_shift
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      quadrature_triples)
@@ -237,6 +237,42 @@ def grid_certificate(form, grid: int = 256) -> tuple[float, float, float] | None
                        options={"xatol": 1e-12, "fatol": 1e-14, "maxfev": 2000})
     best = max([(xs[i], ys[j]), tuple(np.exp(res.x))], key=lambda p: slack(*p))
     return float(best[0]), float(best[1]), float(slack(*best))
+
+
+def reference_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
+    """Full Bargmann build, the reference for `gaussian_op_fock`: every entry,
+    odd class included, filled slice by slice through `moveaxis` views.
+
+    Same recurrence, term order and errors as the even-class build, so a
+    real register must match it byte for byte.
+    """
+    if cutoff < 1:
+        raise DimensionMismatchError(f"cutoff must be at least 1, got {cutoff}")
+    n = gamma.n_modes
+    g0, a = _bargmann(gamma)
+    if not a.imag.any():
+        a = a.real
+    g = np.zeros((cutoff,) * (2 * n), dtype=a.dtype)
+    g[(0,) * (2 * n)] = g0
+    root = np.sqrt(np.arange(1, cutoff))
+    # entries whose first nonzero index is i, for i from the last axis to the
+    # first: every G_{k-e_j} they need (j >= i) is filled already
+    for i in reversed(range(2 * n)):
+        tail = g[(0,) * i]
+        for t in range(1, cutoff):
+            nxt, prev = tail[t:t + 1], tail[t - 1:t]
+            for j in range(i + 1, 2 * n):
+                np.moveaxis(nxt, j - i, -1)[..., 1:] += (
+                    a[i, j] * (root * np.moveaxis(prev, j - i, -1)[..., :-1]))
+            if t >= 2:
+                nxt += a[i, i] * np.sqrt(t - 1) * tail[t - 2:t - 1]
+            nxt *= 1 / np.sqrt(t)
+    rho = g.reshape(cutoff ** n, cutoff ** n)
+    trace = float(np.real(np.trace(rho)))
+    if not trace >= 1.0 - TAIL_TOL:
+        raise CutoffTooSmallError(
+            f"truncated trace {trace:g} below 1 - {TAIL_TOL:g}; raise the cutoff")
+    return rho
 
 
 def destroy(cutoff: int) -> np.ndarray:

@@ -103,8 +103,29 @@ def test_decide_rejects_unphysical():
 
 
 def test_decide_rejects_wrong_partition():
-    with pytest.raises(PatternMismatchError):
-        decide_separability(CovMatrix(np.eye(4) * 1.5), partition=[1])
+    """A partition that is not the family's cut is refused: both modes of a
+    two-mode state in party A, or a Werner-Wolf split other than
+    {0, 1} | {2, 3}."""
+    with pytest.raises(PatternMismatchError, match="fixes partition"):
+        decide_separability(CovMatrix(np.eye(4) * 1.5), partition=[0, 1])
+    ww = werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm()
+    for partition in ([0, 2], [1], [0, 1, 2]):
+        with pytest.raises(PatternMismatchError, match="fixes partition"):
+            decide_separability(ww, partition=partition)
+
+
+@pytest.mark.parametrize("state, partitions", [
+    (tmsv_form(0.5).to_cm(), ([0], [1])),
+    (TwoModeStandardForm(1.5, 1.2, 0.3, -0.2).to_cm(), ([0], [1])),
+    (werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm(),
+     ([0, 1], [1, 0], [2, 3], [3, 2])),
+], ids=["tmsv", "two-mode-separable", "werner-wolf"])
+def test_decide_accepts_either_label_of_the_cut(state, partitions):
+    """Naming party B instead of party A names the same cut: every label
+    gives the report of the default partition, byte for byte."""
+    default = repr(decide_separability(state))
+    for partition in partitions:
+        assert repr(decide_separability(state, partition=partition)) == default
 
 
 def _phi(form, x):

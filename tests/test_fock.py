@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import factorial, prod
 
 import numpy as np
@@ -17,8 +18,9 @@ from cvwitness.symplectic import CovMatrix, is_symplectic, symplectic_form
 from cvwitness.witness import DetectorSpec, detector_from_cm, lambda_closed_form
 
 from conftest import (destroy, dict_coeff_extract, fock_cm, fock_mean,
-                      partial_trace, random_physical_cm, seesaw_reference,
-                      tmsv_form)
+                      partial_trace, random_physical_cm, reference_op_fock,
+                      sample_two_mode_detector, sample_ww_detector,
+                      seesaw_reference, tmsv_form)
 
 
 def test_destroy_commutator():
@@ -214,6 +216,79 @@ def test_gaussian_op_four_mode_matches_coefficients():
     for k in ks:
         expect = g0 * np.sqrt(prod(factorial(v) for v in k)) * dict_coeff_extract(a, k)
         assert abs(g[k] - expect) <= 1e-15, k
+
+
+def _low_occupancy_cm(rng, n_modes, scale, xp_correlated, floor=0.5):
+    """floor * I plus `scale` times a random PSD matrix; without x-p
+    correlation unless asked.  A floor below 1/2 allows symplectic
+    eigenvalues below the vacuum's."""
+    d = 2 * n_modes
+    m = np.zeros((d, d))
+    if xp_correlated:
+        x = rng.normal(size=(d, d))
+        m = x @ x.T / d
+    else:
+        for q in (0, 1):
+            x = rng.normal(size=(n_modes, n_modes))
+            m[q::2, q::2] = x @ x.T / n_modes
+    return CovMatrix(floor * np.eye(d) + scale * m)
+
+
+def _assert_odd_class_zero(rho, n_modes, cutoff):
+    odd_index = np.arange(cutoff) % 2 == 1
+    odd = np.zeros((), dtype=bool)
+    for _ in range(2 * n_modes):
+        odd = odd[..., None] ^ odd_index
+    odd = rho.reshape(odd.shape)[odd]
+    for part in (odd.real, odd.imag):
+        assert not part.any()
+        assert not np.signbit(part).any()
+
+
+_BUILD_SHAPES = [(n, c) for n in (1, 2, 3, 4)
+                 for c in (1, 2, 3, 6, 7, 9, 12, 25, 40) if c ** (2 * n) <= 40 ** 4]
+
+
+@pytest.mark.parametrize("n_modes, cutoff", _BUILD_SHAPES)
+def test_even_class_build_matches_full_build(n_modes, cutoff):
+    """The even-class build returns the full build's register: byte for byte
+    for every CM without x-p correlation (below-vacuum kernels and the
+    oracle's detectors included), and within 64 ulp of max|G| for an
+    x-p-correlated one, where numpy's contiguous and strided complex
+    multiplies may round apart.  Every odd-class entry is +0.0."""
+    rng = np.random.default_rng((n_modes, cutoff))
+    scale = 0.01 if cutoff < 6 else 0.1
+    real = [_low_occupancy_cm(rng, n_modes, scale, False),
+            _low_occupancy_cm(rng, n_modes, scale, False, floor=0.45)]
+    if n_modes == 2 and cutoff >= 25:
+        real.append(sample_two_mode_detector(rng).to_cm())
+    if n_modes == 4 and cutoff == 6:
+        real.append(sample_ww_detector(rng).to_cm())
+    for gamma in real:
+        rho, ref = gaussian_op_fock(gamma, cutoff), reference_op_fock(gamma, cutoff)
+        assert rho.dtype == ref.dtype == np.float64
+        assert rho.shape == ref.shape and rho.tobytes() == ref.tobytes()
+        _assert_odd_class_zero(rho, n_modes, cutoff)
+    gamma = _low_occupancy_cm(rng, n_modes, scale, True)
+    rho, ref = gaussian_op_fock(gamma, cutoff), reference_op_fock(gamma, cutoff)
+    assert rho.dtype == ref.dtype == np.complex128
+    top = np.max(np.abs(ref))
+    assert np.max(np.abs(rho - ref)) <= 64 * np.spacing(top)
+    _assert_odd_class_zero(rho, n_modes, cutoff)
+
+
+@pytest.mark.parametrize("gamma, cutoff, error", [
+    (CovMatrix(0.7 * np.eye(2)), 0, DimensionMismatchError),
+    (CovMatrix(0.7 * np.eye(4)), -1, DimensionMismatchError),
+    (CovMatrix(np.diag([0.3, -0.1, 0.5, 0.5])), 6, DimensionMismatchError),
+    (CovMatrix(30.5 * np.eye(2)), 6, CutoffTooSmallError),
+    (tmsv_form(1.5).to_cm(), 10, CutoffTooSmallError),
+], ids=["cutoff-0", "cutoff-negative", "not-pd", "thermal-tail", "squeezed-tail"])
+def test_even_class_build_raises_as_full_build(gamma, cutoff, error):
+    with pytest.raises(error) as ref:
+        reference_op_fock(gamma, cutoff)
+    with pytest.raises(error, match=re.escape(str(ref.value))):
+        gaussian_op_fock(gamma, cutoff)
 
 
 @pytest.mark.parametrize("mat", [np.diag([0.3, -0.1]), np.diag([0.5, 0.0])],

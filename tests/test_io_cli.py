@@ -138,6 +138,18 @@ def test_cli_nongauss(tmp_path, capsys):
     assert "kernel-level" in report["report"]["note"]
 
 
+def test_cli_check_accepts_party_b_partition(tmp_path, capsys):
+    """A file that names party B as its partition gets the report of the
+    default partition, byte for byte."""
+    mat = tmsv_form(0.5).to_cm().mat
+    outs = []
+    for partition in ([0], [1]):
+        path = cm_file(tmp_path, mat, extra={"partition": partition})
+        assert main(["check", path]) == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_family_criterion_mismatch(tmp_path, capsys):
     path = cm_file(tmp_path, tmsv_form(0.3).to_cm().mat)
     code = main(["check", path, "--criterion", "wernerwolf"])

@@ -97,7 +97,7 @@ def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
     return float(np.linalg.det(q).real) ** -0.5, a
 
 
-def _fill_even_class(g: np.ndarray, g0, a: np.ndarray) -> None:
+def _fill_even_class(g: np.ndarray, g0: float, a: np.ndarray) -> None:
     """Fill the even class of the recurrence into the compact register `g` of
     shape (c,) * (2n - 1) + (h,), h = ceil(c / 2): slot q of the last axis
     holds last index 2q + rho, rho the parity of the other indices.

@@ -9,22 +9,23 @@ from .channel import (GaussianChannel, channel_commutator_norm,
                       fock_output_char)
 from .criteria import (CriterionReport, PptReport, Verdict, WWFamilyParams,
                        certificate_min_eig, decide_separability,
-                       feasibility_search, ppt_decide, simon_lhs,
-                       werner_wolf_family, werner_wolf_family_lhs_claim,
-                       werner_wolf_lhs)
+                       feasibility_search, ppt_decide, separability_lhs,
+                       simon_lhs, werner_wolf_family,
+                       werner_wolf_family_lhs_claim, werner_wolf_lhs)
 from .exceptions import CvWitnessError
 from .fock import (SeesawResult, displacement_element, gaussian_op_fock,
                    seesaw_lambda)
 from .nongauss import (NonGaussState, asymptotic_check, build_fock_state,
                        decide_separability_nongauss, fock_direct_trace,
                        mean_on_detector)
-from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
-                            detect_family, reduce_to_standard_form)
+from .standard_form import (DetectorSpec, Family, QuadratureForm,
+                            TwoModeStandardForm, WernerWolfForm, detect_family,
+                            reduce_to_standard_form)
 from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
                          cm_to_ccm, gaussian_overlap, is_symplectic,
                          symplectic_eigenvalues, symplectic_form, validate_cm)
-from .witness import (DetectorSpec, WitnessReport, detector_from_cm,
-                      lambda_closed_form, matched_witness, minmax_optimize)
+from .witness import (WitnessReport, detector_from_cm, lambda_closed_form,
+                      matched_witness, minmax_optimize)
 
 __all__ = [
     "__version__",
@@ -33,7 +34,7 @@ __all__ = [
     "fock_output_char",
     "CriterionReport", "PptReport", "Verdict", "WWFamilyParams",
     "certificate_min_eig", "decide_separability", "feasibility_search",
-    "ppt_decide", "simon_lhs", "werner_wolf_family",
+    "ppt_decide", "separability_lhs", "simon_lhs", "werner_wolf_family",
     "werner_wolf_family_lhs_claim", "werner_wolf_lhs",
     "CvWitnessError",
     "SeesawResult", "displacement_element", "gaussian_op_fock",
@@ -41,11 +42,11 @@ __all__ = [
     "NonGaussState", "asymptotic_check", "build_fock_state",
     "decide_separability_nongauss", "fock_direct_trace",
     "mean_on_detector",
-    "Family", "TwoModeStandardForm", "WernerWolfForm", "detect_family",
-    "reduce_to_standard_form",
+    "DetectorSpec", "Family", "QuadratureForm", "TwoModeStandardForm",
+    "WernerWolfForm", "detect_family", "reduce_to_standard_form",
     "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",
     "gaussian_overlap", "is_symplectic",
     "symplectic_eigenvalues", "symplectic_form", "validate_cm",
-    "DetectorSpec", "WitnessReport", "detector_from_cm", "lambda_closed_form",
+    "WitnessReport", "detector_from_cm", "lambda_closed_form",
     "matched_witness", "minmax_optimize",
 ]

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateLimitError, DimensionMismatchError
-from .standard_form import Family
+from .standard_form import DetectorSpec, Family, QuadratureForm
 from .symplectic import CovMatrix, symplectic_form
-from .witness import DetectorSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,35 +60,27 @@ class GaussianChannel:
         return self.cp_min_eig() >= -tol
 
 
-def detector_to_channel(d: DetectorSpec) -> GaussianChannel:
+def detector_to_channel(d: QuadratureForm) -> GaussianChannel:
     """Channel induced on party A by the detector's party-B marginal.
 
     Valid in the regime M3' = M3 + 1/2 > 1; the B marginal is then a thermal
     mixture and conditioning on it contracts A by K and adds noise alpha.
+    K is the detector CM's cross block, its x rows divided by sqrt(den_x) of
+    the M3 marginal and its p rows by sqrt(den_p) of the M4 marginal.
     """
-    m3p = d.m3 + 0.5
-    m4p = d.m4 + 0.5
+    (m1, m3, m5), (m2, m4, m6) = d.x, d.p
+    m3p = m3 + 0.5
+    m4p = m4 + 0.5
     if m3p <= 1.0 or m4p <= 1.0:
         raise DegenerateLimitError(
             f"channel requires M3 + 1/2 > 1 and M4 + 1/2 > 1, got {m3p:g}, {m4p:g}")
-    # x quadratures couple through M5 against the M3 marginal, p quadratures
-    # through M6 against the M4 marginal
     den_x = m3p * (m3p - 1.0)
     den_p = m4p * (m4p - 1.0)
-    a_x = d.m1 - d.m5 ** 2 * d.m3 / den_x
-    a_p = d.m2 - d.m6 ** 2 * d.m4 / den_p
-    if d.family is Family.TWO_MODE:
-        k = np.diag([d.m5 / np.sqrt(den_x), -d.m6 / np.sqrt(den_p)])
-        alpha = np.diag([a_x, a_p])
-    else:
-        # mode-swapping contraction: the x quadratures map within the same
-        # mode index, the p quadratures swap the two modes
-        k = np.zeros((4, 4))
-        k[0, 0] = d.m5 / np.sqrt(den_x)
-        k[1, 3] = -d.m6 / np.sqrt(den_p)
-        k[2, 2] = -d.m5 / np.sqrt(den_x)
-        k[3, 1] = -d.m6 / np.sqrt(den_p)
-        alpha = np.diag([a_x, a_p, a_x, a_p])
+    a_x = m1 - m5 ** 2 * m3 / den_x
+    a_p = m2 - m6 ** 2 * m4 / den_p
+    n_a = d.family.n_modes_a
+    k = d.to_cm().mat[:2 * n_a, 2 * n_a:] / np.sqrt([[den_x], [den_p]] * n_a)
+    alpha = np.diag([a_x, a_p] * n_a)
     return GaussianChannel(k=k, alpha=alpha, m3_prime=m3p, m4_prime=m4p)
 
 
@@ -99,7 +90,7 @@ def channel_commutator_norm(ch: GaussianChannel) -> float:
     return float(np.max(np.abs(comm)))
 
 
-def exact_output_char(d: DetectorSpec, k: int, m: int, nu1: complex) -> complex:
+def exact_output_char(d: QuadratureForm, k: int, m: int, nu1: complex) -> complex:
     """Characteristic function of Tr_B(M (I x |k><m|)) for a two-mode detector
     with M4 = M3 (the four-parameter pattern; M1, M2 may differ).
 
@@ -110,22 +101,23 @@ def exact_output_char(d: DetectorSpec, k: int, m: int, nu1: complex) -> complex:
     from .fock import displacement_element
     if d.family is not Family.TWO_MODE:
         raise DimensionMismatchError("exact output form is two-mode only")
-    if abs(d.m4 - d.m3) > 1e-12:
+    m1, m2, m3, m4, m5, m6 = d.params
+    if abs(m4 - m3) > 1e-12:
         raise DimensionMismatchError("exact output form requires M4 = M3")
-    m3p = d.m3 + 0.5
+    m3p = m3 + 0.5
     den = m3p * (m3p - 1.0)
     if den <= 0:
         raise DegenerateLimitError(f"requires M3 + 1/2 > 1, got {m3p:g}")
     # cross coupling in complex variables: tau_hat nu2 + tau_hat* nu2*
-    tau_hat = d.m6 * nu1.real + 1j * d.m5 * nu1.imag
+    tau_hat = m6 * nu1.real + 1j * m5 * nu1.imag
     arg = -np.conj(tau_hat) / np.sqrt(den)
     pref = (1.0 - 1.0 / m3p) ** ((m + k) / 2) / m3p
-    envelope = np.exp(-d.m2 * nu1.real ** 2 - d.m1 * nu1.imag ** 2
+    envelope = np.exp(-m2 * nu1.real ** 2 - m1 * nu1.imag ** 2
                       + abs(tau_hat) ** 2 / m3p + abs(arg) ** 2 / 2)
     return pref * displacement_element(m, k, arg) * envelope
 
 
-def channel_output_char(d: DetectorSpec, k: int, m: int, nu1: complex) -> complex:
+def channel_output_char(d: QuadratureForm, k: int, m: int, nu1: complex) -> complex:
     """Large-M3 channel prediction for the same output characteristic function.
 
     Evaluates (1/M3') chi_in(|k><m|, nu') exp(-z alpha z^T / 2) with
@@ -140,7 +132,7 @@ def channel_output_char(d: DetectorSpec, k: int, m: int, nu1: complex) -> comple
             * np.exp(-0.5 * z @ ch.alpha @ z) * ch.norm_factor())
 
 
-def fock_output_char(d: DetectorSpec, k: int, m: int, nu1: complex,
+def fock_output_char(d: QuadratureForm, k: int, m: int, nu1: complex,
                      cutoff: int) -> complex:
     """Fock oracle for exact_output_char: explicit partial matrix element."""
     from .fock import displacement_matrix, gaussian_op_fock
@@ -150,7 +142,7 @@ def fock_output_char(d: DetectorSpec, k: int, m: int, nu1: complex,
     return complex(np.trace(out @ displacement_matrix(nu1, cutoff)))
 
 
-def channel_output_vs_fock(d: DetectorSpec, k: int, m: int, cutoff: int,
+def channel_output_vs_fock(d: QuadratureForm, k: int, m: int, cutoff: int,
                            scale_m3: float,
                            nu_points=(0.3 + 0.2j, -0.4 + 0.1j, 0.15 - 0.35j)) -> float:
     """Two-step validation of the measurement-induced channel.
@@ -161,8 +153,8 @@ def channel_output_vs_fock(d: DetectorSpec, k: int, m: int, cutoff: int,
     scaled by `scale_m3`, where the large-M3 limit applies.  Returns the
     maximum deviation over both steps and all sample points.
     """
-    d_big = DetectorSpec(d.family, d.m1, d.m2, scale_m3 * d.m3,
-                         scale_m3 * d.m4, d.m5, d.m6)
+    m1, m2, m3, m4, m5, m6 = d.params
+    d_big = DetectorSpec(d.family, m1, m2, scale_m3 * m3, scale_m3 * m4, m5, m6)
     dev = 0.0
     for nu in nu_points:
         dev = max(dev, abs(fock_output_char(d, k, m, nu, cutoff)

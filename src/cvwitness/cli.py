@@ -16,9 +16,8 @@ import numpy as np
 
 from . import __version__
 from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams,
-                       decide_separability, ppt_decide, simon_lhs,
-                       werner_wolf_family, werner_wolf_family_lhs_claim,
-                       werner_wolf_lhs)
+                       decide_separability, ppt_decide, separability_lhs,
+                       werner_wolf_family, werner_wolf_family_lhs_claim)
 from .exceptions import CvWitnessError, PatternMismatchError
 from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
@@ -47,21 +46,19 @@ def _check_meta(args) -> dict:
     }
 
 
-def cmd_check(args) -> int:
-    if args.criterion == "auto":
-        gamma, partition = load_cm(args.input)
-        family = detect_family(gamma)
-        criterion = ("simon" if family is Family.TWO_MODE else "wernerwolf")
-    else:
-        criterion = args.criterion
-        gamma, partition = load_nongauss(args.input) \
-            if criterion == "nongauss" else load_cm(args.input)
+#: `--criterion` spelling of each family's closed-form criterion.
+_CRITERION_FAMILY = {family.criterion.replace("_", ""): family for family in Family}
 
+
+def cmd_check(args) -> int:
+    criterion = args.criterion
     if criterion == "nongauss":
-        report = decide_separability_nongauss(gamma, partition, tol=args.tol_psd)
+        state, partition = load_nongauss(args.input)
+        report = decide_separability_nongauss(state, partition, tol=args.tol_psd)
         payload = {**_check_meta(args), "report": criterion_report_dict(report)}
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[report.verdict]
+    gamma, partition = load_cm(args.input)
     if criterion == "ppt":
         ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
         verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
@@ -84,7 +81,7 @@ def cmd_check(args) -> int:
         return _VERDICT_EXIT[verdict]
 
     family = detect_family(gamma)
-    wanted = Family.TWO_MODE if criterion == "simon" else Family.WERNER_WOLF
+    wanted = _CRITERION_FAMILY.get(criterion, family)
     if family is not wanted:
         raise CvWitnessError(
             f"criterion {criterion} needs a {wanted.value} state, "
@@ -97,14 +94,12 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     d = load_detector(args.input)
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = 25 if d.family is Family.TWO_MODE else 6
+    cutoff = d.family.oracle_cutoff if args.cutoff is None else args.cutoff
     lam_closed, _ = lambda_closed_form(d)
     gamma = d.to_cm()
     rho = gaussian_op_fock(gamma, cutoff)
-    n_b = d.n_modes // 2
-    dims = (cutoff ** n_b, cutoff ** n_b)
+    n_a = d.family.n_modes_a
+    dims = (cutoff ** n_a, cutoff ** (d.n_modes - n_a))
     res = seesaw_lambda(rho, dims, restarts=args.restarts, seed=args.seed)
     delta = abs(lam_closed - res.value)
     payload = {"version": __version__, "seed": args.seed, "report": {
@@ -131,7 +126,7 @@ def _sweep_row_ww(p: WWFamilyParams, tol: float) -> list:
     gamma = form.to_cm()
     rep = minmax_optimize(gamma)
     return [p.a, p.b, p.c, p.d, p.e,
-            werner_wolf_lhs(form), werner_wolf_family_lhs_claim(p),
+            separability_lhs(form), werner_wolf_family_lhs_claim(p),
             ppt_decide(gamma, tol=tol).is_ppt, rep.ell_limit]
 
 
@@ -141,7 +136,7 @@ def _sweep_row_tmsv(r: float, tol: float) -> list:
     form = TwoModeStandardForm(a, a, c, c)
     gamma = form.to_cm()
     rep = minmax_optimize(gamma)
-    return [r, simon_lhs(form), "", ppt_decide(gamma, tol=tol).is_ppt,
+    return [r, separability_lhs(form), "", ppt_decide(gamma, tol=tol).is_ppt,
             rep.ell_limit]
 
 
@@ -186,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide separability of a state file")
     p_check.add_argument("input")
     p_check.add_argument("--criterion", default="auto",
-                         choices=["auto", "simon", "wernerwolf", "ppt",
-                                  "witness", "nongauss"])
+                         choices=["auto", *_CRITERION_FAMILY, "ppt", "witness",
+                                  "nongauss"])
     tol_psd(p_check)
     p_check.set_defaults(func=cmd_check)
 

@@ -1,7 +1,9 @@
 """Closed-form separability criteria and separability certificates.
 
-The two-mode decision is Simon's condition; the four-mode decision is the
-generalized Werner-Wolf condition.  A state with a nonnegative criterion is
+The two-mode decision is Simon's condition (Simon, PRL 84, 2726 (2000)); the
+four-mode decision is the generalized Werner-Wolf condition.  On the
+quadrature triples of the standard form both are one polynomial,
+`separability_lhs`.  A state with a nonnegative criterion is
 certified separable by an explicit product squeezed state (x, y) that its CM
 dominates (Werner & Wolf, PRL 86, 3658 (2001)).  The certificate is closed
 form: the vacuum point (1, 1) when it works, otherwise the maximum of a
@@ -14,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .exceptions import ConstraintViolatedError, PatternMismatchError
-from .standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
-                            detect_family, quadrature_triples,
+from .exceptions import (ConstraintViolatedError, PartitionError,
+                         PatternMismatchError)
+from .standard_form import (QuadratureForm, WernerWolfForm, detect_family,
                             reduce_to_standard_form)
 from .symplectic import (TOL_PSD, CovMatrix, block_diag,
                          symplectic_eigenvalues, validate_cm)
@@ -68,30 +70,31 @@ class WWFamilyParams:
             raise ConstraintViolatedError("ce - a must be positive")
 
 
-def simon_lhs(f: TwoModeStandardForm) -> float:
-    """Simon's separability quantity; negative means entangled."""
-    a, b, c1, c2 = f.a, f.b, f.c1, f.c2
-    return ((a * b - c1 ** 2) * (a * b - c2 ** 2) - 0.5 * abs(c1 * c2)
-            - 0.25 * (a ** 2 + b ** 2) + 1.0 / 16)
+def separability_lhs(form: QuadratureForm) -> float:
+    """Simon's quantity of a two-mode standard form, the generalized
+    Werner-Wolf quantity of a Werner-Wolf one; negative means entangled.
+
+    With the triples (a1, b1, c1) of x and (a2, b2, c2) of p it is
+    (a1 b1 - c1^2)(a2 b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16."""
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
+    return ((a1 * b1 - c1 ** 2) * (a2 * b2 - c2 ** 2) - 0.5 * abs(c1 * c2)
+            - 0.25 * (a1 * a2 + b1 * b2) + 1.0 / 16)
 
 
-def werner_wolf_lhs(f: WernerWolfForm) -> float:
-    """Generalized Werner-Wolf separability quantity; negative means entangled."""
-    return ((f.A * f.C - f.E ** 2) * (f.B * f.D - f.F ** 2) - 0.5 * abs(f.E * f.F)
-            - 0.25 * (f.C * f.D + f.A * f.B) + 1.0 / 16)
+simon_lhs = werner_wolf_lhs = separability_lhs
 
 
-def werner_wolf_family(p: WWFamilyParams) -> WernerWolfForm:
+def werner_wolf_family(p: WWFamilyParams) -> QuadratureForm:
     """Six-scalar CM parameters of the five-parameter Werner-Wolf state family."""
     a, b, c, d, e = p.a, p.b, p.c, p.d, p.e
     den = 2 * (c * e - a)
     return WernerWolfForm(
-        A=(d * e - b) / den,
-        B=a / (2 * b),
-        C=c * (d * a - b * c) / den,
-        D=(e * b + d) / (2 * b * (a * d - b * c)),
-        E=(a * d - b * c) / den,
-        F=1 / (2 * b),
+        (d * e - b) / den,
+        a / (2 * b),
+        c * (d * a - b * c) / den,
+        (e * b + d) / (2 * b * (a * d - b * c)),
+        (a * d - b * c) / den,
+        1 / (2 * b),
     )
 
 
@@ -119,12 +122,18 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     """Momentum-flip partial transpose test.
 
     `partition` lists party A's modes; momenta of the remaining modes are flipped.
-    Defaults to the first half of the modes.  `tol` is the bona-fide tolerance
-    of `validate_cm` on the partial transpose.
+    Defaults to the first half of the modes.  A partition that leaves a party
+    empty or names a mode outside the state is refused.  `tol` is the
+    bona-fide tolerance of `validate_cm` on the partial transpose.
     """
     n = gamma.n_modes
     if partition is None:
         partition = list(range(n // 2))
+    modes = set(partition)
+    if not modes or not modes < set(range(n)):
+        raise PartitionError(
+            f"partition {partition} must name between 1 and {n - 1} of the "
+            f"modes 0..{n - 1}")
     party_b = [m for m in range(n) if m not in partition]
     p = momentum_flip(n, party_b)
     pt = p @ gamma.mat @ p
@@ -173,21 +182,21 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
     return (x, f1, f2) if f1 > 0 and f2 > 0 else (x, 0.0, 0.0)
 
 
-def product_cm(form, x: float, y: float) -> CovMatrix:
-    """CM of the product squeezed-vacuum state used as separability certificate."""
+def product_cm(form: QuadratureForm, x: float, y: float) -> CovMatrix:
+    """CM of the product squeezed-vacuum state used as separability
+    certificate: mode state (x, y) on every mode of party A (B)."""
+    n_a = form.family.n_modes_a
     ga = np.diag([x / 2, 1 / (2 * x)])
     gb = np.diag([y / 2, 1 / (2 * y)])
-    if isinstance(form, TwoModeStandardForm):
-        return CovMatrix(block_diag(ga, gb))
-    return CovMatrix(block_diag(ga, ga, gb, gb))
+    return CovMatrix(block_diag(*[ga] * n_a, *[gb] * (form.n_modes - n_a)))
 
 
-def certificate_min_eig(form, x: float, y: float) -> float:
+def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     diff = form.to_cm().mat - product_cm(form, x, y).mat
     return float(np.min(np.linalg.eigvalsh(diff)))
 
 
-def feasibility_search(form) -> tuple[float, float] | None:
+def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     """Product squeezed state (x, y) whose CM the form's CM dominates (to
     within TOL_CERT): the separability certificate.  None when there is none.
 
@@ -201,17 +210,13 @@ def feasibility_search(form) -> tuple[float, float] | None:
     """
     if certificate_min_eig(form, 1.0, 1.0) >= -TOL_CERT:
         return 1.0, 1.0
-    x, f1, f2 = _peak(*quadrature_triples(form))
+    x, f1, f2 = _peak(form.x, form.p)
     if not (f1 > 0 and f2 > 0):
         return None
     y = math.sqrt(f1 / f2)
     if certificate_min_eig(form, x, y) < -TOL_CERT:
         return None
     return float(x), float(y)
-
-
-def _default_partition(family: Family) -> list[int]:
-    return [0] if family is Family.TWO_MODE else [0, 1]
 
 
 def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
@@ -227,19 +232,15 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
     family = detect_family(gamma)
-    default = _default_partition(family)
+    default = list(range(family.n_modes_a))
     if partition is not None:
         complement = [m for m in range(gamma.n_modes) if m not in default]
         if sorted(partition) not in (default, complement):
             raise PatternMismatchError(
                 f"family {family.value} fixes partition {default} (or {complement})")
     form, _ = reduce_to_standard_form(gamma, family)
-    if family is Family.TWO_MODE:
-        lhs = simon_lhs(form)
-        name = "simon"
-    else:
-        lhs = werner_wolf_lhs(form)
-        name = "werner_wolf"
+    lhs = separability_lhs(form)
+    name = family.criterion
     ppt = ppt_decide(gamma, default, tol)
 
     if lhs < -TOL_BOUNDARY:

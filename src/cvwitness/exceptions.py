@@ -17,6 +17,10 @@ class PatternMismatchError(CvWitnessError):
         self.residual = residual
 
 
+class PartitionError(CvWitnessError):
+    """A partition leaves a party empty or names a mode the state lacks."""
+
+
 class SingularSumError(CvWitnessError):
     """det(gamma_1 + gamma_2) vanishes; overlap is undefined."""
 

@@ -12,9 +12,9 @@ import numpy as np
 from .criteria import CriterionReport
 from .exceptions import CvWitnessError, DimensionMismatchError, NonZeroMeanError
 from .nongauss import NonGaussState
-from .standard_form import Family
+from .standard_form import DetectorSpec, Family, QuadratureForm
 from .symplectic import CovMatrix
-from .witness import DetectorSpec, WitnessReport
+from .witness import WitnessReport
 
 
 def _check_mean(obj: dict, n_modes: int) -> None:
@@ -78,7 +78,7 @@ def load_nongauss(path: str) -> tuple[NonGaussState, list[int] | None]:
     return NonGaussState(kernel, add, sub), partition
 
 
-def load_detector(path: str) -> DetectorSpec:
+def load_detector(path: str) -> QuadratureForm:
     """Read {"family": "two_mode"|"werner_wolf", "m": [M1..M6]}."""
     with open(path) as fh:
         obj = json.load(fh)

@@ -18,8 +18,8 @@ import numpy as np
 from .criteria import CriterionReport, decide_separability
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
                          OrderTooHighError, SingularSumError)
+from .standard_form import QuadratureForm
 from .symplectic import TOL_PSD, CovMatrix, cm_to_ccm
-from .witness import DetectorSpec
 
 #: maximum total number of ladder operators |k| + |m|.
 MAX_ORDER = 8
@@ -150,7 +150,7 @@ def normalization_raw(kernel: CovMatrix, add: tuple[int, ...],
     return 1.0 / denom
 
 
-def mean_on_detector(s: NonGaussState, d: DetectorSpec | CovMatrix) -> float:
+def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     """Tr(rho M) via the exact mixed-derivative formula."""
     kernel = s.kernel
     n = kernel.n_modes
@@ -176,7 +176,7 @@ def mean_on_detector(s: NonGaussState, d: DetectorSpec | CovMatrix) -> float:
     return s.norm * deriv / np.sqrt(abs(np.linalg.det(kernel.mat + gm_cm.mat)))
 
 
-def asymptotic_check(s: NonGaussState, d0: DetectorSpec,
+def asymptotic_check(s: NonGaussState, d0: QuadratureForm,
                      scales=(10.0, 100.0, 1000.0)) -> list[float]:
     """Residuals |Tr(rho M_t) sqrt|det(gamma_G + t gamma_M0)| - 1| along t."""
     out = []
@@ -226,7 +226,7 @@ def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
     return rho / tr
 
 
-def fock_direct_trace(s: NonGaussState, d: DetectorSpec | CovMatrix,
+def fock_direct_trace(s: NonGaussState, d: QuadratureForm | CovMatrix,
                       cutoff: int) -> float:
     """Oracle for mean_on_detector: explicit Fock matrices, plain trace."""
     from .fock import gaussian_op_fock

@@ -1,4 +1,12 @@
-"""Standard-form reduction for the two supported covariance-matrix families.
+"""One type for the family-patterned CMs of states and detectors, and the
+standard-form reduction of a state to it.
+
+Each such CM is two 2x2 quadrature blocks [[a, +-c], [+-c, b]], one over the
+x and one over the p quadratures: party A's variance a, party B's variance b
+and their correlation c.  `QuadratureForm` holds the family and the two
+triples (a, b, c), c signed; `TwoModeStandardForm`, `WernerWolfForm` and
+`DetectorSpec` are positional constructors of it.  The members of `Family`
+are the table of each family's data.
 
 Two-mode states are brought to diag-blocks (a, a), (b, b) with cross block
 diag(c1, -c2) by local rotations and squeezers.  Werner-Wolf states keep the
@@ -21,55 +29,84 @@ import numpy as np
 from .exceptions import PatternMismatchError
 from .symplectic import CovMatrix, LocalSymplectic, block_diag
 
+# CM layouts: entry +-k is +-M_k of the parameters M1..M6 = (x a, p a, x b,
+# p b, x c, p c), 0 is zero.  Party A holds the first modes.
+_TWO_MODE_LAYOUT = ((1, 0, 5, 0),
+                    (0, 2, 0, -6),
+                    (5, 0, 3, 0),
+                    (0, -6, 0, 4))
+_WERNER_WOLF_LAYOUT = ((1, 0, 0, 0, 5, 0, 0, 0),
+                       (0, 2, 0, 0, 0, 0, 0, -6),
+                       (0, 0, 1, 0, 0, 0, -5, 0),
+                       (0, 0, 0, 2, 0, -6, 0, 0),
+                       (5, 0, 0, 0, 3, 0, 0, 0),
+                       (0, 0, 0, -6, 0, 4, 0, 0),
+                       (0, 0, -5, 0, 0, 0, 3, 0),
+                       (0, -6, 0, 0, 0, 0, 0, 4))
+
 
 class Family(str, Enum):
-    TWO_MODE = "two_mode"
-    WERNER_WOLF = "werner_wolf"
+    """A CM pattern and its data: `cm_index` and `cm_sign` (CM entry (i, j)
+    is cm_sign[i, j] M_cm_index[i, j], with M_0 = 0), `n_modes`, `n_modes_a`
+    (party A's modes, the first ones), `power` (the witness ratio is that
+    power of the determinant ratio), `criterion` (the report's criterion
+    name) and `oracle_cutoff`."""
+
+    #              value          layout               modes A  power criterion      cutoff
+    TWO_MODE =    ("two_mode",    _TWO_MODE_LAYOUT,    2,    1, 0.5,  "simon",       25)
+    WERNER_WOLF = ("werner_wolf", _WERNER_WOLF_LAYOUT, 4,    2, 1.0,  "werner_wolf", 6)
+
+    def __new__(cls, value, layout, *data):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.cm_index, member.cm_sign = np.abs(layout), np.sign(layout)
+        member.cm_index.flags.writeable = member.cm_sign.flags.writeable = False
+        (member.n_modes, member.n_modes_a, member.power, member.criterion,
+         member.oracle_cutoff) = data
+        return member
 
 
 @dataclass(frozen=True)
-class TwoModeStandardForm:
-    a: float
-    b: float
-    c1: float
-    c2: float
+class QuadratureForm:
+    """A family-patterned CM given by its x triple and p triple (a, b, c):
+    party A's variance, party B's variance and their signed correlation."""
+
+    family: Family
+    x: tuple
+    p: tuple
+
+    @property
+    def params(self) -> tuple:
+        """The parameters M1..M6 = (x a, p a, x b, p b, x c, p c)."""
+        (xa, xb, xc), (pa, pb, pc) = self.x, self.p
+        return (xa, pa, xb, pb, xc, pc)
+
+    @property
+    def n_modes(self) -> int:
+        return self.family.n_modes
 
     def to_cm(self) -> CovMatrix:
-        m = np.diag(np.array([self.a, self.a, self.b, self.b], dtype=float))
-        m[0, 2] = m[2, 0] = self.c1
-        m[1, 3] = m[3, 1] = -self.c2
-        return CovMatrix(m)
+        family = self.family
+        return CovMatrix(np.array((0.0, *self.params))[family.cm_index] * family.cm_sign)
+
+    def scaled(self, t: float) -> "QuadratureForm":
+        return DetectorSpec(self.family, *(t * v for v in self.params))
 
 
-@dataclass(frozen=True)
-class WernerWolfForm:
+def TwoModeStandardForm(a, b, c1, c2) -> QuadratureForm:
+    """Two-mode standard form: diag-blocks (a, a), (b, b), cross block
+    diag(c1, -c2)."""
+    return QuadratureForm(Family.TWO_MODE, (a, b, c1), (a, b, c2))
+
+
+def WernerWolfForm(A, B, C, D, E, F) -> QuadratureForm:
     """Scalars (A..F) of the 8x8 generalized Werner-Wolf pattern."""
-
-    A: float
-    B: float
-    C: float
-    D: float
-    E: float
-    F: float
-
-    def to_cm(self) -> CovMatrix:
-        m = np.diag(np.array([self.A, self.B, self.A, self.B,
-                             self.C, self.D, self.C, self.D], dtype=float))
-        m[0, 4] = m[4, 0] = self.E
-        m[2, 6] = m[6, 2] = -self.E
-        m[1, 7] = m[7, 1] = -self.F
-        m[3, 5] = m[5, 3] = -self.F
-        return CovMatrix(m)
+    return QuadratureForm(Family.WERNER_WOLF, (A, C, E), (B, D, F))
 
 
-def quadrature_triples(form) -> tuple[tuple, tuple]:
-    """The form's CM splits into two 2x2 blocks [[a, +-c], [+-c, b]], one per
-    quadrature pair (x then p); returns their (a, b, c), c signed."""
-    if isinstance(form, TwoModeStandardForm):
-        return (form.a, form.b, form.c1), (form.a, form.b, form.c2)
-    if isinstance(form, WernerWolfForm):
-        return (form.A, form.C, form.E), (form.B, form.D, form.F)
-    raise PatternMismatchError(f"unsupported form {type(form).__name__}")
+def DetectorSpec(family: Family, m1, m2, m3, m4, m5, m6) -> QuadratureForm:
+    """Gaussian detector with family-patterned CM, parameters M1..M6."""
+    return QuadratureForm(family, (m1, m3, m5), (m2, m4, m6))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -103,9 +140,7 @@ def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, d, vt.T
 
 
-def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[TwoModeStandardForm, LocalSymplectic]:
-    if gamma.n_modes != 2:
-        raise PatternMismatchError(f"two-mode family needs 2 modes, got {gamma.n_modes}")
+def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, LocalSymplectic]:
     m = gamma.mat
     sa = _single_mode_normal(m[:2, :2])
     sb = _single_mode_normal(m[2:, 2:])
@@ -115,22 +150,17 @@ def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[TwoModeStandardForm,
     o1, d, o2 = _signed_svd_2x2(m1[:2, 2:])
     s = block_diag(o1.T, o2.T) @ s
     m2 = s @ m @ s.T
-    form = TwoModeStandardForm(a=m2[0, 0], b=m2[2, 2], c1=m2[0, 2], c2=-m2[1, 3])
+    form = TwoModeStandardForm(m2[0, 0], m2[2, 2], m2[0, 2], -m2[1, 3])
     residual = np.max(np.abs(m2 - form.to_cm().mat))
     if residual > tol:
         raise PatternMismatchError(
             f"cannot reach two-mode standard form (residual {residual:g})", residual=residual)
-    return form, LocalSymplectic(s, n_modes_a=1)
+    return form, LocalSymplectic(s, n_modes_a=Family.TWO_MODE.n_modes_a)
 
 
-_WW_ZERO_MASK = WernerWolfForm(1, 2, 3, 4, 5, 6).to_cm().mat == 0
-
-
-def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[WernerWolfForm, LocalSymplectic]:
-    if gamma.n_modes != 4:
-        raise PatternMismatchError(f"Werner-Wolf family needs 4 modes, got {gamma.n_modes}")
+def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, LocalSymplectic]:
     m = gamma.mat
-    off_pattern = np.max(np.abs(m[_WW_ZERO_MASK]))
+    off_pattern = np.max(np.abs(m[Family.WERNER_WOLF.cm_index == 0]))
     if off_pattern > tol * max(1.0, np.max(np.abs(m))):
         raise PatternMismatchError(
             f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})",
@@ -167,15 +197,15 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[WernerWolfForm, L
     s = block_diag(*[np.diag([sj, 1.0 / sj]) for sj in sq])
     m2 = s @ m @ s.T
     form = WernerWolfForm(
-        A=(m2[0, 0] + m2[2, 2]) / 2, B=(m2[1, 1] + m2[3, 3]) / 2,
-        C=(m2[4, 4] + m2[6, 6]) / 2, D=(m2[5, 5] + m2[7, 7]) / 2,
-        E=(m2[0, 4] - m2[2, 6]) / 2, F=-(m2[1, 7] + m2[3, 5]) / 2)
+        (m2[0, 0] + m2[2, 2]) / 2, (m2[1, 1] + m2[3, 3]) / 2,
+        (m2[4, 4] + m2[6, 6]) / 2, (m2[5, 5] + m2[7, 7]) / 2,
+        (m2[0, 4] - m2[2, 6]) / 2, -(m2[1, 7] + m2[3, 5]) / 2)
     residual = np.max(np.abs(m2 - form.to_cm().mat))
     if residual > tol * max(1.0, np.max(np.abs(m2))):
         raise PatternMismatchError(
             f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})",
             residual=residual)
-    return form, LocalSymplectic(s, n_modes_a=2)
+    return form, LocalSymplectic(s, n_modes_a=Family.WERNER_WOLF.n_modes_a)
 
 
 #: {CovMatrix: {(family, tol): (form, S)}}, see the module docstring.
@@ -189,6 +219,9 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10
     memo = _REDUCED.get(gamma)
     if memo is not None and (family, tol) in memo:
         return memo[family, tol]
+    if gamma.n_modes != family.n_modes:
+        raise PatternMismatchError(
+            f"{family.value} family needs {family.n_modes} modes, got {gamma.n_modes}")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     result = reduce(gamma, tol)
     _REDUCED.setdefault(gamma, {})[family, tol] = result
@@ -196,8 +229,7 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10
 
 
 def detect_family(gamma: CovMatrix) -> Family:
-    if gamma.n_modes == 2:
-        return Family.TWO_MODE
-    if gamma.n_modes == 4:
-        return Family.WERNER_WOLF
+    for family in Family:
+        if family.n_modes == gamma.n_modes:
+            return family
     raise PatternMismatchError(f"no supported family for {gamma.n_modes} modes")

@@ -1,13 +1,14 @@
 """Matched-witness machinery: the product-state maximum of a Gaussian detector,
 the detection ratio, and the min-max search for the matched detector.
 
-For both supported detector families det(gamma_M + gamma_A (+) gamma_B)
-factorizes into two scalar factors g1, g2.  For a generic detector the
-product-state maximum Lambda (`lambda_closed_form`) takes the minimum of g1 g2
-over y in closed form and bisects one monotone slope in log x.  The matched
-witness lies on the degenerate cone
-m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1, m2 = t w2, m4 = t/w2,
-m5 = +-t, m6 = +-t.  There, with s = u + 1/u and u = sqrt(w1 w2),
+A detector is a `QuadratureForm`, the type of the standard forms too, with
+parameters M1..M6 (`DetectorSpec`).  For both supported detector families
+det(gamma_M + gamma_A (+) gamma_B) factorizes into two scalar factors g1, g2.
+For a generic detector the product-state maximum Lambda
+(`lambda_closed_form`) takes the minimum of g1 g2 over y in closed form and
+bisects one monotone slope in log x.  The matched witness lies on the
+degenerate cone m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1, m2 = t w2,
+m4 = t/w2, m5 = +-t, m6 = +-t.  There, with s = u + 1/u and u = sqrt(w1 w2),
 
     min g1 g2 = (1 + 2 t s)^2 / 16            at x = sqrt(w1/w2), y = 1/x,
     factor i of det(gamma + gamma_M) = t n_i + d_i,
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DimensionMismatchError, NonPositiveDeterminantError,
-                         NotEntangledError)
-from .standard_form import (Family, WernerWolfForm, detect_family,
-                            quadrature_triples, reduce_to_standard_form)
+from .exceptions import (NonPositiveDeterminantError, NotEntangledError,
+                         PatternMismatchError)
+from .standard_form import (DetectorSpec, Family, QuadratureForm,
+                            detect_family, reduce_to_standard_form)
 from .symplectic import CovMatrix
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
@@ -43,6 +44,9 @@ _EDGE_MARGIN = 1e-14
 #: detectors of the matched witness lie on m5^2 = m1 m3 up to rounding.
 _BLOCK_RTOL = 1e-12
 
+#: relative tolerance of `detector_from_cm` on the rebuilt CM.
+_PATTERN_RTOL = 1e-10
+
 #: detector scales t of the scaling audit; the matched detector is the last.
 AUDIT_SCALES = (1e2, 1e3, 1e4)
 
@@ -51,53 +55,23 @@ AUDIT_SCALES = (1e2, 1e3, 1e4)
 _EDGE_EPS = AUDIT_SCALES[-1] ** -0.5
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
-    """Gaussian detector with family-patterned CM, parameters M1..M6."""
-
-    family: Family
-    m1: float
-    m2: float
-    m3: float
-    m4: float
-    m5: float
-    m6: float
-
-    @property
-    def params(self) -> tuple[float, ...]:
-        return (self.m1, self.m2, self.m3, self.m4, self.m5, self.m6)
-
-    def to_cm(self) -> CovMatrix:
-        if self.family is Family.TWO_MODE:
-            m = np.diag(np.array([self.m1, self.m2, self.m3, self.m4], dtype=float))
-            m[0, 2] = m[2, 0] = self.m5
-            m[1, 3] = m[3, 1] = -self.m6
-            return CovMatrix(m)
-        return WernerWolfForm(self.m1, self.m2, self.m3, self.m4,
-                              self.m5, self.m6).to_cm()
-
-    def scaled(self, t: float) -> "DetectorSpec":
-        return DetectorSpec(self.family, *(t * p for p in self.params))
-
-    @property
-    def n_modes(self) -> int:
-        return 2 if self.family is Family.TWO_MODE else 4
-
-
-def detector_from_cm(gamma: CovMatrix) -> DetectorSpec:
-    """Read detector parameters off a family-patterned CM (no reduction)."""
+def detector_from_cm(gamma: CovMatrix) -> QuadratureForm:
+    """Read detector parameters off a family-patterned CM (no reduction):
+    each M_k at its first place in the family layout.  A CM that the
+    parameters do not rebuild to within `_PATTERN_RTOL` of max |gamma| is
+    refused."""
     family = detect_family(gamma)
-    form, s = reduce_to_standard_form(gamma, family)
-    if np.max(np.abs(s.mat - np.eye(gamma.dim))) > 1e-8:
-        raise DimensionMismatchError("CM is not already in the family pattern")
-    if family is Family.TWO_MODE:
-        m = gamma.mat
-        return DetectorSpec(family, m[0, 0], m[1, 1], m[2, 2], m[3, 3],
-                            m[0, 2], -m[1, 3])
-    return DetectorSpec(family, form.A, form.B, form.C, form.D, form.E, form.F)
+    signed = gamma.mat * family.cm_sign
+    d = DetectorSpec(family, *(signed[family.cm_index == k][0] for k in range(1, 7)))
+    residual = np.max(np.abs(d.to_cm().mat - gamma.mat))
+    if residual > _PATTERN_RTOL * np.max(np.abs(gamma.mat)):
+        raise PatternMismatchError(
+            f"CM is not in the {family.value} detector pattern (residual {residual:g})",
+            residual=residual)
+    return d
 
 
-def _min_det_factors(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
+def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     """Minimize g1(x, y) * g2(x, y) = G1 G2 / (x y) over x, y > 0.
 
     G1 = (m1 + x/2)(m3 + y/2) - m5^2 and G2 = (m2 x + 1/2)(m4 y + 1/2)
@@ -159,7 +133,7 @@ def _min_det_factors(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
     return val, (x, y)
 
 
-def lambda_closed_form(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
+def lambda_closed_form(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     """Maximal detector mean over product pure states and the minimizing (x, y)."""
     val, xy = _min_det_factors(d)
     if d.family is Family.TWO_MODE:
@@ -168,11 +142,10 @@ def lambda_closed_form(d: DetectorSpec) -> tuple[float, tuple[float, float]]:
     return 1.0 / val, xy
 
 
-def _abs_triples(form) -> list[tuple[float, float, float]]:
+def _abs_triples(form: QuadratureForm) -> list[tuple[float, float, float]]:
     """The form's quadrature triples (a, b, |c|) as Python floats, so that an
     overflow in the closed forms is inf, not a warning."""
-    return [(float(a), float(b), abs(float(c)))
-            for a, b, c in quadrature_triples(form)]
+    return [(float(a), float(b), abs(float(c))) for a, b, c in (form.x, form.p)]
 
 
 def _cone_lambda(w1: float, w2: float, t: float,
@@ -185,7 +158,7 @@ def _cone_lambda(w1: float, w2: float, t: float,
     return (4 / (1 + 2 * t * (u + 1 / u))) ** (2 * power), (x, 1 / x)
 
 
-def _cone_ratio(form, w1: float, w2: float,
+def _cone_ratio(form: QuadratureForm, w1: float, w2: float,
                 t: float = math.inf) -> tuple[float, float]:
     """ell^(1/power) = 16 (t n1 + d1)(t n2 + d2) / (1 + 2 t s)^2 of the cone
     detector of direction (w1, w2) at scale t (module docstring), and a
@@ -207,7 +180,7 @@ def _cone_ratio(form, w1: float, w2: float,
     return ratio, cond
 
 
-def _limit_argmin(form) -> tuple[float, tuple[float, float], str]:
+def _limit_argmin(form: QuadratureForm) -> tuple[float, tuple[float, float], str]:
     """Minimum of the limit ratio over cone directions, in closed form.
 
     With x = w1, y = w2 the ratio is 4 n1(x) n2(y) / (x y + 1)^2, where
@@ -263,7 +236,7 @@ class WitnessReport:
     lam: float
     ell: float
     ell_limit: float
-    matched_params: DetectorSpec
+    matched_params: QuadratureForm
     argmax_xy: tuple[float, float]
     trace_mean: float
     scaling_audit: tuple[tuple[float, float], ...]
@@ -284,15 +257,14 @@ def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
     """
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
-    power = 0.5 if family is Family.TWO_MODE else 1.0
+    power = family.power
     limit, (w1, w2), path = _limit_argmin(form)
     if not limit > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
         raise NonPositiveDeterminantError(
             "det(gamma + gamma_M) is non-positive in the large-detector limit")
     ell_limit = float(limit ** power)
-    (_, _, c5), (_, _, c6) = quadrature_triples(form)
     direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
-                             np.sign(c5) or 1.0, np.sign(c6) or 1.0)
+                             np.sign(form.x[2]) or 1.0, np.sign(form.p[2]) or 1.0)
     audit = []
     for t in AUDIT_SCALES:
         ratio, cond = _cone_ratio(form, w1, w2, t)
@@ -309,7 +281,7 @@ def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
                      "ell_rel_err": sys.float_info.epsilon * power * cond})
 
 
-def matched_witness(gamma: CovMatrix) -> tuple[float, DetectorSpec, float]:
+def matched_witness(gamma: CovMatrix) -> tuple[float, QuadratureForm, float]:
     """(Lambda, matched detector, violation) with violation = Lambda - Tr(rho M*)."""
     report = minmax_optimize(gamma)
     if not report.entangled:

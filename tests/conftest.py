@@ -14,11 +14,11 @@ from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   OptimizerStalledError)
 from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import _ladder_shift
-from cvwitness.standard_form import (Family, TwoModeStandardForm,
-                                     quadrature_triples)
+from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
+                                     TwoModeStandardForm)
 from cvwitness.symplectic import (ComplexCovMatrix, CovMatrix, _ccm_transform,
                                   block_diag, cm_to_ccm)
-from cvwitness.witness import DetectorSpec, _cone_ratio, _min_det_factors
+from cvwitness.witness import _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
 # so tier-1 stays deterministic; each test sets its own max_examples
@@ -27,7 +27,7 @@ settings.register_profile("deterministic", deadline=None, derandomize=True,
 settings.load_profile("deterministic")
 
 
-def tmsv_form(r: float) -> TwoModeStandardForm:
+def tmsv_form(r: float) -> QuadratureForm:
     """Two-mode squeezed vacuum in standard form (x correlated, p anti:
     the CM builder carries the sign flip on c2)."""
     a = np.cosh(2 * r) / 2
@@ -43,7 +43,7 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
 
 
 def sample_two_mode_detector(rng: np.random.Generator,
-                             physical: bool = True) -> DetectorSpec:
+                             physical: bool = True) -> QuadratureForm:
     """Random two-mode detector with moderate occupancy."""
     while True:
         m1, m2, m3, m4 = rng.uniform(0.6, 1.8, 4)
@@ -54,7 +54,7 @@ def sample_two_mode_detector(rng: np.random.Generator,
             return d
 
 
-def sample_ww_detector(rng: np.random.Generator) -> DetectorSpec:
+def sample_ww_detector(rng: np.random.Generator) -> QuadratureForm:
     """Random physical four-mode detector in the Werner-Wolf pattern."""
     while True:
         m1, m2, m3, m4 = rng.uniform(0.7, 1.5, 4)
@@ -66,7 +66,7 @@ def sample_ww_detector(rng: np.random.Generator) -> DetectorSpec:
 
 
 def sample_standard_form(rng: np.random.Generator,
-                         exclude_band: float = 0.0) -> TwoModeStandardForm:
+                         exclude_band: float = 0.0) -> QuadratureForm:
     """Random physical two-mode standard form, optionally away from the
     criterion boundary."""
     while True:
@@ -94,7 +94,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
+def ell_ratio(gamma: CovMatrix, d: QuadratureForm) -> float:
     """Determinant oracle for the detection ratio:
     sqrt(det(gamma + gamma_M) / min_{x,y} det(gamma_A (+) gamma_B + gamma_M)),
     the minimum by `_min_det_factors`."""
@@ -107,6 +107,20 @@ def ell_ratio(gamma: CovMatrix, d: DetectorSpec) -> float:
     val, _ = _min_det_factors(d)
     den = val ** 2 if d.family is Family.WERNER_WOLF else val
     return float(np.sqrt(num / den))
+
+
+def simon_invariant_lhs(gamma: CovMatrix) -> float:
+    """Simon's two-mode quantity from the local invariants of the CM, with
+    no reduction (Simon, PRL 84, 2726 (2000)): det A det B + (1/4 - |det
+    C|)^2 - tr(A J C J B J C^T J) - (det A + det B)/4 for gamma = [[A, C],
+    [C^T, B]]; on the standard form it is `simon_lhs`."""
+    m = gamma.mat
+    a, b, c = m[:2, :2], m[2:, 2:], m[:2, 2:]
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    det_a, det_b = np.linalg.det(a), np.linalg.det(b)
+    return float(det_a * det_b + (0.25 - abs(np.linalg.det(c))) ** 2
+                 - np.trace(a @ j @ c @ j @ b @ j @ c.T @ j)
+                 - (det_a + det_b) / 4)
 
 
 def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
@@ -154,7 +168,7 @@ def ccm_to_cm(gamma_c: ComplexCovMatrix) -> CovMatrix:
     return CovMatrix(mat.real)
 
 
-def overlap_identity_ratio(d: DetectorSpec, gamma_a: np.ndarray,
+def overlap_identity_ratio(d: QuadratureForm, gamma_a: np.ndarray,
                            gamma_b: np.ndarray) -> float:
     """Oracle for the channel picture: the ratio of the direct detector mean
     to the channel-picture mean.
@@ -217,7 +231,7 @@ def grid_certificate(form, grid: int = 256) -> tuple[float, float, float] | None
     (x, y) box with the largest slack of the two conditions on a grid x grid
     mesh, refined by Nelder-Mead in (log x, log y).  Returns (x, y, slack),
     or None when the box is empty."""
-    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
 
     def slack(x, y):
         u1, v1 = a1 - x / 2, b1 - y / 2

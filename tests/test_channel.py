@@ -20,17 +20,18 @@ def test_channel_matrices_diagonal_structure():
     ch = detector_to_channel(D_ASYM)
     assert ch.k.shape == (2, 2)
     assert np.allclose(ch.k, np.diag(np.diag(ch.k)))
-    d = D_ASYM
-    den_x = (d.m3 + 0.5) * (d.m3 - 0.5)
-    assert abs(ch.k[0, 0] - d.m5 / np.sqrt(den_x)) < 1e-12
-    assert abs(ch.alpha[0, 0] - (d.m1 - d.m5 ** 2 * d.m3 / den_x)) < 1e-12
+    m1, _, m3, _, m5, _ = D_ASYM.params
+    den_x = (m3 + 0.5) * (m3 - 0.5)
+    assert abs(ch.k[0, 0] - m5 / np.sqrt(den_x)) < 1e-12
+    assert abs(ch.alpha[0, 0] - (m1 - m5 ** 2 * m3 / den_x)) < 1e-12
 
 
 def test_channel_cp_and_commutator(rng):
     for sampler in (sample_two_mode_detector, sample_ww_detector):
         for _ in range(10):
             d = sampler(rng)
-            if d.m3 + 0.5 <= 1.0 or d.m4 + 0.5 <= 1.0:
+            _, _, m3, m4, _, _ = d.params
+            if m3 + 0.5 <= 1.0 or m4 + 0.5 <= 1.0:
                 continue
             ch = detector_to_channel(d.scaled(20.0))
             assert channel_commutator_norm(ch) < 1e-12
@@ -67,8 +68,8 @@ def test_channel_form_approaches_exact():
     nu = -0.25 + 0.3j
     devs = []
     for t in (1e2, 1e3, 1e4):
-        d = DetectorSpec(D_ASYM.family, D_ASYM.m1, D_ASYM.m2, t * D_ASYM.m3,
-                         t * D_ASYM.m4, D_ASYM.m5, D_ASYM.m6)
+        m1, m2, m3, m4, m5, m6 = D_ASYM.params
+        d = DetectorSpec(D_ASYM.family, m1, m2, t * m3, t * m4, m5, m6)
         devs.append(abs(channel_output_char(d, 1, 1, nu)
                         - exact_output_char(d, 1, 1, nu)))
     assert devs[0] > devs[1] > devs[2]

@@ -8,12 +8,14 @@ from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
                                 feasibility_search, ppt_decide, simon_lhs,
                                 werner_wolf_family,
                                 werner_wolf_family_lhs_claim, werner_wolf_lhs)
-from cvwitness.exceptions import ConstraintViolatedError, PatternMismatchError
-from cvwitness.standard_form import (TwoModeStandardForm, WernerWolfForm,
-                                    quadrature_triples)
+from cvwitness.exceptions import (ConstraintViolatedError, PartitionError,
+                                  PatternMismatchError)
+from cvwitness.standard_form import (Family, TwoModeStandardForm,
+                                     WernerWolfForm, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix
 
-from conftest import grid_certificate, sample_ww_family_params, tmsv_form
+from conftest import (grid_certificate, sample_standard_form,
+                      sample_ww_family_params, simon_invariant_lhs, tmsv_form)
 
 PROPERTY = settings(max_examples=60)
 
@@ -46,6 +48,14 @@ def test_decide_tmsv_entangled():
 def test_ppt_tmsv_vs_thermal():
     assert not ppt_decide(tmsv_form(0.5).to_cm()).is_ppt
     assert ppt_decide(CovMatrix(np.eye(4) * 1.5)).is_ppt
+
+
+@pytest.mark.parametrize("partition", [[0, 1], [], [5], [0, 2]])
+def test_ppt_refuses_partition_without_two_parties(partition):
+    """A partition that leaves a party empty or names a mode the state
+    lacks is refused; it used to report a two-mode squeezed vacuum PPT."""
+    with pytest.raises(PartitionError, match="must name between 1 and 1"):
+        ppt_decide(tmsv_form(0.5).to_cm(), partition)
 
 
 def test_ww_family_params_validation():
@@ -131,7 +141,7 @@ def test_decide_accepts_either_label_of_the_cut(state, partitions):
 def _phi(form, x):
     """phi(x) = 4 f1 f2 where both factors are positive, else 0 (numpy);
     a zero correlation drops its term also where its denominator is 0."""
-    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
     u, w = a1 - x / 2, a2 - 1 / (2 * x)
     with np.errstate(divide="ignore", invalid="ignore"):
         f1 = np.where(u > 0, b1 - c1 ** 2 / u, b1 * ((u == 0) & (c1 ** 2 == 0)))
@@ -149,7 +159,7 @@ def _forms():
 
 
 def _lhs(form):
-    return simon_lhs(form) if isinstance(form, TwoModeStandardForm) \
+    return simon_lhs(form) if form.family is Family.TWO_MODE \
         else werner_wolf_lhs(form)
 
 
@@ -174,8 +184,8 @@ def test_certificate_matches_grid_oracle(form):
 @given(_forms())
 def test_peak_dominates_dense_scan(form):
     assume(form.to_cm().is_physical())
-    (a1, _, _), (a2, _, _) = quadrature_triples(form)
-    x, f1, f2 = _peak(*quadrature_triples(form))
+    (a1, _, _), (a2, _, _) = form.x, form.p
+    x, f1, f2 = _peak(form.x, form.p)
     scan = _phi(form, np.linspace(1 / (2 * a2), 2 * a1, 20001))
     assert 4 * f1 * f2 >= np.max(scan) * (1 - 1e-12)
 
@@ -205,11 +215,11 @@ def test_certificate_interior_root(form):
     log phi, between the two bounds on y."""
     assert certificate_min_eig(form, 1.0, 1.0) < -TOL_CERT
     x, y = feasibility_search(form)
-    _, f1, f2 = _peak(*quadrature_triples(form))
+    _, f1, f2 = _peak(form.x, form.p)
     assert abs(4 * f1 * f2 - _phi(form, np.array(x))) < 1e-12 * f1 * f2
     h = 1e-5 * x
     assert abs(np.log(_phi(form, np.array(x + h)) / _phi(form, np.array(x - h)))) < 1e-8
-    (a1, b1, c1), (a2, b2, c2) = quadrature_triples(form)
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
     g1 = 2 * (b1 - c1 ** 2 / (a1 - x / 2))
     g2 = 1 / (2 * (b2 - c2 ** 2 / (a2 - 1 / (2 * x))))
     assert g2 < y < g1 and abs(y - np.sqrt(g1 * g2)) < 1e-12 * y
@@ -218,7 +228,7 @@ def test_certificate_interior_root(form):
 def test_no_certificate_below_one():
     """An entangled form: (1, 1) fails and max phi < 1."""
     form = tmsv_form(0.4)
-    x, f1, f2 = _peak(*quadrature_triples(form))
+    x, f1, f2 = _peak(form.x, form.p)
     assert 4 * f1 * f2 < 1
     assert feasibility_search(form) is None
 
@@ -232,3 +242,28 @@ def test_certificate_small_correlation_keeps_precision():
         x, y = feasibility_search(form)
         assert 0 <= 2 * 0.81 - x <= 10 * abs(c1)
         assert certificate_min_eig(form, x, y) >= -TOL_CERT
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+
+
+def test_simon_lhs_matches_local_invariants():
+    """`simon_lhs` of the reduced form equals Simon's quantity from the local
+    invariants of the dressed CM (no reduction), relative to ||gamma||^4."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        f = sample_standard_form(rng)
+        s = np.zeros((4, 4))
+        for j in range(2):
+            t1, t2 = rng.uniform(0, 2 * np.pi, 2)
+            r = rng.uniform(0, 1)
+            s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
+                _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
+        m = s @ f.to_cm().mat @ s.T
+        gamma = CovMatrix((m + m.T) / 2)
+        form, _ = reduce_to_standard_form(gamma, Family.TWO_MODE)
+        scale = np.linalg.norm(gamma.mat, 2) ** 4
+        assert abs(simon_lhs(form) - simon_invariant_lhs(gamma)) <= 1e-12 * scale
+        assert abs(simon_lhs(f) - simon_invariant_lhs(f.to_cm())) <= 1e-12 * scale
+

@@ -91,7 +91,7 @@ def test_load_detector(tmp_path):
                       {"family": "two_mode", "m": [1, 1, 1, 1, 0.5, -0.4]})
     d = load_detector(path)
     assert d.family is Family.TWO_MODE
-    assert d.m5 == 0.5 and d.m6 == -0.4
+    assert d.params[4] == 0.5 and d.params[5] == -0.4
 
 
 def test_cli_tmsv_entangled(tmp_path, capsys):
@@ -117,6 +117,17 @@ def test_cli_ppt_criterion(tmp_path, capsys):
     code = main(["check", path, "--criterion", "ppt"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("partition", [[0, 1], []])
+def test_cli_ppt_refuses_partition_without_two_parties(tmp_path, capsys,
+                                                       partition):
+    path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat,
+                   extra={"partition": partition})
+    code = main(["check", path, "--criterion", "ppt"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: partition") and err.count("\n") == 1
 
 
 def test_cli_witness_criterion(tmp_path, capsys):
@@ -256,8 +267,9 @@ def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     """A TMSV detector at r = 1 is badly truncated at cutoff 10: the trace
     shows it and the mean photon number shows it more."""
     f = tmsv_form(1.0)
+    (a, b, c1), (_, _, c2) = f.x, f.p
     path = write_json(tmp_path / "det.json", {
-        "family": "two_mode", "m": [f.a, f.b, f.a, f.b, f.c1, f.c2]})
+        "family": "two_mode", "m": [a, b, a, b, c1, c2]})
     reports = {}
     for cutoff in (10, 25):
         main(["oracle", path, "--cutoff", str(cutoff), "--restarts", "1"])

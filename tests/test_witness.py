@@ -12,11 +12,10 @@ from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError,
                                   NonPositiveDeterminantError,
-                                  NotEntangledError)
-from cvwitness.standard_form import (Family, TwoModeStandardForm,
-                                     WernerWolfForm, detect_family,
-                                     quadrature_triples,
-                                     reduce_to_standard_form)
+                                  NotEntangledError, PatternMismatchError)
+from cvwitness.standard_form import (Family, QuadratureForm,
+                                     TwoModeStandardForm, WernerWolfForm,
+                                     detect_family, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, gaussian_overlap
 from cvwitness.witness import (DetectorSpec, _cone_lambda, _cone_ratio,
                                _min_det_factors, detector_from_cm,
@@ -42,6 +41,28 @@ def test_lambda_tmsv_projector():
     lam, _ = lambda_closed_form(d)
     # best product-state overlap with a TMSV projector
     assert abs(lam - 1.0 / np.cosh(r) ** 2) < 1e-10
+
+
+def test_detector_from_cm_round_trip(rng):
+    """Sampled detectors of both families, with M1 != M2 and M3 != M4, are
+    read back exactly from their CMs."""
+    for sampler in (sample_two_mode_detector, sample_ww_detector):
+        for _ in range(25):
+            d = sampler(rng)
+            assert detector_from_cm(d.to_cm()) == d
+    d = DetectorSpec(Family.TWO_MODE, 1.2, 1.6, 1.3, 1.3, 0.6, -0.45)
+    assert detector_from_cm(d.to_cm()) == d
+
+
+@pytest.mark.parametrize("gamma", [
+    tmsv_form(0.5).to_cm().mat + 0.1 * (np.eye(4, k=3) + np.eye(4, k=-3)),   # x1 p2
+    np.eye(4) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1)),   # x-p correlated
+    WernerWolfForm(1.0, 1.1, 1.2, 1.3, 0.4, -0.3).to_cm().mat
+    + np.diag([0, 0, 0.2, 0, 0, 0, 0, 0]),                  # modes of A differ
+], ids=["two-mode-x1p2", "two-mode-xp", "werner-wolf-variance"])
+def test_detector_from_cm_refuses_off_pattern(gamma):
+    with pytest.raises(PatternMismatchError, match="detector pattern"):
+        detector_from_cm(CovMatrix(gamma))
 
 
 def test_lambda_thermal_product():
@@ -158,7 +179,7 @@ def test_closed_form_matches_nelder_mead_ww(form):
 @PROPERTY
 @given(st.one_of(two_mode_forms(), ww_forms()))
 def test_ell_limit_sign_matches_criterion(form):
-    lhs = (simon_lhs(form) if isinstance(form, TwoModeStandardForm)
+    lhs = (simon_lhs(form) if form.family is Family.TWO_MODE
            else werner_wolf_lhs(form))
     assume(abs(lhs) > 1e-6)
     rep = minmax_optimize(form.to_cm())
@@ -167,7 +188,7 @@ def test_ell_limit_sign_matches_criterion(form):
 
 def _check_cone_closed_form(form, family, power, lw1, lw2, t):
     w1, w2 = math.exp(lw1), math.exp(lw2)
-    (_, _, c5), (_, _, c6) = quadrature_triples(form)
+    (_, _, c5), (_, _, c6) = form.x, form.p
     d = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
                      np.sign(c5) or 1.0, np.sign(c6) or 1.0).scaled(t)
     lam, (x, y) = _cone_lambda(w1, w2, t, power)
@@ -304,14 +325,14 @@ def test_tmsv_ell_matches_50_digit_reference():
 
 # ---------------------------------------------- determinant-factor minimum
 
-def _g1g2(d: DetectorSpec, x: float, y: float) -> float:
+def _g1g2(d: QuadratureForm, x: float, y: float) -> float:
     """g1 g2 = G1 G2 / (x y) from the factored determinant."""
     m1, m2, m3, m4, m5, m6 = d.params
     return (((m1 + x / 2) * (m3 + y / 2) - m5 ** 2)
             * ((m2 * x + 0.5) * (m4 * y + 0.5) - m6 ** 2 * x * y) / (x * y))
 
 
-def _min_det_reference(d: DetectorSpec) -> float:
+def _min_det_reference(d: QuadratureForm) -> float:
     """Independent reference: eliminate x in closed form (the product is
     (alpha + beta x)(gamma + delta / x) at fixed y, minimized at
     x = sqrt(alpha delta / (beta gamma))) and minimize over log y by Brent."""

@@ -117,6 +117,13 @@ def momentum_flip(n_modes: int, party_b: list[int]) -> np.ndarray:
     return np.diag(p)
 
 
+def _splits(partition: list[int], n_modes: int) -> bool:
+    """Whether party A = `partition` and its complement are both nonempty
+    sets of the modes 0..n_modes - 1."""
+    modes = set(partition)
+    return bool(modes) and modes < set(range(n_modes))
+
+
 def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
                tol: float = TOL_PSD) -> PptReport:
     """Momentum-flip partial transpose test.
@@ -129,8 +136,7 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     n = gamma.n_modes
     if partition is None:
         partition = list(range(n // 2))
-    modes = set(partition)
-    if not modes or not modes < set(range(n)):
+    if not _splits(partition, n):
         raise PartitionError(
             f"partition {partition} must name between 1 and {n - 1} of the "
             f"modes 0..{n - 1}")
@@ -228,7 +234,9 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
 
     `partition` may name party A or party B of the family's cut: both labels
     give the same report, since entanglement and PPT do not depend on which
-    party is called A.  Any other partition is refused."""
+    party is called A.  Any other cut is refused (`PatternMismatchError`), and
+    so is a partition that leaves a party empty or names a mode the state
+    lacks (`PartitionError`)."""
     if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
     family = detect_family(gamma)
@@ -236,7 +244,9 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     if partition is not None:
         complement = [m for m in range(gamma.n_modes) if m not in default]
         if sorted(partition) not in (default, complement):
-            raise PatternMismatchError(
+            error = (PatternMismatchError if _splits(partition, gamma.n_modes)
+                     else PartitionError)
+            raise error(
                 f"family {family.value} fixes partition {default} (or {complement})")
     form, _ = reduce_to_standard_form(gamma, family)
     lhs = separability_lhs(form)

@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from .criteria import CriterionReport
-from .exceptions import CvWitnessError, DimensionMismatchError, NonZeroMeanError
+from .exceptions import DimensionMismatchError, NonZeroMeanError, PartitionError
 from .nongauss import NonGaussState
 from .standard_form import DetectorSpec, Family, QuadratureForm
 from .symplectic import CovMatrix
@@ -60,7 +60,7 @@ def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
         raise DimensionMismatchError(
             f"cm shape {mat.shape} does not match n_modes = {n}")
     if partition is not None and any(m < 0 or m >= n for m in partition):
-        raise DimensionMismatchError(f"partition {partition} out of range")
+        raise PartitionError(f"partition {partition} out of range")
     return CovMatrix(mat), partition
 
 

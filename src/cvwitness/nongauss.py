@@ -3,10 +3,18 @@
 A state rho = N a^{k dag} a^m rho_G a^{m dag} a^k is handled through the
 generating operator Q(xi, eta) = e^{xi a^dag} e^{-eta* a} rho_G e^{eta a^dag}
 e^{-xi* a}: every trace against a Gaussian detector is a mixed derivative of an
-explicit quadratic exponential, extracted exactly as a multivariate Taylor
-coefficient. That coefficient is a hafnian with repeated rows and columns,
-computed by Kan's formula (Kan, J. Multivariate Anal. 99, 2008; Bjorklund,
-Gupt & Quesada, arXiv:1805.12498) as a signed sum over prod(n_i + 1) points.
+explicit quadratic exponential exp(1/2 t q t^T) at t = 0, which is a hafnian
+with repeated rows and columns, computed exactly by Kan's formula (Kan,
+J. Multivariate Anal. 99, 2008; Bjorklund, Gupt & Quesada, arXiv:1805.12498)
+as a signed sum over a box of prod(n_i + 1) points.
+
+One box per state: the box depends on the ladder pattern alone, and q splits
+into a per-state kernel part and a detector part of rank 2n.  Over t = (xi,
+xi*, eta, eta*), with the kernel CCM g, the ladder shift s, gp = g + s and
+gmn = g - s, q = q_G + V W V^T with q_G = -[[gp, gmn], [gmn, gmn]],
+V = [gp; gmn] and W = (g + g_M)^{-1} for the detector CCM g_M.  A state keeps
+q_G's quadratic over its box, which gives the normalization, and
+HV = V^T h^T; a detector mean adds only sum_i (W HV)_i HV_i / 2 per point.
 """
 
 from dataclasses import dataclass, field
@@ -40,9 +48,70 @@ def _ladder_shift(n: int) -> np.ndarray:
     return shift
 
 
+class _KanBox:
+    """Kan's box for the hafnian of q_n, which repeats row and column i of q
+    n_i times (the mixed derivative prod d^{n_i}/dt_i^{n_i} of
+    exp(1/2 t q t^T) at t = 0), as a signed sum over 0 <= v <= n:
+
+        sum_v (-1)^{|v|} prod C(n_i, v_i) (h q h^T / 2)^p / p!,
+
+    with rows h = n/2 - v and p = |n|/2.  Zero entries of the target are
+    dropped first (`keep`), so the empty target is the one-point box of
+    value 1.  An odd |n| gives 0.
+    """
+
+    def __init__(self, target: tuple[int, ...]):
+        n = np.asarray(target, dtype=int)
+        self.keep = n > 0
+        n = n[self.keep]
+        total = int(n.sum())
+        self.power = None if total % 2 else total // 2
+        # h^T: one column per box point, in the C order of np.indices
+        self.points = n[:, None] / 2 - np.indices(n + 1).reshape(len(n), prod(n + 1))
+        # the weight factorises over the box axes in the same order
+        self.weight = reduce(
+            np.multiply.outer,
+            [[(-1) ** j * comb(k, j) for j in range(k + 1)] for k in n],
+            np.ones(())).ravel()
+
+    def products(self, mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of mat[:, keep] h^T, one column per box
+        point, as two real products: numpy runs a float @ complex product
+        outside BLAS, several times slower."""
+        mat = mat[:, self.keep]
+        return mat.real.copy() @ self.points, mat.imag.copy() @ self.points
+
+    def quadratic(self, q: np.ndarray) -> np.ndarray:
+        """h q h^T / 2 at every box point."""
+        re, im = self.products(q[self.keep])
+        return ((re * self.points).sum(0) + 1j * (im * self.points).sum(0)) / 2
+
+    def hafnian(self, quad: np.ndarray) -> complex:
+        """haf(q_n), from the box quadratic of q."""
+        if self.power is None:
+            return 0.0
+        return self.weight @ quad ** self.power / factorial(self.power)
+
+
+def _ladder_counts(counts, name: str) -> tuple[int, ...]:
+    """Ladder counts as ints; a count that is not integral or not finite is
+    refused, not truncated."""
+    try:
+        counts = tuple(counts)
+        if all(int(v) == v for v in counts):
+            return tuple(int(v) for v in counts)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DimensionMismatchError(f"{name} counts {counts} are not integers")
+
+
 @dataclass(frozen=True, eq=False)
 class NonGaussState:
-    """Gaussian kernel plus per-mode photon additions k and subtractions m."""
+    """Gaussian kernel plus per-mode photon additions k and subtractions m.
+
+    Every moment is a mixed derivative at the target (k, k, m, m); the state
+    keeps that target's Kan box, the kernel quadratic over it and HV.
+    """
 
     kernel: CovMatrix
     add: tuple[int, ...]
@@ -51,8 +120,8 @@ class NonGaussState:
 
     def __post_init__(self):
         n = self.kernel.n_modes
-        add = tuple(int(v) for v in self.add)
-        sub = tuple(int(v) for v in self.subtract)
+        add = _ladder_counts(self.add, "add")
+        sub = _ladder_counts(self.subtract, "subtract")
         if len(add) != n or len(sub) != n:
             raise DimensionMismatchError(
                 f"ladder indices must have length {n}, got {len(add)} and {len(sub)}")
@@ -61,119 +130,49 @@ class NonGaussState:
         if sum(add) + sum(sub) > MAX_ORDER:
             raise OrderTooHighError(
                 f"|k| + |m| = {sum(add) + sum(sub)} exceeds {MAX_ORDER}")
-        object.__setattr__(self, "add", add)
-        object.__setattr__(self, "subtract", sub)
-        object.__setattr__(self, "norm", normalization_raw(self.kernel, add, sub))
+        g = cm_to_ccm(self.kernel).mat
+        gp, gmn = g + _ladder_shift(n), g - _ladder_shift(n)
+        # V^T = [gp, gmn], as gp and gmn are symmetric; it is the top half of
+        # the kernel part -[[gp, gmn], [gmn, gmn]] of q
+        vt = np.concatenate([gp, gmn], axis=1)
+        box = _KanBox(add + add + sub + sub)
+        re, im = box.products(vt)
+        self.__dict__.update(
+            add=add, subtract=sub, _ccm=g, _box=box, _hv=re + 1j * im,
+            _kernel_quad=box.quadratic(
+                -np.concatenate([vt, np.concatenate([gmn, gmn], axis=1)])))
+        denom = self._derivative(self._kernel_quad)
+        if denom <= 1e-12:
+            raise DegeneratePreparationError(
+                f"ladder pattern annihilates the kernel (derivative {denom:g})")
+        object.__setattr__(self, "norm", 1.0 / denom)
 
     @property
     def order(self) -> int:
         return sum(self.add) + sum(self.subtract)
 
-
-def _quadratic_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:
-    """Taylor coefficient of prod t_i^{target_i} in exp(1/2 t q t^T).
-
-    This is haf(q_n) / prod n_i!, where q_n repeats row and column i n_i
-    times, and Kan's formula gives the repeated-index hafnian as a signed sum
-    over the box 0 <= v <= n:
-
-        sum_v (-1)^{|v|} prod C(n_i, v_i) (h q h^T / 2)^p / p!,
-
-    with h = n/2 - v and p = |n|/2. Zero entries of the target are dropped
-    first; h q h^T sees only the symmetric part of q.
-    """
-    n = np.asarray(target, dtype=int)
-    keep = n > 0
-    n = n[keep]
-    total = int(n.sum())
-    if total % 2 == 1:
-        return 0.0
-    p = total // 2
-    if p == 0:
-        return 1.0
-    q = q[np.ix_(keep, keep)]
-    v = np.indices(n + 1).reshape(len(n), -1).T
-    h = n / 2 - v
-    quad = np.einsum("ki,ki->k", h @ q, h) / 2
-    # the weight factorises over the box axes, in the C order of np.indices
-    weight = reduce(np.multiply.outer,
-                    [[(-1) ** j * comb(k, j) for j in range(k + 1)] for k in n],
-                    1.0)
-    denom = factorial(p) * prod(factorial(k) for k in n)
-    return weight.ravel() @ quad ** p / denom
-
-
-def _derivative_value(q: np.ndarray, add: tuple[int, ...],
-                      sub: tuple[int, ...]) -> float:
-    """Apply the ladder-derivative operator to exp(1/2 t q t^T) at t = 0.
-
-    Variables are ordered (xi, xi*, eta, eta*); the operator takes k_j
-    derivatives in xi_j and xi*_j and m_j in eta_j and eta*_j, with overall
-    sign (-1)^{|k|+|m|}.
-    """
-    n = len(add)
-    target = tuple(list(add) + list(add) + list(sub) + list(sub))
-    coeff = _quadratic_coeff_extract(q, target)
-    fact = 1.0
-    for kj in add:
-        fact *= factorial(kj) ** 2
-    for mj in sub:
-        fact *= factorial(mj) ** 2
-    val = (-1) ** (sum(add) + sum(sub)) * coeff * fact
-    if abs(np.imag(val)) > 1e-8 * max(1.0, abs(np.real(val))):
-        raise DimensionMismatchError(f"derivative value is not real: {val:g}")
-    return float(np.real(val))
-
-
-def _zero_quadratic(g: np.ndarray) -> np.ndarray:
-    """Quadratic form of log chi_Q(0, xi, eta) over t = (xi, xi*, eta, eta*),
-    for the kernel CCM g."""
-    n = len(g) // 2
-    gp = g + _ladder_shift(n)
-    gm = g - _ladder_shift(n)
-    d = 2 * n
-    q = np.zeros((2 * d, 2 * d), dtype=complex)
-    q[:d, :d] = -gp
-    q[d:, d:] = -gm
-    q[:d, d:] = -gm
-    q[d:, :d] = -gm.T
-    return q
-
-
-def normalization_raw(kernel: CovMatrix, add: tuple[int, ...],
-                      sub: tuple[int, ...]) -> float:
-    """1 / (derivative of chi_Q(0, xi, eta)); trace-one normalization."""
-    denom = _derivative_value(_zero_quadratic(cm_to_ccm(kernel).mat), add, sub)
-    if denom <= 1e-12:
-        raise DegeneratePreparationError(
-            f"ladder pattern annihilates the kernel (derivative {denom:g})")
-    return 1.0 / denom
+    def _derivative(self, quad: np.ndarray) -> float:
+        """The ladder-derivative operator, of sign (-1)^{|k|+|m|}, on
+        exp(1/2 t q t^T) at t = 0, from the box quadratic of q."""
+        val = (-1) ** self.order * self._box.hafnian(quad)
+        if abs(np.imag(val)) > 1e-8 * max(1.0, abs(np.real(val))):
+            raise DimensionMismatchError(f"derivative value is not real: {val:g}")
+        return float(np.real(val))
 
 
 def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     """Tr(rho M) via the exact mixed-derivative formula."""
-    kernel = s.kernel
-    n = kernel.n_modes
     gm_cm = d if isinstance(d, CovMatrix) else d.to_cm()
-    if gm_cm.dim != kernel.dim:
+    if gm_cm.dim != s.kernel.dim:
         raise DimensionMismatchError(
-            f"dimension mismatch: {kernel.dim} vs {gm_cm.dim}")
-    g = cm_to_ccm(kernel).mat
-    g_m = cm_to_ccm(gm_cm).mat
-    gp = g + _ladder_shift(n)
-    gmn = g - _ladder_shift(n)
-    total = g + g_m
+            f"dimension mismatch: {s.kernel.dim} vs {gm_cm.dim}")
+    total = s._ccm + cm_to_ccm(gm_cm).mat
     det = np.linalg.det(total)
     if abs(det) < 1e-12:
         raise SingularSumError(f"det(ccm_G + ccm_M) = {det:g} is singular")
-    w = np.linalg.inv(total)
-    # f(xi, eta) = 1/2 (u gp + v gmn) W (gp u^T + gmn v^T)
-    vmat = np.vstack([gp, gmn])
-    vmat2 = np.vstack([gp.T, gmn.T])
-    mf = vmat @ w @ vmat2.T
-    q = _zero_quadratic(g) + mf
-    deriv = _derivative_value(q, s.add, s.subtract)
-    return s.norm * deriv / np.sqrt(abs(np.linalg.det(kernel.mat + gm_cm.mat)))
+    quad = s._kernel_quad + ((np.linalg.inv(total) @ s._hv) * s._hv).sum(0) / 2
+    return s.norm * s._derivative(quad) / np.sqrt(
+        abs(np.linalg.det(s.kernel.mat + gm_cm.mat)))
 
 
 def asymptotic_check(s: NonGaussState, d0: QuadratureForm,

@@ -115,9 +115,11 @@ def test_decide_rejects_unphysical():
 def test_decide_rejects_wrong_partition():
     """A partition that is not the family's cut is refused: both modes of a
     two-mode state in party A, or a Werner-Wolf split other than
-    {0, 1} | {2, 3}."""
-    with pytest.raises(PatternMismatchError, match="fixes partition"):
-        decide_separability(CovMatrix(np.eye(4) * 1.5), partition=[0, 1])
+    {0, 1} | {2, 3}.  One that leaves a party empty or names a missing mode
+    is a `PartitionError`, as in `ppt_decide`."""
+    for partition in ([0, 1], [], [5]):
+        with pytest.raises(PartitionError, match="fixes partition"):
+            decide_separability(CovMatrix(np.eye(4) * 1.5), partition=partition)
     ww = werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm()
     for partition in ([0, 2], [1], [0, 1, 2]):
         with pytest.raises(PatternMismatchError, match="fixes partition"):

@@ -14,7 +14,8 @@ import cvwitness
 from cvwitness.cli import _VERDICT_EXIT, main
 from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability,
                                 ppt_decide, werner_wolf_family)
-from cvwitness.exceptions import DimensionMismatchError, NonZeroMeanError
+from cvwitness.exceptions import (DimensionMismatchError, NonZeroMeanError,
+                                  PartitionError)
 from cvwitness.io import load_cm, load_detector, load_nongauss
 from cvwitness.nongauss import NonGaussState, decide_separability_nongauss
 from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
@@ -119,7 +120,7 @@ def test_cli_ppt_criterion(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("partition", [[0, 1], []])
+@pytest.mark.parametrize("partition", [[0, 1], [], [5]])
 def test_cli_ppt_refuses_partition_without_two_parties(tmp_path, capsys,
                                                        partition):
     path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat,
@@ -128,6 +129,24 @@ def test_cli_ppt_refuses_partition_without_two_parties(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error: partition") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("partition, message", [
+    ([], "family two_mode fixes partition [0] (or [1])"),
+    ([5], "partition [5] out of range")])
+def test_cli_check_refuses_partition_without_two_parties(tmp_path, capsys,
+                                                         partition, message):
+    path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat,
+                   extra={"partition": partition})
+    code = main(["check", path])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_load_cm_refuses_partition_out_of_range(tmp_path):
+    path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat, extra={"partition": [5]})
+    with pytest.raises(PartitionError, match=r"partition \[5\] out of range"):
+        load_cm(path)
 
 
 def test_cli_witness_criterion(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from math import factorial, prod
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
 from cvwitness.exceptions import (DegeneratePreparationError,
-                                  OrderTooHighError)
+                                  DimensionMismatchError, OrderTooHighError)
 from cvwitness.fock import gaussian_op_fock
-from cvwitness.nongauss import (NonGaussState, _quadratic_coeff_extract,
-                                asymptotic_check, build_fock_state,
+from cvwitness.nongauss import (NonGaussState, _KanBox, asymptotic_check,
+                                build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
                                 mean_on_detector)
 from cvwitness.standard_form import TwoModeStandardForm
@@ -16,7 +18,7 @@ from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import detector_from_cm
 
 from conftest import (destroy, dict_coeff_extract, mode_op, q_char,
-                      sample_two_mode_detector, tmsv_form)
+                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
 THERMAL_1 = CovMatrix(1.5 * np.eye(2))  # nbar = 1
@@ -71,6 +73,14 @@ def test_subtract_from_vacuum_degenerate():
 def test_order_too_high():
     with pytest.raises(OrderTooHighError):
         NonGaussState(THERMAL_1, add=(5,), subtract=(4,))
+
+
+@pytest.mark.parametrize("add", [(1.7,), (float("nan"),), (float("inf"),)])
+def test_non_integral_ladder_count_refused(add):
+    """A count that int() would truncate, or on which it raises a bare
+    ValueError or OverflowError, is a typed refusal."""
+    with pytest.raises(DimensionMismatchError, match="not integers"):
+        NonGaussState(THERMAL_1, add=add, subtract=(0,))
 
 
 def test_mean_single_photon_on_vacuum_projector():
@@ -183,7 +193,7 @@ def _trim(values: list[int], max_box: int, max_total: int) -> list[int]:
 @st.composite
 def coefficient_cases(draw):
     """(q size, seed, diagonal shift, target) with sum(target) <= 16: ladder
-    targets (k, k, m, m) as _derivative_value builds them, or unstructured."""
+    targets (k, k, m, m) as NonGaussState builds them, or unstructured."""
     d = draw(st.sampled_from([4, 8, 16]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     shift = draw(st.floats(-5.0, 5.0))
@@ -210,7 +220,8 @@ def test_kan_coefficient_matches_dictionary_oracle(case):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q = (a + a.T) / 2 + shift * np.eye(d)
-    got = _quadratic_coeff_extract(q, target)
+    box = _KanBox(target)
+    got = box.hafnian(box.quadratic(q)) / prod(factorial(k) for k in target)
     if sum(target) % 2 == 1:
         assert got == 0
     elif not any(target):
@@ -230,3 +241,36 @@ def test_mean_matches_fock_high_order(add, sub):
     mean = mean_on_detector(s, d)
     oracle = fock_direct_trace(s, d, cutoff=26)
     assert abs(mean - oracle) < 1e-8
+
+
+@pytest.mark.parametrize("kernel, add, sub, sample", [
+    (TwoModeStandardForm(0.7, 0.65, 0.15, -0.1).to_cm(), (2, 1), (1, 2),
+     sample_two_mode_detector),
+    (werner_wolf_family(WWFamilyParams(1.0, 1.0, 2.0, 3.0, 1.0)).to_cm(),
+     (1, 0, 0, 1), (0, 1, 1, 0), sample_ww_detector),
+])
+def test_state_box_reused_across_detectors(kernel, add, sub, sample):
+    """One state evaluated on many detectors, in either order, gives each
+    detector the mean of a state built fresh for it."""
+    rng = np.random.default_rng(11)
+    detectors = [sample(rng) for _ in range(6)]
+    s = NonGaussState(kernel, add, sub)
+    fresh = [mean_on_detector(NonGaussState(kernel, add, sub), d)
+             for d in detectors]
+    for j in [*range(6), *reversed(range(6))]:
+        assert abs(mean_on_detector(s, detectors[j]) - fresh[j]) <= 1e-12 * abs(fresh[j])
+
+
+def test_asymptotic_check_matches_fresh_states():
+    """asymptotic_check reuses one state along the scales; each residual is
+    that of a fresh state on the scaled detector."""
+    kernel = TwoModeStandardForm(0.7, 0.65, 0.15, -0.1).to_cm()
+    d0 = sample_two_mode_detector(np.random.default_rng(5))
+    s = NonGaussState(kernel, (1, 0), (0, 1))
+    scales = (10.0, 100.0, 1000.0)
+    for t, res in zip(scales, asymptotic_check(s, d0, scales)):
+        fresh = NonGaussState(kernel, (1, 0), (0, 1))
+        dt = d0.scaled(t)
+        det = np.linalg.det(kernel.mat + dt.to_cm().mat)
+        ref = abs(mean_on_detector(fresh, dt) * np.sqrt(abs(det)) - 1.0)
+        assert res == ref

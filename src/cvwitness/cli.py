@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams,
+from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, check_partition,
                        decide_separability, ppt_decide, separability_lhs,
                        werner_wolf_family, werner_wolf_family_lhs_claim)
 from .exceptions import CvWitnessError, PatternMismatchError
@@ -71,6 +71,7 @@ def cmd_check(args) -> int:
     if criterion == "witness":
         if not validate_cm(gamma, args.tol_psd).is_physical:
             raise PatternMismatchError("covariance matrix is not physical")
+        check_partition(detect_family(gamma), partition)
         report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
                    Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)

@@ -17,11 +17,10 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import (ConstraintViolatedError, PartitionError,
-                         PatternMismatchError)
-from .standard_form import (QuadratureForm, WernerWolfForm, detect_family,
-                            reduce_to_standard_form)
-from .symplectic import (TOL_PSD, CovMatrix, block_diag,
-                         symplectic_eigenvalues, validate_cm)
+                         PatternMismatchError, ScaleOverflowError)
+from .standard_form import (Family, QuadratureForm, WernerWolfForm,
+                            detect_family, reduce_to_standard_form)
+from .symplectic import TOL_PSD, CovMatrix, symplectic_eigenvalues, validate_cm
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -110,13 +109,6 @@ def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
     return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))
 
 
-def momentum_flip(n_modes: int, party_b: list[int]) -> np.ndarray:
-    p = np.ones(2 * n_modes)
-    for mode in party_b:
-        p[2 * mode + 1] = -1.0
-    return np.diag(p)
-
-
 def _splits(partition: list[int], n_modes: int) -> bool:
     """Whether party A = `partition` and its complement are both nonempty
     sets of the modes 0..n_modes - 1."""
@@ -140,9 +132,12 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
         raise PartitionError(
             f"partition {partition} must name between 1 and {n - 1} of the "
             f"modes 0..{n - 1}")
-    party_b = [m for m in range(n) if m not in partition]
-    p = momentum_flip(n, party_b)
-    pt = p @ gamma.mat @ p
+    # entry (i, j) of the transpose is s_i s_j gamma_ij, s = -1 on party B's momenta
+    s = np.ones(2 * n)
+    for mode in range(n):
+        if mode not in partition:
+            s[2 * mode + 1] = -1.0
+    pt = gamma.mat * np.outer(s, s)
     rep = validate_cm(CovMatrix(pt), tol)
     return PptReport(is_ppt=rep.is_physical,
                      min_pt_symplectic_eig=float(symplectic_eigenvalues(pt)[0]))
@@ -192,14 +187,13 @@ def product_cm(form: QuadratureForm, x: float, y: float) -> CovMatrix:
     """CM of the product squeezed-vacuum state used as separability
     certificate: mode state (x, y) on every mode of party A (B)."""
     n_a = form.family.n_modes_a
-    ga = np.diag([x / 2, 1 / (2 * x)])
-    gb = np.diag([y / 2, 1 / (2 * y)])
-    return CovMatrix(block_diag(*[ga] * n_a, *[gb] * (form.n_modes - n_a)))
+    return CovMatrix(np.diag([x / 2, 1 / (2 * x)] * n_a
+                             + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)))
 
 
 def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     diff = form.to_cm().mat - product_cm(form, x, y).mat
-    return float(np.min(np.linalg.eigvalsh(diff)))
+    return float(np.linalg.eigvalsh(diff)[0])   # ascending
 
 
 def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
@@ -225,6 +219,20 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     return float(x), float(y)
 
 
+def check_partition(family: Family, partition: list[int] | None) -> None:
+    """Refuse a partition that names neither party A nor party B of the
+    family's cut: `PartitionError` when it leaves a party empty or names a
+    mode the state lacks, `PatternMismatchError` for another two-party cut.
+    None stands for the family's cut."""
+    if partition is None:
+        return
+    default = list(range(family.n_modes_a))
+    complement = list(range(family.n_modes_a, family.n_modes))
+    if sorted(partition) not in (default, complement):
+        error = PatternMismatchError if _splits(partition, family.n_modes) else PartitionError
+        raise error(f"family {family.value} fixes partition {default} (or {complement})")
+
+
 def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
                         tol: float = TOL_PSD) -> CriterionReport:
     """Full closed-form decision: standard-form reduction, family criterion,
@@ -232,24 +240,22 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     tolerance of `validate_cm`, applied to the state and its partial
     transpose.
 
-    `partition` may name party A or party B of the family's cut: both labels
-    give the same report, since entanglement and PPT do not depend on which
-    party is called A.  Any other cut is refused (`PatternMismatchError`), and
-    so is a partition that leaves a party empty or names a mode the state
-    lacks (`PartitionError`)."""
+    `partition` may name party A or party B of the family's cut
+    (`check_partition`): both labels give the same report, since
+    entanglement and PPT do not depend on which party is called A."""
     if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
     family = detect_family(gamma)
+    check_partition(family, partition)
     default = list(range(family.n_modes_a))
-    if partition is not None:
-        complement = [m for m in range(gamma.n_modes) if m not in default]
-        if sorted(partition) not in (default, complement):
-            error = (PatternMismatchError if _splits(partition, gamma.n_modes)
-                     else PartitionError)
-            raise error(
-                f"family {family.value} fixes partition {default} (or {complement})")
     form, _ = reduce_to_standard_form(gamma, family)
     lhs = separability_lhs(form)
+    # NaN is inf - inf: terms past double precision.  An inf criterion keeps
+    # its sign and is reported.
+    if lhs != lhs:
+        raise ScaleOverflowError(
+            f"{family.criterion} criterion cannot be evaluated: its terms "
+            f"overflow double precision")
     name = family.criterion
     ppt = ppt_decide(gamma, default, tol)
 

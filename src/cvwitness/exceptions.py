@@ -21,6 +21,11 @@ class PartitionError(CvWitnessError):
     """A partition leaves a party empty or names a mode the state lacks."""
 
 
+class ScaleOverflowError(CvWitnessError):
+    """A covariance matrix is too large for its decision in double precision:
+    products of its entries overflow."""
+
+
 class SingularSumError(CvWitnessError):
     """det(gamma_1 + gamma_2) vanishes; overlap is undefined."""
 

@@ -20,13 +20,14 @@ frozen and read-only, and the form and `LocalSymplectic` are immutable, so a
 kept result cannot go stale.  A refusal is not kept and raises on every call.
 """
 
+import math
 import weakref
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .exceptions import PatternMismatchError
+from .exceptions import PatternMismatchError, ScaleOverflowError
 from .symplectic import CovMatrix, LocalSymplectic, block_diag
 
 # CM layouts: entry +-k is +-M_k of the parameters M1..M6 = (x a, p a, x b,
@@ -86,8 +87,16 @@ class QuadratureForm:
         return self.family.n_modes
 
     def to_cm(self) -> CovMatrix:
-        family = self.family
-        return CovMatrix(np.array((0.0, *self.params))[family.cm_index] * family.cm_sign)
+        """The form's CM, built on the first call and kept on the instance:
+        the form is frozen and the CM read-only, so it cannot go stale.  It
+        is not a dataclass field, so `==`, `hash` and `repr` ignore it, and
+        `scaled` or `dataclasses.replace` give a form that builds its own."""
+        cm = self.__dict__.get("_cm")
+        if cm is None:
+            family = self.family
+            cm = CovMatrix(np.array((0.0, *self.params))[family.cm_index] * family.cm_sign)
+            object.__setattr__(self, "_cm", cm)
+        return cm
 
     def scaled(self, t: float) -> "QuadratureForm":
         return DetectorSpec(self.family, *(t * v for v in self.params))
@@ -122,19 +131,22 @@ def _single_mode_normal(block: np.ndarray) -> np.ndarray:
     M^{-1/2} = (adj M + nu I) / (nu sqrt(tr M + 2 nu)).
     """
     nu = np.sqrt(np.linalg.det(block))
-    adj = np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]])
+    s = np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]])
+    s[0, 0] += nu
+    s[1, 1] += nu
     # det = 1, hence symplectic
-    return (adj + nu * np.eye(2)) / (np.sqrt(nu) * np.sqrt(np.trace(block) + 2 * nu))
+    return s / (np.sqrt(nu) * np.sqrt(block.trace() + 2 * nu))
 
 
 def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c = o1 @ diag(d1, d2) @ o2.T with o1, o2 proper rotations, d1 >= |d2|."""
     u, s, vt = np.linalg.svd(c)
-    d = np.diag(s.copy())
-    if np.linalg.det(u) < 0:
+    d = np.diag(s)
+    # u and vt are orthogonal: only the sign of their determinants matters
+    if u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] < 0:
         u = u @ np.diag([1.0, -1.0])
         d[1, 1] *= -1
-    if np.linalg.det(vt) < 0:
+    if vt[0, 0] * vt[1, 1] - vt[0, 1] * vt[1, 0] < 0:
         vt = np.diag([1.0, -1.0]) @ vt
         d[1, 1] *= -1
     return u, d, vt.T
@@ -151,8 +163,8 @@ def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, Loca
     s = block_diag(o1.T, o2.T) @ s
     m2 = s @ m @ s.T
     form = TwoModeStandardForm(m2[0, 0], m2[2, 2], m2[0, 2], -m2[1, 3])
-    residual = np.max(np.abs(m2 - form.to_cm().mat))
-    if residual > tol:
+    residual = abs(m2 - form.to_cm().mat).max()
+    if not residual <= tol:
         raise PatternMismatchError(
             f"cannot reach two-mode standard form (residual {residual:g})", residual=residual)
     return form, LocalSymplectic(s, n_modes_a=Family.TWO_MODE.n_modes_a)
@@ -160,8 +172,8 @@ def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, Loca
 
 def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, LocalSymplectic]:
     m = gamma.mat
-    off_pattern = np.max(np.abs(m[Family.WERNER_WOLF.cm_index == 0]))
-    if off_pattern > tol * max(1.0, np.max(np.abs(m))):
+    off_pattern = abs(m[Family.WERNER_WOLF.cm_index == 0]).max()
+    if not off_pattern <= tol * max(1.0, abs(m).max()):
         raise PatternMismatchError(
             f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})",
             residual=off_pattern)
@@ -171,10 +183,10 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, L
     p = np.array([m[1, 1], m[3, 3], m[5, 5], m[7, 7]])
     e = np.array([m[0, 4], -m[2, 6]])
     f = np.array([-m[1, 7], -m[3, 5]])
-    if np.any(x <= 0) or np.any(p <= 0) or np.any(e == 0) != np.all(e == 0) \
-            or np.any(f == 0) != np.all(f == 0):
+    if (x <= 0).any() or (p <= 0).any() or (e == 0).any() != (e == 0).all() \
+            or (f == 0).any() != (f == 0).all():
         raise PatternMismatchError("degenerate Werner-Wolf entries")
-    if np.any(e * e[0] < 0) or np.any(f * f[0] < 0):
+    if (e * e[0] < 0).any() or (f * f[0] < 0).any():
         raise PatternMismatchError("inconsistent cross-block signs for the Werner-Wolf pattern")
     # equations (in u): x-var equality per party, p-var equality per party,
     # |E| equality, |F| equality
@@ -184,24 +196,24 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, L
         ([0, 0, 1, -1], np.log(x[3] / x[2])),
         ([0, 0, -1, 1], np.log(p[3] / p[2])),
     ]
-    if np.all(e != 0):
+    if (e != 0).all():
         # E entries transform as s1 s3 and s2 s4
         rows.append(([1, -1, 1, -1], 2 * np.log(abs(e[1] / e[0]))))
-    if np.all(f != 0):
+    if (f != 0).all():
         # F entries transform as 1/(s1 s4) and 1/(s2 s3)
         rows.append(([-1, 1, 1, -1], 2 * np.log(abs(f[1] / f[0]))))
     a_mat = np.array([r[0] for r in rows], dtype=float)
     rhs = np.array([r[1] for r in rows])
     u, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     sq = np.exp(u / 2)
-    s = block_diag(*[np.diag([sj, 1.0 / sj]) for sj in sq])
+    s = np.diag(np.column_stack([sq, 1.0 / sq]).ravel())
     m2 = s @ m @ s.T
     form = WernerWolfForm(
         (m2[0, 0] + m2[2, 2]) / 2, (m2[1, 1] + m2[3, 3]) / 2,
         (m2[4, 4] + m2[6, 6]) / 2, (m2[5, 5] + m2[7, 7]) / 2,
         (m2[0, 4] - m2[2, 6]) / 2, -(m2[1, 7] + m2[3, 5]) / 2)
-    residual = np.max(np.abs(m2 - form.to_cm().mat))
-    if residual > tol * max(1.0, np.max(np.abs(m2))):
+    residual = abs(m2 - form.to_cm().mat).max()
+    if not residual <= tol * max(1.0, abs(m2).max()):
         raise PatternMismatchError(
             f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})",
             residual=residual)
@@ -222,6 +234,13 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10
     if gamma.n_modes != family.n_modes:
         raise PatternMismatchError(
             f"{family.value} family needs {family.n_modes} modes, got {gamma.n_modes}")
+    # both reductions multiply pairs of entries (a 2x2 determinant, a
+    # squeezed entry); a Python float overflows to inf without a warning
+    big = float(abs(gamma.mat).max())
+    if not big * big < math.inf:
+        raise ScaleOverflowError(
+            f"cannot reduce to standard form: the square of the largest entry "
+            f"{big:g} overflows double precision")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     result = reduce(gamma, tol)
     _REDUCED.setdefault(gamma, {})[family, tol] = result

@@ -4,10 +4,13 @@ Gaussian overlaps and symplectic eigenvalues.
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
 
-The symplectic form and the CCM transform depend on the mode count alone, so
-each is built once per mode count and cached as a read-only array: every
-validity check, symplectic spectrum and symplecticity test of a decision
-would otherwise rebuild the same matrix.
+The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
+transform depend on the mode count alone, so each is built once per mode
+count and cached as a read-only array: every validity check, symplectic
+spectrum and symplecticity test of a decision would otherwise rebuild the
+same matrix.  The checks on these small matrices call ndarray methods
+(`abs(x).max()`, `isfinite(m).all()`) rather than numpy's module-level
+wrappers, whose Python overhead outweighs the arithmetic at 4x4 and 8x8.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +33,15 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     sigma = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     sigma.flags.writeable = False
     return sigma
+
+
+@lru_cache
+def _scaled_form(n_modes: int, scale: complex) -> np.ndarray:
+    """scale * sigma, for i/2 (the bona-fide test) and i (the Williamson
+    spectrum); cached per mode count and scale, read-only."""
+    out = scale * symplectic_form(n_modes)
+    out.flags.writeable = False
+    return out
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -61,9 +73,9 @@ class CovMatrix:
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
         n = _check_even_square(mat)
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise DimensionMismatchError("matrix has non-finite entries")
-        asym = np.max(np.abs(mat - mat.T))
+        asym = abs(mat - mat.T).max()
         if asym > _SYMMETRY_TOL:
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
         mat = (mat + mat.T) / 2.0
@@ -103,8 +115,8 @@ class ValidityReport:
 
 def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
     """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite."""
-    h = gamma.mat + 0.5j * symplectic_form(gamma.n_modes)
-    min_eig = float(np.min(np.linalg.eigvalsh(h)))
+    h = gamma.mat + _scaled_form(gamma.n_modes, 0.5j)
+    min_eig = float(np.linalg.eigvalsh(h)[0])   # ascending
     return ValidityReport(min_eig=min_eig, is_physical=min_eig >= -tol)
 
 
@@ -144,7 +156,7 @@ def symplectic_eigenvalues(gamma: CovMatrix | np.ndarray) -> np.ndarray:
     """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
     mat = gamma.mat if isinstance(gamma, CovMatrix) else np.asarray(gamma, dtype=float)
     n = _check_even_square(mat)
-    eigs = np.linalg.eigvals(1j * symplectic_form(n) @ mat)
+    eigs = np.linalg.eigvals(_scaled_form(n, 1j) @ mat)
     nu = np.sort(np.abs(eigs.real))
     # eigenvalues come in +/- pairs; keep one of each
     return nu[::2][:n] if len(nu) == 2 * n else nu[:n]
@@ -153,7 +165,7 @@ def symplectic_eigenvalues(gamma: CovMatrix | np.ndarray) -> np.ndarray:
 def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:
     n = _check_even_square(s)
     sigma = symplectic_form(n)
-    return np.max(np.abs(s @ sigma @ s.T - sigma)) <= tol
+    return abs(s @ sigma @ s.T - sigma).max() <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +182,7 @@ class LocalSymplectic:
             raise DimensionMismatchError(
                 f"party A must hold between 1 and {n - 1} modes, got {self.n_modes_a}")
         da = 2 * self.n_modes_a
-        if np.max(np.abs(mat[:da, da:])) > 1e-10 or np.max(np.abs(mat[da:, :da])) > 1e-10:
+        if abs(mat[:da, da:]).max() > 1e-10 or abs(mat[da:, :da]).max() > 1e-10:
             raise DimensionMismatchError("matrix does not respect the bipartition")
         if not is_symplectic(mat, tol=1e-10):
             raise DimensionMismatchError("matrix is not symplectic")

@@ -9,10 +9,11 @@ from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
                                 werner_wolf_family,
                                 werner_wolf_family_lhs_claim, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError, PartitionError,
-                                  PatternMismatchError)
+                                  PatternMismatchError, ScaleOverflowError)
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix
+from cvwitness.witness import minmax_optimize
 
 from conftest import (grid_certificate, sample_standard_form,
                       sample_ww_family_params, simon_invariant_lhs, tmsv_form)
@@ -124,6 +125,35 @@ def test_decide_rejects_wrong_partition():
     for partition in ([0, 2], [1], [0, 1, 2]):
         with pytest.raises(PatternMismatchError, match="fixes partition"):
             decide_separability(ww, partition=partition)
+
+
+OVERFLOW_FORMS = {"two-mode": TwoModeStandardForm(1.2, 1.3, 0.4, -0.3),
+                  "werner-wolf": WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.3, 0.2)}
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("name", sorted(OVERFLOW_FORMS))
+def test_cm_past_double_precision_is_refused(name, scale):
+    """A physical CM whose entries square past double precision is refused
+    by the reduction with a typed error that names the overflow, for the
+    decision and the witness, instead of numpy's SVD error, a NaN criterion
+    or a bare OverflowError."""
+    gamma = CovMatrix(scale * OVERFLOW_FORMS[name].to_cm().mat)
+    for decide in (decide_separability, minmax_optimize):
+        with pytest.raises(ScaleOverflowError, match="overflows double precision"):
+            decide(gamma)
+
+
+# the criterion's np.float64 terms warn as they overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_nan_criterion_is_refused():
+    """Just below that scale the reduction works, but the criterion's terms
+    overflow to inf - inf: refused rather than reported as NaN."""
+    gamma = CovMatrix(1e154 * OVERFLOW_FORMS["two-mode"].to_cm().mat)
+    reduce_to_standard_form(gamma, Family.TWO_MODE)
+    with pytest.raises(ScaleOverflowError, match="simon criterion cannot be evaluated"):
+        decide_separability(gamma)
 
 
 @pytest.mark.parametrize("state, partitions", [

@@ -143,6 +143,63 @@ def test_cli_check_refuses_partition_without_two_parties(tmp_path, capsys,
     assert code == 1 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("partition, message", [
+    ([], "family two_mode fixes partition [0] (or [1])"),
+    ([0, 1], "family two_mode fixes partition [0] (or [1])"),
+    ([5], "partition [5] out of range")])
+def test_cli_witness_refuses_partition_like_auto(tmp_path, capsys, partition,
+                                                 message):
+    """`check --criterion witness` reads the file's partition: it refuses
+    what `auto` refuses, with the same message and exit 1."""
+    path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat,
+                   extra={"partition": partition})
+    for argv in (["check", path], ["check", path, "--criterion", "witness"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err == f"error: {message}\n"
+
+
+def test_cli_witness_refuses_other_cut_of_werner_wolf(tmp_path, capsys):
+    mat = werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm().mat
+    path = cm_file(tmp_path, mat, extra={"partition": [0, 2]})
+    for argv in (["check", path], ["check", path, "--criterion", "witness"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: family werner_wolf fixes partition [0, 1] (or [2, 3])\n"
+
+
+def test_cli_witness_accepts_either_label_of_the_cut(tmp_path, capsys):
+    """Party A's and party B's label of the cut give the witness report of a
+    file without a partition, byte for byte."""
+    mat = tmsv_form(0.5).to_cm().mat
+    outs = []
+    for extra in ({"partition": [0]}, {"partition": [1]}, {"partition": None}):
+        path = cm_file(tmp_path, mat, extra=extra)
+        assert main(["check", path, "--criterion", "witness"]) == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+@pytest.mark.parametrize("form", [
+    TwoModeStandardForm(1.2, 1.3, 0.4, -0.3),
+    WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.3, 0.2)], ids=["two-mode", "werner-wolf"])
+def test_cli_refuses_cm_past_double_precision(tmp_path, capsys, form, scale):
+    """A physical CM scaled past double precision exits 1 with one error
+    line that names the overflow: no traceback, no NaN report, no numpy
+    warning."""
+    path = cm_file(tmp_path, scale * form.to_cm().mat)
+    for criterion in ("auto", "witness"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check", path, "--criterion", criterion])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot reduce to standard form") and \
+            err.endswith("overflows double precision\n") and err.count("\n") == 1
+
+
 def test_load_cm_refuses_partition_out_of_range(tmp_path):
     path = cm_file(tmp_path, tmsv_form(0.5).to_cm().mat, extra={"partition": [5]})
     with pytest.raises(PartitionError, match=r"partition \[5\] out of range"):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -114,6 +115,29 @@ def test_single_mode_normal_closed_form(r, rng):
     assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
     assert abs(np.linalg.det(s) - 1) < 1e-12
     assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)
+
+
+# --------------------------------------------------------------- to_cm memo
+
+@pytest.mark.parametrize("form", [
+    TwoModeStandardForm(1.2, 1.3, 0.4, -0.3),
+    WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.3, 0.2),
+    DetectorSpec(Family.TWO_MODE, 1.0, 1.1, 0.9, 1.2, 0.3, -0.2),
+], ids=["two-mode", "werner-wolf", "detector"])
+def test_to_cm_is_kept_on_the_form(form):
+    """Repeated calls return the same read-only CovMatrix; `==`, `hash` and
+    `repr` ignore it; `scaled` and `dataclasses.replace` give a form that
+    builds its own CM, equal in value."""
+    twin = dataclasses.replace(form)
+    cm = form.to_cm()
+    assert form.to_cm() is cm and not cm.mat.flags.writeable
+    assert form == twin and hash(form) == hash(twin) and repr(form) == repr(twin)
+    for other in (twin, form.scaled(1.0), dataclasses.replace(form, x=form.x)):
+        assert other.to_cm() is not cm
+        assert np.array_equal(other.to_cm().mat, cm.mat)
+    scaled = form.scaled(2.0)
+    assert np.array_equal(scaled.to_cm().mat, 2.0 * cm.mat)
+    assert form.to_cm() is cm
 
 
 # ------------------------------------------------------- reduction memo

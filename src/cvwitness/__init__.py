@@ -21,8 +21,8 @@ from .nongauss import (NonGaussState, asymptotic_check, build_fock_state,
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             TwoModeStandardForm, WernerWolfForm, detect_family,
                             reduce_to_standard_form)
-from .symplectic import (ComplexCovMatrix, CovMatrix, LocalSymplectic,
-                         cm_to_ccm, gaussian_overlap, is_symplectic,
+from .symplectic import (CovMatrix, LocalSymplectic, cm_to_ccm,
+                         gaussian_overlap, is_symplectic,
                          symplectic_eigenvalues, symplectic_form, validate_cm)
 from .witness import (WitnessReport, detector_from_cm, lambda_closed_form,
                       matched_witness, minmax_optimize)
@@ -44,7 +44,7 @@ __all__ = [
     "mean_on_detector",
     "DetectorSpec", "Family", "QuadratureForm", "TwoModeStandardForm",
     "WernerWolfForm", "detect_family", "reduce_to_standard_form",
-    "ComplexCovMatrix", "CovMatrix", "LocalSymplectic", "cm_to_ccm",
+    "CovMatrix", "LocalSymplectic", "cm_to_ccm",
     "gaussian_overlap", "is_symplectic",
     "symplectic_eigenvalues", "symplectic_form", "validate_cm",
     "WitnessReport", "detector_from_cm", "lambda_closed_form",

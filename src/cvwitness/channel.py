@@ -17,12 +17,14 @@ from .symplectic import CovMatrix, symplectic_form
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel:
-    """Gaussian CP map acting on covariance matrices as K^T gamma K + alpha."""
+    """Gaussian CP map acting on covariance matrices as K^T gamma K + alpha;
+    `m3_prime` and `m4_prime` (M3 + 1/2, M4 + 1/2 of the detector) set its
+    `norm_factor`."""
 
     k: np.ndarray
     alpha: np.ndarray
-    m3_prime: float = float("nan")
-    m4_prime: float = float("nan")
+    m3_prime: float
+    m4_prime: float
 
     def __post_init__(self):
         k = np.asarray(self.k, dtype=float)
@@ -56,8 +58,9 @@ class GaussianChannel:
         h = self.alpha + 0.5j * (sigma - self.k.T @ sigma @ self.k)
         return float(np.min(np.linalg.eigvalsh(h)))
 
-    def is_cp(self, tol: float = 1e-10) -> bool:
-        return self.cp_min_eig() >= -tol
+    def is_cp(self) -> bool:
+        """CP to within 1e-10 on the minimum eigenvalue."""
+        return self.cp_min_eig() >= -1e-10
 
 
 def detector_to_channel(d: QuadratureForm) -> GaussianChannel:
@@ -142,21 +145,24 @@ def fock_output_char(d: QuadratureForm, k: int, m: int, nu1: complex,
     return complex(np.trace(out @ displacement_matrix(nu1, cutoff)))
 
 
+#: characteristic-function arguments of `channel_output_vs_fock`
+_NU_POINTS = (0.3 + 0.2j, -0.4 + 0.1j, 0.15 - 0.35j)
+
+
 def channel_output_vs_fock(d: QuadratureForm, k: int, m: int, cutoff: int,
-                           scale_m3: float,
-                           nu_points=(0.3 + 0.2j, -0.4 + 0.1j, 0.15 - 0.35j)) -> float:
+                           scale_m3: float) -> float:
     """Two-step validation of the measurement-induced channel.
 
     Step 1 checks the exact finite-scale output form against the truncated
     Fock partial trace at the given (Fock-representable) detector.  Step 2
     checks the channel-matrix prediction against the exact form with M3
     scaled by `scale_m3`, where the large-M3 limit applies.  Returns the
-    maximum deviation over both steps and all sample points.
+    maximum deviation over both steps and the points `_NU_POINTS`.
     """
     m1, m2, m3, m4, m5, m6 = d.params
     d_big = DetectorSpec(d.family, m1, m2, scale_m3 * m3, scale_m3 * m4, m5, m6)
     dev = 0.0
-    for nu in nu_points:
+    for nu in _NU_POINTS:
         dev = max(dev, abs(fock_output_char(d, k, m, nu, cutoff)
                            - exact_output_char(d, k, m, nu)))
         dev = max(dev, abs(channel_output_char(d_big, k, m, nu)

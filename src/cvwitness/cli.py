@@ -15,16 +15,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, check_partition,
+from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, admitted_family,
                        decide_separability, ppt_decide, separability_lhs,
                        werner_wolf_family, werner_wolf_family_lhs_claim)
-from .exceptions import CvWitnessError, PatternMismatchError
+from .exceptions import CvWitnessError
 from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
 from .nongauss import decide_separability_nongauss
-from .standard_form import Family, TwoModeStandardForm, detect_family
-from .symplectic import TOL_PSD, validate_cm
+from .standard_form import (Family, QuadratureForm, TwoModeStandardForm,
+                            detect_family)
+from .symplectic import TOL_PSD
 from .witness import lambda_closed_form, minmax_optimize
 
 EXIT_SEPARABLE = 0
@@ -69,9 +70,7 @@ def cmd_check(args) -> int:
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[verdict]
     if criterion == "witness":
-        if not validate_cm(gamma, args.tol_psd).is_physical:
-            raise PatternMismatchError("covariance matrix is not physical")
-        check_partition(detect_family(gamma), partition)
+        admitted_family(gamma, partition, args.tol_psd)
         report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
                    Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)
@@ -122,23 +121,18 @@ def _ww_sample(rng: np.random.Generator) -> WWFamilyParams:
             return WWFamilyParams(a, b, c, d, e)
 
 
-def _sweep_row_ww(p: WWFamilyParams, tol: float) -> list:
-    form = werner_wolf_family(p)
+def _sweep_row(form: QuadratureForm, lead: list, claim, tol: float) -> list:
+    """lead, lhs, claim, is_ppt, ell of one family point; the witness runs
+    before the PPT test, so its refusal is the row's error."""
     gamma = form.to_cm()
-    rep = minmax_optimize(gamma)
-    return [p.a, p.b, p.c, p.d, p.e,
-            separability_lhs(form), werner_wolf_family_lhs_claim(p),
-            ppt_decide(gamma, tol=tol).is_ppt, rep.ell_limit]
+    ell = minmax_optimize(gamma).ell_limit
+    return [*lead, separability_lhs(form), claim, ppt_decide(gamma, tol=tol).is_ppt, ell]
 
 
-def _sweep_row_tmsv(r: float, tol: float) -> list:
-    a = np.cosh(2 * r) / 2
-    c = np.sinh(2 * r) / 2
-    form = TwoModeStandardForm(a, a, c, c)
-    gamma = form.to_cm()
-    rep = minmax_optimize(gamma)
-    return [r, separability_lhs(form), "", ppt_decide(gamma, tol=tol).is_ppt,
-            rep.ell_limit]
+def _tmsv(r: float) -> QuadratureForm:
+    """Two-mode squeezed vacuum of squeezing r, in standard form."""
+    a, c = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2
+    return TwoModeStandardForm(a, a, c, c)
 
 
 def cmd_sweep(args) -> int:
@@ -148,13 +142,13 @@ def cmd_sweep(args) -> int:
     if args.family == "wernerwolf":
         header = ["a", "b", "c", "d", "e",
                   "lhs_criterion", "lhs_closed_form_claim", "is_ppt", "ell"]
-        inputs = [_ww_sample(rng) for _ in range(args.n_samples)]
-        worker = _sweep_row_ww
+        samples = [_ww_sample(rng) for _ in range(args.n_samples)]
+        points = [(werner_wolf_family(p), [p.a, p.b, p.c, p.d, p.e],
+                   werner_wolf_family_lhs_claim(p)) for p in samples]
     else:
         header = ["r", "lhs_criterion", "lhs_closed_form_claim", "is_ppt", "ell"]
-        inputs = [0.1 * i for i in range(args.n_samples)]
-        worker = _sweep_row_tmsv
-    rows = [worker(v, args.tol_psd) for v in inputs]
+        points = [(_tmsv(0.1 * i), [0.1 * i], "") for i in range(args.n_samples)]
+    rows = [_sweep_row(*point, args.tol_psd) for point in points]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -212,10 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CvWitnessError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except (OSError, ValueError, KeyError) as exc:
+    except (CvWitnessError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

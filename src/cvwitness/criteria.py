@@ -137,9 +137,8 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     for mode in range(n):
         if mode not in partition:
             s[2 * mode + 1] = -1.0
-    pt = gamma.mat * np.outer(s, s)
-    rep = validate_cm(CovMatrix(pt), tol)
-    return PptReport(is_ppt=rep.is_physical,
+    pt = CovMatrix(gamma.mat * np.outer(s, s))
+    return PptReport(is_ppt=validate_cm(pt, tol).is_physical,
                      min_pt_symplectic_eig=float(symplectic_eigenvalues(pt)[0]))
 
 
@@ -219,18 +218,22 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     return float(x), float(y)
 
 
-def check_partition(family: Family, partition: list[int] | None) -> None:
-    """Refuse a partition that names neither party A nor party B of the
-    family's cut: `PartitionError` when it leaves a party empty or names a
-    mode the state lacks, `PatternMismatchError` for another two-party cut.
-    None stands for the family's cut."""
-    if partition is None:
-        return
+def admitted_family(gamma: CovMatrix, partition: list[int] | None,
+                    tol: float = TOL_PSD) -> Family:
+    """The family of a physical CM whose `partition` names party A or party
+    B of the family's cut; None stands for that cut.  Refuses a CM that
+    fails `validate_cm` at `tol` and another cut (`PatternMismatchError`),
+    and a partition that leaves a party empty or names a mode the state
+    lacks (`PartitionError`)."""
+    if not validate_cm(gamma, tol).is_physical:
+        raise PatternMismatchError("covariance matrix is not physical")
+    family = detect_family(gamma)
     default = list(range(family.n_modes_a))
     complement = list(range(family.n_modes_a, family.n_modes))
-    if sorted(partition) not in (default, complement):
+    if partition is not None and sorted(partition) not in (default, complement):
         error = PatternMismatchError if _splits(partition, family.n_modes) else PartitionError
         raise error(f"family {family.value} fixes partition {default} (or {complement})")
+    return family
 
 
 def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
@@ -241,12 +244,9 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     transpose.
 
     `partition` may name party A or party B of the family's cut
-    (`check_partition`): both labels give the same report, since
+    (`admitted_family`): both labels give the same report, since
     entanglement and PPT do not depend on which party is called A."""
-    if not validate_cm(gamma, tol).is_physical:
-        raise PatternMismatchError("covariance matrix is not physical")
-    family = detect_family(gamma)
-    check_partition(family, partition)
+    family = admitted_family(gamma, partition, tol)
     default = list(range(family.n_modes_a))
     form, _ = reduce_to_standard_form(gamma, family)
     lhs = separability_lhs(form)

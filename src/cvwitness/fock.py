@@ -28,22 +28,19 @@ from .symplectic import CovMatrix
 
 #: largest share of the trace that may fall beyond the cutoff
 TAIL_TOL = 5e-2
-_MAX_FACT = 512
-_LOG_FACT = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, _MAX_FACT + 1)))))
+#: seesaw iteration cap per start, and its relative stopping gain
+SEESAW_MAX_ITER = 200
+SEESAW_TOL = 1e-12
+#: first index `displacement_element` refuses: it builds a matrix that large
+_MAX_INDEX = 512
 
 
 def displacement_element(m: int, k: int, mu: complex) -> complex:
-    """<m|D(mu)|k> via the two-index Hermite polynomial expansion."""
-    if m >= _MAX_FACT or k >= _MAX_FACT:
-        raise DimensionMismatchError(f"indices up to {_MAX_FACT - 1} supported")
-    mu = complex(mu)
-    total = 0.0 + 0.0j
-    for l in range(min(m, k) + 1):
-        log_coeff = (_LOG_FACT[m] + _LOG_FACT[k] - _LOG_FACT[m - l]
-                     - _LOG_FACT[k - l] - _LOG_FACT[l])
-        total += (-1) ** l * np.exp(log_coeff) * mu ** (m - l) * np.conj(mu) ** (k - l)
-    pref = (-1) ** k * np.exp(-abs(mu) ** 2 / 2 - (_LOG_FACT[m] + _LOG_FACT[k]) / 2)
-    return pref * total
+    """<m|D(mu)|k>: entry (m, k) of `displacement_matrix(mu, max(m, k) + 1)`."""
+    if not 0 <= min(m, k) <= max(m, k) < _MAX_INDEX:
+        raise DimensionMismatchError(
+            f"indices must lie in 0..{_MAX_INDEX - 1}, got {m} and {k}")
+    return displacement_matrix(mu, max(m, k) + 1)[m, k]
 
 
 def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
@@ -255,27 +252,25 @@ def _op_on_b(m_op: np.ndarray, a: np.ndarray, da: int, db: int) -> np.ndarray:
 
 
 def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
-                  seed: int = 0, max_iter: int = 200,
-                  tol: float = 1e-12) -> SeesawResult:
+                  seed: int = 0) -> SeesawResult:
     """max <a,b| M |a,b> over product pure states by alternating eigensolves.
 
-    Starts from the vacuum and from `restarts` random product states, all
-    advanced together: each half-step is one pass over M for every start
-    still running, real M stays real.  Along each start the objective is
-    nondecreasing (OptimizerStalledError otherwise, with the first offending
-    start's diagnostics); a start stops once it gains at most
-    tol * max(1, |value|) or after `max_iter` iterations.  The result is the
-    first start whose value is within tol * max(1, |best|) of the best.
-    Raises DimensionMismatchError for a shape that does not match `dims`,
-    `restarts` below 0 or `max_iter` below 1.
+    Starts from the vacuum and from `restarts` random product states drawn
+    from `seed`, all advanced together: each half-step is one pass over M
+    for every start still running, real M stays real.  Along each start the
+    objective is nondecreasing (OptimizerStalledError otherwise, with the
+    first offending start's diagnostics); a start stops once it gains at
+    most SEESAW_TOL * max(1, |value|) or after SEESAW_MAX_ITER iterations.
+    The result is the first start whose value is within
+    SEESAW_TOL * max(1, |best|) of the best.  Raises DimensionMismatchError
+    for a shape that does not match `dims` or `restarts` below 0.
     """
     da, db = dims
     if m_op.shape != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator shape {m_op.shape} does not match dims {dims}")
-    if restarts < 0 or max_iter < 1:
-        raise DimensionMismatchError(
-            f"need restarts >= 0 and max_iter >= 1, got {restarts} and {max_iter}")
+    if restarts < 0:
+        raise DimensionMismatchError(f"need restarts >= 0, got {restarts}")
     m_op = np.ascontiguousarray(m_op)
     rng = np.random.default_rng(seed)
     starts = 1 + restarts
@@ -289,7 +284,7 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
     iterations = np.zeros(starts, dtype=int)
     converged = np.zeros(starts, dtype=bool)
     running = np.arange(starts)
-    for it in range(1, max_iter + 1):
+    for it in range(1, SEESAW_MAX_ITER + 1):
         val_a, a = _top_eigvec(_op_on_a(m_op, vec_b[running], da, db))
         val, b = _top_eigvec(_op_on_b(m_op, a, da, db))
         prev = value[running]
@@ -303,13 +298,13 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
                              "value_prev": float(prev[s])})
         vec_a[running], vec_b[running] = a, b
         value[running], iterations[running] = val, it
-        stop = val - prev <= tol * np.maximum(1.0, np.abs(val))
+        stop = val - prev <= SEESAW_TOL * np.maximum(1.0, np.abs(val))
         converged[running[stop]] = True
         running = running[~stop]
         if not running.size:
             break
     best = value.max()
-    win = int(np.argmax(value >= best - tol * max(1.0, abs(best))))
+    win = int(np.argmax(value >= best - SEESAW_TOL * max(1.0, abs(best))))
     return SeesawResult(value=float(value[win]), vec_a=vec_a[win],
                         vec_b=vec_b[win], iterations=int(iterations[win]),
                         converged=bool(converged[win]))

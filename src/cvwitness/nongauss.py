@@ -17,7 +17,7 @@ q_G's quadratic over its box, which gives the normalization, and
 HV = V^T h^T; a detector mean adds only sum_i (W HV)_i HV_i / 2 per point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
 
@@ -130,7 +130,7 @@ class NonGaussState:
         if sum(add) + sum(sub) > MAX_ORDER:
             raise OrderTooHighError(
                 f"|k| + |m| = {sum(add) + sum(sub)} exceeds {MAX_ORDER}")
-        g = cm_to_ccm(self.kernel).mat
+        g = cm_to_ccm(self.kernel)
         gp, gmn = g + _ladder_shift(n), g - _ladder_shift(n)
         # V^T = [gp, gmn], as gp and gmn are symmetric; it is the top half of
         # the kernel part -[[gp, gmn], [gmn, gmn]] of q
@@ -166,7 +166,7 @@ def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     if gm_cm.dim != s.kernel.dim:
         raise DimensionMismatchError(
             f"dimension mismatch: {s.kernel.dim} vs {gm_cm.dim}")
-    total = s._ccm + cm_to_ccm(gm_cm).mat
+    total = s._ccm + cm_to_ccm(gm_cm)
     det = np.linalg.det(total)
     if abs(det) < 1e-12:
         raise SingularSumError(f"det(ccm_G + ccm_M) = {det:g} is singular")
@@ -197,12 +197,7 @@ def decide_separability_nongauss(s: NonGaussState,
     """
     report = decide_separability(s.kernel, partition, tol)
     note = "kernel-level decision; ladder operations are local"
-    if report.note:
-        note = report.note + "; " + note
-    return CriterionReport(
-        verdict=report.verdict, lhs_value=report.lhs_value,
-        criterion_name=report.criterion_name, certificate=report.certificate,
-        ppt=report.ppt, bound_entangled=report.bound_entangled, note=note)
+    return replace(report, note=f"{report.note}; {note}" if report.note else note)
 
 
 def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:

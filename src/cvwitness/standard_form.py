@@ -13,8 +13,8 @@ diag(c1, -c2) by local rotations and squeezers.  Werner-Wolf states keep the
 8x8 sparsity pattern and are equalized by per-mode squeezers.
 
 A decision and a witness of the same state both need its standard form, so
-`reduce_to_standard_form` keeps each result per `CovMatrix` instance, family
-and tolerance, and a second call returns it without reducing again.  The memo
+`reduce_to_standard_form` keeps each result per `CovMatrix` instance and
+family, and a second call returns it without reducing again.  The memo
 is weak-keyed: an entry lives no longer than its matrix.  `CovMatrix` is
 frozen and read-only, and the form and `LocalSymplectic` are immutable, so a
 kept result cannot go stale.  A refusal is not kept and raises on every call.
@@ -29,6 +29,10 @@ import numpy as np
 
 from .exceptions import PatternMismatchError, ScaleOverflowError
 from .symplectic import CovMatrix, LocalSymplectic, block_diag
+
+#: largest residual accepted between a reduced CM and its standard form; the
+#: Werner-Wolf reduction scales it by max(1, largest entry).
+TOL_REDUCE = 1e-10
 
 # CM layouts: entry +-k is +-M_k of the parameters M1..M6 = (x a, p a, x b,
 # p b, x c, p c), 0 is zero.  Party A holds the first modes.
@@ -118,11 +122,6 @@ def DetectorSpec(family: Family, m1, m2, m3, m4, m5, m6) -> QuadratureForm:
     return QuadratureForm(family, (m1, m3, m5), (m2, m4, m6))
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
 def _single_mode_normal(block: np.ndarray) -> np.ndarray:
     """Symplectic S with S block S^T = sqrt(det block) * I for a 2x2 PD block.
 
@@ -138,42 +137,40 @@ def _single_mode_normal(block: np.ndarray) -> np.ndarray:
     return s / (np.sqrt(nu) * np.sqrt(block.trace() + 2 * nu))
 
 
-def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c = o1 @ diag(d1, d2) @ o2.T with o1, o2 proper rotations, d1 >= |d2|."""
-    u, s, vt = np.linalg.svd(c)
-    d = np.diag(s)
-    # u and vt are orthogonal: only the sign of their determinants matters
+def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Proper rotations (o1, o2) with o1.T @ c @ o2 = diag(d1, d2), d1 >= |d2|."""
+    u, _, vt = np.linalg.svd(c)
+    # u and vt are orthogonal: only the sign of their determinants matters;
+    # flipping u's second column or vt's second row flips the sign of d2
     if u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] < 0:
-        u = u @ np.diag([1.0, -1.0])
-        d[1, 1] *= -1
+        u[:, 1] = -u[:, 1]
     if vt[0, 0] * vt[1, 1] - vt[0, 1] * vt[1, 0] < 0:
-        vt = np.diag([1.0, -1.0]) @ vt
-        d[1, 1] *= -1
-    return u, d, vt.T
+        vt[1] = -vt[1]
+    return u, vt.T
 
 
-def _reduce_two_mode(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, LocalSymplectic]:
+def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplectic]:
     m = gamma.mat
     sa = _single_mode_normal(m[:2, :2])
     sb = _single_mode_normal(m[2:, 2:])
     s = block_diag(sa, sb)
     m1 = s @ m @ s.T
     # local blocks are now nu_A*I, nu_B*I; rotate to diagonalize the cross block
-    o1, d, o2 = _signed_svd_2x2(m1[:2, 2:])
+    o1, o2 = _signed_svd_2x2(m1[:2, 2:])
     s = block_diag(o1.T, o2.T) @ s
     m2 = s @ m @ s.T
     form = TwoModeStandardForm(m2[0, 0], m2[2, 2], m2[0, 2], -m2[1, 3])
     residual = abs(m2 - form.to_cm().mat).max()
-    if not residual <= tol:
+    if not residual <= TOL_REDUCE:
         raise PatternMismatchError(
             f"cannot reach two-mode standard form (residual {residual:g})", residual=residual)
     return form, LocalSymplectic(s, n_modes_a=Family.TWO_MODE.n_modes_a)
 
 
-def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, LocalSymplectic]:
+def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplectic]:
     m = gamma.mat
     off_pattern = abs(m[Family.WERNER_WOLF.cm_index == 0]).max()
-    if not off_pattern <= tol * max(1.0, abs(m).max()):
+    if not off_pattern <= TOL_REDUCE * max(1.0, abs(m).max()):
         raise PatternMismatchError(
             f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})",
             residual=off_pattern)
@@ -213,24 +210,24 @@ def _reduce_werner_wolf(gamma: CovMatrix, tol: float) -> tuple[QuadratureForm, L
         (m2[4, 4] + m2[6, 6]) / 2, (m2[5, 5] + m2[7, 7]) / 2,
         (m2[0, 4] - m2[2, 6]) / 2, -(m2[1, 7] + m2[3, 5]) / 2)
     residual = abs(m2 - form.to_cm().mat).max()
-    if not residual <= tol * max(1.0, abs(m2).max()):
+    if not residual <= TOL_REDUCE * max(1.0, abs(m2).max()):
         raise PatternMismatchError(
             f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})",
             residual=residual)
     return form, LocalSymplectic(s, n_modes_a=Family.WERNER_WOLF.n_modes_a)
 
 
-#: {CovMatrix: {(family, tol): (form, S)}}, see the module docstring.
+#: {CovMatrix: {family: (form, S)}}, see the module docstring.
 _REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10):
+def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     """Return (form, S) with S a local symplectic and S gamma S^T the form's
-    CM; computed once per matrix instance, family and tolerance."""
+    CM; computed once per matrix instance and family."""
     family = Family(family)
     memo = _REDUCED.get(gamma)
-    if memo is not None and (family, tol) in memo:
-        return memo[family, tol]
+    if memo is not None and family in memo:
+        return memo[family]
     if gamma.n_modes != family.n_modes:
         raise PatternMismatchError(
             f"{family.value} family needs {family.n_modes} modes, got {gamma.n_modes}")
@@ -242,8 +239,8 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family, tol: float = 1e-10
             f"cannot reduce to standard form: the square of the largest entry "
             f"{big:g} overflows double precision")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
-    result = reduce(gamma, tol)
-    _REDUCED.setdefault(gamma, {})[family, tol] = result
+    result = reduce(gamma)
+    _REDUCED.setdefault(gamma, {})[family] = result
     return result
 
 

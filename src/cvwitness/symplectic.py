@@ -91,22 +91,6 @@ class CovMatrix:
         return validate_cm(self, tol=tol).is_physical
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexCovMatrix:
-    """Second moments over complex mode variables, ordered (mu_1..mu_n, mu*_1..mu*_n)."""
-
-    mat: np.ndarray
-    n_modes: int = field(init=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
-        n = _check_even_square(np.real(mat))
-        mat = (mat + mat.T) / 2.0
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "n_modes", n)
-
-
 @dataclass(frozen=True)
 class ValidityReport:
     min_eig: float
@@ -134,38 +118,39 @@ def _ccm_transform(n_modes: int) -> np.ndarray:
     return t
 
 
-def cm_to_ccm(gamma: CovMatrix) -> ComplexCovMatrix:
-    """Re-express the quadratic form of the characteristic function over (mu, mu*)."""
+def cm_to_ccm(gamma: CovMatrix) -> np.ndarray:
+    """Re-express the quadratic form of the characteristic function over
+    (mu_1..mu_n, mu*_1..mu*_n): a read-only complex-symmetric array."""
     t = _ccm_transform(gamma.n_modes)
     # T is unitary, so T^{-1} = T^dag and T^{-T} = conj(T)
-    return ComplexCovMatrix(t.conj() @ gamma.mat @ t.conj().T)
+    mat = t.conj() @ gamma.mat @ t.conj().T
+    mat = (mat + mat.T) / 2.0
+    mat.flags.writeable = False
+    return mat
 
 
-def gaussian_overlap(gamma_1: CovMatrix, gamma_2: CovMatrix, tol: float = 1e-12) -> float:
+def gaussian_overlap(gamma_1: CovMatrix, gamma_2: CovMatrix) -> float:
     """Tr(rho_1 rho_2) for zero-mean Gaussians: 1 / sqrt(|det(gamma_1 + gamma_2)|)."""
     if gamma_1.dim != gamma_2.dim:
         raise DimensionMismatchError(
             f"dimension mismatch: {gamma_1.dim} vs {gamma_2.dim}")
     det = np.linalg.det(gamma_1.mat + gamma_2.mat)
-    if abs(det) < tol:
+    if abs(det) < 1e-12:
         raise SingularSumError(f"det(gamma_1 + gamma_2) = {det:g} is singular")
     return 1.0 / np.sqrt(abs(det))
 
 
-def symplectic_eigenvalues(gamma: CovMatrix | np.ndarray) -> np.ndarray:
+def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
-    mat = gamma.mat if isinstance(gamma, CovMatrix) else np.asarray(gamma, dtype=float)
-    n = _check_even_square(mat)
-    eigs = np.linalg.eigvals(_scaled_form(n, 1j) @ mat)
-    nu = np.sort(np.abs(eigs.real))
+    eigs = np.linalg.eigvals(_scaled_form(gamma.n_modes, 1j) @ gamma.mat)
     # eigenvalues come in +/- pairs; keep one of each
-    return nu[::2][:n] if len(nu) == 2 * n else nu[:n]
+    return np.sort(np.abs(eigs.real))[::2]
 
 
-def is_symplectic(s: np.ndarray, tol: float = 1e-10) -> bool:
-    n = _check_even_square(s)
-    sigma = symplectic_form(n)
-    return abs(s @ sigma @ s.T - sigma).max() <= tol
+def is_symplectic(s: np.ndarray) -> bool:
+    """Whether S sigma S^T = sigma to within 1e-10 in every entry."""
+    sigma = symplectic_form(_check_even_square(s))
+    return abs(s @ sigma @ s.T - sigma).max() <= 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +169,7 @@ class LocalSymplectic:
         da = 2 * self.n_modes_a
         if abs(mat[:da, da:]).max() > 1e-10 or abs(mat[da:, :da]).max() > 1e-10:
             raise DimensionMismatchError("matrix does not respect the bipartition")
-        if not is_symplectic(mat, tol=1e-10):
+        if not is_symplectic(mat):
             raise DimensionMismatchError("matrix is not symplectic")
         mat = np.array(mat)
         mat.flags.writeable = False

@@ -106,4 +106,4 @@ def test_overlap_identity_converges_ww():
 
 def test_gaussian_channel_validates_shapes():
     with pytest.raises(DimensionMismatchError):
-        GaussianChannel(k=np.eye(2), alpha=np.eye(4))
+        GaussianChannel(k=np.eye(2), alpha=np.eye(4), m3_prime=2.0, m4_prime=2.0)

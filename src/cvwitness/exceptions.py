@@ -27,23 +27,16 @@ class ScaleOverflowError(CvWitnessError):
 
 
 class SingularSumError(CvWitnessError):
-    """det(gamma_1 + gamma_2) vanishes; overlap is undefined."""
+    """det(ccm_G + ccm_M) vanishes: the detector mean of a non-Gaussian state
+    is undefined."""
 
 
 class ConstraintViolatedError(CvWitnessError):
     """Werner-Wolf family parameters violate ad - bc > 0 or ce - a > 0."""
 
 
-class DegenerateLimitError(CvWitnessError):
-    """Detector is outside the large-M3 regime (M3' <= 1)."""
-
-
 class NonPositiveDeterminantError(CvWitnessError):
     """det(gamma_M + gamma_A (+) gamma_B) is non-positive on the search domain."""
-
-
-class NotEntangledError(CvWitnessError):
-    """A matched witness was requested for a state with ell >= 1."""
 
 
 class OptimizerStalledError(CvWitnessError):

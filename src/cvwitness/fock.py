@@ -11,9 +11,9 @@ half-size compact register, one contiguous array update per recurrence term,
 and then spread into the full register.  Each entry keeps the terms and term
 order of a full build, so a real register is the same bit for bit.
 The register is real whenever the CM has no x-p correlation, as every
-detector's has.  Displacements come from their own exact recurrence, and the
-product-state maximum is found by an alternating eigenvector seesaw that
-advances all its starts together, one pass over the operator per half-step.
+detector's has.  The product-state maximum is found by an alternating
+eigenvector seesaw that advances all its starts together, one pass over the
+operator per half-step.
 numpy only.
 """
 
@@ -31,32 +31,6 @@ TAIL_TOL = 5e-2
 #: seesaw iteration cap per start, and its relative stopping gain
 SEESAW_MAX_ITER = 200
 SEESAW_TOL = 1e-12
-#: first index `displacement_element` refuses: it builds a matrix that large
-_MAX_INDEX = 512
-
-
-def displacement_element(m: int, k: int, mu: complex) -> complex:
-    """<m|D(mu)|k>: entry (m, k) of `displacement_matrix(mu, max(m, k) + 1)`."""
-    if not 0 <= min(m, k) <= max(m, k) < _MAX_INDEX:
-        raise DimensionMismatchError(
-            f"indices must lie in 0..{_MAX_INDEX - 1}, got {m} and {k}")
-    return displacement_matrix(mu, max(m, k) + 1)[m, k]
-
-
-def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
-    """<m|D(mu)|n> below the cutoff, exact.  Row 0 is
-    e^{-|mu|^2/2} (-mu*)^n / sqrt(n!), and a D = D (a + mu) gives
-    sqrt(m + 1) D_{m+1,n} = mu D_{m,n} + sqrt(n) D_{m,n-1}."""
-    mu = complex(mu)
-    root = np.sqrt(np.arange(cutoff))
-    d = np.zeros((cutoff, cutoff), dtype=complex)
-    d[0] = np.exp(-abs(mu) ** 2 / 2) * np.cumprod(
-        np.concatenate(([1.0], -np.conj(mu) / root[1:])))
-    for m in range(cutoff - 1):
-        d[m + 1] = mu * d[m]
-        d[m + 1, 1:] += root[1:] * d[m, :-1]
-        d[m + 1] /= root[m + 1]
-    return d
 
 
 def ladder_on_axis(t: np.ndarray, axis: int, dagger: bool) -> np.ndarray:

@@ -175,18 +175,6 @@ def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
         abs(np.linalg.det(s.kernel.mat + gm_cm.mat)))
 
 
-def asymptotic_check(s: NonGaussState, d0: QuadratureForm,
-                     scales=(10.0, 100.0, 1000.0)) -> list[float]:
-    """Residuals |Tr(rho M_t) sqrt|det(gamma_G + t gamma_M0)| - 1| along t."""
-    out = []
-    for t in scales:
-        dt = d0.scaled(float(t))
-        mean = mean_on_detector(s, dt)
-        det = np.linalg.det(s.kernel.mat + dt.to_cm().mat)
-        out.append(abs(mean * np.sqrt(abs(det)) - 1.0))
-    return out
-
-
 def decide_separability_nongauss(s: NonGaussState,
                                  partition: list[int] | None = None,
                                  tol: float = TOL_PSD) -> CriterionReport:

@@ -1,5 +1,5 @@
-"""Covariance-matrix core: symplectic form, validity checks, CM/CCM conversion,
-Gaussian overlaps and symplectic eigenvalues.
+"""Covariance-matrix core: symplectic form, validity checks, CM/CCM conversion
+and symplectic eigenvalues.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SingularSumError
+from .exceptions import DimensionMismatchError
 
 #: PSD tolerance on the minimum eigenvalue of gamma + i*sigma/2.
 TOL_PSD = 1e-10
@@ -127,17 +127,6 @@ def cm_to_ccm(gamma: CovMatrix) -> np.ndarray:
     mat = (mat + mat.T) / 2.0
     mat.flags.writeable = False
     return mat
-
-
-def gaussian_overlap(gamma_1: CovMatrix, gamma_2: CovMatrix) -> float:
-    """Tr(rho_1 rho_2) for zero-mean Gaussians: 1 / sqrt(|det(gamma_1 + gamma_2)|)."""
-    if gamma_1.dim != gamma_2.dim:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {gamma_1.dim} vs {gamma_2.dim}")
-    det = np.linalg.det(gamma_1.mat + gamma_2.mat)
-    if abs(det) < 1e-12:
-        raise SingularSumError(f"det(gamma_1 + gamma_2) = {det:g} is singular")
-    return 1.0 / np.sqrt(abs(det))
 
 
 def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:

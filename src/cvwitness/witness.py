@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (NonPositiveDeterminantError, NotEntangledError,
-                         PatternMismatchError)
+from .exceptions import NonPositiveDeterminantError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             detect_family, reduce_to_standard_form)
 from .symplectic import CovMatrix
@@ -44,31 +43,12 @@ _EDGE_MARGIN = 1e-14
 #: detectors of the matched witness lie on m5^2 = m1 m3 up to rounding.
 _BLOCK_RTOL = 1e-12
 
-#: relative tolerance of `detector_from_cm` on the rebuilt CM.
-_PATTERN_RTOL = 1e-10
-
 #: detector scales t of the scaling audit; the matched detector is the last.
 AUDIT_SCALES = (1e2, 1e3, 1e4)
 
 #: an edge or product minimum lies at infinity; its finite direction puts the
 #: far coordinate at eps = t^(-1/2) of the matched scale.
 _EDGE_EPS = AUDIT_SCALES[-1] ** -0.5
-
-
-def detector_from_cm(gamma: CovMatrix) -> QuadratureForm:
-    """Read detector parameters off a family-patterned CM (no reduction):
-    each M_k at its first place in the family layout.  A CM that the
-    parameters do not rebuild to within `_PATTERN_RTOL` of max |gamma| is
-    refused."""
-    family = detect_family(gamma)
-    signed = gamma.mat * family.cm_sign
-    d = DetectorSpec(family, *(signed[family.cm_index == k][0] for k in range(1, 7)))
-    residual = np.max(np.abs(d.to_cm().mat - gamma.mat))
-    if residual > _PATTERN_RTOL * np.max(np.abs(gamma.mat)):
-        raise PatternMismatchError(
-            f"CM is not in the {family.value} detector pattern (residual {residual:g})",
-            residual=residual)
-    return d
 
 
 def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
@@ -279,12 +259,3 @@ def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
         entangled=(not boundary) and ell < 1, boundary=boundary,
         diagnostics={"path": path,
                      "ell_rel_err": sys.float_info.epsilon * power * cond})
-
-
-def matched_witness(gamma: CovMatrix) -> tuple[float, QuadratureForm, float]:
-    """(Lambda, matched detector, violation) with violation = Lambda - Tr(rho M*)."""
-    report = minmax_optimize(gamma)
-    if not report.entangled:
-        raise NotEntangledError(f"state has ell = {report.ell:.6g} >= 1")
-    violation = report.lam - report.trace_mean
-    return report.lam, report.matched_params, float(violation)

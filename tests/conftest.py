@@ -7,8 +7,9 @@ import pytest
 import scipy.optimize as opt
 from hypothesis import settings
 
-from cvwitness.channel import detector_to_channel
-from cvwitness.criteria import WWFamilyParams, simon_lhs
+from cvwitness.cli import _tmsv as tmsv_form
+from cvwitness.cli import _ww_sample as sample_ww_family_params
+from cvwitness.criteria import simon_lhs
 from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   NonPositiveDeterminantError,
                                   OptimizerStalledError)
@@ -16,7 +17,7 @@ from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import _ladder_shift
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
-from cvwitness.symplectic import CovMatrix, _ccm_transform, block_diag, cm_to_ccm
+from cvwitness.symplectic import CovMatrix, _ccm_transform, cm_to_ccm
 from cvwitness.witness import _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
@@ -24,14 +25,6 @@ from cvwitness.witness import _cone_ratio, _min_det_factors
 settings.register_profile("deterministic", deadline=None, derandomize=True,
                           database=None)
 settings.load_profile("deterministic")
-
-
-def tmsv_form(r: float) -> QuadratureForm:
-    """Two-mode squeezed vacuum in standard form (x correlated, p anti:
-    the CM builder carries the sign flip on c2)."""
-    a = np.cosh(2 * r) / 2
-    c = np.sinh(2 * r) / 2
-    return TwoModeStandardForm(a, a, c, c)
 
 
 def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
@@ -78,14 +71,6 @@ def sample_standard_form(rng: np.random.Generator,
         if exclude_band and abs(simon_lhs(f)) <= exclude_band:
             continue
         return f
-
-
-def sample_ww_family_params(rng: np.random.Generator) -> WWFamilyParams:
-    """Random valid five-parameter Werner-Wolf family point."""
-    while True:
-        a, b, c, d, e = rng.uniform(0.2, 3.0, size=5)
-        if a * d - b * c > 1e-3 and c * e - a > 1e-3:
-            return WWFamilyParams(a, b, c, d, e)
 
 
 @pytest.fixture
@@ -165,24 +150,6 @@ def ccm_to_cm(gamma_c: np.ndarray) -> CovMatrix:
     if imag > 1e-9:
         raise DimensionMismatchError(f"CCM does not correspond to a real CM (imag residue {imag:g})")
     return CovMatrix(mat.real)
-
-
-def overlap_identity_ratio(d: QuadratureForm, gamma_a: np.ndarray,
-                           gamma_b: np.ndarray) -> float:
-    """Oracle for the channel picture: the ratio of the direct detector mean
-    to the channel-picture mean.
-
-    Direct: Tr(M rho_A x rho_B) = 1/sqrt(det(gamma_M + gamma_A (+) gamma_B)).
-    Channel picture: norm / sqrt(det(gamma_A + K^T gamma_B K + alpha)) with
-    norm = (M3' M4')^{-n/2}.  The ratio tends to 1 as the detector scale
-    grows; the deviation is O(1/M3').
-    """
-    ch = detector_to_channel(d)
-    gm = d.to_cm().mat
-    direct = 1.0 / np.sqrt(np.linalg.det(gm + block_diag(gamma_a, gamma_b)))
-    g_out = ch.k.T @ gamma_b @ ch.k + ch.alpha
-    via_channel = ch.norm_factor() / np.sqrt(np.linalg.det(gamma_a + g_out))
-    return float(direct / via_channel)
 
 
 def dict_coeff_extract(q: np.ndarray, target: tuple[int, ...]) -> complex:

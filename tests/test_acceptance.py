@@ -10,14 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from cvwitness.channel import (channel_commutator_norm, channel_output_vs_fock,
-                               detector_to_channel)
 from cvwitness.criteria import (Verdict, certificate_min_eig,
                                 feasibility_search, ppt_decide, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
 from cvwitness.fock import gaussian_op_fock, seesaw_lambda
-from cvwitness.nongauss import (NonGaussState, asymptotic_check,
-                                decide_separability_nongauss,
+from cvwitness.nongauss import (NonGaussState, decide_separability_nongauss,
                                 fock_direct_trace, mean_on_detector)
 from cvwitness.standard_form import Family, TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
@@ -26,6 +23,8 @@ from cvwitness.witness import (DetectorSpec, lambda_closed_form,
 
 from conftest import (sample_standard_form, sample_two_mode_detector,
                       sample_ww_detector, sample_ww_family_params, tmsv_form)
+from paper_audit import (asymptotic_check, channel_commutator_norm,
+                         channel_output_vs_fock, detector_to_channel)
 
 
 def test_criterion_1_simon_tmsv_reproduction():

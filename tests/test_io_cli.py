@@ -243,13 +243,6 @@ def test_cli_check_accepts_party_b_partition(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_cli_family_criterion_mismatch(tmp_path, capsys):
-    path = cm_file(tmp_path, tmsv_form(0.3).to_cm().mat)
-    code = main(["check", path, "--criterion", "wernerwolf"])
-    capsys.readouterr()
-    assert code == 1
-
-
 @pytest.mark.parametrize("entry", ["NaN", "Infinity"])
 def test_cli_rejects_non_finite_cm(tmp_path, capsys, entry):
     """A JSON NaN or Infinity in the CM is a typed error: exit 1 with one
@@ -393,11 +386,14 @@ def test_cli_witness_tol_psd_applied(tmp_path, capsys):
     ["sweep", "--family", "tmsv", "-n", "2", "out.csv", "--restarts", "2"],
     ["check", "state.json", "--seed", "3"],
     ["oracle", "det.json", "--tol-psd", "1e-8"],
+    ["check", "state.json", "--criterion", "wernerwolf"],
+    ["check", "state.json", "--criterion", "simon"],
 ])
 def test_cli_rejects_removed_flags(argv, capsys):
-    with pytest.raises(SystemExit):
-        main(argv)
-    assert "unrecognized arguments" in capsys.readouterr().err
+    """A usage error exits 1, not argparse's 2, which is the Entangled code."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert ("invalid choice" if "--criterion" in argv else "unrecognized arguments") in err
 
 
 def test_cli_sweep_tmsv(tmp_path, capsys):

@@ -9,16 +9,15 @@ from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
 from cvwitness.exceptions import (DegeneratePreparationError,
                                   DimensionMismatchError, OrderTooHighError)
 from cvwitness.fock import gaussian_op_fock
-from cvwitness.nongauss import (NonGaussState, _KanBox, asymptotic_check,
-                                build_fock_state,
+from cvwitness.nongauss import (NonGaussState, _KanBox, build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
                                 mean_on_detector)
 from cvwitness.standard_form import TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
-from cvwitness.witness import detector_from_cm
 
 from conftest import (destroy, dict_coeff_extract, mode_op, q_char,
                       sample_two_mode_detector, sample_ww_detector, tmsv_form)
+from paper_audit import asymptotic_check, displacement_matrix
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
 THERMAL_1 = CovMatrix(1.5 * np.eye(2))  # nbar = 1
@@ -38,7 +37,6 @@ def test_q_char_matches_fock():
     kernel = CovMatrix(np.diag([0.7, 0.9]))
     cutoff = 20
     rho = gaussian_op_fock(kernel, cutoff)
-    from cvwitness.fock import displacement_matrix
     import scipy.linalg as la
     a = destroy(cutoff)
     xi, eta = 0.1 + 0.05j, -0.07 + 0.12j
@@ -96,7 +94,7 @@ def test_mean_single_photon_on_thermal():
 def test_mean_matches_fock_added_tmsv():
     r = 0.3
     s = NonGaussState(tmsv_form(r).to_cm(), add=(1, 0), subtract=(0, 0))
-    d = detector_from_cm(tmsv_form(r).to_cm())
+    d = tmsv_form(r)
     mean = mean_on_detector(s, d)
     oracle = fock_direct_trace(s, d, cutoff=22)
     assert abs(mean - oracle) < 1e-6

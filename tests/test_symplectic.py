@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from cvwitness.exceptions import DimensionMismatchError
-from cvwitness.symplectic import (CovMatrix, cm_to_ccm,
-                                  gaussian_overlap, symplectic_eigenvalues,
+from cvwitness.symplectic import (CovMatrix, cm_to_ccm, symplectic_eigenvalues,
                                   symplectic_form, validate_cm)
 
-from conftest import ccm_to_cm, random_physical_cm, tmsv_form
+from conftest import ccm_to_cm, random_physical_cm
 
 
 def test_symplectic_form_structure():
@@ -78,19 +77,3 @@ def test_ccm_quadratic_form_structure(rng):
     assert np.allclose(g, g.T)
     assert np.allclose(g[:n, :n], g[n:, n:].conj())
     assert np.allclose(g[:n, n:], g[n:, :n].conj())
-
-
-def test_gaussian_overlap_pure_states():
-    # two identical pure states overlap to 1
-    vac = CovMatrix(np.eye(2) / 2)
-    assert abs(gaussian_overlap(vac, vac) - 1.0) < 1e-12
-    g = tmsv_form(0.4).to_cm()
-    assert abs(gaussian_overlap(g, g) - 1.0) < 1e-10
-
-
-def test_gaussian_overlap_vacuum_thermal():
-    vac = CovMatrix(np.eye(2) / 2)
-    nbar = 1.0
-    th = CovMatrix((nbar + 0.5) * np.eye(2))
-    # <0|rho_th|0> = 1/(nbar+1)
-    assert abs(gaussian_overlap(vac, th) - 1.0 / (nbar + 1)) < 1e-12

@@ -11,15 +11,13 @@ from cvwitness import witness
 from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError,
-                                  NonPositiveDeterminantError,
-                                  NotEntangledError, PatternMismatchError)
+                                  NonPositiveDeterminantError)
 from cvwitness.standard_form import (Family, QuadratureForm,
                                      TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
-from cvwitness.symplectic import CovMatrix, gaussian_overlap
+from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import (DetectorSpec, _cone_lambda, _cone_ratio,
-                               _min_det_factors, detector_from_cm,
-                               lambda_closed_form, matched_witness,
+                               _min_det_factors, lambda_closed_form,
                                minmax_optimize)
 
 from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
@@ -37,32 +35,10 @@ def test_lambda_vacuum_detector():
 
 def test_lambda_tmsv_projector():
     r = 0.5
-    d = detector_from_cm(tmsv_form(r).to_cm())
+    d = tmsv_form(r)
     lam, _ = lambda_closed_form(d)
     # best product-state overlap with a TMSV projector
     assert abs(lam - 1.0 / np.cosh(r) ** 2) < 1e-10
-
-
-def test_detector_from_cm_round_trip(rng):
-    """Sampled detectors of both families, with M1 != M2 and M3 != M4, are
-    read back exactly from their CMs."""
-    for sampler in (sample_two_mode_detector, sample_ww_detector):
-        for _ in range(25):
-            d = sampler(rng)
-            assert detector_from_cm(d.to_cm()) == d
-    d = DetectorSpec(Family.TWO_MODE, 1.2, 1.6, 1.3, 1.3, 0.6, -0.45)
-    assert detector_from_cm(d.to_cm()) == d
-
-
-@pytest.mark.parametrize("gamma", [
-    tmsv_form(0.5).to_cm().mat + 0.1 * (np.eye(4, k=3) + np.eye(4, k=-3)),   # x1 p2
-    np.eye(4) + 0.1 * (np.eye(4, k=1) + np.eye(4, k=-1)),   # x-p correlated
-    WernerWolfForm(1.0, 1.1, 1.2, 1.3, 0.4, -0.3).to_cm().mat
-    + np.diag([0, 0, 0.2, 0, 0, 0, 0, 0]),                  # modes of A differ
-], ids=["two-mode-x1p2", "two-mode-xp", "werner-wolf-variance"])
-def test_detector_from_cm_refuses_off_pattern(gamma):
-    with pytest.raises(PatternMismatchError, match="detector pattern"):
-        detector_from_cm(CovMatrix(gamma))
 
 
 def test_lambda_thermal_product():
@@ -106,17 +82,11 @@ def test_minmax_ww_bound_entangled():
 
 def test_matched_witness_violation():
     gamma = tmsv_form(0.5).to_cm()
-    lam, detector, violation = matched_witness(gamma)
+    rep = minmax_optimize(gamma)
     # witness mean Lambda - Tr(rho M*) is negative on an entangled state
-    assert violation < 0
-    trace = gaussian_overlap(gamma, detector.to_cm())
-    assert abs(violation - (lam - trace)) < 1e-12
-    assert trace > lam
-
-
-def test_matched_witness_rejects_separable():
-    with pytest.raises(NotEntangledError):
-        matched_witness(CovMatrix(np.eye(4) * 1.5))
+    trace = 1.0 / np.sqrt(np.linalg.det(gamma.mat + rep.matched_params.to_cm().mat))
+    assert abs(rep.trace_mean - trace) < 1e-12
+    assert rep.trace_mean > rep.lam
 
 
 def test_determinism_same_seed(rng):

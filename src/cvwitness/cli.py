@@ -7,10 +7,15 @@ its tolerances, `oracle` the seed of its random seesaw starts.  Output is
 byte-identical for the same input and options.  `sweep` draws its
 Werner-Wolf samples from `--seed` and applies `--tol-psd` to its `is_ppt`
 column.
+
+Start-up is most of a command's run, so the module imports at the top only
+what every command needs (`criteria`, `io`, `standard_form`, `symplectic`);
+a command imports its own further layers where it runs them: `oracle` the
+Fock oracle and the witness, `sweep` the witness and `csv`, and `check`
+the witness or the non-Gaussian moments only for that criterion.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -20,13 +25,10 @@ from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, admitted_family,
                        decide_separability, ppt_decide, separability_lhs,
                        werner_wolf_family, werner_wolf_family_lhs_claim)
 from .exceptions import CvWitnessError
-from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
-from .nongauss import decide_separability_nongauss
 from .standard_form import QuadratureForm, TwoModeStandardForm
 from .symplectic import TOL_PSD
-from .witness import lambda_closed_form, minmax_optimize
 
 EXIT_SEPARABLE = 0
 EXIT_ERROR = 1
@@ -50,6 +52,7 @@ def _check_meta(args) -> dict:
 def cmd_check(args) -> int:
     criterion = args.criterion
     if criterion == "nongauss":
+        from .nongauss import decide_separability_nongauss
         state, partition = load_nongauss(args.input)
         report = decide_separability_nongauss(state, partition, tol=args.tol_psd)
         payload = {**_check_meta(args), "report": criterion_report_dict(report)}
@@ -66,6 +69,7 @@ def cmd_check(args) -> int:
         dump_report(payload, sys.stdout)
         return _VERDICT_EXIT[verdict]
     if criterion == "witness":
+        from .witness import minmax_optimize
         admitted_family(gamma, partition, args.tol_psd)
         report = minmax_optimize(gamma)
         verdict = (Verdict.BOUNDARY if report.boundary else
@@ -83,6 +87,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .fock import gaussian_op_fock, mean_photon_defect, seesaw_lambda
+    from .witness import lambda_closed_form
     d = load_detector(args.input)
     cutoff = d.family.oracle_cutoff if args.cutoff is None else args.cutoff
     lam_closed, _ = lambda_closed_form(d)
@@ -103,7 +109,7 @@ def cmd_oracle(args) -> int:
     return EXIT_SEPARABLE if delta <= 1e-3 else EXIT_ERROR
 
 
-def _ww_sample(rng: np.random.Generator) -> WWFamilyParams:
+def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
     """Random valid five-parameter family point (rejection sampling)."""
     while True:
         a, b, c, d, e = rng.uniform(0.2, 3.0, size=5)
@@ -114,6 +120,7 @@ def _ww_sample(rng: np.random.Generator) -> WWFamilyParams:
 def _sweep_row(form: QuadratureForm, lead: list, claim, tol: float) -> list:
     """lead, lhs, claim, is_ppt, ell of one family point; the witness runs
     before the PPT test, so its refusal is the row's error."""
+    from .witness import minmax_optimize
     gamma = form.to_cm()
     ell = minmax_optimize(gamma).ell_limit
     return [*lead, separability_lhs(form), claim, ppt_decide(gamma, tol=tol).is_ppt, ell]
@@ -127,6 +134,7 @@ def _tmsv(r: float) -> QuadratureForm:
 
 
 def cmd_sweep(args) -> int:
+    import csv
     if args.n_samples < 1:
         raise CvWitnessError("n_samples must be at least 1")
     rng = np.random.default_rng(args.seed)

@@ -6,15 +6,18 @@ nonzero "mean" is rejected instead of silently centered.
 """
 
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .criteria import CriterionReport
 from .exceptions import DimensionMismatchError, NonZeroMeanError, PartitionError
-from .nongauss import NonGaussState
 from .standard_form import DetectorSpec, Family, QuadratureForm
 from .symplectic import CovMatrix
-from .witness import WitnessReport
+
+if TYPE_CHECKING:   # imported where used, so reading a CM loads neither
+    from .nongauss import NonGaussState
+    from .witness import WitnessReport
 
 
 def _check_mean(obj: dict, n_modes: int) -> None:
@@ -64,8 +67,9 @@ def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
     return CovMatrix(mat), partition
 
 
-def load_nongauss(path: str) -> tuple[NonGaussState, list[int] | None]:
+def load_nongauss(path: str) -> tuple["NonGaussState", list[int] | None]:
     """Read a kernel CM file extended with {"add": [k...], "subtract": [m...]}."""
+    from .nongauss import NonGaussState
     with open(path) as fh:
         obj = json.load(fh)
     kernel, partition = _parse_cm(obj, path)
@@ -108,7 +112,7 @@ def criterion_report_dict(report: CriterionReport) -> dict:
     return out
 
 
-def witness_report_dict(report: WitnessReport) -> dict:
+def witness_report_dict(report: "WitnessReport") -> dict:
     return {
         "lambda": report.lam,
         "ell": report.ell,

@@ -51,7 +51,7 @@ AUDIT_SCALES = (1e2, 1e3, 1e4)
 _EDGE_EPS = AUDIT_SCALES[-1] ** -0.5
 
 
-def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
+def _min_det_factors(d: QuadratureForm) -> tuple[float, int, tuple[float, float]]:
     """Minimize g1(x, y) * g2(x, y) = G1 G2 / (x y) over x, y > 0.
 
     G1 = (m1 + x/2)(m3 + y/2) - m5^2 and G2 = (m2 x + 1/2)(m4 y + 1/2)
@@ -62,15 +62,24 @@ def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     The objective is convex in (log x, log y), so its profile in u = log x
     is convex and, by the envelope theorem, its slope x (dG1/dx / G1 +
     dG2/dx / G2) - 1 at y* rises from -1 to 1: doubling [-1, 1] brackets
-    the root, which is then bisected.  A detector whose parameters or block
-    products overflow, or whose search leaves double precision, is refused
-    too, instead of returning nan.
+    the root, which is then bisected.  Where alpha1 alpha2 / (beta1 beta2)
+    leaves double precision, y* is taken as sqrt(alpha1 / beta1) sqrt(alpha2
+    / beta2) and a far-right point is evaluated with alpha_i, beta_i divided
+    by x; where the minimum does, its binary exponent is carried apart.  A
+    detector whose parameters or block products overflow, or whose search
+    leaves double precision anyway, is refused too, instead of returning
+    nan.
+
+    Returns (v, e, (x, y)) with min g1 g2 = v 2^e; e = 0 unless the minimum
+    itself is not representable.  The parameters are taken as Python floats,
+    so that an overflow is inf, not a numpy warning.
     """
-    m1, m2, m3, m4, m5, m6 = d.params
+    params = tuple(map(float, d.params))
+    m1, m2, m3, m4, m5, m6 = params
     d1, d2 = m1 * m3 - m5 * m5, m2 * m4 - m6 * m6   # inf, where ** 2 raises
     # d1, d2 are finite exactly when the parameters and the block products
     # m1 m3, m5^2, m2 m4, m6^2 are
-    if not all(map(math.isfinite, (*d.params, d1, d2))):
+    if not all(map(math.isfinite, (*params, d1, d2))):
         raise NonPositiveDeterminantError(
             "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: a detector "
             "parameter or block product is not finite in double precision")
@@ -82,17 +91,25 @@ def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
             "semidefinite")
 
     def at(u):
-        """The profile's slope in u, x = e^u, y* and G1 G2 / (x y*)."""
+        """The profile's slope in u, x = e^u, y*, G1 / s, G2 / s and s."""
         x = math.exp(u)
-        a1, b1 = d1 + m3 * x / 2, m1 / 2 + x / 4
-        a2, b2 = 0.25 + m2 * x / 2, m4 / 2 + d2 * x
-        # d1, d2 < 0 within tolerance: a1 <= 0 far left, b2 <= 0 far right
-        if a1 <= 0 or b2 <= 0:
-            return (1.0 if b2 <= 0 else -1.0), x, math.nan, math.nan
-        y = math.sqrt(a1 * a2 / (b1 * b2))
-        g1, g2 = a1 + b1 * y, a2 + b2 * y
-        slope = x * ((m3 / 2 + y / 4) / g1 + (m2 / 2 + d2 * y) / g2) - 1
-        return slope, x, y, g1 * g2 / (x * y)
+        # a first pass at s = 1; where it leaves double precision, a second at
+        # s = x keeps alpha_i / s and beta_i / s finite far right
+        for s in (1.0, max(x, 1.0)):
+            a1, b1 = d1 / s + m3 * (x / s) / 2, m1 / 2 / s + x / s / 4
+            a2, b2 = 0.25 / s + m2 * (x / s) / 2, m4 / 2 / s + d2 * (x / s)
+            # d1, d2 < 0 within tolerance: a1 <= 0 far left, b2 <= 0 far right
+            if a1 <= 0 or b2 <= 0:
+                return (1.0 if b2 <= 0 else -1.0), x, math.nan, math.nan, math.nan, s
+            den = b1 * b2
+            ratio = a1 * a2 / den if den > 0 else math.inf
+            y = (math.sqrt(ratio) if 0 < ratio < math.inf
+                 else math.sqrt(a1 / b1) * math.sqrt(a2 / b2))
+            g1, g2 = a1 + b1 * y, a2 + b2 * y
+            slope = x / s * ((m3 / 2 + y / 4) / g1 + (m2 / 2 + d2 * y) / g2) - 1
+            if all(map(math.isfinite, (g1, g2, slope))):
+                break
+        return slope, x, y, g1, g2, s
 
     try:
         lo, hi = -1.0, 1.0
@@ -103,23 +120,34 @@ def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
         for _ in range(64):   # pins x = e^u to machine precision
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if at(mid)[0] > 0 else (mid, hi)
-        _, x, y, val = at((lo + hi) / 2)
+        _, x, y, g1, g2, s = at((lo + hi) / 2)
+        val, exp2 = (g1 * g2 / (x * y) * s * s if x * y > 0 else math.inf), 0
+        if not 0 < val < math.inf:   # carry the value's binary exponent apart
+            (f1, e1), (f2, e2), (fs, es), (fx, ex), (fy, ey) = map(
+                math.frexp, (g1, g2, s, x, y))
+            val, exp2 = f1 * f2 * fs * fs / (fx * fy), e1 + e2 + 2 * es - ex - ey
     except (OverflowError, ZeroDivisionError):   # x, y* or a product left the range
         val = math.nan
     if not 0 < val < math.inf:
         raise NonPositiveDeterminantError(
             "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: the search "
             "over product states leaves double precision")
-    return val, (x, y)
+    return val, exp2, (x, y)
 
 
 def lambda_closed_form(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     """Maximal detector mean over product pure states and the minimizing (x, y)."""
-    val, xy = _min_det_factors(d)
+    val, exp2, xy = _min_det_factors(d)
     if d.family is Family.TWO_MODE:
-        return 1.0 / np.sqrt(val), xy
-    # four-mode determinant is the square of the factor product
-    return 1.0 / val, xy
+        # (v 2^e)^(-1/2) with an even exponent split off
+        lam = math.ldexp(1.0 / math.sqrt(val * 2 ** (exp2 % 2)), -(exp2 // 2))
+    else:
+        # four-mode determinant is the square of the factor product
+        lam = math.ldexp(1.0 / val, -exp2)
+    if not lam > 0:
+        raise NonPositiveDeterminantError(
+            "the product-state maximum of the detector underflows double precision")
+    return lam, xy
 
 
 def _abs_triples(form: QuadratureForm) -> list[tuple[float, float, float]]:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -39,9 +40,20 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
 
 
 def test_every_exported_name_resolves():
+    """Each exported name is the object its submodule defines, `dir` lists
+    it, `import *` binds all 40, and an unknown name is an AttributeError."""
     missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
     assert not missing
-    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__)
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 40
+    for name in cvwitness.__all__[1:]:
+        module = importlib.import_module(f"cvwitness.{cvwitness._SOURCE[name]}")
+        assert getattr(cvwitness, name) is getattr(module, name), name
+    assert set(cvwitness.__all__) <= set(dir(cvwitness))
+    namespace = {}
+    exec("from cvwitness import *", namespace)
+    assert set(cvwitness.__all__) <= namespace.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cvwitness.no_such_name
 
 
 def test_load_cm_roundtrip(tmp_path):
@@ -424,20 +436,24 @@ def test_cli_sweep_ww(tmp_path, capsys):
 
 # Runs CLI argument lists in a fresh interpreter and prints their exit codes,
 # with the reports discarded.  "block" makes every scipy import fail; "trace"
-# prints the scipy modules loaded after the import and after the commands.
+# prints the scipy, cvwitness, numpy and numpy.random modules loaded after
+# `import cvwitness`, after `import cvwitness.cli` and after the commands.
 _CHILD = """
 import contextlib, io, json, sys
 block, argvs = sys.argv[1] == "block", json.loads(sys.argv[2])
 if block:
     sys.modules["scipy"] = None
+def traced_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "cvwitness")
+                  or m in ("numpy", "numpy.random"))
+import cvwitness
+loaded = [traced_modules()]
 import cvwitness.cli
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-loaded = [scipy_modules()]
+loaded.append(traced_modules())
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cvwitness.cli.main(argv) for argv in argvs]
-loaded.append(scipy_modules())
-print(json.dumps({"codes": codes, "scipy": [] if block else loaded}))
+loaded.append(traced_modules())
+print(json.dumps({"codes": codes, "loaded": [] if block else loaded}))
 """
 
 
@@ -486,4 +502,42 @@ def test_cli_decision_path_needs_no_scipy(tmp_path):
     assert _run_child("block", argvs, tmp_path)["codes"] == want
     traced = _run_child("trace", argvs, tmp_path)
     assert traced["codes"] == want
-    assert traced["scipy"] == [[], []]
+    assert not [m for stage in traced["loaded"] for m in stage if m.startswith("scipy")]
+
+
+def test_package_import_loads_nothing(tmp_path):
+    """`import cvwitness` loads no submodule and not numpy: each public name
+    loads its submodule on first use."""
+    assert _run_child("trace", [], tmp_path)["loaded"][0] == ["cvwitness"]
+
+
+_LAZY = ["cvwitness.fock", "cvwitness.nongauss", "cvwitness.witness", "numpy.random"]
+
+# command -> (modules it must not load, modules it must load)
+_COMMAND_LAYERS = {
+    "check two": (_LAZY, []),
+    "check ww": (_LAZY, []),
+    "check two --criterion ppt": (_LAZY, []),
+    "check ww --criterion ppt": (_LAZY, []),
+    "check two --criterion witness": (_LAZY[:2], ["cvwitness.witness"]),
+    "oracle det --cutoff 14 --restarts 1": ([], ["cvwitness.fock", "cvwitness.witness"]),
+}
+
+
+@pytest.mark.parametrize("case", _COMMAND_LAYERS)
+def test_cli_imports_only_its_layers(tmp_path, case):
+    """Each command, in a fresh interpreter, loads the layers it runs and
+    none it does not."""
+    absent, present = _COMMAND_LAYERS[case]
+    files = {
+        "two": cm_file(tmp_path, TwoModeStandardForm(1.25, 1.57, 0.18, -0.93).to_cm().mat,
+                       "two.json"),
+        "ww": cm_file(tmp_path, WernerWolfForm(0.6, 1.3, 1.4, 0.55, 0.35, -0.2).to_cm().mat,
+                      "ww.json"),
+        "det": write_json(tmp_path / "det.json",
+                          {"family": "two_mode", "m": [1, 1, 1, 1, 0.4, -0.3]})}
+    traced = _run_child("trace", [[files.get(a, a) for a in case.split()]], tmp_path)
+    assert traced["codes"] != [1]
+    loaded = set(traced["loaded"][-1])
+    assert not loaded & set(absent)
+    assert loaded >= set(present)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -334,7 +335,8 @@ def detectors(draw):
 @PROPERTY
 @given(detectors())
 def test_min_det_factors_matches_reference(d):
-    val, (x, y) = _min_det_factors(d)
+    val, exp2, (x, y) = _min_det_factors(d)
+    assert exp2 == 0   # the value is representable, so it is carried whole
     ref = _min_det_reference(d)
     assert abs(val - ref) <= 1e-10 * ref
     assert abs(_g1g2(d, x, y) / val - 1) <= 1e-12   # the value is at (x, y)
@@ -349,7 +351,7 @@ def test_min_det_factors_scaled_cone_detectors(rng):
             w1, w2 = np.exp(rng.uniform(-2, 2, 2))
             s5, s6 = rng.choice([-1.0, 1.0], 2)
             d = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2, s5, s6).scaled(1e4)
-            val, _ = _min_det_factors(d)
+            val, _, _ = _min_det_factors(d)
             ref = _min_det_reference(d)
             assert abs(val - ref) <= 1e-10 * ref
 
@@ -364,16 +366,40 @@ def test_min_det_factors_scaled_cone_detectors(rng):
     (1, 1, 1, 1, -math.inf, 0),
     (1, 1, 1, 1, 1e200, 0),   # m5^2 overflows
     (1e200, 1, 1e200, 1, 0, 0),   # m1 m3 overflows
-    (1e150, 1, 1e150, 1, 0, 0),   # finite products, the search overflows
-    (1e300, 1, 1e-300, 1, 0, 0),   # y* underflows to 0
 ])
 def test_lambda_refuses_non_psd_block(params):
     """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is
-    not positive semidefinite, a non-finite parameter or block product, or a
-    search that leaves double precision, is refused."""
+    not positive semidefinite, or a non-finite parameter or block product,
+    is refused."""
     for family in Family:
         with pytest.raises(NonPositiveDeterminantError):
             lambda_closed_form(DetectorSpec(family, *params))
+
+
+def _lambda_product_detector(m1, m2, m3, m4):
+    """Lambda of a two-mode detector with m5 = m6 = 0: min g1 g2 separates
+    into (sqrt(m1 m2) + 1/2)^2 (sqrt(m3 m4) + 1/2)^2."""
+    return 1 / ((math.sqrt(m1 * m2) + 0.5) * (math.sqrt(m3 * m4) + 0.5))
+
+
+def test_lambda_representable_at_extreme_scales():
+    """Lambda is returned wherever it is representable, though alpha1 alpha2,
+    x y* or min g1 g2 leave double precision inside the search, and whether
+    the parameters are Python floats or numpy scalars, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # min g1 g2 ~ 1e300 and 2.5e299: their Lambda ~ 1e-150 and 2e-150
+        for m in [(1e150, 1, 1e150, 1), (1e300, 1, 1e-300, 1)]:
+            ref = _lambda_product_detector(*m)
+            for family, power in ((Family.TWO_MODE, 1), (Family.WERNER_WOLF, 2)):
+                lam, _ = lambda_closed_form(DetectorSpec(family, *m, 0, 0))
+                assert abs(lam / ref ** power - 1) <= 1e-12
+        rng = np.random.default_rng(2024)
+        for m in 10.0 ** rng.uniform(-150, 150, size=(2000, 4)):
+            ref = _lambda_product_detector(*map(float, m))
+            for params in ([*map(float, m), 0.0, 0.0], [*m, np.float64(0), np.float64(0)]):
+                lam, _ = lambda_closed_form(DetectorSpec(Family.TWO_MODE, *params))
+                assert abs(lam / ref - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("w1, w2, block", [(1.0, 1e15, 5), (1e15, 1.0, 6)])

@@ -366,6 +366,8 @@ def test_min_det_factors_scaled_cone_detectors(rng):
     (1, 1, 1, 1, -math.inf, 0),
     (1, 1, 1, 1, 1e200, 0),   # m5^2 overflows
     (1e200, 1, 1e200, 1, 0, 0),   # m1 m3 overflows
+    (1, 1, 1, 1, 0, 1e200),   # m6^2 overflows
+    (1, 1e200, 1, 1e200, 0, 0),   # m2 m4 overflows
 ])
 def test_lambda_refuses_non_psd_block(params):
     """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is

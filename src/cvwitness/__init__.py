@@ -25,8 +25,8 @@ _EXPORTS = {
     "standard_form": ("DetectorSpec", "Family", "QuadratureForm",
                       "TwoModeStandardForm", "WernerWolfForm", "detect_family",
                       "reduce_to_standard_form"),
-    "symplectic": ("CovMatrix", "LocalSymplectic", "cm_to_ccm", "is_symplectic",
-                   "symplectic_eigenvalues", "symplectic_form", "validate_cm"),
+    "symplectic": ("CovMatrix", "cm_to_ccm", "symplectic_eigenvalues",
+                   "symplectic_form", "validate_cm"),
     "witness": ("WitnessReport", "lambda_closed_form", "minmax_optimize"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

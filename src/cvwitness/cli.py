@@ -42,48 +42,36 @@ _VERDICT_EXIT = {
 }
 
 
-def _check_meta(args) -> dict:
-    return {
-        "version": __version__,
-        "tolerances": {"tol_psd": args.tol_psd, "tol_boundary": TOL_BOUNDARY},
-    }
-
-
 def cmd_check(args) -> int:
     criterion = args.criterion
     if criterion == "nongauss":
         from .nongauss import decide_separability_nongauss
         state, partition = load_nongauss(args.input)
-        report = decide_separability_nongauss(state, partition, tol=args.tol_psd)
-        payload = {**_check_meta(args), "report": criterion_report_dict(report)}
-        dump_report(payload, sys.stdout)
-        return _VERDICT_EXIT[report.verdict]
-    gamma, partition = load_cm(args.input)
-    if criterion == "ppt":
-        ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
-        verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
-        payload = {**_check_meta(args), "report": {
-            "verdict": verdict.value, "criterion": "ppt",
-            "is_ppt": ppt.is_ppt,
-            "min_pt_symplectic_eig": ppt.min_pt_symplectic_eig}}
-        dump_report(payload, sys.stdout)
-        return _VERDICT_EXIT[verdict]
-    if criterion == "witness":
-        from .witness import minmax_optimize
-        admitted_family(gamma, partition, args.tol_psd)
-        report = minmax_optimize(gamma)
-        verdict = (Verdict.BOUNDARY if report.boundary else
-                   Verdict.ENTANGLED if report.entangled else Verdict.SEPARABLE)
-        payload = {**_check_meta(args), "report": {
-            **witness_report_dict(report), "verdict": verdict.value,
-            "criterion": "witness"}}
-        dump_report(payload, sys.stdout)
-        return _VERDICT_EXIT[verdict]
-
-    report = decide_separability(gamma, partition, tol=args.tol_psd)
-    payload = {**_check_meta(args), "report": criterion_report_dict(report)}
-    dump_report(payload, sys.stdout)
-    return _VERDICT_EXIT[report.verdict]
+        decision = decide_separability_nongauss(state, partition, tol=args.tol_psd)
+        verdict, report = decision.verdict, criterion_report_dict(decision)
+    else:
+        gamma, partition = load_cm(args.input)
+        if criterion == "ppt":
+            ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
+            verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
+            report = {"verdict": verdict.value, "criterion": "ppt",
+                      "is_ppt": ppt.is_ppt,
+                      "min_pt_symplectic_eig": ppt.min_pt_symplectic_eig}
+        elif criterion == "witness":
+            from .witness import minmax_optimize
+            admitted_family(gamma, partition, args.tol_psd)
+            wit = minmax_optimize(gamma)
+            verdict = (Verdict.BOUNDARY if wit.boundary else
+                       Verdict.ENTANGLED if wit.entangled else Verdict.SEPARABLE)
+            report = {**witness_report_dict(wit), "verdict": verdict.value,
+                      "criterion": "witness"}
+        else:
+            decision = decide_separability(gamma, partition, tol=args.tol_psd)
+            verdict, report = decision.verdict, criterion_report_dict(decision)
+    dump_report({"version": __version__,
+                 "tolerances": {"tol_psd": args.tol_psd, "tol_boundary": TOL_BOUNDARY},
+                 "report": report}, sys.stdout)
+    return _VERDICT_EXIT[verdict]
 
 
 def cmd_oracle(args) -> int:

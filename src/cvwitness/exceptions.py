@@ -12,10 +12,6 @@ class DimensionMismatchError(CvWitnessError):
 class PatternMismatchError(CvWitnessError):
     """A covariance matrix cannot be brought to the requested family."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class PartitionError(CvWitnessError):
     """A partition leaves a party empty or names a mode the state lacks."""

@@ -128,18 +128,6 @@ def witness_report_dict(report: "WitnessReport") -> dict:
     }
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def dump_report(payload: dict, fh) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+    json.dump(payload, fh, indent=2, sort_keys=True)
     fh.write("\n")

@@ -16,7 +16,7 @@ A decision and a witness of the same state both need its standard form, so
 `reduce_to_standard_form` keeps each result per `CovMatrix` instance and
 family, and a second call returns it without reducing again.  The memo
 is weak-keyed: an entry lives no longer than its matrix.  `CovMatrix` is
-frozen and read-only, and the form and `LocalSymplectic` are immutable, so a
+frozen and read-only, the form is frozen and S is a read-only array, so a
 kept result cannot go stale.  A refusal is not kept and raises on every call.
 """
 
@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import PatternMismatchError, ScaleOverflowError
-from .symplectic import CovMatrix, LocalSymplectic, block_diag
+from .symplectic import CovMatrix, block_diag
 
 #: largest residual accepted between a reduced CM and its standard form; the
 #: Werner-Wolf reduction scales it by max(1, largest entry).
@@ -149,7 +149,7 @@ def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt.T
 
 
-def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplectic]:
+def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
     sa = _single_mode_normal(m[:2, :2])
     sb = _single_mode_normal(m[2:, 2:])
@@ -163,17 +163,16 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplectic]
     residual = abs(m2 - form.to_cm().mat).max()
     if not residual <= TOL_REDUCE:
         raise PatternMismatchError(
-            f"cannot reach two-mode standard form (residual {residual:g})", residual=residual)
-    return form, LocalSymplectic(s, n_modes_a=Family.TWO_MODE.n_modes_a)
+            f"cannot reach two-mode standard form (residual {residual:g})")
+    return form, s
 
 
-def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplectic]:
+def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
     off_pattern = abs(m[Family.WERNER_WOLF.cm_index == 0]).max()
     if not off_pattern <= TOL_REDUCE * max(1.0, abs(m).max()):
         raise PatternMismatchError(
-            f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})",
-            residual=off_pattern)
+            f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})")
     # Per-mode squeezes diag(s_j, 1/s_j); solve for log squeezes equalizing the
     # pattern entries, which is linear in u_j = 2 log s_j.
     x = np.array([m[0, 0], m[2, 2], m[4, 4], m[6, 6]])
@@ -212,9 +211,8 @@ def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, LocalSymplect
     residual = abs(m2 - form.to_cm().mat).max()
     if not residual <= TOL_REDUCE * max(1.0, abs(m2).max()):
         raise PatternMismatchError(
-            f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})",
-            residual=residual)
-    return form, LocalSymplectic(s, n_modes_a=Family.WERNER_WOLF.n_modes_a)
+            f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})")
+    return form, s
 
 
 #: {CovMatrix: {family: (form, S)}}, see the module docstring.
@@ -222,8 +220,8 @@ _REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def reduce_to_standard_form(gamma: CovMatrix, family: Family):
-    """Return (form, S) with S a local symplectic and S gamma S^T the form's
-    CM; computed once per matrix instance and family."""
+    """Return (form, S) with S a local symplectic, as a read-only array, and
+    S gamma S^T the form's CM; computed once per matrix instance and family."""
     family = Family(family)
     memo = _REDUCED.get(gamma)
     if memo is not None and family in memo:
@@ -239,8 +237,9 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
             f"cannot reduce to standard form: the square of the largest entry "
             f"{big:g} overflows double precision")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
-    result = reduce(gamma)
-    _REDUCED.setdefault(gamma, {})[family] = result
+    form, s = reduce(gamma)
+    s.flags.writeable = False
+    result = _REDUCED.setdefault(gamma, {})[family] = (form, s)
     return result
 
 

@@ -6,11 +6,11 @@ variance 1/2 on the diagonal.
 
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
-count and cached as a read-only array: every validity check, symplectic
-spectrum and symplecticity test of a decision would otherwise rebuild the
-same matrix.  The checks on these small matrices call ndarray methods
-(`abs(x).max()`, `isfinite(m).all()`) rather than numpy's module-level
-wrappers, whose Python overhead outweighs the arithmetic at 4x4 and 8x8.
+count and cached as a read-only array: every validity check and symplectic
+spectrum of a decision would otherwise rebuild the same matrix.  The checks
+on these small matrices call ndarray methods (`abs(x).max()`,
+`isfinite(m).all()`) rather than numpy's module-level wrappers, whose Python
+overhead outweighs the arithmetic at 4x4 and 8x8.
 """
 
 from dataclasses import dataclass, field
@@ -54,15 +54,6 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_even_square(mat: np.ndarray) -> int:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] % 2 != 0:
-        raise DimensionMismatchError(f"matrix size {mat.shape[0]} is odd")
-    return mat.shape[0] // 2
-
-
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Real symmetric covariance matrix of an n-mode state or detector."""
@@ -72,7 +63,10 @@ class CovMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=float)
-        n = _check_even_square(mat)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.shape[0] % 2 != 0:
+            raise DimensionMismatchError(f"matrix size {mat.shape[0]} is odd")
         if not np.isfinite(mat).all():
             raise DimensionMismatchError("matrix has non-finite entries")
         asym = abs(mat - mat.T).max()
@@ -81,7 +75,7 @@ class CovMatrix:
         mat = (mat + mat.T) / 2.0
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "n_modes", n)
+        object.__setattr__(self, "n_modes", len(mat) // 2)
 
     @property
     def dim(self) -> int:
@@ -134,35 +128,3 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     eigs = np.linalg.eigvals(_scaled_form(gamma.n_modes, 1j) @ gamma.mat)
     # eigenvalues come in +/- pairs; keep one of each
     return np.sort(np.abs(eigs.real))[::2]
-
-
-def is_symplectic(s: np.ndarray) -> bool:
-    """Whether S sigma S^T = sigma to within 1e-10 in every entry."""
-    sigma = symplectic_form(_check_even_square(s))
-    return abs(s @ sigma @ s.T - sigma).max() <= 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class LocalSymplectic:
-    """Block-diagonal symplectic acting separately on party A and party B."""
-
-    mat: np.ndarray
-    n_modes_a: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
-        n = _check_even_square(mat)
-        if not 0 < self.n_modes_a < n:
-            raise DimensionMismatchError(
-                f"party A must hold between 1 and {n - 1} modes, got {self.n_modes_a}")
-        da = 2 * self.n_modes_a
-        if abs(mat[:da, da:]).max() > 1e-10 or abs(mat[da:, :da]).max() > 1e-10:
-            raise DimensionMismatchError("matrix does not respect the bipartition")
-        if not is_symplectic(mat):
-            raise DimensionMismatchError("matrix is not symplectic")
-        mat = np.array(mat)
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-
-    def apply(self, gamma: CovMatrix) -> CovMatrix:
-        return CovMatrix(self.mat @ gamma.mat @ self.mat.T)

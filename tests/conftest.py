@@ -17,7 +17,8 @@ from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import _ladder_shift
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
-from cvwitness.symplectic import CovMatrix, _ccm_transform, cm_to_ccm
+from cvwitness.symplectic import (CovMatrix, _ccm_transform, cm_to_ccm,
+                                  symplectic_form)
 from cvwitness.witness import _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
@@ -32,6 +33,12 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
     d = 2 * n_modes
     a = rng.normal(size=(d, d))
     return CovMatrix(a @ a.T / d + 0.5 * np.eye(d))
+
+
+def is_symplectic(s: np.ndarray) -> bool:
+    """Whether S sigma S^T = sigma to within 1e-10 in every entry."""
+    sigma = symplectic_form(len(s) // 2)
+    return abs(s @ sigma @ s.T - sigma).max() <= 1e-10
 
 
 def sample_two_mode_detector(rng: np.random.Generator,

@@ -13,13 +13,13 @@ from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   OptimizerStalledError)
 from cvwitness.fock import gaussian_op_fock, seesaw_lambda
 from cvwitness.standard_form import Family
-from cvwitness.symplectic import CovMatrix, is_symplectic, symplectic_form
+from cvwitness.symplectic import CovMatrix, symplectic_form
 from cvwitness.witness import DetectorSpec, lambda_closed_form
 
 from conftest import (destroy, dict_coeff_extract, fock_cm, fock_mean,
-                      partial_trace, random_physical_cm, reference_op_fock,
-                      sample_two_mode_detector, sample_ww_detector,
-                      seesaw_reference, tmsv_form)
+                      is_symplectic, partial_trace, random_physical_cm,
+                      reference_op_fock, sample_two_mode_detector,
+                      sample_ww_detector, seesaw_reference, tmsv_form)
 from paper_audit import displacement_matrix
 
 

@@ -41,10 +41,10 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
 
 def test_every_exported_name_resolves():
     """Each exported name is the object its submodule defines, `dir` lists
-    it, `import *` binds all 40, and an unknown name is an AttributeError."""
+    it, `import *` binds all 38, and an unknown name is an AttributeError."""
     missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
     assert not missing
-    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 40
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 38
     for name in cvwitness.__all__[1:]:
         module = importlib.import_module(f"cvwitness.{cvwitness._SOURCE[name]}")
         assert getattr(cvwitness, name) is getattr(module, name), name

@@ -11,10 +11,10 @@ from cvwitness.exceptions import PatternMismatchError
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      reduce_to_standard_form)
-from cvwitness.symplectic import CovMatrix, is_symplectic
+from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import DetectorSpec, minmax_optimize
 
-from conftest import sample_ww_family_params, tmsv_form
+from conftest import is_symplectic, sample_ww_family_params, tmsv_form
 from cvwitness.standard_form import _single_mode_normal
 
 
@@ -28,6 +28,17 @@ def rotate_locally(gamma: CovMatrix, thetas) -> CovMatrix:
     return CovMatrix(r @ gamma.mat @ r.T)
 
 
+def assert_local_symplectic(s, gamma: CovMatrix, form, n_modes_a: int):
+    """S is a read-only symplectic that acts on each party alone and takes
+    gamma to the form's CM."""
+    assert isinstance(s, np.ndarray) and s.dtype == float
+    assert not s.flags.writeable
+    da = 2 * n_modes_a
+    assert not s[:da, da:].any() and not s[da:, :da].any()
+    assert is_symplectic(s)
+    assert np.allclose(s @ gamma.mat @ s.T, form.to_cm().mat, atol=1e-8)
+
+
 def test_detect_family_by_mode_count():
     assert detect_family(CovMatrix(np.eye(4) / 2)) is Family.TWO_MODE
     assert detect_family(CovMatrix(np.eye(8) / 2)) is Family.WERNER_WOLF
@@ -37,8 +48,7 @@ def test_two_mode_reduction_recovers_tmsv():
     f0 = tmsv_form(0.3)
     gamma = rotate_locally(f0.to_cm(), [0.4, -0.7])
     form, s = reduce_to_standard_form(gamma, Family.TWO_MODE)
-    assert is_symplectic(s.mat)
-    assert np.allclose(s.apply(gamma).mat, form.to_cm().mat, atol=1e-8)
+    assert_local_symplectic(s, gamma, form, n_modes_a=1)
     (a, b, c1), (_, _, c2) = form.x, form.p
     (a0, b0, c10), (_, _, c20) = f0.x, f0.p
     assert abs(a - a0) < 1e-8
@@ -53,7 +63,7 @@ def test_two_mode_reduction_invariants(rng):
         gamma = CovMatrix(a @ a.T / 4 + 0.5 * np.eye(4))
         form, s = reduce_to_standard_form(gamma, Family.TWO_MODE)
         assert form.to_cm().is_physical(tol=1e-8)
-        assert np.allclose(s.apply(gamma).mat, form.to_cm().mat, atol=1e-8)
+        assert_local_symplectic(s, gamma, form, n_modes_a=1)
 
 
 def test_ww_family_cm_reduces_to_itself(rng):
@@ -61,7 +71,8 @@ def test_ww_family_cm_reduces_to_itself(rng):
     form0 = werner_wolf_family(p)
     gamma = form0.to_cm()
     form, s = reduce_to_standard_form(gamma, Family.WERNER_WOLF)
-    assert np.allclose(s.mat, np.eye(8), atol=1e-8)
+    assert_local_symplectic(s, gamma, form, n_modes_a=2)
+    assert np.allclose(s, np.eye(8), atol=1e-8)
     for value, value0 in zip(form.params, form0.params):   # A..F
         assert abs(value - value0) < 1e-8
 

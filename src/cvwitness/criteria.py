@@ -7,20 +7,28 @@ quadrature triples of the standard form both are one polynomial,
 certified separable by an explicit product squeezed state (x, y) that its CM
 dominates (Werner & Wolf, PRL 86, 3658 (2001)).  The certificate is closed
 form: the vacuum point (1, 1) when it works, otherwise the maximum of a
-log-concave function of x at the root of one quadratic.
+log-concave function of x at the root of one quadratic; `certificate_min_eig`
+checks it by subtracting the product state's diagonal CM from the form's.
+
+The PPT annotation flips party B's momenta: the partial transpose is the
+CM's array times a sign matrix, cached per mode count and party A, and its
+bona-fide eigenvalue and symplectic spectrum are taken on that plain array.
+Both the certificate and the PPT test work on matrices built from an
+accepted `CovMatrix`, so neither wraps them in a `CovMatrix` again.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import (ConstraintViolatedError, PartitionError,
+from .exceptions import (ConstraintViolatedError, DimensionMismatchError, PartitionError,
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
-from .symplectic import TOL_PSD, CovMatrix, symplectic_eigenvalues, validate_cm
+from .symplectic import TOL_PSD, CovMatrix, _bona_fide_min_eig, _williamson_spectrum, validate_cm
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -69,6 +77,16 @@ class WWFamilyParams:
             raise ConstraintViolatedError("ce - a must be positive")
 
 
+def _squares(c1: float, c2: float) -> tuple[float, float]:
+    """(c1^2, c2^2) with the bits of `**` (glibc's pow and c * c differ by an
+    ulp on about one double in a thousand), or, where a Python float's `**`
+    overflows and raises, with c * c, which gives inf as a numpy scalar does."""
+    try:
+        return c1 ** 2, c2 ** 2
+    except OverflowError:
+        return c1 * c1, c2 * c2
+
+
 def separability_lhs(form: QuadratureForm) -> float:
     """Simon's quantity of a two-mode standard form, the generalized
     Werner-Wolf quantity of a Werner-Wolf one; negative means entangled.
@@ -76,7 +94,8 @@ def separability_lhs(form: QuadratureForm) -> float:
     With the triples (a1, b1, c1) of x and (a2, b2, c2) of p it is
     (a1 b1 - c1^2)(a2 b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16."""
     (a1, b1, c1), (a2, b2, c2) = form.x, form.p
-    return ((a1 * b1 - c1 ** 2) * (a2 * b2 - c2 ** 2) - 0.5 * abs(c1 * c2)
+    k1, k2 = _squares(c1, c2)
+    return ((a1 * b1 - k1) * (a2 * b2 - k2) - 0.5 * abs(c1 * c2)
             - 0.25 * (a1 * a2 + b1 * b2) + 1.0 / 16)
 
 
@@ -109,6 +128,16 @@ def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
     return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))
 
 
+@lru_cache
+def _pt_flip(n_modes: int, party_a: frozenset) -> np.ndarray:
+    """s s^T with s = -1 on party B's momenta, so that the partial transpose
+    is gamma * flip; cached per mode count and party A, read-only."""
+    s = np.array([(1.0, 1.0 if mode in party_a else -1.0) for mode in range(n_modes)]).ravel()
+    flip = np.outer(s, s)
+    flip.flags.writeable = False
+    return flip
+
+
 def _splits(partition: list[int], n_modes: int) -> bool:
     """Whether party A = `partition` and its complement are both nonempty
     sets of the modes 0..n_modes - 1."""
@@ -132,14 +161,9 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
         raise PartitionError(
             f"partition {partition} must name between 1 and {n - 1} of the "
             f"modes 0..{n - 1}")
-    # entry (i, j) of the transpose is s_i s_j gamma_ij, s = -1 on party B's momenta
-    s = np.ones(2 * n)
-    for mode in range(n):
-        if mode not in partition:
-            s[2 * mode + 1] = -1.0
-    pt = CovMatrix(gamma.mat * np.outer(s, s))
-    return PptReport(is_ppt=validate_cm(pt, tol).is_physical,
-                     min_pt_symplectic_eig=float(symplectic_eigenvalues(pt)[0]))
+    pt = gamma.mat * _pt_flip(n, frozenset(partition))
+    return PptReport(is_ppt=_bona_fide_min_eig(pt) >= -tol,
+                     min_pt_symplectic_eig=float(_williamson_spectrum(pt)[0]))
 
 
 def _peak(cond1, cond2) -> tuple[float, float, float]:
@@ -159,7 +183,7 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
         x, f2, f1 = _peak(cond2, cond1)
         return 1 / x, f1, f2
     (a1, b1, c1), (a2, b2, c2) = cond1, cond2
-    k1, k2 = c1 ** 2, c2 ** 2   # a correlation that squares to 0 is 0
+    k1, k2 = _squares(c1, c2)   # a correlation that squares to 0 is 0
     u = 0.0
     if k1 > 0:
         # k = 4 a1 (b2 w - c2^2) with w = a2 - 1/(4 a1), the sign of f2 at
@@ -182,16 +206,15 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
     return (x, f1, f2) if f1 > 0 and f2 > 0 else (x, 0.0, 0.0)
 
 
-def product_cm(form: QuadratureForm, x: float, y: float) -> CovMatrix:
-    """CM of the product squeezed-vacuum state used as separability
-    certificate: mode state (x, y) on every mode of party A (B)."""
-    n_a = form.family.n_modes_a
-    return CovMatrix(np.diag([x / 2, 1 / (2 * x)] * n_a
-                             + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)))
-
-
 def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
-    diff = form.to_cm().mat - product_cm(form, x, y).mat
+    """Least eigenvalue of the form's CM minus the diagonal CM of the product
+    squeezed-vacuum state, mode state (x, y) on every mode of party A (B)."""
+    n_a = form.family.n_modes_a
+    product = [x / 2, 1 / (2 * x)] * n_a + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)
+    if not all(map(math.isfinite, product)):
+        raise DimensionMismatchError("matrix has non-finite entries")
+    diff = form.to_cm().mat.copy()
+    diff.flat[::len(diff) + 1] -= product
     return float(np.linalg.eigvalsh(diff)[0])   # ascending
 
 

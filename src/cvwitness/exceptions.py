@@ -19,12 +19,13 @@ class PartitionError(CvWitnessError):
 
 class ScaleOverflowError(CvWitnessError):
     """A covariance matrix is too large for its decision in double precision:
-    products of its entries overflow."""
+    products of its entries overflow, or its symplectic spectrum does not
+    converge."""
 
 
 class SingularSumError(CvWitnessError):
-    """det(ccm_G + ccm_M) vanishes: the detector mean of a non-Gaussian state
-    is undefined."""
+    """det(gamma_G + gamma_M), and so det(ccm_G + ccm_M), vanishes: the
+    detector mean of a non-Gaussian state is undefined."""
 
 
 class ConstraintViolatedError(CvWitnessError):

@@ -166,13 +166,13 @@ def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     if gm_cm.dim != s.kernel.dim:
         raise DimensionMismatchError(
             f"dimension mismatch: {s.kernel.dim} vs {gm_cm.dim}")
-    total = s._ccm + cm_to_ccm(gm_cm)
-    det = np.linalg.det(total)
+    # the CCM transform is unitary: |det(ccm_G + ccm_M)| = |det(gamma_G + gamma_M)|
+    det = np.linalg.det(s.kernel.mat + gm_cm.mat)
     if abs(det) < 1e-12:
-        raise SingularSumError(f"det(ccm_G + ccm_M) = {det:g} is singular")
+        raise SingularSumError(f"det(gamma_G + gamma_M) = {det:g} is singular")
+    total = s._ccm + cm_to_ccm(gm_cm)
     quad = s._kernel_quad + ((np.linalg.inv(total) @ s._hv) * s._hv).sum(0) / 2
-    return s.norm * s._derivative(quad) / np.sqrt(
-        abs(np.linalg.det(s.kernel.mat + gm_cm.mat)))
+    return s.norm * s._derivative(quad) / np.sqrt(abs(det))
 
 
 def decide_separability_nongauss(s: NonGaussState,

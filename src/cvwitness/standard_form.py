@@ -122,14 +122,14 @@ def DetectorSpec(family: Family, m1, m2, m3, m4, m5, m6) -> QuadratureForm:
     return QuadratureForm(family, (m1, m3, m5), (m2, m4, m6))
 
 
-def _single_mode_normal(block: np.ndarray) -> np.ndarray:
-    """Symplectic S with S block S^T = sqrt(det block) * I for a 2x2 PD block.
+def _single_mode_normal(block: np.ndarray, nu: float) -> np.ndarray:
+    """Symplectic S with S block S^T = nu * I for a 2x2 PD block, given
+    nu = sqrt(det block).
 
-    S = sqrt(nu) M^{-1/2} in closed form: with nu = sqrt(det M), the square
-    root of a 2x2 PD matrix is (M + nu I) / sqrt(tr M + 2 nu), so
+    S = sqrt(nu) M^{-1/2} in closed form: the square root of a 2x2 PD
+    matrix is (M + nu I) / sqrt(tr M + 2 nu), so
     M^{-1/2} = (adj M + nu I) / (nu sqrt(tr M + 2 nu)).
     """
-    nu = np.sqrt(np.linalg.det(block))
     s = np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]])
     s[0, 0] += nu
     s[1, 1] += nu
@@ -151,9 +151,13 @@ def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
-    sa = _single_mode_normal(m[:2, :2])
-    sb = _single_mode_normal(m[2:, 2:])
-    s = block_diag(sa, sb)
+    blocks = m[:2, :2], m[2:, 2:]
+    dets = np.linalg.det(blocks)   # one stacked call: the bits of a call per block
+    # the local blocks of a physical CM are positive definite
+    if not (m[0, 0] > 0 and m[2, 2] > 0 and dets.min() > 0):
+        raise PatternMismatchError(
+            "cannot reach two-mode standard form: a local block is not positive definite")
+    s = block_diag(*map(_single_mode_normal, blocks, np.sqrt(dets)))
     m1 = s @ m @ s.T
     # local blocks are now nu_A*I, nu_B*I; rotate to diagonalize the cross block
     o1, o2 = _signed_svd_2x2(m1[:2, 2:])

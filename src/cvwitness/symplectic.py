@@ -4,6 +4,14 @@ and symplectic eigenvalues.
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
 
+`CovMatrix` is the one place where a matrix from outside is checked: it
+refuses, with a typed error, anything that is not a finite, real, symmetric,
+even-sized and nonempty matrix, and keeps a read-only float array.  Code
+inside the package computes on that array and on arrays derived from it
+without checking them again; the bona-fide minimum eigenvalue and the
+Williamson spectrum are module-private functions of a plain array, which
+`validate_cm`, `symplectic_eigenvalues` and the PPT test share.
+
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
 count and cached as a read-only array: every validity check and symplectic
@@ -18,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, ScaleOverflowError
 
 #: PSD tolerance on the minimum eigenvalue of gamma + i*sigma/2.
 TOL_PSD = 1e-10
@@ -62,17 +70,31 @@ class CovMatrix:
     n_modes: int = field(init=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=float)
+        # the one check of a matrix from outside: the decision computes on
+        # the plain array inside and trusts what this accepts
+        try:   # ragged rows, or entries that are not numbers, raise
+            mat = np.asarray(self.mat)
+            mat = mat.real if mat.dtype.kind == "c" and not mat.imag.any() else mat
+            mat = mat.astype(float, copy=False) if mat.dtype.kind in "biufO" else None
+        except (TypeError, ValueError):
+            mat = None
+        if mat is None:
+            raise DimensionMismatchError("matrix entries are not real numbers")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
+        if mat.shape[0] == 0:
+            raise DimensionMismatchError("matrix has no modes")
         if mat.shape[0] % 2 != 0:
             raise DimensionMismatchError(f"matrix size {mat.shape[0]} is odd")
         if not np.isfinite(mat).all():
             raise DimensionMismatchError("matrix has non-finite entries")
-        asym = abs(mat - mat.T).max()
+        # halved first, so that neither the difference nor the sum can
+        # overflow; halving is exact above 2**-1021
+        half = mat / 2.0
+        asym = 2 * float(abs(half - half.T).max())
         if asym > _SYMMETRY_TOL:
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        mat = (mat + mat.T) / 2.0
+        mat = half + half.T
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "n_modes", len(mat) // 2)
@@ -91,10 +113,14 @@ class ValidityReport:
     is_physical: bool
 
 
+def _bona_fide_min_eig(mat: np.ndarray) -> float:
+    """Least eigenvalue of mat + i*sigma/2 for a real symmetric array."""
+    return float(np.linalg.eigvalsh(mat + _scaled_form(len(mat) // 2, 0.5j))[0])   # ascending
+
+
 def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
     """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite."""
-    h = gamma.mat + _scaled_form(gamma.n_modes, 0.5j)
-    min_eig = float(np.linalg.eigvalsh(h)[0])   # ascending
+    min_eig = _bona_fide_min_eig(gamma.mat)
     return ValidityReport(min_eig=min_eig, is_physical=min_eig >= -tol)
 
 
@@ -123,8 +149,17 @@ def cm_to_ccm(gamma: CovMatrix) -> np.ndarray:
     return mat
 
 
-def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
-    """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
-    eigs = np.linalg.eigvals(_scaled_form(gamma.n_modes, 1j) @ gamma.mat)
+def _williamson_spectrum(mat: np.ndarray) -> np.ndarray:
+    """Moduli of the eigenvalues of i*sigma*mat, one per mode, ascending."""
+    try:
+        eigs = np.linalg.eigvals(_scaled_form(len(mat) // 2, 1j) @ mat)
+    except np.linalg.LinAlgError:   # seen with entries near the largest double
+        raise ScaleOverflowError(
+            "the symplectic spectrum does not converge in double precision") from None
     # eigenvalues come in +/- pairs; keep one of each
     return np.sort(np.abs(eigs.real))[::2]
+
+
+def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
+    """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
+    return _williamson_spectrum(gamma.mat)

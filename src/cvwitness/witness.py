@@ -25,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import NonPositiveDeterminantError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             detect_family, reduce_to_standard_form)
@@ -166,17 +164,17 @@ def _cone_lambda(w1: float, w2: float, t: float,
     return (4 / (1 + 2 * t * (u + 1 / u))) ** (2 * power), (x, 1 / x)
 
 
-def _cone_ratio(form: QuadratureForm, w1: float, w2: float,
+def _cone_ratio(triples: list[tuple[float, float, float]], w1: float, w2: float,
                 t: float = math.inf) -> tuple[float, float]:
     """ell^(1/power) = 16 (t n1 + d1)(t n2 + d2) / (1 + 2 t s)^2 of the cone
     detector of direction (w1, w2) at scale t (module docstring), and a
     first-order bound on its relative rounding error in units of the machine
-    epsilon.  It is evaluated divided through by t^2, so t = inf gives the
-    large-detector limit 4 n1 n2 / s^2."""
+    epsilon, over the form's `_abs_triples`.  It is evaluated divided
+    through by t^2, so t = inf gives the large-detector limit 4 n1 n2 / s^2."""
     u = math.sqrt(w1) * math.sqrt(w2)
     den = 2 * (u + 1 / u) + 1 / t
     ratio, cond = 16.0, 0.0
-    for (a, b, c), w in zip(_abs_triples(form), (w1, w2)):
+    for (a, b, c), w in zip(triples, (w1, w2)):
         f = w * b + a / w - 2 * c + (a * b - c * c) / t
         if not f > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
             where = ("in the large-detector limit" if t == math.inf
@@ -188,8 +186,10 @@ def _cone_ratio(form: QuadratureForm, w1: float, w2: float,
     return ratio, cond
 
 
-def _limit_argmin(form: QuadratureForm) -> tuple[float, tuple[float, float], str]:
-    """Minimum of the limit ratio over cone directions, in closed form.
+def _limit_argmin(triples: list[tuple[float, float, float]]
+                  ) -> tuple[float, tuple[float, float], str]:
+    """Minimum of the limit ratio over cone directions of a form with
+    `_abs_triples` `triples`, in closed form.
 
     With x = w1, y = w2 the ratio is 4 n1(x) n2(y) / (x y + 1)^2, where
     n_i(z) = b_i z^2 - 2 c_i z + a_i.  Its stationarity conditions are the
@@ -206,7 +206,7 @@ def _limit_argmin(form: QuadratureForm) -> tuple[float, tuple[float, float], str
     they report the finite direction on the winning edge with the far
     coordinate at eps (or 1/eps) and the other clipped to [eps, 1/eps].
     """
-    (a1, b1, c1), (a2, b2, c2) = _abs_triples(form)
+    (a1, b1, c1), (a2, b2, c2) = triples
     eps = _EDGE_EPS
 
     def clip(z):
@@ -231,7 +231,7 @@ def _limit_argmin(form: QuadratureForm) -> tuple[float, tuple[float, float], str
         x = math.inf   # qa underflowed: the root is at the edge
     y = (a2 * x + c2) / (c2 * x + b2)
     if 0 < x < math.inf and 0 < y < math.inf:
-        val = _cone_ratio(form, x, y)[0]
+        val = _cone_ratio(triples, x, y)[0]
         # a root that does not beat the edges by more than rounding lies at
         # infinity to working precision (|c| -> 0 sends x or 1/x -> inf)
         if val < edge * (1 - _EDGE_MARGIN):
@@ -266,16 +266,18 @@ def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
     power = family.power
-    limit, (w1, w2), path = _limit_argmin(form)
+    triples = _abs_triples(form)
+    limit, (w1, w2), path = _limit_argmin(triples)
     if not limit > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
         raise NonPositiveDeterminantError(
             "det(gamma + gamma_M) is non-positive in the large-detector limit")
     ell_limit = float(limit ** power)
     direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
-                             np.sign(form.x[2]) or 1.0, np.sign(form.p[2]) or 1.0)
+                             -1.0 if form.x[2] < 0 else 1.0,
+                             -1.0 if form.p[2] < 0 else 1.0)
     audit = []
     for t in AUDIT_SCALES:
-        ratio, cond = _cone_ratio(form, w1, w2, t)
+        ratio, cond = _cone_ratio(triples, w1, w2, t)
         audit.append((t, ratio ** power))
     ell = audit[-1][1]
     lam, xy = _cone_lambda(w1, w2, AUDIT_SCALES[-1], power)

@@ -19,7 +19,7 @@ from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
 from cvwitness.symplectic import (CovMatrix, _ccm_transform, cm_to_ccm,
                                   symplectic_form)
-from cvwitness.witness import _cone_ratio, _min_det_factors
+from cvwitness.witness import _abs_triples, _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
 # so tier-1 stays deterministic; each test sets its own max_examples
@@ -119,9 +119,10 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
     """Oracle for the closed-form witness min-max: the smallest limit ratio
     that Nelder-Mead restarts find over cone directions (log w1, log w2)."""
     rng = np.random.default_rng(seed)
+    triples = _abs_triples(form)
 
     def objective(v):
-        return _cone_ratio(form, np.exp(v[0]), np.exp(v[1]))[0]
+        return _cone_ratio(triples, np.exp(v[0]), np.exp(v[1]))[0]
 
     starts = [np.zeros(2)] + [rng.uniform(-2, 2, 2) for _ in range(restarts)]
     return float(min(

@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,14 +9,18 @@ from hypothesis import strategies as st
 
 from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
-                                feasibility_search, ppt_decide, simon_lhs,
+                                feasibility_search, ppt_decide,
+                                separability_lhs, simon_lhs,
                                 werner_wolf_family,
                                 werner_wolf_family_lhs_claim, werner_wolf_lhs)
-from cvwitness.exceptions import (ConstraintViolatedError, PartitionError,
+from cvwitness.exceptions import (ConstraintViolatedError,
+                                  DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
-                                     WernerWolfForm, reduce_to_standard_form)
-from cvwitness.symplectic import CovMatrix
+                                     WernerWolfForm, detect_family,
+                                     reduce_to_standard_form)
+from cvwitness.symplectic import (CovMatrix, symplectic_eigenvalues,
+                                  validate_cm)
 from cvwitness.witness import minmax_optimize
 
 from conftest import (grid_certificate, sample_standard_form,
@@ -278,6 +286,85 @@ def test_certificate_small_correlation_keeps_precision():
 
 def _rotation(t):
     return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+
+
+# ------------------------------------------- the bits of the array-level PPT
+# and certificate, against the CovMatrix-wrapped computations they replaced
+
+def _assert_ppt_bits(gamma):
+    """`ppt_decide` equals `validate_cm` and `symplectic_eigenvalues` of a
+    `CovMatrix` of the partial transpose, bit for bit."""
+    s = np.ones(gamma.dim)
+    s[2 * (gamma.n_modes // 2) + 1::2] = -1.0   # party B's momenta
+    pt = CovMatrix(gamma.mat * np.outer(s, s))
+    rep = ppt_decide(gamma)
+    assert rep.is_ppt == validate_cm(pt).is_physical
+    assert rep.min_pt_symplectic_eig == float(symplectic_eigenvalues(pt)[0])
+
+
+def _assert_certificate_bits(form):
+    """`certificate_min_eig` equals the value through a `CovMatrix` of the
+    product state at the vacuum point, at the peak and at the certificate."""
+    points = [(1.0, 1.0)]
+    x, f1, f2 = _peak(form.x, form.p)
+    if f1 > 0 and f2 > 0:
+        points.append((x, math.sqrt(f1 / f2)))
+    points.append(feasibility_search(form) or (1.0, 1.0))
+    n_a = form.family.n_modes_a
+    for x, y in points:
+        prod = CovMatrix(np.diag([x / 2, 1 / (2 * x)] * n_a
+                                 + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)))
+        want = float(np.linalg.eigvalsh(form.to_cm().mat - prod.mat)[0])
+        assert certificate_min_eig(form, x, y) == want
+
+
+def test_array_level_bits_on_the_decision_golden():
+    inputs = json.loads((Path(__file__).parent / "data" / "golden"
+                         / "decisions-input.json").read_text())
+    certified = 0
+    for mat in inputs.values():
+        gamma = CovMatrix(mat)
+        _assert_ppt_bits(gamma)
+        try:
+            form, _ = reduce_to_standard_form(gamma, detect_family(gamma))
+        except PatternMismatchError:
+            continue
+        _assert_certificate_bits(form)
+        certified += feasibility_search(form) is not None
+    assert certified > 10
+
+
+def _dress(form, rs, thetas):
+    """The form's CM under a rotation-squeeze-rotation on every mode."""
+    s = np.zeros((2 * form.n_modes,) * 2)
+    for j in range(form.n_modes):
+        r, t1, t2 = rs[j], thetas[2 * j], thetas[2 * j + 1]
+        s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
+            _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
+    m = s @ form.to_cm().mat @ s.T
+    return CovMatrix((m + m.T) / 2)
+
+
+@PROPERTY
+@given(_forms(), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
+def test_array_level_bits_on_dressed_states(form, rs, thetas):
+    assume(form.to_cm().is_physical())
+    _assert_ppt_bits(form.to_cm())
+    _assert_ppt_bits(_dress(form, rs, thetas))
+    _assert_certificate_bits(form)
+
+
+def test_certificate_at_a_non_finite_point_is_refused():
+    with pytest.raises(DimensionMismatchError, match="non-finite"):
+        certificate_min_eig(TwoModeStandardForm(1.2, 1.3, 0.4, -0.3), 1.0, math.inf)
+
+
+def test_closed_forms_overflow_to_inf():
+    """Squares past double precision are inf, not an OverflowError."""
+    form = TwoModeStandardForm(1e200, 1.0, 1e200, 1.0)
+    assert separability_lhs(form) == -math.inf
+    assert feasibility_search(form) is None
 
 
 def test_simon_lhs_matches_local_invariants():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
 from cvwitness.exceptions import (DegeneratePreparationError,
-                                  DimensionMismatchError, OrderTooHighError)
+                                  DimensionMismatchError, OrderTooHighError,
+                                  SingularSumError)
 from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import (NonGaussState, _KanBox, build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
@@ -79,6 +80,15 @@ def test_non_integral_ladder_count_refused(add):
     ValueError or OverflowError, is a typed refusal."""
     with pytest.raises(DimensionMismatchError, match="not integers"):
         NonGaussState(THERMAL_1, add=add, subtract=(0,))
+
+
+def test_mean_on_singular_sum_refused():
+    """A detector CM equal to minus the kernel's makes gamma_G + gamma_M,
+    and with it the CCM sum, singular: the mean is undefined."""
+    kernel = tmsv_form(0.3).to_cm()
+    s = NonGaussState(kernel, add=(1, 0), subtract=(0, 0))
+    with pytest.raises(SingularSumError, match="is singular"):
+        mean_on_detector(s, CovMatrix(-kernel.mat))
 
 
 def test_mean_single_photon_on_vacuum_projector():

@@ -122,7 +122,7 @@ def test_single_mode_normal_closed_form(r, rng):
     th = rng.uniform(0, np.pi)
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     block = 1.3 * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
-    s = _single_mode_normal(block)
+    s = _single_mode_normal(block, np.sqrt(np.linalg.det(block)))
     assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
     assert abs(np.linalg.det(s) - 1) < 1e-12
     assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)

@@ -2,10 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cvwitness.exceptions import DimensionMismatchError
+from cvwitness.criteria import decide_separability, ppt_decide
+from cvwitness.exceptions import (CvWitnessError, DimensionMismatchError,
+                                  ScaleOverflowError)
 from cvwitness.symplectic import (CovMatrix, cm_to_ccm, symplectic_eigenvalues,
                                   symplectic_form, validate_cm)
+from cvwitness.witness import minmax_optimize
 
 from conftest import ccm_to_cm, random_physical_cm
 
@@ -36,6 +42,72 @@ def test_covmatrix_rejects_non_finite(entry):
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatchError, match="non-finite"):
             CovMatrix(np.array([[entry, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("raw, message", [
+    (np.zeros((0, 0)), "no modes"),
+    (np.eye(2) * (0.5 + 0.1j), "not real numbers"),
+    ([["a", "b"], ["c", "d"]], "not real numbers"),
+    ([[0.5, 0.0], [0.0]], "not real numbers"),
+], ids=["empty", "complex", "strings", "ragged"])
+def test_covmatrix_refusals_are_typed(raw, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatchError, match=message):
+            CovMatrix(raw)
+
+
+def test_covmatrix_takes_complex_with_zero_imaginary_part():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = CovMatrix(np.eye(2) * (0.5 + 0j))
+    assert gamma.mat.dtype == np.float64 and np.array_equal(gamma.mat, np.eye(2) / 2)
+
+
+def test_covmatrix_symmetrizes_without_overflow():
+    """Entries near the largest double stay finite, so the decision refuses
+    the scale instead of failing inside numpy."""
+    gamma = CovMatrix(np.diag([1e308] * 4))
+    assert np.array_equal(gamma.mat, np.diag([1e308] * 4))
+    with pytest.raises(ScaleOverflowError):
+        decide_separability(gamma)
+
+
+_ENTRY = st.floats(1e-300, 1e308) | st.floats(-1e308, -1e-300)
+
+
+@st.composite
+def _raw_arrays(draw):
+    """Square arrays of size 0-8 with entries from 1e-300 to 1e308 in
+    magnitude, mostly symmetric so that the decision runs, float or
+    complex (with a zero or a drawn imaginary part), and a few non-square
+    ones."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.sampled_from([n, n, n, n + 1]))
+    a = draw(arrays(np.float64, (n, m), elements=_ENTRY))
+    if n == m and draw(st.sampled_from([True, True, True, False])):
+        a = np.triu(a) + np.triu(a, 1).T   # exactly symmetric
+    if draw(st.booleans()):
+        imag = st.just(0.0) if draw(st.booleans()) else _ENTRY
+        a = a + 1j * draw(arrays(np.float64, (n, m), elements=imag))
+    return a
+
+
+@settings(max_examples=200)
+@given(_raw_arrays())
+def test_any_array_returns_or_raises_a_typed_error(raw):
+    """The package trusts what CovMatrix accepts: on any array, CovMatrix
+    and the decisions on what it accepts return or raise a CvWitnessError,
+    never a numpy error or a RuntimeWarning."""
+    try:
+        gamma = CovMatrix(raw)
+    except CvWitnessError:
+        return
+    for call in (decide_separability, ppt_decide, minmax_optimize):
+        try:
+            call(gamma)
+        except CvWitnessError:
+            pass
 
 
 def test_vacuum_is_physical_boundary():

@@ -17,9 +17,9 @@ from cvwitness.standard_form import (Family, QuadratureForm,
                                      TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix
-from cvwitness.witness import (DetectorSpec, _cone_lambda, _cone_ratio,
-                               _min_det_factors, lambda_closed_form,
-                               minmax_optimize)
+from cvwitness.witness import (DetectorSpec, _abs_triples, _cone_lambda,
+                               _cone_ratio, _min_det_factors,
+                               lambda_closed_form, minmax_optimize)
 
 from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
                       sample_two_mode_detector, sample_ww_detector, tmsv_form)
@@ -165,7 +165,7 @@ def _check_cone_closed_form(form, family, power, lw1, lw2, t):
     lam, (x, y) = _cone_lambda(w1, w2, t, power)
     assert abs(lam / lambda_closed_form(d)[0] - 1) <= 1e-10
     assert abs(_g1g2(d, x, y) ** -power / lam - 1) <= 1e-10   # the argmin
-    ell = _cone_ratio(form, w1, w2, t)[0] ** power
+    ell = _cone_ratio(_abs_triples(form), w1, w2, t)[0] ** power
     assert abs(ell / ell_ratio(form.to_cm(), d) - 1) <= 1e-10
 
 

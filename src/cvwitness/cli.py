@@ -22,8 +22,9 @@ import numpy as np
 
 from . import __version__
 from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, admitted_family,
-                       decide_separability, ppt_decide, separability_lhs,
-                       werner_wolf_family, werner_wolf_family_lhs_claim)
+                       decide_separability, ppt_decide, require_physical,
+                       separability_lhs, werner_wolf_family,
+                       werner_wolf_family_lhs_claim)
 from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
@@ -52,6 +53,7 @@ def cmd_check(args) -> int:
     else:
         gamma, partition = load_cm(args.input)
         if criterion == "ppt":
+            require_physical(gamma, args.tol_psd)
             ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
             verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
             report = {"verdict": verdict.value, "criterion": "ppt",
@@ -123,8 +125,9 @@ def _tmsv(r: float) -> QuadratureForm:
 
 def cmd_sweep(args) -> int:
     import csv
-    if args.n_samples < 1:
-        raise CvWitnessError("n_samples must be at least 1")
+    if args.n_samples < 1 or args.seed < 0:
+        raise CvWitnessError(f"need n_samples >= 1 and seed >= 0, got n_samples "
+                             f"{args.n_samples} and seed {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.family == "wernerwolf":
         header = ["a", "b", "c", "d", "e",
@@ -194,7 +197,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_SEPARABLE
     try:
         return args.func(args)
-    except (CvWitnessError, OSError, ValueError, KeyError) as exc:
+    except (CvWitnessError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -241,15 +241,21 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     return float(x), float(y)
 
 
+def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
+    """Refuse a CM that fails `validate_cm` at `tol`: no criterion decides a
+    state that does not exist."""
+    if not validate_cm(gamma, tol).is_physical:
+        raise PatternMismatchError("covariance matrix is not physical")
+
+
 def admitted_family(gamma: CovMatrix, partition: list[int] | None,
                     tol: float = TOL_PSD) -> Family:
     """The family of a physical CM whose `partition` names party A or party
     B of the family's cut; None stands for that cut.  Refuses a CM that
-    fails `validate_cm` at `tol` and another cut (`PatternMismatchError`),
+    fails `require_physical` at `tol` and another cut (`PatternMismatchError`),
     and a partition that leaves a party empty or names a mode the state
     lacks (`PartitionError`)."""
-    if not validate_cm(gamma, tol).is_physical:
-        raise PatternMismatchError("covariance matrix is not physical")
+    require_physical(gamma, tol)
     family = detect_family(gamma)
     default = list(range(family.n_modes_a))
     complement = list(range(family.n_modes_a, family.n_modes))

@@ -33,19 +33,6 @@ SEESAW_MAX_ITER = 200
 SEESAW_TOL = 1e-12
 
 
-def ladder_on_axis(t: np.ndarray, axis: int, dagger: bool) -> np.ndarray:
-    """Truncated a (or a^dag) applied along one axis of a register tensor:
-    out[.., k, ..] = sqrt(k + 1) t[.., k + 1, ..] (or sqrt(k) t[.., k - 1, ..])."""
-    out = np.zeros_like(t)
-    src, dst = np.moveaxis(t, axis, -1), np.moveaxis(out, axis, -1)
-    root = np.sqrt(np.arange(1, t.shape[axis]))
-    if dagger:
-        dst[..., 1:] = root * src[..., :-1]
-    else:
-        dst[..., :-1] = root * src[..., 1:]
-    return out
-
-
 def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
     """(G_0, A) of the Gaussian operator with covariance matrix `gamma`: its
     entries G_k = <m|rho|n>, k = (m, n), are G_0 times the sqrt(k!)-scaled
@@ -140,8 +127,9 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
     bit, where numpy's contiguous complex multiply rounds apart from its
     strided one.  The register is float64 when A is real (a CM with no x-p
     correlation), complex128 otherwise.  Raises DimensionMismatchError for a
-    cutoff below 1 or a CM that is not positive definite, and
-    CutoffTooSmallError when the truncated trace drops below 1 - TAIL_TOL.
+    cutoff below 1, a register too large to allocate or a CM that is not
+    positive definite, and CutoffTooSmallError when the truncated trace
+    drops below 1 - TAIL_TOL.
     """
     if cutoff < 1:
         raise DimensionMismatchError(f"cutoff must be at least 1, got {cutoff}")
@@ -150,7 +138,11 @@ def gaussian_op_fock(gamma: CovMatrix, cutoff: int) -> np.ndarray:
     if not a.imag.any():
         a = a.real
     c, h = cutoff, (cutoff + 1) // 2
-    g = np.empty((c,) * (2 * n), dtype=a.dtype)
+    try:
+        g = np.empty((c,) * (2 * n), dtype=a.dtype)
+    except (ValueError, MemoryError):   # too many entries to index, or to hold
+        raise DimensionMismatchError(
+            f"a cutoff-{c} register of {n} modes does not fit in memory") from None
     flat = g.reshape(-1)
     even = flat[flat.size - c ** (2 * n - 1) * h:].reshape(
         (c,) * (2 * n - 1) + (h,))
@@ -237,14 +229,15 @@ def seesaw_lambda(m_op: np.ndarray, dims: tuple[int, int], restarts: int = 5,
     most SEESAW_TOL * max(1, |value|) or after SEESAW_MAX_ITER iterations.
     The result is the first start whose value is within
     SEESAW_TOL * max(1, |best|) of the best.  Raises DimensionMismatchError
-    for a shape that does not match `dims` or `restarts` below 0.
+    for a shape that does not match `dims`, or `restarts` or `seed` below 0.
     """
     da, db = dims
     if m_op.shape != (da * db, da * db):
         raise DimensionMismatchError(
             f"operator shape {m_op.shape} does not match dims {dims}")
-    if restarts < 0:
-        raise DimensionMismatchError(f"need restarts >= 0, got {restarts}")
+    if restarts < 0 or seed < 0:
+        raise DimensionMismatchError(
+            f"need restarts >= 0 and seed >= 0, got restarts {restarts} and seed {seed}")
     m_op = np.ascontiguousarray(m_op)
     rng = np.random.default_rng(seed)
     starts = 1 + restarts

@@ -20,18 +20,6 @@ if TYPE_CHECKING:   # imported where used, so reading a CM loads neither
     from .witness import WitnessReport
 
 
-def _check_mean(obj: dict, n_modes: int) -> None:
-    mean = obj.get("mean")
-    if mean is None:
-        return
-    mean = np.asarray(mean, dtype=float)
-    if mean.shape != (2 * n_modes,):
-        raise DimensionMismatchError(
-            f"mean must have length {2 * n_modes}, got shape {mean.shape}")
-    if np.any(mean != 0):
-        raise NonZeroMeanError("nonzero first moments are not supported")
-
-
 def _count(value, field: str) -> int:
     """A mode count or index as int; ValueError for a non-integral value such
     as 2.7, which int() would truncate."""
@@ -41,59 +29,66 @@ def _count(value, field: str) -> int:
     return count
 
 
-def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
-    """Read {"n_modes": int, "cm": [[row...]...], "partition": [modes of A]}."""
-    with open(path) as fh:
-        return _parse_cm(json.load(fh), path)
+def _read(path: str, kind: str) -> tuple:
+    """The one reader of every input file: a "detector" file gives its
+    DetectorSpec, a "state" file (CovMatrix, partition) and a "nongauss"
+    file (CovMatrix, partition, add, subtract).
 
-
-def _parse_cm(obj: dict, path: str) -> tuple[CovMatrix, list[int] | None]:
+    A missing field, a field of the wrong structure, text that is not JSON
+    and an integer too large for a double each end as one
+    DimensionMismatchError that names the file.  An OSError passes."""
     try:
+        with open(path) as fh:
+            obj = json.load(fh)
+        if kind == "detector":
+            family, m = Family(obj["family"]), [float(v) for v in obj["m"]]
+            if len(m) != 6:
+                raise DimensionMismatchError(
+                    f"detector needs 6 parameters, got {len(m)} in {path}")
+            return DetectorSpec(family, *m)
         n = _count(obj["n_modes"], "n_modes")
         mat = np.asarray(obj["cm"], dtype=float)
-        _check_mean(obj, n)
-        partition = obj.get("partition")
+        mean, partition = obj.get("mean"), obj.get("partition")
+        if mean is not None:
+            mean = np.asarray(mean, dtype=float)
+            if mean.shape != (2 * n,):
+                raise DimensionMismatchError(
+                    f"mean must have length {2 * n}, got shape {mean.shape} in {path}")
+            if (mean != 0).any():
+                raise NonZeroMeanError("nonzero first moments are not supported")
         if partition is not None:
             partition = [_count(m, "partition") for m in partition]
+        if mat.shape != (2 * n, 2 * n):
+            raise DimensionMismatchError(
+                f"cm shape {mat.shape} does not match n_modes = {n} in {path}")
+        if partition is not None and any(m < 0 or m >= n for m in partition):
+            raise PartitionError(f"partition {partition} out of range")
+        fields = CovMatrix(mat), partition
+        if kind == "nongauss":
+            fields += tuple(tuple(_count(v, name) for v in obj.get(name, [0] * n))
+                            for name in ("add", "subtract"))
+        return fields
     except KeyError as exc:
         raise DimensionMismatchError(f"missing field {exc} in {path}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:   # a field of the wrong structure
-        raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
-    if mat.shape != (2 * n, 2 * n):
-        raise DimensionMismatchError(
-            f"cm shape {mat.shape} does not match n_modes = {n}")
-    if partition is not None and any(m < 0 or m >= n for m in partition):
-        raise PartitionError(f"partition {partition} out of range")
-    return CovMatrix(mat), partition
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise DimensionMismatchError(f"bad {kind} file {path}: {exc}") from exc
+
+
+def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
+    """Read {"n_modes": int, "cm": [[row...]...], "partition": [modes of A]}."""
+    return _read(path, "state")
 
 
 def load_nongauss(path: str) -> tuple["NonGaussState", list[int] | None]:
     """Read a kernel CM file extended with {"add": [k...], "subtract": [m...]}."""
     from .nongauss import NonGaussState
-    with open(path) as fh:
-        obj = json.load(fh)
-    kernel, partition = _parse_cm(obj, path)
-    n = kernel.n_modes
-    try:
-        add = tuple(_count(v, "add") for v in obj.get("add", [0] * n))
-        sub = tuple(_count(v, "subtract") for v in obj.get("subtract", [0] * n))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionMismatchError(f"bad state file {path}: {exc}") from exc
+    kernel, partition, add, sub = _read(path, "nongauss")
     return NonGaussState(kernel, add, sub), partition
 
 
 def load_detector(path: str) -> QuadratureForm:
     """Read {"family": "two_mode"|"werner_wolf", "m": [M1..M6]}."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        family = Family(obj["family"])
-        m = [float(v) for v in obj["m"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DimensionMismatchError(f"bad detector file {path}: {exc}") from exc
-    if len(m) != 6:
-        raise DimensionMismatchError(f"detector needs 6 parameters, got {len(m)}")
-    return DetectorSpec(family, *m)
+    return _read(path, "detector")
 
 
 def criterion_report_dict(report: CriterionReport) -> dict:

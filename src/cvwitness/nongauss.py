@@ -19,7 +19,7 @@ HV = V^T h^T; a detector mean adds only sum_i (W HV)_i HV_i / 2 per point.
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 import numpy as np
 
@@ -189,18 +189,21 @@ def decide_separability_nongauss(s: NonGaussState,
 
 
 def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
-    """Normalized density matrix of the photon-added/subtracted state."""
-    from .fock import gaussian_op_fock, ladder_on_axis
+    """Normalized density matrix of the photon-added/subtracted state.
+
+    Mode j's truncated a^{dag k} a^m is one weighted index shift on row axis
+    j and, the ladders being real, on column axis n + j: index v moves to
+    v - m + k with weight sqrt(v!/(v-m)! (v-m+k)!/(v-m)!), for sources
+    m <= v < cutoff + min(0, m - k)."""
+    from .fock import gaussian_op_fock
     n = s.kernel.n_modes
     t = gaussian_op_fock(s.kernel, cutoff).reshape((cutoff,) * (2 * n))
-    # L = prod_j a_j^{dag k_j} a_j^{m_j} shifts row axis j; the ladders are
-    # real, so rho L^dag takes the same shifts on column axis n + j
-    for j in range(n):
+    for j, (k, m) in enumerate(zip(s.add, s.subtract)):
+        hi = max(m, cutoff + min(0, m - k))
+        w = np.sqrt([float(perm(v, m) * perm(v - m + k, k)) for v in range(m, hi)])
         for axis in (j, n + j):
-            for _ in range(s.subtract[j]):
-                t = ladder_on_axis(t, axis, dagger=False)
-            for _ in range(s.add[j]):
-                t = ladder_on_axis(t, axis, dagger=True)
+            src, t = np.moveaxis(t, axis, -1), np.zeros_like(t)
+            np.moveaxis(t, axis, -1)[..., k:hi - m + k] = w * src[..., m:hi]
     rho = t.reshape(cutoff ** n, cutoff ** n)
     tr = float(np.real(np.trace(rho)))
     if tr <= 1e-12:

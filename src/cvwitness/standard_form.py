@@ -13,15 +13,14 @@ diag(c1, -c2) by local rotations and squeezers.  Werner-Wolf states keep the
 8x8 sparsity pattern and are equalized by per-mode squeezers.
 
 A decision and a witness of the same state both need its standard form, so
-`reduce_to_standard_form` keeps each result per `CovMatrix` instance and
-family, and a second call returns it without reducing again.  The memo
-is weak-keyed: an entry lives no longer than its matrix.  `CovMatrix` is
-frozen and read-only, the form is frozen and S is a read-only array, so a
-kept result cannot go stale.  A refusal is not kept and raises on every call.
+`reduce_to_standard_form` keeps its result on the `CovMatrix` instance, as
+`QuadratureForm.to_cm` keeps a form's CM (a matrix's family is fixed by its
+mode count), and a second call returns it without reducing again.  The
+matrix is frozen and read-only, the form frozen and S a read-only array, so
+a kept result cannot go stale.  A refusal is not kept and raises on every call.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -219,20 +218,17 @@ def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     return form, s
 
 
-#: {CovMatrix: {family: (form, S)}}, see the module docstring.
-_REDUCED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     """Return (form, S) with S a local symplectic, as a read-only array, and
-    S gamma S^T the form's CM; computed once per matrix instance and family."""
+    S gamma S^T the form's CM; computed once per matrix instance and kept in
+    its `_reduced` slot."""
     family = Family(family)
-    memo = _REDUCED.get(gamma)
-    if memo is not None and family in memo:
-        return memo[family]
     if gamma.n_modes != family.n_modes:
         raise PatternMismatchError(
             f"{family.value} family needs {family.n_modes} modes, got {gamma.n_modes}")
+    result = gamma.__dict__.get("_reduced")
+    if result is not None:
+        return result
     # both reductions multiply pairs of entries (a 2x2 determinant, a
     # squeezed entry); a Python float overflows to inf without a warning
     big = float(abs(gamma.mat).max())
@@ -241,9 +237,9 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
             f"cannot reduce to standard form: the square of the largest entry "
             f"{big:g} overflows double precision")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
-    form, s = reduce(gamma)
+    result = form, s = reduce(gamma)
     s.flags.writeable = False
-    result = _REDUCED.setdefault(gamma, {})[family] = (form, s)
+    object.__setattr__(gamma, "_reduced", result)
     return result
 
 

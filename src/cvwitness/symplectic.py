@@ -64,7 +64,9 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Real symmetric covariance matrix of an n-mode state or detector."""
+    """Real symmetric covariance matrix of an n-mode state or detector.
+    `reduce_to_standard_form` keeps its (form, S) in the `_reduced` slot,
+    which is not a dataclass field: `==`, `hash` and `repr` ignore it."""
 
     mat: np.ndarray
     n_modes: int = field(init=False)

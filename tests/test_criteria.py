@@ -72,6 +72,8 @@ def test_ww_family_params_validation():
         WWFamilyParams(1.0, 1.0, 1.0, 1.0, 0.5)  # ce - a <= 0
     with pytest.raises(ConstraintViolatedError):
         WWFamilyParams(1.0, 2.0, 2.0, 1.0, 3.0)  # ad - bc <= 0
+    with pytest.raises(ConstraintViolatedError, match="all five parameters"):
+        WWFamilyParams(-1.0, 1.0, 2.0, 3.0, 1.0)  # a <= 0
 
 
 def test_ww_family_state_is_bound_entangled():

@@ -342,6 +342,13 @@ def test_gaussian_op_rejects_empty_cutoff():
         gaussian_op_fock(CovMatrix(0.7 * np.eye(2)), 0)
 
 
+def test_gaussian_op_refuses_register_past_memory():
+    """A cutoff whose register has more entries than an array can index is
+    a typed refusal, before anything is allocated."""
+    with pytest.raises(DimensionMismatchError, match="does not fit in memory"):
+        gaussian_op_fock(CovMatrix(0.7 * np.eye(4)), 10 ** 5)
+
+
 def test_squeezing_truncation_raises():
     # TMSV at r = 1.5 keeps 1 - tanh(r)^20 = 0.8637 of its trace below cutoff 10
     with pytest.raises(CutoffTooSmallError, match="0.8637"):
@@ -482,7 +489,8 @@ def test_seesaw_reports_first_start_within_tol():
     assert abs(res.value - alone.value) <= 1e-12
 
 
-@pytest.mark.parametrize("kwargs", [{"restarts": -1}])
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"seed": -1}, {"dims": (2, 3)}])
 def test_seesaw_rejects_bad_counts(kwargs):
-    with pytest.raises(DimensionMismatchError, match="restarts"):
-        seesaw_lambda(np.eye(4), (2, 2), **kwargs)
+    """Each refusal names the argument at fault."""
+    with pytest.raises(DimensionMismatchError, match=next(iter(kwargs))):
+        seesaw_lambda(np.eye(4), **{"dims": (2, 2), **kwargs})

@@ -97,6 +97,14 @@ def test_load_accepts_integral_floats(tmp_path):
     assert state.add == (1, 0) and all(type(k) is int for k in state.add)
 
 
+@pytest.mark.parametrize("load", [load_cm, load_nongauss, load_detector])
+def test_load_refuses_text_that_is_not_json(tmp_path, load):
+    path = tmp_path / "bad.json"
+    path.write_text("n_modes = 2")
+    with pytest.raises(DimensionMismatchError, match=re.escape(str(path))):
+        load(str(path))
+
+
 def test_load_nongauss(tmp_path):
     mat = np.eye(4) / 2
     path = cm_file(tmp_path, mat, extra={"add": [1, 0], "subtract": [0, 0]})
@@ -339,11 +347,24 @@ _EYE4 = np.eye(4).tolist()
     # counts are refused, not truncated by int()
     (["check", "--criterion", "ppt"], {"n_modes": 2.7, "cm": _EYE4, "partition": [0.9]}),
     (["check"], {"n_modes": math.inf, "cm": _EYE4}),
+    # a str is the file's text: not JSON, for each of the three readers
+    (["check"], "not JSON"),
+    (["check", "--criterion", "nongauss"], "n_modes = 2"),
+    (["oracle"], "{"),
+    # 401-digit integers, too large for a double
+    (["oracle"], {"family": "two_mode", "m": [10 ** 400, 1, 1, 1, 0, 0]}),
+    (["check"], {"n_modes": 2, "cm": [[10 ** 400, 0, 0, 0]] + _EYE4[1:]}),
+    (["check", "--criterion", "ppt"], 5),
+    (["oracle"], 5),
+    (["check"], {"n_modes": 2, "cm": _EYE4, "mean": [0, 0]}),
+    (["oracle"], {"family": "two_mode", "m": [1, 1, 1]}),
 ])
 def test_cli_rejects_malformed_json(tmp_path, capsys, argv, obj):
     """JSON of the wrong structure is a typed error naming the file: exit 1
     with one message line."""
-    path = write_json(tmp_path / "bad.json", obj)
+    path = tmp_path / "bad.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    path = str(path)
     code = main([argv[0], path, *argv[1:]])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
@@ -366,29 +387,38 @@ def test_cli_oracle_mean_photon_defect(tmp_path, capsys):
     assert reports[25]["mean_photon_defect"] < 1e-3
 
 
-def test_cli_tol_psd_applied(tmp_path, capsys):
-    """TMSV minus 1e-9 I has a bona-fide eigenvalue of -1e-9."""
+@pytest.mark.parametrize("criterion, name", [
+    ("auto", "simon"), ("ppt", "ppt"), ("witness", "witness"), ("nongauss", "simon")])
+def test_cli_every_criterion_applies_tol_psd(tmp_path, capsys, criterion, name):
+    """TMSV minus 1e-9 I has a bona-fide eigenvalue of -1e-9: every
+    criterion refuses it as a non-state at --tol-psd 1e-12 and decides it at
+    1e-8."""
     mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
     path = cm_file(tmp_path, mat)
-    assert main(["check", path, "--tol-psd", "1e-12"]) == 1
+    argv = ["check", path, "--criterion", criterion]
+    assert main([*argv, "--tol-psd", "1e-12"]) == 1
     assert "not physical" in capsys.readouterr().err
-    assert main(["check", path, "--tol-psd", "1e-8"]) == 2
+    assert main([*argv, "--tol-psd", "1e-8"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["report"]["verdict"] == "Entangled"
+    assert report["report"]["criterion"] == name
     assert report["tolerances"]["tol_psd"] == 1e-8
 
 
-def test_cli_witness_tol_psd_applied(tmp_path, capsys):
-    mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
-    path = cm_file(tmp_path, mat)
-    assert main(["check", path, "--criterion", "witness",
-                 "--tol-psd", "1e-12"]) == 1
-    assert "not physical" in capsys.readouterr().err
-    assert main(["check", path, "--criterion", "witness",
-                 "--tol-psd", "1e-8"]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert report["report"]["verdict"] == "Entangled"
-    assert report["report"]["criterion"] == "witness"
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--family", "tmsv", "-n", "0", "out.csv"],
+    ["sweep", "--family", "wernerwolf", "-n", "2", "--seed", "-1", "out.csv"],
+    ["oracle", "det.json", "--seed", "-1"],
+    ["oracle", "det.json", "--cutoff", "100000"],
+], ids=["sweep-n-0", "sweep-seed", "oracle-seed", "oracle-cutoff"])
+def test_cli_refuses_bad_counts(tmp_path, capsys, monkeypatch, argv):
+    """A count out of range is one error line and exit 1, before any output."""
+    write_json(tmp_path / "det.json", {"family": "two_mode", "m": [1, 1, 1, 1, 0.4, -0.3]})
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [

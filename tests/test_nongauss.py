@@ -82,6 +82,13 @@ def test_non_integral_ladder_count_refused(add):
         NonGaussState(THERMAL_1, add=add, subtract=(0,))
 
 
+@pytest.mark.parametrize("add, subtract, match", [
+    ((1, 0), (0,), "must have length 1"), ((0,), (-1,), "must be nonnegative")])
+def test_ladder_pattern_refused(add, subtract, match):
+    with pytest.raises(DimensionMismatchError, match=match):
+        NonGaussState(THERMAL_1, add=add, subtract=subtract)
+
+
 def test_mean_on_singular_sum_refused():
     """A detector CM equal to minus the kernel's makes gamma_G + gamma_M,
     and with it the CCM sum, singular: the mean is undefined."""

@@ -84,6 +84,26 @@ def test_ww_pattern_mismatch_raises(rng):
         reduce_to_standard_form(gamma, Family.WERNER_WOLF)
 
 
+def _edited_ww_cm(i: int, j: int, value: float) -> CovMatrix:
+    """A Werner-Wolf form's CM with entries (i, j) and (j, i) set to `value`."""
+    m = WernerWolfForm(1.0, 1.1, 1.2, 1.3, 0.4, 0.3).to_cm().mat.copy()
+    m[i, j] = m[j, i] = value
+    return CovMatrix(m)
+
+
+@pytest.mark.parametrize("gamma, family, match", [
+    (_edited_ww_cm(0, 4, 0.0), Family.WERNER_WOLF, "degenerate Werner-Wolf entries"),
+    (_edited_ww_cm(2, 6, 0.4), Family.WERNER_WOLF, "inconsistent cross-block signs"),
+    # x variances unequal within party A, p variances equal: no squeeze fits both
+    (_edited_ww_cm(2, 2, 2.0), Family.WERNER_WOLF, "cannot equalize"),
+    (CovMatrix(np.eye(4) / 2), Family.WERNER_WOLF, "needs 4 modes, got 2"),
+    (CovMatrix(np.eye(8) / 2), Family.TWO_MODE, "needs 2 modes, got 4"),
+], ids=["degenerate", "cross-sign", "equalize", "modes-ww", "modes-two-mode"])
+def test_reduction_refusals_are_typed(gamma, family, match):
+    with pytest.raises(PatternMismatchError, match=match):
+        reduce_to_standard_form(gamma, family)
+
+
 def test_ww_form_cm_pattern():
     form = WernerWolfForm(1.0, 1.1, 1.2, 1.3, 0.4, -0.3)
     m = form.to_cm().mat

@@ -127,6 +127,17 @@ def test_symplectic_eigenvalues_thermal():
     assert np.allclose(symplectic_eigenvalues(gamma), nbar + 0.5)
 
 
+def test_symplectic_spectrum_refuses_non_convergence(monkeypatch):
+    """numpy's LinAlgError when the eigenvalues do not converge (seen on
+    matrices with entries near the largest double; whether a given matrix
+    converges depends on the LAPACK build) is a ScaleOverflowError."""
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(ScaleOverflowError, match="does not converge"):
+        symplectic_eigenvalues(CovMatrix(np.eye(4)))
+
+
 def test_ccm_roundtrip(rng):
     gamma = random_physical_cm(rng, 2)
     back = ccm_to_cm(cm_to_ccm(gamma))

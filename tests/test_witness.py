@@ -368,6 +368,9 @@ def test_min_det_factors_scaled_cone_detectors(rng):
     (1e200, 1, 1e200, 1, 0, 0),   # m1 m3 overflows
     (1, 1, 1, 1, 0, 1e200),   # m6^2 overflows
     (1, 1e200, 1, 1e200, 0, 0),   # m2 m4 overflows
+    # valid blocks, but x* = 1e300 and y* = 1e-300: the search leaves
+    # double precision
+    (1e300, 1e-300, 1e-300, 1e300, 0, 0),
 ])
 def test_lambda_refuses_non_psd_block(params):
     """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is
@@ -376,6 +379,16 @@ def test_lambda_refuses_non_psd_block(params):
     for family in Family:
         with pytest.raises(NonPositiveDeterminantError):
             lambda_closed_form(DetectorSpec(family, *params))
+
+
+def test_lambda_refuses_underflow():
+    """At m1..m4 = 1e154 the two-mode Lambda is about 1e-308; the four-mode
+    one is its square, which underflows to 0 and is refused."""
+    m = (1e154, 1e154, 1e154, 1e154, 0, 0)
+    lam, _ = lambda_closed_form(DetectorSpec(Family.TWO_MODE, *m))
+    assert abs(lam / 1e-308 - 1) <= 1e-12
+    with pytest.raises(NonPositiveDeterminantError, match="underflows"):
+        lambda_closed_form(DetectorSpec(Family.WERNER_WOLF, *m))
 
 
 def _lambda_product_detector(m1, m2, m3, m4):

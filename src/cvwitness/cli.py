@@ -23,8 +23,7 @@ import numpy as np
 from . import __version__
 from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, admitted_family,
                        decide_separability, ppt_decide, require_physical,
-                       separability_lhs, werner_wolf_family,
-                       werner_wolf_family_lhs_claim)
+                       separability_lhs, werner_wolf_family)
 from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
@@ -107,13 +106,13 @@ def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
             return WWFamilyParams(a, b, c, d, e)
 
 
-def _sweep_row(form: QuadratureForm, lead: list, claim, tol: float) -> list:
-    """lead, lhs, claim, is_ppt, ell of one family point; the witness runs
-    before the PPT test, so its refusal is the row's error."""
+def _sweep_row(form: QuadratureForm, lead: list, tol: float) -> list:
+    """lead, lhs, is_ppt, ell of one family point; the witness runs before
+    the PPT test, so its refusal is the row's error."""
     from .witness import minmax_optimize
     gamma = form.to_cm()
     ell = minmax_optimize(gamma).ell_limit
-    return [*lead, separability_lhs(form), claim, ppt_decide(gamma, tol=tol).is_ppt, ell]
+    return [*lead, separability_lhs(form), ppt_decide(gamma, tol=tol).is_ppt, ell]
 
 
 def _tmsv(r: float) -> QuadratureForm:
@@ -130,14 +129,12 @@ def cmd_sweep(args) -> int:
                              f"{args.n_samples} and seed {args.seed}")
     rng = np.random.default_rng(args.seed)
     if args.family == "wernerwolf":
-        header = ["a", "b", "c", "d", "e",
-                  "lhs_criterion", "lhs_closed_form_claim", "is_ppt", "ell"]
+        header = ["a", "b", "c", "d", "e", "lhs_criterion", "is_ppt", "ell"]
         samples = [_ww_sample(rng) for _ in range(args.n_samples)]
-        points = [(werner_wolf_family(p), [p.a, p.b, p.c, p.d, p.e],
-                   werner_wolf_family_lhs_claim(p)) for p in samples]
+        points = [(werner_wolf_family(p), [p.a, p.b, p.c, p.d, p.e]) for p in samples]
     else:
-        header = ["r", "lhs_criterion", "lhs_closed_form_claim", "is_ppt", "ell"]
-        points = [(_tmsv(0.1 * i), [0.1 * i], "") for i in range(args.n_samples)]
+        header = ["r", "lhs_criterion", "is_ppt", "ell"]
+        points = [(_tmsv(0.1 * i), [0.1 * i]) for i in range(args.n_samples)]
     rows = [_sweep_row(*point, args.tol_psd) for point in points]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

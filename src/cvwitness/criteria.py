@@ -77,16 +77,6 @@ class WWFamilyParams:
             raise ConstraintViolatedError("ce - a must be positive")
 
 
-def _squares(c1: float, c2: float) -> tuple[float, float]:
-    """(c1^2, c2^2) with the bits of `**` (glibc's pow and c * c differ by an
-    ulp on about one double in a thousand), or, where a Python float's `**`
-    overflows and raises, with c * c, which gives inf as a numpy scalar does."""
-    try:
-        return c1 ** 2, c2 ** 2
-    except OverflowError:
-        return c1 * c1, c2 * c2
-
-
 def separability_lhs(form: QuadratureForm) -> float:
     """Simon's quantity of a two-mode standard form, the generalized
     Werner-Wolf quantity of a Werner-Wolf one; negative means entangled.
@@ -94,8 +84,7 @@ def separability_lhs(form: QuadratureForm) -> float:
     With the triples (a1, b1, c1) of x and (a2, b2, c2) of p it is
     (a1 b1 - c1^2)(a2 b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16."""
     (a1, b1, c1), (a2, b2, c2) = form.x, form.p
-    k1, k2 = _squares(c1, c2)
-    return ((a1 * b1 - k1) * (a2 * b2 - k2) - 0.5 * abs(c1 * c2)
+    return ((a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2) - 0.5 * abs(c1 * c2)
             - 0.25 * (a1 * a2 + b1 * b2) + 1.0 / 16)
 
 
@@ -114,18 +103,6 @@ def werner_wolf_family(p: WWFamilyParams) -> QuadratureForm:
         (a * d - b * c) / den,
         1 / (2 * b),
     )
-
-
-def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
-    """Closed-form family value quoted for the criterion LHS (audited, not
-    normative).
-
-    On the family it is exactly half of `werner_wolf_lhs`: over 1000 family
-    points the ratio is 0.5 to within 1e-12.  Same sign, so the quoted value
-    agrees with the verdict, but not the same number.  The sweep prints it as
-    `lhs_closed_form_claim` beside `lhs_criterion` to audit the quoted value;
-    no decision reads it."""
-    return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))
 
 
 @lru_cache
@@ -183,7 +160,7 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
         x, f2, f1 = _peak(cond2, cond1)
         return 1 / x, f1, f2
     (a1, b1, c1), (a2, b2, c2) = cond1, cond2
-    k1, k2 = _squares(c1, c2)   # a correlation that squares to 0 is 0
+    k1, k2 = c1 * c1, c2 * c2   # a correlation that squares to 0 is 0
     u = 0.0
     if k1 > 0:
         # k = 4 a1 (b2 w - c2^2) with w = a2 - 1/(4 a1), the sign of f2 at

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (CutoffTooSmallError, DimensionMismatchError,
-                         OptimizerStalledError)
+                         OptimizerStalledError, ScaleOverflowError)
 from .symplectic import CovMatrix
 
 #: largest share of the trace that may fall beyond the cutoff
@@ -41,7 +41,9 @@ def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
     Over the ladder variables (a_1..a_n, a^dag_1..a^dag_n),
     sigma = W gamma W^dag, Q = sigma + I/2, G_0 = det(Q)^{-1/2} and
     A = X (I - Q^{-1})^* with X = [[0, I], [I, 0]].  Raises
-    DimensionMismatchError for a CM that is not positive definite.
+    DimensionMismatchError for a CM that is not positive definite, and
+    ScaleOverflowError where Q is singular or det(Q) is not a finite positive
+    double, as for a CM whose x and p variances differ by a factor past 1e16.
     """
     n = gamma.n_modes
     if not np.linalg.eigvalsh(gamma.mat)[0] > 0:
@@ -51,8 +53,17 @@ def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
                    np.kron(np.eye(n), [1, -1j])]) / np.sqrt(2)
     q = w @ gamma.mat @ w.conj().T + np.eye(2 * n) / 2
     x = np.roll(np.eye(2 * n), n, axis=0)
-    a = x @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
-    return float(np.linalg.det(q).real) ** -0.5, a
+    try:
+        a = x @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
+    except np.linalg.LinAlgError:
+        a = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(q).real)
+    if a is None or not 0 < det < np.inf:
+        raise ScaleOverflowError(
+            "the Gaussian operator's Bargmann matrix Q = sigma + I/2 is singular "
+            "or its determinant is not finite in double precision")
+    return det ** -0.5, a
 
 
 def _fill_even_class(g: np.ndarray, g0: float, a: np.ndarray) -> None:

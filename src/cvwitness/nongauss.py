@@ -25,7 +25,7 @@ import numpy as np
 
 from .criteria import CriterionReport, decide_separability
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
-                         OrderTooHighError, SingularSumError)
+                         OrderTooHighError, ScaleOverflowError, SingularSumError)
 from .standard_form import QuadratureForm
 from .symplectic import TOL_PSD, CovMatrix, cm_to_ccm
 
@@ -87,10 +87,16 @@ class _KanBox:
         return ((re * self.points).sum(0) + 1j * (im * self.points).sum(0)) / 2
 
     def hafnian(self, quad: np.ndarray) -> complex:
-        """haf(q_n), from the box quadratic of q."""
+        """haf(q_n), from the box quadratic of q.  A sum whose terms leave
+        double precision is refused (`ScaleOverflowError`), not nan."""
         if self.power is None:
             return 0.0
-        return self.weight @ quad ** self.power / factorial(self.power)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = self.weight @ quad ** self.power
+        if not np.isfinite(val):
+            raise ScaleOverflowError(
+                "the ladder derivative overflows double precision")
+        return val / factorial(self.power)
 
 
 def _ladder_counts(counts, name: str) -> tuple[int, ...]:
@@ -142,7 +148,7 @@ class NonGaussState:
             _kernel_quad=box.quadratic(
                 -np.concatenate([vt, np.concatenate([gmn, gmn], axis=1)])))
         denom = self._derivative(self._kernel_quad)
-        if denom <= 1e-12:
+        if not denom > 1e-12:
             raise DegeneratePreparationError(
                 f"ladder pattern annihilates the kernel (derivative {denom:g})")
         object.__setattr__(self, "norm", 1.0 / denom)

@@ -5,10 +5,14 @@ A detector is a `QuadratureForm`, the type of the standard forms too, with
 parameters M1..M6 (`DetectorSpec`).  For both supported detector families
 det(gamma_M + gamma_A (+) gamma_B) factorizes into two scalar factors g1, g2.
 For a generic detector the product-state maximum Lambda
-(`lambda_closed_form`) takes the minimum of g1 g2 over y in closed form and
-bisects one monotone slope in log x.  The matched witness lies on the
-degenerate cone m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1, m2 = t w2,
-m4 = t/w2, m5 = +-t, m6 = +-t.  There, with s = u + 1/u and u = sqrt(w1 w2),
+(`lambda_closed_form`) is computed on the balanced detector m1 = m2, m3 = m4,
+to which a local squeeze brings any detector without changing Lambda: there
+the minimum of g1 g2 over y is closed form, one monotone slope in log x is
+bisected, and every term is of the order of 1 or the balanced parameters,
+so Lambda is returned wherever it is a normal double.  The matched witness
+lies on the degenerate cone m5^2 = m1 m3, m6^2 = m2 m4: m1 = t w1, m3 = t/w1,
+m2 = t w2, m4 = t/w2, m5 = +-t, m6 = +-t.  There, with s = u + 1/u and
+u = sqrt(w1 w2),
 
     min g1 g2 = (1 + 2 t s)^2 / 16            at x = sqrt(w1/w2), y = 1/x,
     factor i of det(gamma + gamma_M) = t n_i + d_i,
@@ -41,6 +45,10 @@ _EDGE_MARGIN = 1e-14
 #: detectors of the matched witness lie on m5^2 = m1 m3 up to rounding.
 _BLOCK_RTOL = 1e-12
 
+#: largest |log x| of the Lambda search, where e^u is still finite; the
+#: minimum lies inside wherever Lambda is a normal double.
+_LOG_X_MAX = 709.78
+
 #: detector scales t of the scaling audit; the matched detector is the last.
 AUDIT_SCALES = (1e2, 1e3, 1e4)
 
@@ -49,100 +57,87 @@ AUDIT_SCALES = (1e2, 1e3, 1e4)
 _EDGE_EPS = AUDIT_SCALES[-1] ** -0.5
 
 
-def _min_det_factors(d: QuadratureForm) -> tuple[float, int, tuple[float, float]]:
-    """Minimize g1(x, y) * g2(x, y) = G1 G2 / (x y) over x, y > 0.
+def _block_gap(m1: float, m3: float, m5: float) -> float:
+    """1 - m5^2 / (m1 m3) of a detector block, rounded once from the exact
+    doubles: a product rounded first errs by about 1e-16, which decides
+    Lambda near the cone at large scale.  -1, which is refused, for a
+    non-finite entry, a non-positive diagonal, or a gap below -1, where the
+    division could overflow."""
+    if not (0 < m1 < math.inf and 0 < m3 < math.inf and math.isfinite(m5)):
+        return -1.0
+    (p1, q1), (p3, q3), (p5, q5) = (m.as_integer_ratio() for m in (m1, m3, m5))
+    den = p1 * p3 * q5 * q5
+    num = den - p5 * p5 * q1 * q3
+    return num / den if num > -den else -1.0
 
-    G1 = (m1 + x/2)(m3 + y/2) - m5^2 and G2 = (m2 x + 1/2)(m4 y + 1/2)
-    - m6^2 x y are positive on the whole quadrant exactly when both blocks
+
+def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
+    """sqrt(min g1 g2) over product pure states and the minimizing (x, y),
+    where g1 g2 = det(gamma_M + gamma_A (+) gamma_B) for two modes.
+
+    g1 = (m1 + x/2)(m3 + y/2) - m5^2 and g2 = (m2 + 1/(2x))(m4 + 1/(2y))
+    - m6^2 are positive on the whole quadrant exactly when both blocks
     [[m1, m5], [m5, m3]] and [[m2, m6], [m6, m4]] are positive semidefinite
-    with m1..m4 > 0; anything else is refused.  At fixed x, G_i = alpha_i +
-    beta_i y, so the y-minimum is y* = sqrt(alpha1 alpha2 / (beta1 beta2)).
-    The objective is convex in (log x, log y), so its profile in u = log x
-    is convex and, by the envelope theorem, its slope x (dG1/dx / G1 +
-    dG2/dx / G2) - 1 at y* rises from -1 to 1: doubling [-1, 1] brackets
-    the root, which is then bisected.  Where alpha1 alpha2 / (beta1 beta2)
-    leaves double precision, y* is taken as sqrt(alpha1 / beta1) sqrt(alpha2
-    / beta2) and a far-right point is evaluated with alpha_i, beta_i divided
-    by x; where the minimum does, its binary exponent is carried apart.  A
-    detector whose parameters or block products overflow, or whose search
-    leaves double precision anyway, is refused too, instead of returning
-    nan.
+    with m1..m4 > 0; anything else is refused.  The detector with m1 / k,
+    m2 k, m5 / sqrt(k), m6 sqrt(k) has at x / k the g1 g2 of the given one
+    at x (a local squeeze), so the search runs on the balanced detector
+    m1 = m2 = alpha = sqrt(m1 m2), m3 = m4 = beta = sqrt(m3 m4), with the
+    given block gaps d5, d6 (`_block_gap`).  With a = x/2 + alpha d5,
+    b = 1/(2x) + alpha d6, p = alpha + x/2 and q = alpha + 1/(2x), g1 =
+    beta a + y p / 2 and g2 = beta b + q / (2y), whose minimum over y, at
+    y* = sqrt(a q / (b p)), is H(x)^2 with
 
-    Returns (v, e, (x, y)) with min g1 g2 = v 2^e; e = 0 unless the minimum
-    itself is not representable.  The parameters are taken as Python floats,
-    so that an overflow is inf, not a numpy warning.
+        H(x) = beta sqrt(a b) + sqrt(p q) / 2.
+
+    H is convex in log x; its slope there has the sign of beta (d6 x - d5/x)
+    / sqrt(a b) + (x - 1/x) / (2 sqrt(p q)), whose root is bracketed by
+    doubling [-1, 1] and bisected.  Every term is of the order of 1, alpha
+    or beta, so nothing leaves double precision before H does.  (x, y) map
+    back as (x sqrt(m1 / m2), y sqrt(m3 / m4)).  Python floats make an
+    overflow inf, not a numpy warning.
     """
-    params = tuple(map(float, d.params))
-    m1, m2, m3, m4, m5, m6 = params
-    d1, d2 = m1 * m3 - m5 * m5, m2 * m4 - m6 * m6   # inf, where ** 2 raises
-    # d1, d2 are finite exactly when the parameters and the block products
-    # m1 m3, m5^2, m2 m4, m6^2 are
-    if not all(map(math.isfinite, (*params, d1, d2))):
-        raise NonPositiveDeterminantError(
-            "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: a detector "
-            "parameter or block product is not finite in double precision")
-    if not (min(m1, m2, m3, m4) > 0
-            and d1 >= -_BLOCK_RTOL * m1 * m3 and d2 >= -_BLOCK_RTOL * m2 * m4):
+    m1, m2, m3, m4, m5, m6 = map(float, d.params)
+    d5, d6 = _block_gap(m1, m3, m5), _block_gap(m2, m4, m6)
+    if not min(d5, d6) >= -_BLOCK_RTOL:
         raise NonPositiveDeterminantError(
             "det(gamma_M + gamma_A (+) gamma_B) is non-positive for some "
-            "product state: a detector quadrature block is not positive "
-            "semidefinite")
+            "product state: a detector quadrature block is not finite and "
+            "positive semidefinite")
+    d5, d6 = max(d5, 0.0), max(d6, 0.0)   # within tolerance: on the cone
+    s1, s2, s3, s4 = map(math.sqrt, (m1, m2, m3, m4))
+    alpha, beta = s1 * s2, s3 * s4
 
-    def at(u):
-        """The profile's slope in u, x = e^u, y*, G1 / s, G2 / s and s."""
+    def terms(u):
+        """x = e^u and the square roots of a, b, p, q."""
         x = math.exp(u)
-        # a first pass at s = 1; where it leaves double precision, a second at
-        # s = x keeps alpha_i / s and beta_i / s finite far right
-        for s in (1.0, max(x, 1.0)):
-            a1, b1 = d1 / s + m3 * (x / s) / 2, m1 / 2 / s + x / s / 4
-            a2, b2 = 0.25 / s + m2 * (x / s) / 2, m4 / 2 / s + d2 * (x / s)
-            # d1, d2 < 0 within tolerance: a1 <= 0 far left, b2 <= 0 far right
-            if a1 <= 0 or b2 <= 0:
-                return (1.0 if b2 <= 0 else -1.0), x, math.nan, math.nan, math.nan, s
-            den = b1 * b2
-            ratio = a1 * a2 / den if den > 0 else math.inf
-            y = (math.sqrt(ratio) if 0 < ratio < math.inf
-                 else math.sqrt(a1 / b1) * math.sqrt(a2 / b2))
-            g1, g2 = a1 + b1 * y, a2 + b2 * y
-            slope = x / s * ((m3 / 2 + y / 4) / g1 + (m2 / 2 + d2 * y) / g2) - 1
-            if all(map(math.isfinite, (g1, g2, slope))):
-                break
-        return slope, x, y, g1, g2, s
+        return x, *map(math.sqrt, (x / 2 + alpha * d5, 0.5 / x + alpha * d6,
+                                   alpha + x / 2, alpha + 0.5 / x))
 
-    try:
-        lo, hi = -1.0, 1.0
-        while at(lo)[0] > 0:
-            lo *= 2
-        while at(hi)[0] < 0:
-            hi *= 2
-        for _ in range(64):   # pins x = e^u to machine precision
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if at(mid)[0] > 0 else (mid, hi)
-        _, x, y, g1, g2, s = at((lo + hi) / 2)
-        val, exp2 = (g1 * g2 / (x * y) * s * s if x * y > 0 else math.inf), 0
-        if not 0 < val < math.inf:   # carry the value's binary exponent apart
-            (f1, e1), (f2, e2), (fs, es), (fx, ex), (fy, ey) = map(
-                math.frexp, (g1, g2, s, x, y))
-            val, exp2 = f1 * f2 * fs * fs / (fx * fy), e1 + e2 + 2 * es - ex - ey
-    except (OverflowError, ZeroDivisionError):   # x, y* or a product left the range
-        val = math.nan
-    if not 0 < val < math.inf:
-        raise NonPositiveDeterminantError(
-            "det(gamma_M + gamma_A (+) gamma_B) cannot be evaluated: the search "
-            "over product states leaves double precision")
-    return val, exp2, (x, y)
+    def slope(u):
+        x, ra, rb, rp, rq = terms(u)
+        return beta * ((d6 * x - d5 / x) / (ra * rb)) + (x - 1 / x) / (2 * rp * rq)
+
+    lo, hi = -1.0, 1.0
+    while lo > -_LOG_X_MAX and slope(lo) > 0:
+        lo = max(2 * lo, -_LOG_X_MAX)
+    while hi < _LOG_X_MAX and slope(hi) < 0:
+        hi = min(2 * hi, _LOG_X_MAX)
+    for _ in range(64):   # pins x = e^u to machine precision
+        mid = (lo + hi) / 2
+        lo, hi = (lo, mid) if slope(mid) > 0 else (mid, hi)
+    x, ra, rb, rp, rq = terms((lo + hi) / 2)
+    return (beta * (ra * rb) + rp * rq / 2,
+            (x * (s1 / s2), ra / rb * (rq / rp) * (s3 / s4)))
 
 
 def lambda_closed_form(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
-    """Maximal detector mean over product pure states and the minimizing (x, y)."""
-    val, exp2, xy = _min_det_factors(d)
-    if d.family is Family.TWO_MODE:
-        # (v 2^e)^(-1/2) with an even exponent split off
-        lam = math.ldexp(1.0 / math.sqrt(val * 2 ** (exp2 % 2)), -(exp2 // 2))
-    else:
-        # four-mode determinant is the square of the factor product
-        lam = math.ldexp(1.0 / val, -exp2)
-    if not lam > 0:
+    """Maximal detector mean over product pure states and the maximizing
+    (x, y): 1 / H for two modes and 1 / H^2 for Werner-Wolf, whose
+    determinant is the square of the two-mode factor product, with H from
+    `_min_det_factors`.  A Lambda below the least normal double is refused."""
+    h, xy = _min_det_factors(d)
+    lam = 1 / h if d.family is Family.TWO_MODE else 1 / (h * h)
+    if not lam >= sys.float_info.min:
         raise NonPositiveDeterminantError(
             "the product-state maximum of the detector underflows double precision")
     return lam, xy
@@ -212,10 +207,10 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
     def clip(z):
         return min(max(z, eps), 1 / eps)
 
-    edges = [(a1 * (a2 - c2 ** 2 / b2), (eps, clip(c2 / b2))),
-             (b1 * (b2 - c2 ** 2 / a2), (1 / eps, 1 / clip(c2 / a2))),
-             (a2 * (a1 - c1 ** 2 / b1), (clip(c1 / b1), eps)),
-             (b2 * (b1 - c1 ** 2 / a1), (1 / clip(c1 / a1), 1 / eps))]
+    edges = [(a1 * (a2 - c2 * c2 / b2), (eps, clip(c2 / b2))),
+             (b1 * (b2 - c2 * c2 / a2), (1 / eps, 1 / clip(c2 / a2))),
+             (a2 * (a1 - c1 * c1 / b1), (clip(c1 / b1), eps)),
+             (b2 * (b1 - c1 * c1 / a1), (1 / clip(c1 / a1), 1 / eps))]
     edge, w_edge = min(edges, key=lambda e: e[0])
     edge *= 4
     if c1 == 0 and c2 == 0:

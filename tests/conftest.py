@@ -1,6 +1,6 @@
 """Shared samplers and helpers for the test suite."""
 
-from math import factorial, ldexp
+from math import factorial
 
 import numpy as np
 import pytest
@@ -95,7 +95,7 @@ def ell_ratio(gamma: CovMatrix, d: QuadratureForm) -> float:
     num = np.linalg.det(gamma.mat + gm.mat)
     if num <= 0:
         raise NonPositiveDeterminantError("det(gamma + gamma_M) is non-positive")
-    val = ldexp(*_min_det_factors(d)[:2])
+    val = _min_det_factors(d)[0] ** 2
     den = val ** 2 if d.family is Family.WERNER_WOLF else val
     return float(np.sqrt(num / den))
 

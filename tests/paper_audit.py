@@ -5,13 +5,16 @@ measurement-induced Bosonic Gaussian channel and checks the non-Gaussian
 detector mean in the large-detector limit.  The program ships the results of
 these steps as closed forms (`lambda_closed_form`, `minmax_optimize`,
 `mean_on_detector`); the steps themselves live here, where acceptance
-criteria 6 and 7 and the channel tests check them.
+criteria 6 and 7 and the channel tests check them.  So does the paper's
+quoted closed form of the Werner-Wolf family criterion, which no decision
+reads.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
+from cvwitness.criteria import WWFamilyParams
 from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import NonGaussState, mean_on_detector
 from cvwitness.standard_form import DetectorSpec, Family, QuadratureForm
@@ -36,6 +39,16 @@ def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:
 
 def _displacement_element(m: int, k: int, mu: complex) -> complex:
     return displacement_matrix(mu, max(m, k) + 1)[m, k]
+
+
+def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
+    """Closed-form family value quoted for the criterion LHS (audited, not
+    normative).
+
+    On the family it is exactly half of `werner_wolf_lhs`: over 1000 family
+    points the ratio is 0.5 to within 1e-12.  Same sign, so the quoted value
+    agrees with the verdict, but not the same number."""
+    return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))
 
 
 class Channel(NamedTuple):

@@ -11,8 +11,7 @@ from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
                                 feasibility_search, ppt_decide,
                                 separability_lhs, simon_lhs,
-                                werner_wolf_family,
-                                werner_wolf_family_lhs_claim, werner_wolf_lhs)
+                                werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError,
                                   DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
@@ -25,6 +24,7 @@ from cvwitness.witness import minmax_optimize
 
 from conftest import (grid_certificate, sample_standard_form,
                       sample_ww_family_params, simon_invariant_lhs, tmsv_form)
+from paper_audit import werner_wolf_family_lhs_claim
 
 PROPERTY = settings(max_examples=60)
 

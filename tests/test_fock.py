@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 from math import factorial, prod
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cvwitness import fock
 from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
-                                  OptimizerStalledError)
+                                  OptimizerStalledError, ScaleOverflowError)
 from cvwitness.fock import gaussian_op_fock, seesaw_lambda
 from cvwitness.standard_form import Family
 from cvwitness.symplectic import CovMatrix, symplectic_form
@@ -347,6 +348,20 @@ def test_gaussian_op_refuses_register_past_memory():
     a typed refusal, before anything is allocated."""
     with pytest.raises(DimensionMismatchError, match="does not fit in memory"):
         gaussian_op_fock(CovMatrix(0.7 * np.eye(4)), 10 ** 5)
+
+
+@pytest.mark.parametrize("params", [(1e200, 1, 1e200, 1, 0, 0),
+                                    (1e154, 1e154, 1e154, 1e154, 0, 0)],
+                         ids=["q-singular", "det-overflows"])
+def test_gaussian_op_refuses_scale_past_double_precision(params):
+    """A detector whose x and p variances are 1e200 apart (Q singular in
+    double precision; its two-mode Lambda is 1e-200) or whose det(Q) passes
+    the double range is a typed refusal, with no numpy error or warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in Family:
+            with pytest.raises(ScaleOverflowError, match="Bargmann matrix"):
+                gaussian_op_fock(DetectorSpec(family, *params).to_cm(), 8)
 
 
 def test_squeezing_truncation_raises():

@@ -41,10 +41,10 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
 
 def test_every_exported_name_resolves():
     """Each exported name is the object its submodule defines, `dir` lists
-    it, `import *` binds all 38, and an unknown name is an AttributeError."""
+    it, `import *` binds all 37, and an unknown name is an AttributeError."""
     missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
     assert not missing
-    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 38
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 37
     for name in cvwitness.__all__[1:]:
         module = importlib.import_module(f"cvwitness.{cvwitness._SOURCE[name]}")
         assert getattr(cvwitness, name) is getattr(module, name), name
@@ -313,15 +313,16 @@ def test_cli_oracle_rejects_negative_restarts(tmp_path, capsys):
 
 
 def test_cli_oracle_rejects_overflowing_detector(tmp_path, capsys):
-    """m1 m3 overflows: refused by `lambda_closed_form`, before the Fock
-    build could fail with a bare numpy error."""
+    """m1 m3 overflows, but Lambda = 1e-200 is answered; the Fock build,
+    whose Q is singular in double precision, refuses the detector with a
+    typed error, not a bare numpy one."""
     path = write_json(tmp_path / "det.json",
                       {"family": "two_mode", "m": [1e200, 1, 1e200, 1, 0, 0]})
     code = main(["oracle", path, "--cutoff", "8"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "not finite in double precision" in err
+    assert "Bargmann matrix" in err   # refused by gaussian_op_fock
 
 
 def test_cli_oracle_rejects_non_psd_detector(tmp_path, capsys):

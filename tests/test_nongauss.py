@@ -1,3 +1,4 @@
+import warnings
 from math import factorial, prod
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
 from cvwitness.exceptions import (DegeneratePreparationError,
                                   DimensionMismatchError, OrderTooHighError,
-                                  SingularSumError)
+                                  ScaleOverflowError, SingularSumError)
 from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import (NonGaussState, _KanBox, build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
@@ -87,6 +88,32 @@ def test_non_integral_ladder_count_refused(add):
 def test_ladder_pattern_refused(add, subtract, match):
     with pytest.raises(DimensionMismatchError, match=match):
         NonGaussState(THERMAL_1, add=add, subtract=subtract)
+
+
+def test_large_kernel_refused_with_warnings_as_errors():
+    """One photon added to each mode of a kernel of scale 1e160: the order-4
+    derivative, about 1e320, overflows and is refused before numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScaleOverflowError, match="overflows double precision"):
+            NonGaussState(CovMatrix(1e160 * np.eye(4)), (1, 1), (0, 0))
+
+
+def test_large_kernel_refused_not_nan():
+    """At scale 1e200 the derivative was nan, which the degeneracy test let
+    through as the norm; it is refused, and numpy warns nothing."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ScaleOverflowError, match="overflows double precision"):
+            NonGaussState(CovMatrix(1e200 * np.eye(4)), (1, 1), (0, 0))
+    assert not seen
+
+
+def test_large_kernel_norm_representable():
+    """At scale 1e150 the derivative, about 1e300, is representable: the
+    norm is 1e-300."""
+    s = NonGaussState(CovMatrix(1e150 * np.eye(4)), (1, 1), (0, 0))
+    assert abs(s.norm / 1e-300 - 1) <= 1e-12
 
 
 def test_mean_on_singular_sum_refused():

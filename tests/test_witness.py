@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath
@@ -335,11 +336,10 @@ def detectors(draw):
 @PROPERTY
 @given(detectors())
 def test_min_det_factors_matches_reference(d):
-    val, exp2, (x, y) = _min_det_factors(d)
-    assert exp2 == 0   # the value is representable, so it is carried whole
+    h, (x, y) = _min_det_factors(d)
     ref = _min_det_reference(d)
-    assert abs(val - ref) <= 1e-10 * ref
-    assert abs(_g1g2(d, x, y) / val - 1) <= 1e-12   # the value is at (x, y)
+    assert abs(h * h - ref) <= 1e-10 * ref
+    assert abs(_g1g2(d, x, y) / (h * h) - 1) <= 1e-12   # the value is at (x, y)
 
 
 def test_min_det_factors_scaled_cone_detectors(rng):
@@ -351,9 +351,9 @@ def test_min_det_factors_scaled_cone_detectors(rng):
             w1, w2 = np.exp(rng.uniform(-2, 2, 2))
             s5, s6 = rng.choice([-1.0, 1.0], 2)
             d = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2, s5, s6).scaled(1e4)
-            val, _, _ = _min_det_factors(d)
+            h, _ = _min_det_factors(d)
             ref = _min_det_reference(d)
-            assert abs(val - ref) <= 1e-10 * ref
+            assert abs(h * h - ref) <= 1e-10 * ref
 
 
 @pytest.mark.parametrize("params", [
@@ -365,30 +365,31 @@ def test_min_det_factors_scaled_cone_detectors(rng):
     (1, math.inf, 1, 1, 0, 0),
     (1, 1, 1, 1, -math.inf, 0),
     (1, 1, 1, 1, 1e200, 0),   # m5^2 overflows
-    (1e200, 1, 1e200, 1, 0, 0),   # m1 m3 overflows
     (1, 1, 1, 1, 0, 1e200),   # m6^2 overflows
-    (1, 1e200, 1, 1e200, 0, 0),   # m2 m4 overflows
-    # valid blocks, but x* = 1e300 and y* = 1e-300: the search leaves
-    # double precision
-    (1e300, 1e-300, 1e-300, 1e300, 0, 0),
+    # m1 m3 and m5^2 underflow to 0, m2 m4 and m6^2 too, or m5^2 overflows,
+    # but every block is past the cone by 1e-6 or more
+    (1e-200, 1, 1e-200, 1, 1.1e-200, 0),
+    (1, 1e-300, 1, 1e-300, 0, -1.000001e-300),
+    (1e300, 1, 1e300, 1, 1.000001e300, 0),
 ])
 def test_lambda_refuses_non_psd_block(params):
     """A detector block [[m1, m5], [m5, m3]] or [[m2, m6], [m6, m4]] that is
-    not positive semidefinite, or a non-finite parameter or block product,
-    is refused."""
+    not positive semidefinite, or a non-finite parameter, is refused, also
+    where the block products leave double precision."""
     for family in Family:
         with pytest.raises(NonPositiveDeterminantError):
             lambda_closed_form(DetectorSpec(family, *params))
 
 
 def test_lambda_refuses_underflow():
-    """At m1..m4 = 1e154 the two-mode Lambda is about 1e-308; the four-mode
-    one is its square, which underflows to 0 and is refused."""
-    m = (1e154, 1e154, 1e154, 1e154, 0, 0)
-    lam, _ = lambda_closed_form(DetectorSpec(Family.TWO_MODE, *m))
-    assert abs(lam / 1e-308 - 1) <= 1e-12
-    with pytest.raises(NonPositiveDeterminantError, match="underflows"):
-        lambda_closed_form(DetectorSpec(Family.WERNER_WOLF, *m))
+    """A Lambda below the least normal double is refused: at m1..m4 = 1e154
+    the two-mode Lambda is about 1e-308 and the four-mode one its square.
+    At 6e153 the two-mode one, 2.8e-308, is returned."""
+    for family in Family:
+        with pytest.raises(NonPositiveDeterminantError, match="underflows"):
+            lambda_closed_form(DetectorSpec(family, *(1e154,) * 4, 0, 0))
+    lam, _ = lambda_closed_form(DetectorSpec(Family.TWO_MODE, *(6e153,) * 4, 0, 0))
+    assert abs(lam / _lambda_product_detector(*(6e153,) * 4) - 1) <= 1e-12
 
 
 def _lambda_product_detector(m1, m2, m3, m4):
@@ -398,17 +399,33 @@ def _lambda_product_detector(m1, m2, m3, m4):
 
 
 def test_lambda_representable_at_extreme_scales():
-    """Lambda is returned wherever it is representable, though alpha1 alpha2,
-    x y* or min g1 g2 leave double precision inside the search, and whether
-    the parameters are Python floats or numpy scalars, with no warning."""
+    """Lambda is returned wherever it is representable, though the block
+    products, x y* or min g1 g2 leave double precision, and whether the
+    parameters are Python floats or numpy scalars, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # min g1 g2 ~ 1e300 and 2.5e299: their Lambda ~ 1e-150 and 2e-150
-        for m in [(1e150, 1, 1e150, 1), (1e300, 1, 1e-300, 1)]:
+        # min g1 g2 ~ 1e300 and 2.5e299: their Lambda ~ 1e-150 and 2e-150;
+        # x* = 1e300, y* = 1e-300 for Lambda = 4/9; Lambda ~ 4 on the last
+        for m in [(1e150, 1, 1e150, 1), (1e300, 1, 1e-300, 1),
+                  (1e300, 1e-300, 1e-300, 1e300), (1e-299, 1e284, 1e-121, 1e-112)]:
             ref = _lambda_product_detector(*m)
             for family, power in ((Family.TWO_MODE, 1), (Family.WERNER_WOLF, 2)):
                 lam, _ = lambda_closed_form(DetectorSpec(family, *m, 0, 0))
                 assert abs(lam / ref ** power - 1) <= 1e-12
+        assert abs(lambda_closed_form(DetectorSpec(
+            Family.TWO_MODE, 1e300, 1e-300, 1e-300, 1e300, 0, 0))[0] - 4 / 9) <= 1e-15
+        # m1 m3 (m2 m4) overflows: Lambda = 1e-200 for two modes; its
+        # four-mode square underflows and is refused
+        for m in [(1e200, 1, 1e200, 1), (1, 1e200, 1, 1e200)]:
+            lam, _ = lambda_closed_form(DetectorSpec(Family.TWO_MODE, *m, 0, 0))
+            assert abs(lam / 1e-200 - 1) <= 1e-12
+            with pytest.raises(NonPositiveDeterminantError, match="underflows"):
+                lambda_closed_form(DetectorSpec(Family.WERNER_WOLF, *m, 0, 0))
+        # one block on the cone at 2e307: x* or y* is 4e307 or 2.5e-308, at
+        # the end of the search range, and the two-mode Lambda is 3.5e-308
+        for m56 in [(0.0, 2e307), (2e307, 0.0)]:
+            params = ((2e307,) * 4) + m56
+            _check_lambda(params, _h_reference(params))
         rng = np.random.default_rng(2024)
         for m in 10.0 ** rng.uniform(-150, 150, size=(2000, 4)):
             ref = _lambda_product_detector(*map(float, m))
@@ -417,11 +434,79 @@ def test_lambda_representable_at_extreme_scales():
                 assert abs(lam / ref - 1) <= 1e-12
 
 
+def _h_reference(params) -> mpmath.mpf:
+    """sqrt(min g1 g2) of the given doubles at 50 digits, on the detector as
+    given: at fixed x, g1 g2 = (A1 + B1 y)(A2 + B2 / y) with A1 = m1 m3
+    - m5^2 + m3 x/2, B1 = (m1 + x/2)/2, A2 = m2 m4 - m6^2 + m4/(2x) and B2 =
+    (m2 + 1/(2x))/2, whose y-minimum is (sqrt(A1 A2) + sqrt(B1 B2))^2; that
+    is minimized over log x in [-1600, 1600] by golden section.  A block past
+    the cone by rounding is taken as on it, as `lambda_closed_form` does."""
+    with mpmath.workdps(50):
+        m1, m2, m3, m4, m5, m6 = map(mpmath.mpf, params)
+        k5, k6 = max(m1 * m3 - m5 ** 2, 0), max(m2 * m4 - m6 ** 2, 0)
+
+        def h(u):
+            x = mpmath.exp(u)
+            return (mpmath.sqrt((k5 + m3 * x / 2) * (k6 + m4 / (2 * x)))
+                    + mpmath.sqrt((m1 + x / 2) * (m2 + 1 / (2 * x))) / 2)
+
+        g = (mpmath.sqrt(5) - 1) / 2
+        lo, hi = mpmath.mpf(-1600), mpmath.mpf(1600)
+        u, v = hi - g * (hi - lo), lo + g * (hi - lo)
+        hu, hv = h(u), h(v)
+        for _ in range(80):   # the bracket shrinks to 6e-14
+            if hu < hv:
+                hi, v, hv = v, u, hu
+                u = hi - g * (hi - lo)
+                hu = h(u)
+            else:
+                lo, u, hu = u, v, hv
+                v = lo + g * (hi - lo)
+                hv = h(v)
+        return min(hu, hv)
+
+
+def _check_lambda(params, h_ref):
+    """Both families' Lambda against 1/h_ref and 1/h_ref^2 to 1e-10 where
+    that is a normal double, and refused elsewhere."""
+    for family, power in ((Family.TWO_MODE, 1), (Family.WERNER_WOLF, 2)):
+        ref = 1 / h_ref ** power
+        if ref >= sys.float_info.min:
+            lam, _ = lambda_closed_form(DetectorSpec(family, *params))
+            assert abs(lam / ref - 1) <= 1e-10, (family, params)
+        else:
+            with pytest.raises(NonPositiveDeterminantError):
+                lambda_closed_form(DetectorSpec(family, *params))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.floats(-300, 300), min_size=4, max_size=4),
+       st.floats(0, 1), st.floats(0, 1), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_lambda_matches_references_at_any_scale(logs, r5, r6, neg5, neg6, seed):
+    """Lambda of detectors with m1..m4 in 1e-300..1e300 matches a reference
+    to 1e-10 wherever that is a normal double and is refused elsewhere: one
+    detector with block correlations r5, r6 in [0, 1] per example against a
+    50-digit evaluation of g1 g2 as given (`_h_reference`), and 50 product
+    detectors with log-uniform m1..m4 against the product closed form."""
+    m1, m2, m3, m4 = (10.0 ** v for v in logs)
+    m5 = (-1) ** neg5 * r5 * math.sqrt(m1) * math.sqrt(m3)
+    m6 = (-1) ** neg6 * r6 * math.sqrt(m2) * math.sqrt(m4)
+    params = (m1, m2, m3, m4, m5, m6)
+    _check_lambda(params, _h_reference(params))
+    rng = np.random.default_rng(seed)
+    with mpmath.workdps(30):
+        for m in 10.0 ** rng.uniform(-300, 300, size=(50, 4)):
+            p1, p2, p3, p4 = map(mpmath.mpf, m)
+            _check_lambda((*map(float, m), 0.0, 0.0),
+                          (mpmath.sqrt(p1 * p2) + 0.5) * (mpmath.sqrt(p3 * p4) + 0.5))
+
+
 @pytest.mark.parametrize("w1, w2, block", [(1.0, 1e15, 5), (1e15, 1.0, 6)])
 def test_lambda_inside_block_tolerance(w1, w2, block):
     """m5^2 = m1 m3 (m6^2 = m2 m4) exceeded by 1e-13 relative is taken as the
-    cone.  The minimum lies at |log x| = 17.3, so the bracket reaches
-    |log x| = 32, where rounding leaves alpha1 (beta2) non-positive."""
+    cone: its block gap, about -1e-13, counts as 0.  The minimum lies at
+    |log x| = 17.3."""
     for family, power in ((Family.TWO_MODE, 0.5), (Family.WERNER_WOLF, 1.0)):
         m = [w1, w2, 1 / w1, 1 / w2, 1.0, 1.0]
         m[block - 1] = math.sqrt(1 + 1e-13)

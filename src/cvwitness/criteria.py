@@ -7,14 +7,14 @@ quadrature triples of the standard form both are one polynomial,
 certified separable by an explicit product squeezed state (x, y) that its CM
 dominates (Werner & Wolf, PRL 86, 3658 (2001)).  The certificate is closed
 form: the vacuum point (1, 1) when it works, otherwise the maximum of a
-log-concave function of x at the root of one quadratic; `certificate_min_eig`
-checks it by subtracting the product state's diagonal CM from the form's.
+log-concave function of x at the root of one quadratic.  Domination is two
+2x2 inequalities, one per quadrature triple, so `certificate_min_eig` checks
+the certificate on those two blocks in closed form, with no eigensolver.
 
 The PPT annotation flips party B's momenta: the partial transpose is the
 CM's array times a sign matrix, cached per mode count and party A, and its
-bona-fide eigenvalue and symplectic spectrum are taken on that plain array.
-Both the certificate and the PPT test work on matrices built from an
-accepted `CovMatrix`, so neither wraps them in a `CovMatrix` again.
+bona-fide eigenvalue and symplectic spectrum are taken on that plain array:
+it is built from an accepted `CovMatrix`, so it is not wrapped in one again.
 """
 
 import math
@@ -185,14 +185,20 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
 
 def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     """Least eigenvalue of the form's CM minus the diagonal CM of the product
-    squeezed-vacuum state, mode state (x, y) on every mode of party A (B)."""
-    n_a = form.family.n_modes_a
-    product = [x / 2, 1 / (2 * x)] * n_a + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)
-    if not all(map(math.isfinite, product)):
-        raise DimensionMismatchError("matrix has non-finite entries")
-    diff = form.to_cm().mat.copy()
-    diff.flat[::len(diff) + 1] -= product
-    return float(np.linalg.eigvalsh(diff)[0])   # ascending
+    squeezed-vacuum state, mode state (x, y) on every mode of party A (B).
+
+    The difference is the x block [[a1 - x/2, c1], [c1, b1 - y/2]] and the
+    p block [[a2 - 1/(2x), c2], [c2, b2 - 1/(2y)]], each on every mode pair
+    across the cut up to the sign of c, which leaves the spectrum alone; the
+    least eigenvalue of [[p, c], [c, q]] is (p + q)/2 - hypot((p - q)/2, c).
+    A product state with a mode variance that is not a positive finite
+    double is refused."""
+    x, y = float(x), float(y)   # x, y > 0 first: 0.5 / 0.0 raises
+    if not (x > 0 and y > 0 and all(0 < s < math.inf for s in (x / 2, y / 2, 0.5 / x, 0.5 / y))):
+        raise DimensionMismatchError(f"mode variance at ({x}, {y}) is non-finite or non-positive")
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
+    return float(min((p + q) / 2 - math.hypot((p - q) / 2, c) for p, q, c in (
+        (a1 - x / 2, b1 - y / 2, c1), (a2 - 0.5 / x, b2 - 0.5 / y, c2))))
 
 
 def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
@@ -205,7 +211,9 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     y between g2(x) = 1/(2 f2(x)) and g1(x) = 2 f1(x), so a certificate
     exists iff phi = g1/g2 = 4 f1 f2 reaches 1; `_peak` gives the maximum of
     phi in closed form and y* = sqrt(g1 g2) is the geometric mean of the two
-    bounds.  `certificate_min_eig` is the final check.
+    bounds.  `certificate_min_eig`, the least eigenvalue of the two 2x2
+    quadrature blocks of the difference in closed form (no eigensolver), is
+    the final check.
     """
     if certificate_min_eig(form, 1.0, 1.0) >= -TOL_CERT:
         return 1.0, 1.0

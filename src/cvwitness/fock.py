@@ -46,24 +46,24 @@ def _bargmann(gamma: CovMatrix) -> tuple[float, np.ndarray]:
     double, as for a CM whose x and p variances differ by a factor past 1e16.
     """
     n = gamma.n_modes
-    if not np.linalg.eigvalsh(gamma.mat)[0] > 0:
-        raise DimensionMismatchError(
-            "CM is not positive definite; no Gaussian operator")
+    # not eigvalsh: its least eigenvalue is only good to about 1e-16 ||gamma||
+    try:
+        np.linalg.cholesky(gamma.mat)
+    except np.linalg.LinAlgError:
+        raise DimensionMismatchError("CM is not positive definite; no Gaussian operator") from None
     w = np.vstack([np.kron(np.eye(n), [1, 1j]),
                    np.kron(np.eye(n), [1, -1j])]) / np.sqrt(2)
     q = w @ gamma.mat @ w.conj().T + np.eye(2 * n) / 2
-    x = np.roll(np.eye(2 * n), n, axis=0)
-    try:
-        a = x @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
-    except np.linalg.LinAlgError:
-        a = None
     with np.errstate(over="ignore", invalid="ignore"):
         det = float(np.linalg.det(q).real)
-    if a is None or not 0 < det < np.inf:
+    # det and inv factor Q by the same LU: a zero pivot makes det exactly 0,
+    # so past this check inv does not fail
+    if not 0 < det < np.inf:
         raise ScaleOverflowError(
             "the Gaussian operator's Bargmann matrix Q = sigma + I/2 is singular "
             "or its determinant is not finite in double precision")
-    return det ** -0.5, a
+    x = np.roll(np.eye(2 * n), n, axis=0)
+    return det ** -0.5, x @ (np.eye(2 * n) - np.linalg.inv(q)).conj()
 
 
 def _fill_even_class(g: np.ndarray, g0: float, a: np.ndarray) -> None:

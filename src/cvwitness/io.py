@@ -34,12 +34,15 @@ def _read(path: str, kind: str) -> tuple:
     DetectorSpec, a "state" file (CovMatrix, partition) and a "nongauss"
     file (CovMatrix, partition, add, subtract).
 
-    A missing field, a field of the wrong structure, text that is not JSON
-    and an integer too large for a double each end as one
-    DimensionMismatchError that names the file.  An OSError passes."""
+    A top-level value that is not an object, a missing field, a field of
+    the wrong structure, text that is not JSON and an integer too large for
+    a double each end as one DimensionMismatchError that names the file.
+    An OSError passes."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         if kind == "detector":
             family, m = Family(obj["family"]), [float(v) for v in obj["m"]]
             if len(m) != 6:

@@ -91,9 +91,11 @@ class QuadratureForm:
 
     def to_cm(self) -> CovMatrix:
         """The form's CM, built on the first call and kept on the instance:
-        the form is frozen and the CM read-only, so it cannot go stale.  It
-        is not a dataclass field, so `==`, `hash` and `repr` ignore it, and
-        `scaled` or `dataclasses.replace` give a form that builds its own."""
+        the form is frozen and the CM read-only, so it cannot go stale.
+        Repeated means on one detector reuse it, where a build costs up to a
+        tenth of a mean.  It is not a dataclass field, so `==`, `hash` and
+        `repr` ignore it, and `scaled` or `dataclasses.replace` give a form
+        that builds its own."""
         cm = self.__dict__.get("_cm")
         if cm is None:
             family = self.family

@@ -1,7 +1,9 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -290,8 +292,9 @@ def _rotation(t):
     return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
 
 
-# ------------------------------------------- the bits of the array-level PPT
-# and certificate, against the CovMatrix-wrapped computations they replaced
+# ----------------------- the bits of the array-level PPT against the
+# CovMatrix-wrapped computation it replaced, and the accuracy of the
+# closed-form certificate slack against mpmath and the dense route
 
 def _assert_ppt_bits(gamma):
     """`ppt_decide` equals `validate_cm` and `symplectic_eigenvalues` of a
@@ -304,20 +307,48 @@ def _assert_ppt_bits(gamma):
     assert rep.min_pt_symplectic_eig == float(symplectic_eigenvalues(pt)[0])
 
 
-def _assert_certificate_bits(form):
-    """`certificate_min_eig` equals the value through a `CovMatrix` of the
-    product state at the vacuum point, at the peak and at the certificate."""
+U = 2.0 ** -53
+
+
+def _mp_slack(form, x, y):
+    """The least eigenvalue of the form's CM minus the product state's CM
+    at 50 digits, from its x block [[a1 - x/2, c1], [c1, b1 - y/2]] and p
+    block [[a2 - 1/(2x), c2], [c2, b2 - 1/(2y)]], and the scale of the block
+    that attains it: the largest of |a|, |b|, |c| and its two shifts."""
+    with mpmath.workdps(50):
+        x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+        blocks = []
+        for triple, sa, sb in ((form.x, x / 2, y / 2), (form.p, 1 / (2 * x), 1 / (2 * y))):
+            a, b, c = (mpmath.mpf(float(v)) for v in triple)
+            p, q = a - sa, b - sb
+            lam = (p + q) / 2 - mpmath.sqrt(((p - q) / 2) ** 2 + c * c)
+            blocks.append((lam, float(max(abs(a), abs(b), abs(c), sa, sb))))
+        return min(blocks)
+
+
+def _dense_min_eig(form, x, y):
+    """The dense route: `eigvalsh` of the whole difference of the form's CM
+    and the product state's diagonal CM, and its largest entry."""
+    n_a = form.family.n_modes_a
+    product = [x / 2, 1 / (2 * x)] * n_a + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)
+    diff = form.to_cm().mat - np.diag(product)
+    return float(np.linalg.eigvalsh(diff)[0]), float(np.abs(diff).max())
+
+
+def _assert_certificate_accuracy(form):
+    """At the vacuum point, the peak and the certificate, `certificate_min_eig`
+    is within 8u s of the 50-digit slack (s the scale of `_mp_slack`), and
+    the dense route, a second oracle, within 16u of its largest entry."""
     points = [(1.0, 1.0)]
     x, f1, f2 = _peak(form.x, form.p)
     if f1 > 0 and f2 > 0:
         points.append((x, math.sqrt(f1 / f2)))
     points.append(feasibility_search(form) or (1.0, 1.0))
-    n_a = form.family.n_modes_a
     for x, y in points:
-        prod = CovMatrix(np.diag([x / 2, 1 / (2 * x)] * n_a
-                                 + [y / 2, 1 / (2 * y)] * (form.n_modes - n_a)))
-        want = float(np.linalg.eigvalsh(form.to_cm().mat - prod.mat)[0])
-        assert certificate_min_eig(form, x, y) == want
+        exact, scale = _mp_slack(form, x, y)
+        assert abs(certificate_min_eig(form, x, y) - exact) <= 8 * U * scale
+        dense, entry = _dense_min_eig(form, x, y)
+        assert abs(dense - exact) <= 16 * U * entry
 
 
 def test_array_level_bits_on_the_decision_golden():
@@ -331,7 +362,7 @@ def test_array_level_bits_on_the_decision_golden():
             form, _ = reduce_to_standard_form(gamma, detect_family(gamma))
         except PatternMismatchError:
             continue
-        _assert_certificate_bits(form)
+        _assert_certificate_accuracy(form)
         certified += feasibility_search(form) is not None
     assert certified > 10
 
@@ -354,12 +385,56 @@ def test_array_level_bits_on_dressed_states(form, rs, thetas):
     assume(form.to_cm().is_physical())
     _assert_ppt_bits(form.to_cm())
     _assert_ppt_bits(_dress(form, rs, thetas))
-    _assert_certificate_bits(form)
+    _assert_certificate_accuracy(form)
 
 
 def test_certificate_at_a_non_finite_point_is_refused():
-    with pytest.raises(DimensionMismatchError, match="non-finite"):
-        certificate_min_eig(TwoModeStandardForm(1.2, 1.3, 0.4, -0.3), 1.0, math.inf)
+    """A product state with a mode variance x/2, 1/(2x), y/2 or 1/(2y) that
+    is not a positive finite double is refused, with no warning."""
+    form = TwoModeStandardForm(1.2, 1.3, 0.4, -0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-320, np.float64(0.0)):
+            for x, y in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(DimensionMismatchError, match="non-finite"):
+                    certificate_min_eig(form, x, y)
+
+
+def _squeezed_ww_form(abcd, angle, signs, lhs, k):
+    """The WW-pattern form with variances (A, B, C, D) = `abcd` and
+    correlations (E, F) = t (e, f) along `angle`, t grown from 0 until the
+    criterion falls to `lhs`, with its x triple times k and p triple over k.
+
+    At (E, F) = t (e, f) the criterion is A' s^2 - B' s + lhs_0 in s = t^2
+    with A' = e^2 f^2, B' = A C f^2 + B D e^2 + |e f|/2 and lhs_0 =
+    (A B - 1/4)(C D - 1/4); its smallest root is taken."""
+    a, b, c, d = abcd
+    e, f = signs[0] * math.cos(angle), signs[1] * math.sin(angle)
+    qa, qb, qc = (e * f) ** 2, a * c * f * f + b * d * e * e + abs(e * f) / 2, \
+        (a * b - 0.25) * (c * d - 0.25) - lhs
+    t = math.sqrt(2 * qc / (qb + math.sqrt(qb * qb - 4 * qa * qc)))
+    return WernerWolfForm(k * a, b / k, k * c, d / k, k * t * e, t * f / k)
+
+
+@settings(max_examples=300)
+@given(st.tuples(*[st.floats(0.8, 1.5)] * 4), st.floats(0.0, math.pi / 2),
+       st.tuples(*[st.sampled_from((-1, 1))] * 2), st.floats(-8.0, -1.0),
+       st.floats(0.0, 8.0))
+def test_squeezed_separable_ww_forms_are_certified(abcd, angle, signs, log_lhs, log_k):
+    """A separable WW-pattern state at lhs 1e-8..1e-1, squeezed by up to
+    k = 1e8, is Separable with a certificate whose 50-digit slack is at
+    least -TOL_CERT, or refused by the absolute TOL_PSD at large k (ROADMAP
+    item 2); never Boundary."""
+    form = _squeezed_ww_form(abcd, angle, signs, 10 ** log_lhs, 10 ** log_k)
+    gamma = form.to_cm()
+    try:
+        report = decide_separability(gamma)
+    except PatternMismatchError as exc:
+        assert str(exc) == "covariance matrix is not physical"
+        return
+    assert report.verdict is Verdict.SEPARABLE, report
+    reduced, _ = reduce_to_standard_form(gamma, Family.WERNER_WOLF)
+    assert _mp_slack(reduced, *report.certificate)[0] >= -TOL_CERT
 
 
 def test_closed_forms_overflow_to_inf():

@@ -351,12 +351,16 @@ def test_gaussian_op_refuses_register_past_memory():
 
 
 @pytest.mark.parametrize("params", [(1e200, 1, 1e200, 1, 0, 0),
-                                    (1e154, 1e154, 1e154, 1e154, 0, 0)],
-                         ids=["q-singular", "det-overflows"])
+                                    (1e154, 1e154, 1e154, 1e154, 0, 0),
+                                    (1e300, 1e-300, 1e-300, 1e300, 0, 0)],
+                         ids=["q-singular", "det-overflows", "eigvalsh-reads-zero"])
 def test_gaussian_op_refuses_scale_past_double_precision(params):
     """A detector whose x and p variances are 1e200 apart (Q singular in
     double precision; its two-mode Lambda is 1e-200) or whose det(Q) passes
-    the double range is a typed refusal, with no numpy error or warning."""
+    the double range is a typed refusal, with no numpy error or warning.
+    The diagonal CM with variances 1e300 and 1e-300 is positive definite,
+    though `eigvalsh` reads its two small eigenvalues as 0: it is refused
+    for its scale, not as "not positive definite"."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for family in Family:

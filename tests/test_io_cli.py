@@ -105,6 +105,23 @@ def test_load_refuses_text_that_is_not_json(tmp_path, load):
         load(str(path))
 
 
+@pytest.mark.parametrize("obj, name", [([1, 2], "list"), (5, "int")])
+@pytest.mark.parametrize("load", [load_cm, load_nongauss, load_detector])
+def test_load_refuses_json_that_is_not_an_object(tmp_path, load, obj, name):
+    """The refusal says what the file should hold, not a Python message."""
+    path = write_json(tmp_path / "top.json", obj)
+    with pytest.raises(DimensionMismatchError, match=re.escape(
+            f"file {path}: expected a JSON object, got {name}")):
+        load(path)
+
+
+def test_load_refuses_missing_field(tmp_path):
+    path = write_json(tmp_path / "state.json", {"cm": np.eye(4).tolist()})
+    with pytest.raises(DimensionMismatchError,
+                       match=re.escape(f"missing field 'n_modes' in {path}")):
+        load_cm(path)
+
+
 def test_load_nongauss(tmp_path):
     mat = np.eye(4) / 2
     path = cm_file(tmp_path, mat, extra={"add": [1, 0], "subtract": [0, 0]})
@@ -137,6 +154,22 @@ def test_cli_vacuum_product_separable(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["report"]["verdict"] == "Separable"
+
+
+def test_cli_squeezed_ww_state_separable(tmp_path, capsys):
+    """A separable WW-pattern state (lhs 1e-5) squeezed by 1e7 on every
+    mode.  The least eigenvalue of the whole 8x8 difference, whose entries
+    reach 1e7, read -2.45e-10 at the certificate against +4.43e-13 at 50
+    digits, and made it Boundary (exit 3).  The p block that attains the
+    slack has entries of order 1e-7, and on it the closed form is right to
+    1e-23."""
+    form = WernerWolfForm(1e7, 9e-8, 1.2e7, 1.1e-7, 6007628.001945064,
+                          4.8061024015560515e-8)
+    code = main(["check", cm_file(tmp_path, form.to_cm().mat)])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0
+    assert report["verdict"] == "Separable"
+    assert report["certificate"] == [9906054.57374482, 9697519.034989862]
 
 
 def test_cli_ppt_criterion(tmp_path, capsys):
@@ -313,16 +346,18 @@ def test_cli_oracle_rejects_negative_restarts(tmp_path, capsys):
 
 
 def test_cli_oracle_rejects_overflowing_detector(tmp_path, capsys):
-    """m1 m3 overflows, but Lambda = 1e-200 is answered; the Fock build,
-    whose Q is singular in double precision, refuses the detector with a
-    typed error, not a bare numpy one."""
-    path = write_json(tmp_path / "det.json",
-                      {"family": "two_mode", "m": [1e200, 1, 1e200, 1, 0, 0]})
-    code = main(["oracle", path, "--cutoff", "8"])
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Bargmann matrix" in err   # refused by gaussian_op_fock
+    """Lambda is answered (1e-200 where m1 m3 overflows, 4/9 for the
+    positive definite CM whose small eigenvalues `eigvalsh` reads as 0);
+    the Fock build, whose Q is singular in double precision, refuses each
+    detector with a typed error, not a bare numpy one and not as a CM that
+    is not positive definite."""
+    for m in ([1e200, 1, 1e200, 1, 0, 0], [1e300, 1e-300, 1e-300, 1e300, 0, 0]):
+        path = write_json(tmp_path / "det.json", {"family": "two_mode", "m": m})
+        code = main(["oracle", path, "--cutoff", "8"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Bargmann matrix" in err   # refused by gaussian_op_fock
 
 
 def test_cli_oracle_rejects_non_psd_detector(tmp_path, capsys):

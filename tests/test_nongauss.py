@@ -125,6 +125,14 @@ def test_mean_on_singular_sum_refused():
         mean_on_detector(s, CovMatrix(-kernel.mat))
 
 
+def test_mean_on_detector_of_other_mode_count_refused():
+    """A four-mode Werner-Wolf detector on a two-mode state is refused."""
+    s = NonGaussState(tmsv_form(0.3).to_cm(), add=(1, 0), subtract=(0, 0))
+    detector = werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5))
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 4 vs 8"):
+        mean_on_detector(s, detector)
+
+
 def test_mean_single_photon_on_vacuum_projector():
     s = NonGaussState(VACUUM_1, add=(1,), subtract=(0,))
     assert abs(mean_on_detector(s, VACUUM_1)) < 1e-12

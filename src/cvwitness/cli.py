@@ -16,6 +16,7 @@ the witness or the non-Gaussian moments only for that criterion.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -61,7 +62,7 @@ def cmd_check(args) -> int:
         elif criterion == "witness":
             from .witness import minmax_optimize
             admitted_family(gamma, partition, args.tol_psd)
-            wit = minmax_optimize(gamma)
+            wit = minmax_optimize(gamma, args.tol_psd)
             verdict = (Verdict.BOUNDARY if wit.boundary else
                        Verdict.ENTANGLED if wit.entangled else Verdict.SEPARABLE)
             report = {**witness_report_dict(wit), "verdict": verdict.value,
@@ -108,10 +109,12 @@ def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
 
 def _sweep_row(form: QuadratureForm, lead: list, tol: float) -> list:
     """lead, lhs, is_ppt, ell of one family point; the witness runs before
-    the PPT test, so its refusal is the row's error."""
+    the PPT test, so its refusal is the row's error.  A family point is a
+    state by construction, so the witness skips the bona-fide check
+    (tolerance inf), which would refuse far TMSV rungs on rounding."""
     from .witness import minmax_optimize
     gamma = form.to_cm()
-    ell = minmax_optimize(gamma).ell_limit
+    ell = minmax_optimize(gamma, math.inf).ell_limit
     return [*lead, separability_lhs(form), ppt_decide(gamma, tol=tol).is_ppt, ell]
 
 

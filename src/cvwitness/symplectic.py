@@ -65,8 +65,9 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Real symmetric covariance matrix of an n-mode state or detector.
-    `reduce_to_standard_form` keeps its (form, S) in the `_reduced` slot,
-    which is not a dataclass field: `==`, `hash` and `repr` ignore it."""
+    `reduce_to_standard_form` keeps its (form, S) in the `_reduced` slot and
+    `validate_cm` its bona-fide least eigenvalue in the `_min_eig` slot;
+    neither is a dataclass field, so `==`, `hash` and `repr` ignore them."""
 
     mat: np.ndarray
     n_modes: int = field(init=False)
@@ -121,8 +122,14 @@ def _bona_fide_min_eig(mat: np.ndarray) -> float:
 
 
 def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
-    """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite."""
-    min_eig = _bona_fide_min_eig(gamma.mat)
+    """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite.  The
+    least eigenvalue is computed once per matrix instance and kept in its
+    `_min_eig` slot, so the entries that check one matrix in turn pay one
+    eigensolve."""
+    min_eig = gamma.__dict__.get("_min_eig")
+    if min_eig is None:
+        min_eig = _bona_fide_min_eig(gamma.mat)
+        object.__setattr__(gamma, "_min_eig", min_eig)
     return ValidityReport(min_eig=min_eig, is_physical=min_eig >= -tol)
 
 

@@ -29,10 +29,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .criteria import require_physical
 from .exceptions import NonPositiveDeterminantError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             detect_family, reduce_to_standard_form)
-from .symplectic import CovMatrix
+from .symplectic import TOL_PSD, CovMatrix
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
 TOL_ELL_BOUNDARY = 1e-9
@@ -248,8 +249,11 @@ class WitnessReport:
     diagnostics: dict
 
 
-def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
+def minmax_optimize(gamma: CovMatrix, tol: float = TOL_PSD) -> WitnessReport:
     """Minimize the detection ratio over detectors of the state's family.
+    A CM that fails `require_physical` at `tol` is refused
+    (`PatternMismatchError`): no witness is matched to a state that does not
+    exist.
 
     The outer minimum over detector directions on the degenerate cone is the
     closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
@@ -258,6 +262,7 @@ def minmax_optimize(gamma: CovMatrix) -> WitnessReport:
     along t is the scaling audit, and `diagnostics["ell_rel_err"]` bounds the
     relative rounding error of the reported ell to first order.
     """
+    require_physical(gamma, tol)
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
     power = family.power

@@ -1,6 +1,7 @@
 """Shared samplers and helpers for the test suite."""
 
-from math import factorial
+from functools import reduce
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from cvwitness.cli import _ww_sample as sample_ww_family_params
 from cvwitness.criteria import simon_lhs
 from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   NonPositiveDeterminantError,
-                                  OptimizerStalledError)
+                                  OptimizerStalledError, ScaleOverflowError)
 from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
-from cvwitness.nongauss import _ladder_shift
+from cvwitness.nongauss import NonGaussState
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
 from cvwitness.symplectic import (CovMatrix, _ccm_transform, cm_to_ccm,
@@ -132,6 +133,12 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
         for v0 in starts))
 
 
+def _ladder_shift(n: int) -> np.ndarray:
+    """(sigma_1 (x) I_n) / 2 in the (mu, mu*) ordering: the commutator shift
+    between the two ladder orderings, in the vacuum-variance-1/2 convention."""
+    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(n)) / 2
+
+
 def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
            mu: np.ndarray) -> complex:
     """Oracle for the non-Gaussian moments: the characteristic function of
@@ -148,6 +155,71 @@ def q_char(kernel: CovMatrix, xi: np.ndarray, eta: np.ndarray,
     w = np.concatenate([mu, mu.conj()])
     at_zero = np.exp(-0.5 * u @ gp @ u - u @ gm @ v - 0.5 * v @ gm @ v)
     return at_zero * np.exp(-0.5 * w @ g @ w - u @ gp @ w - v @ gm @ w)
+
+
+def kan_quadratic(box, q: np.ndarray) -> np.ndarray:
+    """h q h^T / 2 at every point of a `nongauss._KanBox`, as complex."""
+    return np.einsum("ip,ij,jp->p", box.points, q, box.points).astype(complex) / 2
+
+
+class CcmKanBox:
+    """Kan's box as one flat grid over the nonzero entries of the target
+    (`keep`), one column of h^T per box point: the reference for
+    `nongauss._KanBox`, which splits the box in two."""
+
+    def __init__(self, target: tuple[int, ...]):
+        n = np.asarray(target, dtype=int)
+        self.keep = n > 0
+        n = n[self.keep]
+        total = int(n.sum())
+        self.power = None if total % 2 else total // 2
+        self.points = n[:, None] / 2 - np.indices(n + 1).reshape(len(n), prod(n + 1))
+        self.weight = reduce(
+            np.multiply.outer,
+            [[(-1) ** j * comb(k, j) for j in range(k + 1)] for k in n],
+            np.ones(())).ravel()
+
+    def products(self, mat: np.ndarray) -> np.ndarray:
+        """mat[:, keep] h^T, one column per box point."""
+        mat = mat[:, self.keep]
+        return mat.real.copy() @ self.points + 1j * (mat.imag.copy() @ self.points)
+
+    def quadratic(self, q: np.ndarray) -> np.ndarray:
+        """h q h^T / 2 at every box point."""
+        return (self.products(q[self.keep]) * self.points).sum(0) / 2
+
+    def hafnian(self, quad: np.ndarray) -> complex:
+        if self.power is None:
+            return 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = self.weight @ quad ** self.power
+        if not np.isfinite(val):
+            raise ScaleOverflowError("the ladder derivative overflows double precision")
+        return val / factorial(self.power)
+
+
+def ccm_mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
+    """Reference for `mean_on_detector`: Tr(rho M) in the CCM frame, on the
+    flat box of `CcmKanBox`.  Over t = (xi, xi*, eta,
+    eta*), with the kernel CCM g, the ladder shift s, gp = g + s and
+    gmn = g - s, q = q_G + V W V^T with q_G = -[[gp, gmn], [gmn, gmn]],
+    V = [gp; gmn] and W = (g + g_M)^{-1}.  The kernel part and the detector
+    part are each of the kernel's scale and cancel, so this reference holds
+    only at moderate scale."""
+    n = s.kernel.n_modes
+    g = cm_to_ccm(s.kernel)
+    gp, gmn = g + _ladder_shift(n), g - _ladder_shift(n)
+    vt = np.concatenate([gp, gmn], axis=1)
+    box = CcmKanBox(s.add + s.add + s.subtract + s.subtract)
+    hv = box.products(vt)
+    kernel_quad = box.quadratic(-np.concatenate([vt, np.concatenate([gmn, gmn], axis=1)]))
+    sign = (-1) ** s.order
+    norm = 1 / np.real(sign * box.hafnian(kernel_quad))
+    gm_cm = d if isinstance(d, CovMatrix) else d.to_cm()
+    det = np.linalg.det(s.kernel.mat + gm_cm.mat)
+    total = g + cm_to_ccm(gm_cm)
+    quad = kernel_quad + ((np.linalg.inv(total) @ hv) * hv).sum(0) / 2
+    return norm * np.real(sign * box.hafnian(quad)) / np.sqrt(abs(det))
 
 
 def ccm_to_cm(gamma_c: np.ndarray) -> CovMatrix:

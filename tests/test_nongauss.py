@@ -7,17 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvwitness.criteria import Verdict, WWFamilyParams, werner_wolf_family
-from cvwitness.exceptions import (DegeneratePreparationError,
+from cvwitness.exceptions import (CvWitnessError, DegeneratePreparationError,
                                   DimensionMismatchError, OrderTooHighError,
-                                  ScaleOverflowError, SingularSumError)
+                                  PatternMismatchError, ScaleOverflowError,
+                                  SingularSumError)
 from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import (NonGaussState, _KanBox, build_fock_state,
                                 decide_separability_nongauss, fock_direct_trace,
                                 mean_on_detector)
-from cvwitness.standard_form import TwoModeStandardForm
+from cvwitness.standard_form import DetectorSpec, Family, TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
 
-from conftest import (destroy, dict_coeff_extract, mode_op, q_char,
+from conftest import (ccm_mean_on_detector, destroy, dict_coeff_extract,
+                      kan_quadratic, mode_op, q_char, random_physical_cm,
                       sample_two_mode_detector, sample_ww_detector, tmsv_form)
 from paper_audit import asymptotic_check, displacement_matrix
 
@@ -271,7 +273,7 @@ def test_kan_coefficient_matches_dictionary_oracle(case):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q = (a + a.T) / 2 + shift * np.eye(d)
     box = _KanBox(target)
-    got = box.hafnian(box.quadratic(q)) / prod(factorial(k) for k in target)
+    got = box.hafnian(kan_quadratic(box, q)) / prod(factorial(k) for k in target)
     if sum(target) % 2 == 1:
         assert got == 0
     elif not any(target):
@@ -324,3 +326,132 @@ def test_asymptotic_check_matches_fresh_states():
         det = np.linalg.det(kernel.mat + dt.to_cm().mat)
         ref = abs(mean_on_detector(fresh, dt) * np.sqrt(abs(det)) - 1.0)
         assert res == ref
+
+
+UNIT_DETECTOR = DetectorSpec(Family.TWO_MODE, 1, 1, 1, 1, 0, 0)
+
+
+@pytest.mark.parametrize("scale", [1e20, 1e40, 1e80, 1e100])
+def test_mean_follows_the_scale_law(scale):
+    """One photon added to a mode of the kernel s I_4, on the unit two-mode
+    detector: Tr(rho M) = (1 - 3/s + ...) / (2 s^3).  No term of order s is
+    formed and cancelled, so the mean keeps its digits up to s = 1e100; the
+    CCM-frame reference `ccm_mean_on_detector` reads 32768 times too large
+    at 1e20 and -0.0 from 1e40."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = NonGaussState(CovMatrix(scale * np.eye(4)), (1, 0), (0, 0))
+        mean = mean_on_detector(s, UNIT_DETECTOR)
+    assert abs(mean * 2 * scale ** 3 - 1) <= 1e-12
+
+
+def test_underflowing_mean_refused():
+    """At s = 1e110 the mean, about 5e-331, underflows: it is refused, as
+    `lambda_closed_form` refuses an underflowing Lambda, and numpy warns
+    nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = NonGaussState(CovMatrix(1e110 * np.eye(4)), (1, 0), (0, 0))
+        with pytest.raises(ScaleOverflowError, match="leaves double precision"):
+            mean_on_detector(s, UNIT_DETECTOR)
+
+
+def test_mean_on_non_physical_kernel_refused():
+    """diag(0.1) is no state (bona-fide eigenvalue -0.4); a photon added to
+    it has a norm, but its "mean" is refused rather than returned."""
+    s = NonGaussState(CovMatrix(np.diag([0.1] * 4)), (1, 0), (0, 0))
+    with pytest.raises(PatternMismatchError, match="not physical"):
+        mean_on_detector(s, UNIT_DETECTOR)
+
+
+def _rotation(t: float) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return np.array([[c, s], [-s, c]])
+
+
+def _dressed_kernel(rng: np.random.Generator, n_modes: int, scale: float) -> CovMatrix:
+    """A random physical CM under a rotation-squeeze-rotation on every mode,
+    which correlates x with p, times `scale` >= 1 (still a state)."""
+    local = np.zeros((2 * n_modes, 2 * n_modes))
+    for j in range(n_modes):
+        t1, t2 = rng.uniform(0, np.pi, 2)
+        r = rng.uniform(-0.8, 0.8)
+        local[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
+            _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
+    return CovMatrix(scale * local @ random_physical_cm(rng, n_modes).mat @ local.T)
+
+
+def _ladder(n_modes: int, slots: list[int]) -> tuple[tuple, tuple]:
+    """(add, subtract) with one ladder operator per drawn slot: slot j < n
+    adds to mode j, slot n + j subtracts from it."""
+    counts = np.bincount(slots, minlength=2 * n_modes)
+    return tuple(int(k) for k in counts[:n_modes]), tuple(int(k) for k in counts[n_modes:])
+
+
+@st.composite
+def reference_cases(draw):
+    """(modes, seed, kernel scale 1-10, ladder slots of order 1-6, detector
+    kind): the family detector of the mode count (two-mode or
+    Werner-Wolf), or a generic positive definite CM."""
+    n = draw(st.sampled_from([2, 4]))
+    return (n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(1.0, 10.0)),
+            draw(st.lists(st.integers(0, 2 * n - 1), min_size=1, max_size=6)),
+            draw(st.sampled_from(["family", "generic"])))
+
+
+@settings(max_examples=60)
+@given(reference_cases())
+@example((2, 0, 10.0, [0, 0, 1, 1, 2, 3], "family"))
+@example((4, 1, 1.0, [0, 3, 5, 6], "generic"))
+def test_mean_matches_the_ccm_frame_reference(case):
+    """The quadrature-frame mean equals the CCM-frame evaluation it replaced
+    (`ccm_mean_on_detector`) to 1e-10 relative on kernels with x-p
+    correlation, at kernel scales up to 10 where the reference still holds
+    its digits (worst seen 3.7e-12)."""
+    n, seed, scale, slots, kind = case
+    rng = np.random.default_rng(seed)
+    add, sub = _ladder(n, slots)
+    if kind == "family":
+        d = sample_two_mode_detector(rng) if n == 2 else sample_ww_detector(rng)
+    else:
+        a = rng.normal(size=(2 * n, 2 * n))
+        d = CovMatrix(a @ a.T / (2 * n) + 0.1 * np.eye(2 * n))
+    try:
+        s = NonGaussState(_dressed_kernel(rng, n, scale), add, sub)
+    except DegeneratePreparationError:
+        return
+    ref = ccm_mean_on_detector(s, d)
+    assert abs(mean_on_detector(s, d) - ref) <= 1e-10 * abs(ref)
+
+
+@st.composite
+def scaled_cases(draw):
+    """(modes, seed, log10 of the kernel scale in [-300, 300], ladder slots
+    of order 0-4)."""
+    n = draw(st.sampled_from([2, 4]))
+    return (n, draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(-300.0, 300.0)),
+            draw(st.lists(st.integers(0, 2 * n - 1), max_size=4)))
+
+
+@settings(max_examples=150)
+@given(scaled_cases())
+@example((2, 0, 300.0, []))
+@example((2, 0, -300.0, [0]))
+@example((4, 0, 150.0, [0, 4]))
+def test_scaled_kernel_gives_a_positive_mean_or_one_typed_refusal(case):
+    """A physical CM times 10^e, with a ladder pattern of order <= 4, on a
+    family detector: `NonGaussState` and `mean_on_detector` give a finite
+    positive mean or raise one `CvWitnessError` (a kernel below the vacuum
+    is no state; a derivative or a mean can leave double precision), and
+    numpy warns nothing."""
+    n, seed, log_scale, slots = case
+    rng = np.random.default_rng(seed)
+    kernel = CovMatrix(10.0 ** log_scale * random_physical_cm(rng, n).mat)
+    d = sample_two_mode_detector(rng) if n == 2 else sample_ww_detector(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mean = mean_on_detector(NonGaussState(kernel, *_ladder(n, slots)), d)
+        except CvWitnessError:
+            return
+    assert np.isfinite(mean) and mean > 0

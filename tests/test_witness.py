@@ -9,11 +9,12 @@ import scipy.optimize as opt
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvwitness import witness
-from cvwitness.criteria import (WWFamilyParams, ppt_decide, simon_lhs,
-                                werner_wolf_family, werner_wolf_lhs)
+from cvwitness import symplectic, witness
+from cvwitness.criteria import (WWFamilyParams, decide_separability, ppt_decide,
+                                simon_lhs, werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError,
-                                  NonPositiveDeterminantError)
+                                  NonPositiveDeterminantError,
+                                  PatternMismatchError)
 from cvwitness.standard_form import (Family, QuadratureForm,
                                      TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
@@ -512,3 +513,38 @@ def test_lambda_inside_block_tolerance(w1, w2, block):
         m[block - 1] = math.sqrt(1 + 1e-13)
         lam, _ = lambda_closed_form(DetectorSpec(family, *m))
         assert abs(lam / _cone_lambda(w1, w2, 1.0, power)[0] - 1) <= 1e-12
+
+
+def test_minmax_refuses_a_non_physical_cm():
+    """diag(0.1) has a bona-fide eigenvalue of -0.4: no state has it, so no
+    witness is matched to it (it used to report entangled with ell 0.2)."""
+    with pytest.raises(PatternMismatchError, match="not physical"):
+        minmax_optimize(CovMatrix(np.diag([0.1] * 4)))
+
+
+def test_minmax_applies_its_tolerance():
+    """A TMSV lowered by 1e-9 I is refused at the default tolerance and
+    matched at 1e-8, as `check --criterion witness --tol-psd` applies it."""
+    mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
+    with pytest.raises(PatternMismatchError):
+        minmax_optimize(CovMatrix(mat))
+    assert minmax_optimize(CovMatrix(mat), 1e-8).entangled
+
+
+@pytest.mark.parametrize("witness_first", [False, True])
+def test_decision_and_witness_share_one_bona_fide_eigensolve(witness_first, monkeypatch):
+    """`decide_separability` and `minmax_optimize` on one CovMatrix, in
+    either order and twice, check it with one eigensolve: the least
+    eigenvalue is kept on the matrix."""
+    gamma = CovMatrix(tmsv_form(0.4).to_cm().mat.copy())
+    calls = []
+
+    def counted(mat, _solve=symplectic._bona_fide_min_eig):
+        calls.append(mat)
+        return _solve(mat)
+    monkeypatch.setattr(symplectic, "_bona_fide_min_eig", counted)
+    for _ in range(2):
+        for call in ((minmax_optimize, decide_separability) if witness_first
+                     else (decide_separability, minmax_optimize)):
+            call(gamma)
+    assert len(calls) == 1 and calls[0] is gamma.mat

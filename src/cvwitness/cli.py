@@ -16,7 +16,6 @@ the witness or the non-Gaussian moments only for that criterion.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -109,12 +108,10 @@ def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
 
 def _sweep_row(form: QuadratureForm, lead: list, tol: float) -> list:
     """lead, lhs, is_ppt, ell of one family point; the witness runs before
-    the PPT test, so its refusal is the row's error.  A family point is a
-    state by construction, so the witness skips the bona-fide check
-    (tolerance inf), which would refuse far TMSV rungs on rounding."""
+    the PPT test, so its refusal is the row's error."""
     from .witness import minmax_optimize
     gamma = form.to_cm()
-    ell = minmax_optimize(gamma, math.inf).ell_limit
+    ell = minmax_optimize(gamma).ell_limit
     return [*lead, separability_lhs(form), ppt_decide(gamma, tol=tol).is_ppt, ell]
 
 

@@ -233,6 +233,19 @@ def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
         raise PatternMismatchError("covariance matrix is not physical")
 
 
+def require_state(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
+    """`require_physical` at `tol` relative to the CM's scale, max(1, the
+    largest variance): a CM is refused only when it fails the bona-fide check
+    by more than rounding at its own size.  The eigensolve rounds at
+    eps |gamma|, and |gamma| <= 2n times the largest variance for a positive
+    matrix, so a strongly squeezed state (a TMSV from r ~ 7.6, whose
+    bona-fide eigenvalue rounds below -TOL_PSD) is kept, while diag(0.1), at
+    -0.4, is still refused.  A CM that passes `require_physical` at `tol`
+    passes here too, without the scale being read."""
+    if not validate_cm(gamma, tol).is_physical:
+        require_physical(gamma, tol * max(1.0, float(gamma.mat.diagonal().max())))
+
+
 def admitted_family(gamma: CovMatrix, partition: list[int] | None,
                     tol: float = TOL_PSD) -> Family:
     """The family of a physical CM whose `partition` names party A or party

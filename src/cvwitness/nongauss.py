@@ -47,7 +47,7 @@ from math import comb, exp, factorial, inf, log, perm, prod
 
 import numpy as np
 
-from .criteria import CriterionReport, decide_separability, require_physical
+from .criteria import CriterionReport, decide_separability, require_state
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
                          OrderTooHighError, ScaleOverflowError, SingularSumError)
 from .standard_form import QuadratureForm
@@ -96,15 +96,13 @@ def _detector_form(gamma: np.ndarray, gamma_m: np.ndarray,
     (gamma + gamma_M)^{-1} e: -c0 + 2 r^T z gives the constant blocks
     [[I/4, I/2], [I/2, -I]], and the zz block gamma_M W gamma_M - gamma_M is
     written -gamma_M W gamma for W = (gamma + gamma_M)^{-1}, which is bounded
-    by both CMs and cancels nothing."""
-    d = len(gamma)
-    a = _constant_blocks(d, 0.5).copy()
+    by both CMs and cancels nothing.  The four variable blocks are joined
+    and subtracted at once, since an in-place update of one block view costs
+    more than a 4n x 4n product."""
     gw = gamma_m @ inv_total
-    a[:d, :d] -= gw @ gamma
-    a[:d, d:] -= gw
-    a[d:, :d] -= gw.T
-    a[d:, d:] += inv_total
-    return a
+    return _constant_blocks(len(gamma), 0.5) - np.concatenate(
+        (np.concatenate((gw @ gamma, gw), axis=1),
+         np.concatenate((gw.T, -inv_total), axis=1)))
 
 
 @lru_cache
@@ -230,7 +228,7 @@ class NonGaussState:
 
 def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     """Tr(rho M) via the exact mixed-derivative formula.  A kernel that fails
-    `require_physical` is refused (`PatternMismatchError`): its "mean" can be
+    `require_state` is refused (`PatternMismatchError`): its "mean" can be
     negative.  A mean that leaves double precision is refused
     (`ScaleOverflowError`), not 0 or inf."""
     gamma_m = (d if isinstance(d, CovMatrix) else d.to_cm()).mat
@@ -238,7 +236,7 @@ def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     if len(gamma_m) != len(gamma):
         raise DimensionMismatchError(
             f"dimension mismatch: {len(gamma)} vs {len(gamma_m)}")
-    require_physical(s.kernel)
+    require_state(s.kernel)
     with np.errstate(over="ignore", invalid="ignore"):
         total = gamma + gamma_m
         sign, logdet = np.linalg.slogdet(total)
@@ -274,9 +272,7 @@ def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
     Mode j's truncated a^{dag k} a^m is one weighted index shift on row axis
     j and, the ladders being real, on column axis n + j: index v moves to
     v - m + k with weight sqrt(v!/(v-m)! (v-m+k)!/(v-m)!), for sources
-    m <= v < cutoff + min(0, m - k).  The shift runs in place, one
-    hyperplane at a time in the order that reads each source before it is
-    overwritten, so the build holds one register."""
+    m <= v < cutoff + min(0, m - k)."""
     from .fock import gaussian_op_fock
     n = s.kernel.n_modes
     t = gaussian_op_fock(s.kernel, cutoff).reshape((cutoff,) * (2 * n))
@@ -284,17 +280,13 @@ def build_fock_state(s: NonGaussState, cutoff: int) -> np.ndarray:
         hi = max(m, cutoff + min(0, m - k))
         w = np.sqrt([float(perm(v, m) * perm(v - m + k, k)) for v in range(m, hi)])
         for axis in (j, n + j):
-            planes = np.moveaxis(t, axis, 0)
-            for v in (range(hi - 1, m - 1, -1) if k > m else range(m, hi)):
-                np.multiply(planes[v], w[v - m], out=planes[v - m + k])
-            planes[:k] = 0
-            planes[hi - m + k:] = 0
+            src, t = np.moveaxis(t, axis, -1), np.zeros_like(t)
+            np.moveaxis(t, axis, -1)[..., k:hi - m + k] = w * src[..., m:hi]
     rho = t.reshape(cutoff ** n, cutoff ** n)
     tr = float(np.real(np.trace(rho)))
     if tr <= 1e-12:
         raise DegeneratePreparationError(f"Fock trace {tr:g} vanishes")
-    rho /= tr
-    return rho
+    return rho / tr
 
 
 def fock_direct_trace(s: NonGaussState, d: QuadratureForm | CovMatrix,
@@ -304,6 +296,4 @@ def fock_direct_trace(s: NonGaussState, d: QuadratureForm | CovMatrix,
     rho = build_fock_state(s, cutoff)
     gm_cm = d if isinstance(d, CovMatrix) else d.to_cm()
     m_op = gaussian_op_fock(gm_cm, cutoff)
-    # Tr(rho M) by blocks of rows, so that no third register is formed
-    return float(np.real(sum(np.sum(rho[i:i + cutoff] * m_op[:, i:i + cutoff].T)
-                             for i in range(0, len(rho), cutoff))))
+    return float(np.real(np.sum(rho.T * m_op)))

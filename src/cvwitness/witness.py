@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .criteria import require_physical
+from .criteria import require_state
 from .exceptions import NonPositiveDeterminantError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             detect_family, reduce_to_standard_form)
@@ -251,9 +251,9 @@ class WitnessReport:
 
 def minmax_optimize(gamma: CovMatrix, tol: float = TOL_PSD) -> WitnessReport:
     """Minimize the detection ratio over detectors of the state's family.
-    A CM that fails `require_physical` at `tol` is refused
-    (`PatternMismatchError`): no witness is matched to a state that does not
-    exist.
+    A CM that fails `require_state` at `tol`, the bona-fide check relative
+    to the CM's scale, is refused (`PatternMismatchError`): no witness is
+    matched to a state that does not exist.
 
     The outer minimum over detector directions on the degenerate cone is the
     closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
@@ -262,7 +262,7 @@ def minmax_optimize(gamma: CovMatrix, tol: float = TOL_PSD) -> WitnessReport:
     along t is the scaling audit, and `diagnostics["ell_rel_err"]` bounds the
     relative rounding error of the reported ell to first order.
     """
-    require_physical(gamma, tol)
+    require_state(gamma, tol)
     family = detect_family(gamma)
     form, _ = reduce_to_standard_form(gamma, family)
     power = family.power

@@ -522,9 +522,15 @@ def test_minmax_refuses_a_non_physical_cm():
         minmax_optimize(CovMatrix(np.diag([0.1] * 4)))
 
 
-def test_minmax_applies_its_tolerance():
-    """A TMSV lowered by 1e-9 I is refused at the default tolerance and
-    matched at 1e-8, as `check --criterion witness --tol-psd` applies it."""
+def test_minmax_tolerance_follows_the_cm_scale():
+    """The bona-fide tolerance is relative to the CM's scale: a TMSV at
+    r = 8, whose least bona-fide eigenvalue rounds below -TOL_PSD, is matched
+    (entangled), while a TMSV at r = 0.5 lowered by 1e-9 I is refused at the
+    default tolerance and matched at 1e-8, as `check --criterion witness
+    --tol-psd` applies it."""
+    far = CovMatrix(tmsv_form(8.0).to_cm().mat)
+    assert not far.is_physical()
+    assert minmax_optimize(far).entangled
     mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
     with pytest.raises(PatternMismatchError):
         minmax_optimize(CovMatrix(mat))

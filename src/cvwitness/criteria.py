@@ -14,7 +14,8 @@ the certificate on those two blocks in closed form, with no eigensolver.
 The PPT annotation flips party B's momenta: the partial transpose is the
 CM's array times a sign matrix, cached per mode count and party A, and its
 bona-fide eigenvalue and symplectic spectrum are taken on that plain array:
-it is built from an accepted `CovMatrix`, so it is not wrapped in one again.
+it is built from an accepted `CovMatrix`, so it is not wrapped in one again,
+and having the CM's entries up to sign, it is tested at the CM's scale.
 """
 
 import math
@@ -28,7 +29,8 @@ from .exceptions import (ConstraintViolatedError, DimensionMismatchError, Partit
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, reduce_to_standard_form)
-from .symplectic import TOL_PSD, CovMatrix, _bona_fide_min_eig, _williamson_spectrum, validate_cm
+from .symplectic import (TOL_PSD, CovMatrix, _bona_fide_floor, _bona_fide_min_eig,
+                         _williamson_spectrum, validate_cm)
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -139,7 +141,7 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
             f"partition {partition} must name between 1 and {n - 1} of the "
             f"modes 0..{n - 1}")
     pt = gamma.mat * _pt_flip(n, frozenset(partition))
-    return PptReport(is_ppt=_bona_fide_min_eig(pt) >= -tol,
+    return PptReport(is_ppt=_bona_fide_min_eig(pt) >= _bona_fide_floor(gamma, tol),
                      min_pt_symplectic_eig=float(_williamson_spectrum(pt)[0]))
 
 
@@ -227,23 +229,10 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
 
 
 def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
-    """Refuse a CM that fails `validate_cm` at `tol`: no criterion decides a
-    state that does not exist."""
+    """Refuse a CM that fails `validate_cm` at `tol`: no criterion decides,
+    and no witness or mean is taken on, a state that does not exist."""
     if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
-
-
-def require_state(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
-    """`require_physical` at `tol` relative to the CM's scale, max(1, the
-    largest variance): a CM is refused only when it fails the bona-fide check
-    by more than rounding at its own size.  The eigensolve rounds at
-    eps |gamma|, and |gamma| <= 2n times the largest variance for a positive
-    matrix, so a strongly squeezed state (a TMSV from r ~ 7.6, whose
-    bona-fide eigenvalue rounds below -TOL_PSD) is kept, while diag(0.1), at
-    -0.4, is still refused.  A CM that passes `require_physical` at `tol`
-    passes here too, without the scale being read."""
-    if not validate_cm(gamma, tol).is_physical:
-        require_physical(gamma, tol * max(1.0, float(gamma.mat.diagonal().max())))
 
 
 def admitted_family(gamma: CovMatrix, partition: list[int] | None,

@@ -47,7 +47,7 @@ from math import comb, exp, factorial, inf, log, perm, prod
 
 import numpy as np
 
-from .criteria import CriterionReport, decide_separability, require_state
+from .criteria import CriterionReport, decide_separability, require_physical
 from .exceptions import (DegeneratePreparationError, DimensionMismatchError,
                          OrderTooHighError, ScaleOverflowError, SingularSumError)
 from .standard_form import QuadratureForm
@@ -228,7 +228,7 @@ class NonGaussState:
 
 def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     """Tr(rho M) via the exact mixed-derivative formula.  A kernel that fails
-    `require_state` is refused (`PatternMismatchError`): its "mean" can be
+    `require_physical` is refused (`PatternMismatchError`): its "mean" can be
     negative.  A mean that leaves double precision is refused
     (`ScaleOverflowError`), not 0 or inf."""
     gamma_m = (d if isinstance(d, CovMatrix) else d.to_cm()).mat
@@ -236,7 +236,7 @@ def mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> float:
     if len(gamma_m) != len(gamma):
         raise DimensionMismatchError(
             f"dimension mismatch: {len(gamma)} vs {len(gamma_m)}")
-    require_state(s.kernel)
+    require_physical(s.kernel)
     with np.errstate(over="ignore", invalid="ignore"):
         total = gamma + gamma_m
         sign, logdet = np.linalg.slogdet(total)

@@ -29,8 +29,8 @@ import numpy as np
 from .exceptions import PatternMismatchError, ScaleOverflowError
 from .symplectic import CovMatrix, block_diag
 
-#: largest residual accepted between a reduced CM and its standard form; the
-#: Werner-Wolf reduction scales it by max(1, largest entry).
+#: largest residual accepted between a reduced CM and its standard form, in
+#: units of max(1, the CM's scale), with which its rounding grows.
 TOL_REDUCE = 1e-10
 
 # CM layouts: entry +-k is +-M_k of the parameters M1..M6 = (x a, p a, x b,
@@ -150,6 +150,12 @@ def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, vt.T
 
 
+def _require_reduced(gamma: CovMatrix, residual: float, failure: str) -> None:
+    """Refuse a reduction whose residual exceeds `TOL_REDUCE` at gamma's scale."""
+    if not residual <= TOL_REDUCE * max(1.0, gamma._scale):
+        raise PatternMismatchError(f"{failure} (residual {residual:g})")
+
+
 def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
     blocks = m[:2, :2], m[2:, 2:]
@@ -165,19 +171,15 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     s = block_diag(o1.T, o2.T) @ s
     m2 = s @ m @ s.T
     form = TwoModeStandardForm(m2[0, 0], m2[2, 2], m2[0, 2], -m2[1, 3])
-    residual = abs(m2 - form.to_cm().mat).max()
-    if not residual <= TOL_REDUCE:
-        raise PatternMismatchError(
-            f"cannot reach two-mode standard form (residual {residual:g})")
+    _require_reduced(gamma, abs(m2 - form.to_cm().mat).max(),
+                     "cannot reach two-mode standard form")
     return form, s
 
 
 def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
-    off_pattern = abs(m[Family.WERNER_WOLF.cm_index == 0]).max()
-    if not off_pattern <= TOL_REDUCE * max(1.0, abs(m).max()):
-        raise PatternMismatchError(
-            f"matrix does not match the Werner-Wolf sparsity pattern (residual {off_pattern:g})")
+    _require_reduced(gamma, abs(m[Family.WERNER_WOLF.cm_index == 0]).max(),
+                     "matrix does not match the Werner-Wolf sparsity pattern")
     # Per-mode squeezes diag(s_j, 1/s_j); solve for log squeezes equalizing the
     # pattern entries, which is linear in u_j = 2 log s_j.
     x = np.array([m[0, 0], m[2, 2], m[4, 4], m[6, 6]])
@@ -213,10 +215,8 @@ def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
         (m2[0, 0] + m2[2, 2]) / 2, (m2[1, 1] + m2[3, 3]) / 2,
         (m2[4, 4] + m2[6, 6]) / 2, (m2[5, 5] + m2[7, 7]) / 2,
         (m2[0, 4] - m2[2, 6]) / 2, -(m2[1, 7] + m2[3, 5]) / 2)
-    residual = abs(m2 - form.to_cm().mat).max()
-    if not residual <= TOL_REDUCE * max(1.0, abs(m2).max()):
-        raise PatternMismatchError(
-            f"cannot equalize Werner-Wolf pattern by local squeezing (residual {residual:g})")
+    _require_reduced(gamma, abs(m2 - form.to_cm().mat).max(),
+                     "cannot equalize Werner-Wolf pattern by local squeezing")
     return form, s
 
 
@@ -233,11 +233,10 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
         return result
     # both reductions multiply pairs of entries (a 2x2 determinant, a
     # squeezed entry); a Python float overflows to inf without a warning
-    big = float(abs(gamma.mat).max())
-    if not big * big < math.inf:
+    if not gamma._scale * gamma._scale < math.inf:
         raise ScaleOverflowError(
             f"cannot reduce to standard form: the square of the largest entry "
-            f"{big:g} overflows double precision")
+            f"{gamma._scale:g} overflows double precision")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     result = form, s = reduce(gamma)
     s.flags.writeable = False

@@ -10,7 +10,11 @@ even-sized and nonempty matrix, and keeps a read-only float array.  Code
 inside the package computes on that array and on arrays derived from it
 without checking them again; the bona-fide minimum eigenvalue and the
 Williamson spectrum are module-private functions of a plain array, which
-`validate_cm`, `symplectic_eigenvalues` and the PPT test share.
+`validate_cm`, `symplectic_eigenvalues` and the PPT test share.  Tolerances
+are read against the matrix's scale, its largest |entry|: symmetry to 1e-12
+max(1, scale), the bona-fide test to `tol` plus the eigensolve's rounding
+2 dim eps scale (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 3); `tol` times the scale would accept strongly squeezed non-states.
 
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
@@ -21,6 +25,7 @@ on these small matrices call ndarray methods (`abs(x).max()`,
 overhead outweighs the arithmetic at 4x4 and 8x8.
 """
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,10 +33,11 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, ScaleOverflowError
 
-#: PSD tolerance on the minimum eigenvalue of gamma + i*sigma/2.
+#: absolute PSD tolerance on the minimum eigenvalue of gamma + i*sigma/2.
 TOL_PSD = 1e-10
 
-_SYMMETRY_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12   # per unit of max(1, scale)
+_EIG_ROUNDING = 2 * sys.float_info.epsilon   # of that eigenvalue, per dim * scale
 
 
 @lru_cache
@@ -64,10 +70,10 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
-    """Real symmetric covariance matrix of an n-mode state or detector.
-    `reduce_to_standard_form` keeps its (form, S) in the `_reduced` slot and
-    `validate_cm` its bona-fide least eigenvalue in the `_min_eig` slot;
-    neither is a dataclass field, so `==`, `hash` and `repr` ignore them."""
+    """Real symmetric covariance matrix of an n-mode state or detector.  Its
+    largest |entry| is kept in the `_scale` slot, its standard form (form, S)
+    in `_reduced` and its bona-fide least eigenvalue in `_min_eig`; none is a
+    dataclass field, so `==`, `hash` and `repr` ignore them."""
 
     mat: np.ndarray
     n_modes: int = field(init=False)
@@ -94,13 +100,15 @@ class CovMatrix:
         # halved first, so that neither the difference nor the sum can
         # overflow; halving is exact above 2**-1021
         half = mat / 2.0
+        scale = 2 * float(abs(half).max())
         asym = 2 * float(abs(half - half.T).max())
-        if asym > _SYMMETRY_TOL:
+        if asym > _SYMMETRY_TOL * max(1.0, scale):
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
         mat = half + half.T
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "n_modes", len(mat) // 2)
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def dim(self) -> int:
@@ -121,16 +129,20 @@ def _bona_fide_min_eig(mat: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(mat + _scaled_form(len(mat) // 2, 0.5j))[0])   # ascending
 
 
+def _bona_fide_floor(gamma: CovMatrix, tol: float) -> float:
+    """Least eigenvalue of gamma + i*sigma/2 still read as PSD."""
+    return -(tol + _EIG_ROUNDING * gamma.dim * gamma._scale)
+
+
 def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
-    """Bona-fide check: gamma + i*sigma/2 must be positive semidefinite.  The
-    least eigenvalue is computed once per matrix instance and kept in its
-    `_min_eig` slot, so the entries that check one matrix in turn pay one
-    eigensolve."""
+    """Bona-fide check: gamma + i*sigma/2 must be PSD to within `tol` and
+    rounding.  The least eigenvalue is kept in the matrix's `_min_eig` slot,
+    so the entries that check one matrix in turn pay one eigensolve."""
     min_eig = gamma.__dict__.get("_min_eig")
     if min_eig is None:
         min_eig = _bona_fide_min_eig(gamma.mat)
         object.__setattr__(gamma, "_min_eig", min_eig)
-    return ValidityReport(min_eig=min_eig, is_physical=min_eig >= -tol)
+    return ValidityReport(min_eig=min_eig, is_physical=min_eig >= _bona_fide_floor(gamma, tol))
 
 
 @lru_cache

@@ -14,7 +14,7 @@ from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
                                 feasibility_search, ppt_decide,
                                 separability_lhs, simon_lhs,
                                 werner_wolf_family, werner_wolf_lhs)
-from cvwitness.exceptions import (ConstraintViolatedError,
+from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
@@ -423,18 +423,53 @@ def _squeezed_ww_form(abcd, angle, signs, lhs, k):
 def test_squeezed_separable_ww_forms_are_certified(abcd, angle, signs, log_lhs, log_k):
     """A separable WW-pattern state at lhs 1e-8..1e-1, squeezed by up to
     k = 1e8, is Separable with a certificate whose 50-digit slack is at
-    least -TOL_CERT, or refused by the absolute TOL_PSD at large k (ROADMAP
-    item 2); never Boundary."""
+    least -TOL_CERT: never refused, never Boundary."""
     form = _squeezed_ww_form(abcd, angle, signs, 10 ** log_lhs, 10 ** log_k)
     gamma = form.to_cm()
-    try:
-        report = decide_separability(gamma)
-    except PatternMismatchError as exc:
-        assert str(exc) == "covariance matrix is not physical"
-        return
+    report = decide_separability(gamma)
     assert report.verdict is Verdict.SEPARABLE, report
     reduced, _ = reduce_to_standard_form(gamma, Family.WERNER_WOLF)
     assert _mp_slack(reduced, *report.certificate)[0] >= -TOL_CERT
+
+
+def test_dressed_npt_state_stays_npt():
+    """TwoModeStandardForm(1, 1, 0.504, 0.504) is entangled; with its modes
+    dressed to r = +-5 its partial transpose has a bona-fide eigenvalue of
+    -3.6e-7 at scale 1.9e4.  That is far below rounding, so it stays NPT,
+    where a tolerance of TOL_PSD times the scale, 1.9e-6, would call it PPT
+    and the state bound entangled."""
+    gamma = _dress(TwoModeStandardForm(1.0, 1.0, 0.504, 0.504), (5.0, -5.0),
+                   (0.4, 1.0, 2.2, 0.7))
+    assert ppt_decide(gamma).is_ppt is False
+    report = decide_separability(gamma)
+    assert report.verdict is Verdict.ENTANGLED and not report.bound_entangled
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4))
+def test_verdict_survives_local_symplectics(seed, rs, thetas):
+    """A two-mode standard form at |lhs| > 1e-6, dressed by a
+    rotation-squeeze-rotation on each mode, keeps its verdict with no
+    refusal at |r| <= 5; at |r| <= 8 it keeps it or is refused with a typed
+    error, and never flips (ROADMAP item 2)."""
+    form = sample_standard_form(np.random.default_rng(seed), exclude_band=1e-6)
+    want = decide_separability(form.to_cm()).verdict
+    assert decide_separability(_dress(form, [5 * r for r in rs], thetas)).verdict is want
+    try:
+        report = decide_separability(_dress(form, [8 * r for r in rs], thetas))
+    except CvWitnessError:
+        return
+    assert report.verdict is want
+
+
+def test_no_tmsv_rung_is_refused():
+    """The `sweep --family tmsv -n 100` ladder r = 0.1 i, i = 0..99, is
+    decided on every rung: the bona-fide eigenvalue of the squeezed rungs
+    rounds below -TOL_PSD, but not below rounding at their scale."""
+    for i in range(100):
+        want = Verdict.SEPARABLE if i == 0 else Verdict.ENTANGLED
+        assert decide_separability(tmsv_form(0.1 * i).to_cm()).verdict is want, i
 
 
 def test_closed_forms_overflow_to_inf():

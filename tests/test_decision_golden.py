@@ -8,8 +8,11 @@ the error a call raises.  The ensemble reaches the vacuum and the root
 certificates, Entangled, Separable and Boundary verdicts, bound-entangled
 Werner-Wolf family points, two-mode states under local symplectics with
 squeezes up to r = 3, Werner-Wolf-pattern states under per-mode squeezes,
-the TMSV ladder below rung 76, the product, edge and root paths of the
-witness, and a few known refusals.
+the TMSV ladder below rung 76, and the product, edge and root paths of the
+witness.  The three `refused-*` cases keep the names they had when the
+absolute tolerances refused them: TMSV rung 80 is now decided Entangled and
+the state dressed up to r = 8 Separable, and only the witness of TMSV rung
+99, where a == c in floating point, is still refused.
 
 A change that moves a byte rewrites both files with
 `PYTHONPATH=src python tests/test_decision_golden.py` and names the byte and
@@ -128,7 +131,7 @@ def _ensemble() -> dict:
         u = rng.uniform(-0.5, 0.5, 4)
         s = np.diag(np.ravel(np.column_stack([np.exp(u), np.exp(-u)])))
         cases[f"wwpattern-{k}"] = s @ form.to_cm().mat @ s
-    # known refusals: the TMSV ladder from rung 76 and squeezes past r = 3
+    # the TMSV ladder past rung 76 and a squeeze past r = 3, once refused
     for i in (80, 99):
         r = 0.1 * i
         a, c = np.cosh(2 * r) / 2, np.sinh(2 * r) / 2

@@ -369,6 +369,19 @@ def _rotation(t: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def test_mean_on_squeezed_non_physical_kernel_refused():
+    """diag(0.3, 0.3, 0.6, 0.6), with nu_min = 0.3, stays no state when its
+    mode A is dressed to r = 7: its bona-fide eigenvalue, -4.4e-7, is far
+    below rounding at its scale 3.6e5, so the mean is refused (a tolerance
+    of TOL_PSD times the scale returned 2e-9)."""
+    local = np.eye(4)
+    local[:2, :2] = _rotation(0.3) @ np.diag([np.exp(7.0), np.exp(-7.0)]) @ _rotation(1.1)
+    mat = local @ np.diag([0.3, 0.3, 0.6, 0.6]) @ local.T
+    s = NonGaussState(CovMatrix((mat + mat.T) / 2), (1, 0), (0, 0))
+    with pytest.raises(PatternMismatchError, match="not physical"):
+        mean_on_detector(s, UNIT_DETECTOR)
+
+
 def _dressed_kernel(rng: np.random.Generator, n_modes: int, scale: float) -> CovMatrix:
     """A random physical CM under a rotation-squeeze-rotation on every mode,
     which correlates x with p, times `scale` >= 1 (still a state)."""

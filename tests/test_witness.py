@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvwitness import symplectic, witness
-from cvwitness.criteria import (WWFamilyParams, decide_separability, ppt_decide,
+from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability, ppt_decide,
                                 simon_lhs, werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError,
                                   NonPositiveDeterminantError,
@@ -522,14 +522,29 @@ def test_minmax_refuses_a_non_physical_cm():
         minmax_optimize(CovMatrix(np.diag([0.1] * 4)))
 
 
+def test_minmax_refuses_a_squeezed_non_physical_cm():
+    """A WW-pattern CM scaled to nu_min = 0.3, under per-mode squeezes
+    diag(e^(u/2), e^(-u/2)) at u = 12 with alternating signs, is no state:
+    its bona-fide eigenvalue, -3.7e-6, is far below rounding at its scale
+    7.7e4.  A tolerance of TOL_PSD times the scale matched it (ell 0.30)."""
+    base = WernerWolfForm(1.2, 0.9, 1.1, 1.3, 0.4, 0.3).to_cm()
+    mat = base.mat * (0.3 / symplectic.symplectic_eigenvalues(base)[0])
+    squeeze = np.exp(6.0 * np.array([1, -1, 1, -1]))
+    s = np.diag(np.column_stack([squeeze, 1 / squeeze]).ravel())
+    with pytest.raises(PatternMismatchError, match="not physical"):
+        minmax_optimize(CovMatrix(s @ mat @ s))
+
+
 def test_minmax_tolerance_follows_the_cm_scale():
-    """The bona-fide tolerance is relative to the CM's scale: a TMSV at
-    r = 8, whose least bona-fide eigenvalue rounds below -TOL_PSD, is matched
-    (entangled), while a TMSV at r = 0.5 lowered by 1e-9 I is refused at the
-    default tolerance and matched at 1e-8, as `check --criterion witness
-    --tol-psd` applies it."""
+    """The bona-fide test adds the eigensolver's rounding at the CM's scale
+    to the absolute tolerance: a TMSV at r = 8, whose least bona-fide
+    eigenvalue rounds below -TOL_PSD, is a state, decided Entangled and
+    matched (entangled), while a TMSV at r = 0.5 lowered by 1e-9 I is
+    refused at the default tolerance and matched at 1e-8, as `check
+    --criterion witness --tol-psd` applies it."""
     far = CovMatrix(tmsv_form(8.0).to_cm().mat)
-    assert not far.is_physical()
+    assert far.is_physical()
+    assert decide_separability(far).verdict is Verdict.ENTANGLED
     assert minmax_optimize(far).entangled
     mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
     with pytest.raises(PatternMismatchError):

@@ -12,10 +12,12 @@ log-concave function of x at the root of one quadratic.  Domination is two
 the certificate on those two blocks in closed form, with no eigensolver.
 
 The PPT annotation flips party B's momenta: the partial transpose is the
-CM's array times a sign matrix, cached per mode count and party A, and its
-bona-fide eigenvalue and symplectic spectrum are taken on that plain array:
-it is built from an accepted `CovMatrix`, so it is not wrapped in one again,
-and having the CM's entries up to sign, it is tested at the CM's scale.
+CM's array times a sign matrix, cached per mode count and party A.  A local
+symplectic keeps the sign of its bona-fide test, so the test is taken on an
+image of gamma at the scale of its symplectic eigenvalues: the standard form
+in a decision, the local normal form otherwise.  On gamma a squeeze e^r
+shrinks the eigenvalue like e^-2r and grows rounding like e^2r, so a
+squeezed entangled state would read PPT.
 """
 
 import math
@@ -28,7 +30,7 @@ import numpy as np
 from .exceptions import (ConstraintViolatedError, DimensionMismatchError, PartitionError,
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
-                            detect_family, reduce_to_standard_form)
+                            detect_family, local_normal_form, reduce_to_standard_form)
 from .symplectic import (TOL_PSD, CovMatrix, _bona_fide_floor, _bona_fide_min_eig,
                          _williamson_spectrum, validate_cm)
 
@@ -124,6 +126,16 @@ def _splits(partition: list[int], n_modes: int) -> bool:
     return bool(modes) and modes < set(range(n_modes))
 
 
+def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset,
+                tol: float) -> PptReport:
+    """The bona-fide test of the partial transpose of `image`, gamma under a
+    local symplectic, and the symplectic spectrum of gamma's own."""
+    flip = _pt_flip(gamma.n_modes, party_a)
+    return PptReport(
+        is_ppt=_bona_fide_min_eig(image.mat * flip) >= _bona_fide_floor(image, tol),
+        min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
+
+
 def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
                tol: float = TOL_PSD) -> PptReport:
     """Momentum-flip partial transpose test.
@@ -131,7 +143,8 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
     `partition` lists party A's modes; momenta of the remaining modes are flipped.
     Defaults to the first half of the modes.  A partition that leaves a party
     empty or names a mode outside the state is refused.  `tol` is the
-    bona-fide tolerance of `validate_cm` on the partial transpose.
+    bona-fide tolerance of `validate_cm`, applied to the partial transpose of
+    `local_normal_form(gamma)`, which refuses a CM squeezed past rounding.
     """
     n = gamma.n_modes
     if partition is None:
@@ -140,9 +153,7 @@ def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
         raise PartitionError(
             f"partition {partition} must name between 1 and {n - 1} of the "
             f"modes 0..{n - 1}")
-    pt = gamma.mat * _pt_flip(n, frozenset(partition))
-    return PptReport(is_ppt=_bona_fide_min_eig(pt) >= _bona_fide_floor(gamma, tol),
-                     min_pt_symplectic_eig=float(_williamson_spectrum(pt)[0]))
+    return _ppt_report(gamma, local_normal_form(gamma), frozenset(partition), tol)
 
 
 def _peak(cond1, cond2) -> tuple[float, float, float]:
@@ -256,8 +267,9 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
                         tol: float = TOL_PSD) -> CriterionReport:
     """Full closed-form decision: standard-form reduction, family criterion,
     feasibility certificate and PPT annotation.  `tol` is the bona-fide
-    tolerance of `validate_cm`, applied to the state and its partial
-    transpose.
+    tolerance of `validate_cm`, applied to the state and to the partial
+    transpose of its standard form: the criterion and the PPT test read the
+    same numbers.
 
     `partition` may name party A or party B of the family's cut
     (`admitted_family`): both labels give the same report, since
@@ -273,7 +285,7 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
             f"{family.criterion} criterion cannot be evaluated: its terms "
             f"overflow double precision")
     name = family.criterion
-    ppt = ppt_decide(gamma, default, tol)
+    ppt = _ppt_report(gamma, form.to_cm(), frozenset(default), tol)
 
     if lhs < -TOL_BOUNDARY:
         return CriterionReport(

@@ -9,8 +9,9 @@ triples (a, b, c), c signed; `TwoModeStandardForm`, `WernerWolfForm` and
 are the table of each family's data.
 
 Two-mode states are brought to diag-blocks (a, a), (b, b) with cross block
-diag(c1, -c2) by local rotations and squeezers.  Werner-Wolf states keep the
-8x8 sparsity pattern and are equalized by per-mode squeezers.
+diag(c1, -c2) by local rotations and squeezers; the first step, each mode's
+own block to nu_j I, is `local_normal_form` for any mode count.  Werner-Wolf
+states keep the 8x8 sparsity pattern and are equalized by per-mode squeezers.
 
 A decision and a witness of the same state both need its standard form, so
 `reduce_to_standard_form` keeps its result on the `CovMatrix` instance, as
@@ -156,16 +157,45 @@ def _require_reduced(gamma: CovMatrix, residual: float, failure: str) -> None:
         raise PatternMismatchError(f"{failure} (residual {residual:g})")
 
 
+def _require_squarable(gamma: CovMatrix, failure: str) -> None:
+    """Refuse a CM whose largest entry squares past double precision: 2x2
+    determinants and squeezed entries multiply pairs of entries, and a
+    Python float overflows to inf without a warning."""
+    if not gamma._scale * gamma._scale < math.inf:
+        raise ScaleOverflowError(f"{failure}: the square of the largest entry "
+                                 f"{gamma._scale:g} overflows double precision")
+
+
+def _local_normal(gamma: CovMatrix, failure: str) -> tuple[np.ndarray, np.ndarray]:
+    """(S, S gamma S^T) for the local symplectic S that brings every mode's
+    own block to nu_j I.  Refuses, with `failure`, a local block that is not
+    positive definite, as no state has one."""
+    m = gamma.mat
+    blocks = [m[j:j + 2, j:j + 2] for j in range(0, gamma.dim, 2)]
+    dets = np.linalg.det(blocks)   # one stacked call: the bits of a call per block
+    if not (min(b[0, 0] for b in blocks) > 0 and dets.min() > 0):
+        raise PatternMismatchError(f"{failure}: a local block is not positive definite")
+    s = block_diag(*map(_single_mode_normal, blocks, np.sqrt(dets)))
+    return s, s @ m @ s.T
+
+
+def local_normal_form(gamma: CovMatrix) -> CovMatrix:
+    """gamma with every mode's own block brought to nu_j I by a local
+    symplectic: its scale is that of its symplectic eigenvalues, not of its
+    local squeezes.  Refused where a block misses nu_j I by more than
+    `TOL_REDUCE` at gamma's scale: rounding has then taken the squeeze."""
+    failure = "cannot bring every mode to its normal form"
+    _require_squarable(gamma, failure)
+    m = _local_normal(gamma, failure)[1]
+    d = np.diagonal(m)
+    _require_reduced(gamma, max(abs(d[::2] - d[1::2]).max(),
+                                abs(np.diagonal(m, 1)[::2]).max()), failure)
+    return CovMatrix((m + m.T) / 2)
+
+
 def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
     m = gamma.mat
-    blocks = m[:2, :2], m[2:, 2:]
-    dets = np.linalg.det(blocks)   # one stacked call: the bits of a call per block
-    # the local blocks of a physical CM are positive definite
-    if not (m[0, 0] > 0 and m[2, 2] > 0 and dets.min() > 0):
-        raise PatternMismatchError(
-            "cannot reach two-mode standard form: a local block is not positive definite")
-    s = block_diag(*map(_single_mode_normal, blocks, np.sqrt(dets)))
-    m1 = s @ m @ s.T
+    s, m1 = _local_normal(gamma, "cannot reach two-mode standard form")
     # local blocks are now nu_A*I, nu_B*I; rotate to diagonalize the cross block
     o1, o2 = _signed_svd_2x2(m1[:2, 2:])
     s = block_diag(o1.T, o2.T) @ s
@@ -231,12 +261,7 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     result = gamma.__dict__.get("_reduced")
     if result is not None:
         return result
-    # both reductions multiply pairs of entries (a 2x2 determinant, a
-    # squeezed entry); a Python float overflows to inf without a warning
-    if not gamma._scale * gamma._scale < math.inf:
-        raise ScaleOverflowError(
-            f"cannot reduce to standard form: the square of the largest entry "
-            f"{gamma._scale:g} overflows double precision")
+    _require_squarable(gamma, "cannot reduce to standard form")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     result = form, s = reduce(gamma)
     s.flags.writeable = False

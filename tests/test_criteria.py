@@ -148,10 +148,10 @@ OVERFLOW_FORMS = {"two-mode": TwoModeStandardForm(1.2, 1.3, 0.4, -0.3),
 def test_cm_past_double_precision_is_refused(name, scale):
     """A physical CM whose entries square past double precision is refused
     by the reduction with a typed error that names the overflow, for the
-    decision and the witness, instead of numpy's SVD error, a NaN criterion
-    or a bare OverflowError."""
+    decision, the witness and the PPT test, instead of numpy's SVD error, a
+    NaN criterion or a bare OverflowError."""
     gamma = CovMatrix(scale * OVERFLOW_FORMS[name].to_cm().mat)
-    for decide in (decide_separability, minmax_optimize):
+    for decide in (decide_separability, minmax_optimize, ppt_decide):
         with pytest.raises(ScaleOverflowError, match="overflows double precision"):
             decide(gamma)
 
@@ -445,6 +445,30 @@ def test_dressed_npt_state_stays_npt():
     assert report.verdict is Verdict.ENTANGLED and not report.bound_entangled
 
 
+def test_npt_state_squeezed_to_r8_is_not_bound_entangled():
+    """Squeezed to r = +-8, the same state's partial transpose has a
+    bona-fide eigenvalue of about -9e-10 on its own array, inside the
+    eigensolve's rounding of 1.5e-8 at that scale.  The test is taken on
+    the standard form (decision) or the local normal form (`ppt_decide`),
+    at the scale of the symplectic eigenvalues, so the state stays NPT and
+    is never reported bound entangled.  Plain squeezes are resolved in full;
+    rotated ones at r = 8 may be refused, but never read PPT."""
+    form = TwoModeStandardForm(1.0, 1.0, 0.504, 0.504)
+    gamma = _dress(form, (8.0, -8.0), (0.0, 0.0, 0.0, 0.0))
+    assert ppt_decide(gamma).is_ppt is False
+    report = decide_separability(gamma)
+    assert report.verdict is Verdict.ENTANGLED and not report.bound_entangled
+    for thetas in ((0.4, 1.0, 2.2, 0.7), (0.0, 0.4, 3.0, 1.0)):
+        gamma = _dress(form, (8.0, -8.0), thetas)
+        for decide in (ppt_decide, decide_separability):
+            try:
+                report = decide(gamma)
+            except PatternMismatchError:
+                continue
+            ppt = report if decide is ppt_decide else report.ppt
+            assert ppt.is_ppt is False
+
+
 @settings(max_examples=100)
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
        st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4))
@@ -452,15 +476,21 @@ def test_verdict_survives_local_symplectics(seed, rs, thetas):
     """A two-mode standard form at |lhs| > 1e-6, dressed by a
     rotation-squeeze-rotation on each mode, keeps its verdict with no
     refusal at |r| <= 5; at |r| <= 8 it keeps it or is refused with a typed
-    error, and never flips (ROADMAP item 2)."""
+    error, and never flips (ROADMAP item 2).  Its PPT test, in the decision
+    and in `ppt_decide`, agrees with the verdict (Simon: a two-mode state is
+    separable iff PPT), so no two-mode state is reported bound entangled."""
     form = sample_standard_form(np.random.default_rng(seed), exclude_band=1e-6)
     want = decide_separability(form.to_cm()).verdict
-    assert decide_separability(_dress(form, [5 * r for r in rs], thetas)).verdict is want
-    try:
-        report = decide_separability(_dress(form, [8 * r for r in rs], thetas))
-    except CvWitnessError:
-        return
-    assert report.verdict is want
+    for r_max in (5, 8):
+        gamma = _dress(form, [r_max * r for r in rs], thetas)
+        try:
+            report, ppt = decide_separability(gamma), ppt_decide(gamma)
+        except CvWitnessError:
+            if r_max == 5:
+                raise
+            continue
+        assert report.verdict is want and not report.bound_entangled
+        assert report.ppt.is_ppt is ppt.is_ppt is (want is Verdict.SEPARABLE)
 
 
 def test_no_tmsv_rung_is_refused():

@@ -10,8 +10,8 @@ from cvwitness.criteria import decide_separability, werner_wolf_family
 from cvwitness.exceptions import PatternMismatchError
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
-                                     reduce_to_standard_form)
-from cvwitness.symplectic import CovMatrix
+                                     local_normal_form, reduce_to_standard_form)
+from cvwitness.symplectic import CovMatrix, symplectic_eigenvalues
 from cvwitness.witness import DetectorSpec, minmax_optimize
 
 from conftest import is_symplectic, sample_ww_family_params, tmsv_form
@@ -146,6 +146,33 @@ def test_single_mode_normal_closed_form(r, rng):
     assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
     assert abs(np.linalg.det(s) - 1) < 1e-12
     assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)
+
+
+@pytest.mark.parametrize("r", [0.0, 3.0, 6.0])
+def test_local_normal_form_takes_out_the_local_squeezes(r, rng):
+    """Each mode's own block of the local normal form is nu_j I, and its
+    scale is that of the undressed state, whatever the local squeeze; the
+    symplectic spectrum is kept."""
+    form = WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.3, 0.2)
+    s = np.zeros((8, 8))
+    for j in range(4):
+        th = rng.uniform(0, np.pi)
+        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rot @ np.diag([np.exp(r), np.exp(-r)])
+    m = s @ form.to_cm().mat @ s.T
+    gamma = CovMatrix((m + m.T) / 2)
+    normal = local_normal_form(gamma).mat
+    nu = np.sqrt([np.linalg.det(gamma.mat[j:j + 2, j:j + 2]) for j in range(0, 8, 2)])
+    assert np.allclose(normal * np.kron(np.eye(4), np.ones((2, 2))),
+                       np.kron(np.diag(nu), np.eye(2)), rtol=0, atol=1e-6)
+    assert abs(normal).max() < 2
+    assert np.allclose(symplectic_eigenvalues(CovMatrix(normal)),
+                       symplectic_eigenvalues(form.to_cm()), rtol=1e-6)
+
+
+def test_local_normal_form_refuses_a_local_block_that_is_not_positive():
+    with pytest.raises(PatternMismatchError, match="a local block is not positive definite"):
+        local_normal_form(CovMatrix(np.diag([1.0, -1.0, 1.0, 1.0])))
 
 
 # --------------------------------------------------------------- to_cm memo

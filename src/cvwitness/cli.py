@@ -4,9 +4,10 @@ Exit codes: 0 Separable, 2 Entangled, 3 Boundary/undecided, 1 error
 (usage errors included).
 Every report embeds the tool version and the options that shape it: `check`
 its tolerances, `oracle` the seed of its random seesaw starts.  Output is
-byte-identical for the same input and options.  `sweep` draws its
-Werner-Wolf samples from `--seed` and applies `--tol-psd` to its `is_ppt`
-column.
+byte-identical for the same input and options.  `--tol-psd` is `check`'s
+admission tolerance and nothing else: each criterion is one library call,
+which refuses a non-state at it.  `sweep` draws its Werner-Wolf samples from
+`--seed`; its states are generated, not read, so it has no tolerance.
 
 Start-up is most of a command's run, so the module imports at the top only
 what every command needs (`criteria`, `io`, `standard_form`, `symplectic`);
@@ -21,9 +22,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, admitted_family,
-                       decide_separability, ppt_decide, require_physical,
-                       separability_lhs, werner_wolf_family)
+from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, decide_separability,
+                       ppt_decide, separability_lhs, werner_wolf_family)
 from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
@@ -52,7 +52,6 @@ def cmd_check(args) -> int:
     else:
         gamma, partition = load_cm(args.input)
         if criterion == "ppt":
-            require_physical(gamma, args.tol_psd)
             ppt = ppt_decide(gamma, partition, tol=args.tol_psd)
             verdict = Verdict.SEPARABLE if ppt.is_ppt else Verdict.ENTANGLED
             report = {"verdict": verdict.value, "criterion": "ppt",
@@ -60,8 +59,7 @@ def cmd_check(args) -> int:
                       "min_pt_symplectic_eig": ppt.min_pt_symplectic_eig}
         elif criterion == "witness":
             from .witness import minmax_optimize
-            admitted_family(gamma, partition, args.tol_psd)
-            wit = minmax_optimize(gamma, args.tol_psd)
+            wit = minmax_optimize(gamma, partition, tol=args.tol_psd)
             verdict = (Verdict.BOUNDARY if wit.boundary else
                        Verdict.ENTANGLED if wit.entangled else Verdict.SEPARABLE)
             report = {**witness_report_dict(wit), "verdict": verdict.value,
@@ -106,13 +104,13 @@ def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
             return WWFamilyParams(a, b, c, d, e)
 
 
-def _sweep_row(form: QuadratureForm, lead: list, tol: float) -> list:
+def _sweep_row(form: QuadratureForm, lead: list) -> list:
     """lead, lhs, is_ppt, ell of one family point; the witness runs before
     the PPT test, so its refusal is the row's error."""
     from .witness import minmax_optimize
     gamma = form.to_cm()
     ell = minmax_optimize(gamma).ell_limit
-    return [*lead, separability_lhs(form), ppt_decide(gamma, tol=tol).is_ppt, ell]
+    return [*lead, separability_lhs(form), ppt_decide(gamma).is_ppt, ell]
 
 
 def _tmsv(r: float) -> QuadratureForm:
@@ -135,7 +133,7 @@ def cmd_sweep(args) -> int:
     else:
         header = ["r", "lhs_criterion", "is_ppt", "ell"]
         points = [(_tmsv(0.1 * i), [0.1 * i]) for i in range(args.n_samples)]
-    rows = [_sweep_row(*point, args.tol_psd) for point in points]
+    rows = [_sweep_row(*point) for point in points]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -157,14 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
 
-    def tol_psd(p):
-        p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
-
     p_check = sub.add_parser("check", help="decide separability of a state file")
     p_check.add_argument("input")
     p_check.add_argument("--criterion", default="auto",
                          choices=["auto", "ppt", "witness", "nongauss"])
-    tol_psd(p_check)
+    p_check.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser(
@@ -182,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                          required=True)
     p_sweep.add_argument("out")
     seed(p_sweep)
-    tol_psd(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 

@@ -1,5 +1,5 @@
-"""Covariance-matrix core: symplectic form, validity checks, CM/CCM conversion
-and symplectic eigenvalues.
+"""Covariance-matrix core: symplectic form, validity checks, the CM-to-CCM
+transform and symplectic eigenvalues.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
@@ -114,8 +114,11 @@ class CovMatrix:
     def dim(self) -> int:
         return 2 * self.n_modes
 
-    def is_physical(self, tol: float = TOL_PSD) -> bool:
-        return validate_cm(self, tol=tol).is_physical
+    def is_physical(self) -> bool:
+        """`validate_cm(self).is_physical`.  It stays only while the
+        benchmark's workloads call it, and goes with ROADMAP item 11 after
+        item 1 (callers that need a tolerance pass it to `validate_cm`)."""
+        return validate_cm(self).is_physical
 
 
 @dataclass(frozen=True)
@@ -157,17 +160,6 @@ def _ccm_transform(n_modes: int) -> np.ndarray:
         t[n_modes + j, 2 * j + 1] = -1.0 / np.sqrt(2)
     t.flags.writeable = False
     return t
-
-
-def cm_to_ccm(gamma: CovMatrix) -> np.ndarray:
-    """Re-express the quadratic form of the characteristic function over
-    (mu_1..mu_n, mu*_1..mu*_n): a read-only complex-symmetric array."""
-    t = _ccm_transform(gamma.n_modes)
-    # T is unitary, so T^{-1} = T^dag and T^{-T} = conj(T)
-    mat = t.conj() @ gamma.mat @ t.conj().T
-    mat = (mat + mat.T) / 2.0
-    mat.flags.writeable = False
-    return mat
 
 
 def _williamson_spectrum(mat: np.ndarray) -> np.ndarray:

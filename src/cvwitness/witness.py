@@ -29,10 +29,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .criteria import require_physical
+from .criteria import admitted_family
 from .exceptions import NonPositiveDeterminantError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
-                            detect_family, reduce_to_standard_form)
+                            reduce_to_standard_form)
 from .symplectic import TOL_PSD, CovMatrix
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
@@ -249,20 +249,25 @@ class WitnessReport:
     diagnostics: dict
 
 
-def minmax_optimize(gamma: CovMatrix, tol: float = TOL_PSD) -> WitnessReport:
+def minmax_optimize(gamma: CovMatrix, partition: list[int] | None = None,
+                    tol: float = TOL_PSD) -> WitnessReport:
     """Minimize the detection ratio over detectors of the state's family.
-    A CM that fails `require_physical` at `tol` is refused: no witness is
-    matched to a state that does not exist.
+    The state and its cut are admitted by `admitted_family`, as in
+    `decide_separability`: a CM that fails `require_physical` at `tol` is
+    refused, since no witness is matched to a state that does not exist, and
+    so is a `partition` that names neither party of the family's cut.  Either
+    party's label gives the same report.  `tol` reaches nothing else.
 
     The outer minimum over detector directions on the degenerate cone is the
     closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
     matched detector is realized at the scales `AUDIT_SCALES`, where Lambda
     (`_cone_lambda`) and ell (`_cone_ratio`) are closed forms too; the ratio
     along t is the scaling audit, and `diagnostics["ell_rel_err"]` bounds the
-    relative rounding error of the reported ell to first order.
+    relative rounding error of the reported ell to first order.  Where ell
+    and its limit fall on either side of 1, the audit has not settled the
+    sign, and the report is `boundary`.
     """
-    require_physical(gamma, tol)
-    family = detect_family(gamma)
+    family = admitted_family(gamma, partition, tol)
     form, _ = reduce_to_standard_form(gamma, family)
     power = family.power
     triples = _abs_triples(form)
@@ -280,7 +285,8 @@ def minmax_optimize(gamma: CovMatrix, tol: float = TOL_PSD) -> WitnessReport:
         audit.append((t, ratio ** power))
     ell = audit[-1][1]
     lam, xy = _cone_lambda(w1, w2, AUDIT_SCALES[-1], power)
-    boundary = abs(ell - 1) <= TOL_ELL_BOUNDARY or abs(ell_limit - 1) <= TOL_ELL_BOUNDARY
+    boundary = (abs(ell - 1) <= TOL_ELL_BOUNDARY or abs(ell_limit - 1) <= TOL_ELL_BOUNDARY
+                or (ell < 1) != (ell_limit < 1))
     return WitnessReport(
         lam=lam, ell=ell, ell_limit=ell_limit,
         matched_params=direction.scaled(AUDIT_SCALES[-1]), argmax_xy=xy,

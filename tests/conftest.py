@@ -18,8 +18,7 @@ from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import NonGaussState
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
-from cvwitness.symplectic import (CovMatrix, _ccm_transform, cm_to_ccm,
-                                  symplectic_form)
+from cvwitness.symplectic import CovMatrix, _ccm_transform, symplectic_form
 from cvwitness.witness import _abs_triples, _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
@@ -220,6 +219,18 @@ def ccm_mean_on_detector(s: NonGaussState, d: QuadratureForm | CovMatrix) -> flo
     total = g + cm_to_ccm(gm_cm)
     quad = kernel_quad + ((np.linalg.inv(total) @ hv) * hv).sum(0) / 2
     return norm * np.real(sign * box.hafnian(quad)) / np.sqrt(abs(det))
+
+
+def cm_to_ccm(gamma: CovMatrix) -> np.ndarray:
+    """Re-express the quadratic form of the characteristic function over
+    (mu_1..mu_n, mu*_1..mu*_n): a read-only complex-symmetric array.  The
+    CCM-frame references (`q_char`, `ccm_mean_on_detector`) start from it."""
+    t = _ccm_transform(gamma.n_modes)
+    # T is unitary, so T^{-1} = T^dag and T^{-T} = conj(T)
+    mat = t.conj() @ gamma.mat @ t.conj().T
+    mat = (mat + mat.T) / 2.0
+    mat.flags.writeable = False
+    return mat
 
 
 def ccm_to_cm(gamma_c: np.ndarray) -> CovMatrix:

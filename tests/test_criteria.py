@@ -121,8 +121,12 @@ def test_certificate_is_sound_on_separable_samples(rng):
 
 
 def test_decide_rejects_unphysical():
-    with pytest.raises(PatternMismatchError):
-        decide_separability(CovMatrix(np.eye(4) * 0.1))
+    """diag(0.1) has a bona-fide eigenvalue of -0.4: no state has it, so the
+    decision and `ppt_decide` refuse it (`ppt_decide` used to test its
+    partial transpose)."""
+    for decide in (decide_separability, ppt_decide):
+        with pytest.raises(PatternMismatchError, match="^covariance matrix is not physical$"):
+            decide(CovMatrix(np.eye(4) * 0.1))
 
 
 def test_decide_rejects_wrong_partition():
@@ -491,6 +495,59 @@ def test_verdict_survives_local_symplectics(seed, rs, thetas):
             continue
         assert report.verdict is want and not report.bound_entangled
         assert report.ppt.is_ppt is ppt.is_ppt is (want is Verdict.SEPARABLE)
+
+
+def _two_mode_form_at(a, b, angle, lhs):
+    """The two-mode form with variances (a, b) and correlations (c1, c2) =
+    t (cos, sin)(angle), t grown from 0 until the criterion falls to `lhs`.
+
+    At (c1, c2) = t (e, f) the criterion is A' s^2 - B' s + lhs_0 in s = t^2
+    with A' = e^2 f^2, B' = ab (e^2 + f^2) + |e f|/2 and lhs_0 = (a^2 - 1/4)
+    (b^2 - 1/4); its smallest root is taken."""
+    e, f = math.cos(angle), math.sin(angle)
+    qa, qb, qc = (e * f) ** 2, a * b + abs(e * f) / 2, (a * a - 0.25) * (b * b - 0.25) - lhs
+    t = math.sqrt(2 * qc / (qb + math.sqrt(qb * qb - 4 * qa * qc)))
+    return TwoModeStandardForm(a, b, t * e, t * f)
+
+
+@settings(max_examples=100)
+@given(st.floats(0.6, 2.0), st.floats(0.6, 2.0), st.floats(0.0, 2 * math.pi),
+       st.floats(-7.0, -2.0), st.sampled_from((-1.0, 1.0)),
+       st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4),
+       st.sampled_from((1e-10, 1e-8, 1e-6, 1e-4)))
+def test_tol_admits_and_never_moves_the_ppt_test(a, b, angle, log_lhs, sign, rs,
+                                                 thetas, tol):
+    """`tol` admits the state and does nothing else.  A two-mode state at
+    |lhs| 1e-7..1e-2, dressed by a rotation-squeeze-rotation on each mode
+    at |r| <= 3, reads PPT exactly when it is separable (Simon) at every
+    `tol`, in the decision and in `ppt_decide`, and is never reported bound
+    entangled.  With `tol` as the PPT floor, an entangled state whose
+    partial transpose missed by less than `tol` read PPT."""
+    lhs = sign * 10 ** log_lhs
+    form = _two_mode_form_at(a, b, angle, lhs)
+    assume(validate_cm(form.to_cm()).is_physical)
+    gamma = _dress(form, rs, thetas)
+    report = decide_separability(gamma, tol=tol)
+    assert report.ppt.is_ppt is (lhs > 0)
+    assert not report.bound_entangled
+    assert ppt_decide(gamma, tol=tol).is_ppt is report.ppt.is_ppt
+
+
+def test_noisy_product_states_read_ppt_at_a_wide_tol():
+    """Locally squeezed vacua lowered by 1e-9 I are no states at the
+    default tolerance, and their standard form misses the states by up to
+    about 2e-7.  Admitted at tol 1e-5, the partial transpose is that of the
+    input lifted onto the states by local noise, so both entries read every
+    one PPT, as a product is.  A plain TOL_PSD floor read them NPT."""
+    rng = np.random.default_rng(25)
+    vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
+    for _ in range(40):
+        dressed = _dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        noisy = CovMatrix(dressed.mat - 1e-9 * np.eye(4))
+        assert not validate_cm(noisy).is_physical
+        assert decide_separability(noisy, tol=1e-5).ppt.is_ppt
+        assert ppt_decide(noisy, tol=1e-5).is_ppt
 
 
 def test_no_tmsv_rung_is_refused():

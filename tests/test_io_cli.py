@@ -41,10 +41,10 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
 
 def test_every_exported_name_resolves():
     """Each exported name is the object its submodule defines, `dir` lists
-    it, `import *` binds all 37, and an unknown name is an AttributeError."""
+    it, `import *` binds all 36, and an unknown name is an AttributeError."""
     missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
     assert not missing
-    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 37
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 36
     for name in cvwitness.__all__[1:]:
         module = importlib.import_module(f"cvwitness.{cvwitness._SOURCE[name]}")
         assert getattr(cvwitness, name) is getattr(module, name), name
@@ -441,6 +441,28 @@ def test_cli_every_criterion_applies_tol_psd(tmp_path, capsys, criterion, name):
     assert report["tolerances"]["tol_psd"] == 1e-8
 
 
+@pytest.mark.parametrize("argv, verdict, code", [
+    (["--tol-psd", "1e-5"], "Entangled", 2),
+    (["--criterion", "ppt", "--tol-psd", "1e-5"], "Entangled", 2),
+    (["--criterion", "witness"], "Boundary", 3),
+], ids=["auto", "ppt", "witness"])
+def test_cli_verdict_near_the_boundary_follows_its_numbers(tmp_path, capsys, argv,
+                                                           verdict, code):
+    """A state just past Simon's boundary (lhs -1e-6, least PT symplectic
+    eigenvalue 0.4999995) is entangled.  A wide --tol-psd admits it and
+    does not widen the PPT floor, so `auto` does not call it bound entangled
+    and `ppt` does not call it Separable.  The witness's ell at t = 1e4
+    reads 1.000049 and its limit 0.999999, so it reports Boundary."""
+    c = 0.5000005
+    path = write_json(tmp_path / "state.json", {"n_modes": 2, "cm": [
+        [1, 0, c, 0], [0, 1, 0, -c], [c, 0, 1, 0], [0, -c, 0, 1]]})
+    assert main(["check", path, *argv]) == code
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == verdict
+    if "--criterion" not in argv:
+        assert report["ppt"]["is_ppt"] is False and report["bound_entangled"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--family", "tmsv", "-n", "0", "out.csv"],
     ["sweep", "--family", "wernerwolf", "-n", "2", "--seed", "-1", "out.csv"],
@@ -464,6 +486,7 @@ def test_cli_refuses_bad_counts(tmp_path, capsys, monkeypatch, argv):
     ["sweep", "--family", "tmsv", "-n", "2", "out.csv", "--restarts", "2"],
     ["check", "state.json", "--seed", "3"],
     ["oracle", "det.json", "--tol-psd", "1e-8"],
+    ["sweep", "--family", "tmsv", "-n", "2", "out.csv", "--tol-psd", "1e-8"],
     ["check", "state.json", "--criterion", "wernerwolf"],
     ["check", "state.json", "--criterion", "simon"],
 ])

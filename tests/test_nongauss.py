@@ -18,9 +18,10 @@ from cvwitness.nongauss import (NonGaussState, _KanBox, build_fock_state,
 from cvwitness.standard_form import DetectorSpec, Family, TwoModeStandardForm
 from cvwitness.symplectic import CovMatrix
 
-from conftest import (ccm_mean_on_detector, destroy, dict_coeff_extract,
-                      kan_quadratic, mode_op, q_char, random_physical_cm,
-                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
+from conftest import (ccm_mean_on_detector, cm_to_ccm, destroy,
+                      dict_coeff_extract, kan_quadratic, mode_op, q_char,
+                      random_physical_cm, sample_two_mode_detector,
+                      sample_ww_detector, tmsv_form)
 from paper_audit import asymptotic_check, displacement_matrix
 
 VACUUM_1 = CovMatrix(np.eye(2) / 2)
@@ -31,7 +32,6 @@ def test_q_char_reduces_to_kernel_chi():
     kernel = tmsv_form(0.3).to_cm()
     mu = np.array([0.2 + 0.1j, -0.3 + 0.05j])
     zero = np.zeros(2)
-    from cvwitness.symplectic import cm_to_ccm
     w = np.concatenate([mu, mu.conj()])
     expect = np.exp(-0.5 * w @ cm_to_ccm(kernel) @ w)
     assert abs(q_char(kernel, zero, zero, mu) - expect) < 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from cvwitness import symplectic, witness
 from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability, ppt_decide,
                                 simon_lhs, werner_wolf_family, werner_wolf_lhs)
-from cvwitness.exceptions import (ConstraintViolatedError,
+from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   NonPositiveDeterminantError,
                                   PatternMismatchError)
 from cvwitness.standard_form import (Family, QuadratureForm,
@@ -515,6 +516,34 @@ def test_lambda_inside_block_tolerance(w1, w2, block):
         assert abs(lam / _cone_lambda(w1, w2, 1.0, power)[0] - 1) <= 1e-12
 
 
+def test_witness_is_boundary_where_its_ratios_straddle_one():
+    """Just past Simon's boundary (lhs -1e-6), ell at the matched scale 1e4
+    reads 1.000049 and its limit 0.999999: the audit has not settled the
+    sign, so the report is boundary, not separable."""
+    rep = minmax_optimize(TwoModeStandardForm(1.0, 1.0, 0.5000005, 0.5000005).to_cm())
+    assert rep.ell > 1 > rep.ell_limit
+    assert rep.boundary and not rep.entangled
+
+
+@pytest.mark.parametrize("state, labels, others", [
+    (tmsv_form(0.5).to_cm(), ([0], [1]), ([0, 1], [], [5])),
+    (werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm(),
+     ([0, 1], [1, 0], [2, 3], [3, 2]), ([0, 2], [1], [0, 1, 2], [4])),
+], ids=["two-mode", "werner-wolf"])
+def test_minmax_admits_the_cut_like_the_decision(state, labels, others):
+    """`minmax_optimize` reads the partition through `admitted_family`:
+    either party's label of the family's cut gives the default report, and
+    any other partition is refused with the decision's error and message."""
+    default = repr(minmax_optimize(state))
+    for partition in labels:
+        assert repr(minmax_optimize(state, partition)) == default
+    for partition in others:
+        with pytest.raises(CvWitnessError) as want:
+            decide_separability(state, partition)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            minmax_optimize(state, partition)
+
+
 def test_minmax_refuses_a_non_physical_cm():
     """diag(0.1) has a bona-fide eigenvalue of -0.4: no state has it, so no
     witness is matched to it (it used to report entangled with ell 0.2)."""
@@ -549,7 +578,7 @@ def test_minmax_tolerance_follows_the_cm_scale():
     mat = tmsv_form(0.5).to_cm().mat - 1e-9 * np.eye(4)
     with pytest.raises(PatternMismatchError):
         minmax_optimize(CovMatrix(mat))
-    assert minmax_optimize(CovMatrix(mat), 1e-8).entangled
+    assert minmax_optimize(CovMatrix(mat), tol=1e-8).entangled
 
 
 @pytest.mark.parametrize("witness_first", [False, True])

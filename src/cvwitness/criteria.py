@@ -21,10 +21,15 @@ squeezed entangled state would read PPT.
 
 `ppt_decide` and `decide_separability` refuse a CM that is not a state
 (`require_physical`), and their `tol` reaches that admission and nothing
-else.  The PPT test reads
-the floor of `TOL_PSD` on the image, widened only for an input admitted
-below it, by the image's own deficit (`_ppt_report`): a tolerance can admit
-a noisy state but cannot turn an entangled one PPT.
+else.  Every least-eigenvalue sign is read against its own rounding, 2 eps
+per dimension times the scale of the matrix whose eigenvalue it is (the
+rule of `validate_cm`, `symplectic._EIG_ROUNDING`), with no absolute floor:
+the PPT test on the image (`_ppt_report`), lifted by the image's own
+deficit for an input that is not a state to within rounding, so a tolerance
+can admit a noisy state but cannot turn an entangled one PPT; and the
+certificate slack on its 2x2 blocks (`_certifies`).  The bands that stay
+absolute on purpose are the reported Boundary bands, `TOL_BOUNDARY` here and
+`witness.TOL_ELL_BOUNDARY`.
 """
 
 import math
@@ -38,14 +43,11 @@ from .exceptions import (ConstraintViolatedError, DimensionMismatchError, Partit
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, local_normal_form, reduce_to_standard_form)
-from .symplectic import (TOL_PSD, CovMatrix, _bona_fide_floor, _bona_fide_min_eig,
-                         _williamson_spectrum, validate_cm)
+from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide_floor,
+                         _bona_fide_min_eig, _williamson_spectrum, validate_cm)
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
-
-#: minimum slack accepted for a feasibility certificate.
-TOL_CERT = 1e-10
 
 
 class Verdict(str, Enum):
@@ -141,14 +143,15 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
     """The bona-fide test of the partial transpose of `image`, gamma under a
     local symplectic, and the symplectic spectrum of gamma's own.
 
-    The floor is that of `TOL_PSD` at the image's scale.  An input admitted
-    below it (at a wider `tol`) has it widened by the image's own deficit d
-    = min(0, least eigenvalue of image + i sigma/2): PT(image - d I) =
+    The floor is the eigensolve's rounding at the image's scale, with no
+    absolute part.  An input that is not a state to within rounding (one
+    admitted at a `tol` above 0) has it widened by the image's own deficit
+    d = min(0, least eigenvalue of image + i sigma/2): PT(image - d I) =
     PT(image) - d I, so this tests the PT of the input lifted onto the
     states by local noise.  That costs one eigensolve, on that path only."""
     flip = _pt_flip(gamma.n_modes, party_a)
-    floor = _bona_fide_floor(image, TOL_PSD)
-    if not validate_cm(gamma).is_physical:
+    floor = _bona_fide_floor(image, 0.0)
+    if not validate_cm(gamma, 0.0).is_physical:
         floor += min(0.0, _bona_fide_min_eig(image.mat))
     return PptReport(
         is_ppt=_bona_fide_min_eig(image.mat * flip) >= floor,
@@ -235,9 +238,22 @@ def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
         (a1 - x / 2, b1 - y / 2, c1), (a2 - 0.5 / x, b2 - 0.5 / y, c2))))
 
 
+def _certifies(form: QuadratureForm, x: float, y: float) -> bool:
+    """Whether the product state (x, y) is dominated to within rounding: the
+    slack `certificate_min_eig` is at least -2 eps per dimension of a 2x2
+    block times M, the largest of |a|, |b| and |c| over both triples and of
+    the shifts x/2, y/2, 1/(2x) and 1/(2y).  The tests hold the closed form
+    to 4 eps times the scale of the block that attains it against a
+    50-digit slack."""
+    slack = certificate_min_eig(form, x, y)   # refuses (x, y) first
+    scale = max(*map(abs, (*form.x, *form.p)), x / 2, y / 2, 0.5 / x, 0.5 / y)
+    return slack >= -2 * _EIG_ROUNDING * float(scale)
+
+
 def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     """Product squeezed state (x, y) whose CM the form's CM dominates (to
-    within TOL_CERT): the separability certificate.  None when there is none.
+    within rounding, `_certifies`): the separability certificate.  None when
+    there is none.
 
     With the form's quadrature triples (a_i, b_i, c_i), the conditions are
     (a1 - x/2)(b1 - y/2) >= c1^2 and (a2 - 1/(2x))(b2 - 1/(2y)) >= c2^2.
@@ -249,13 +265,13 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     quadrature blocks of the difference in closed form (no eigensolver), is
     the final check.
     """
-    if certificate_min_eig(form, 1.0, 1.0) >= -TOL_CERT:
+    if _certifies(form, 1.0, 1.0):
         return 1.0, 1.0
     x, f1, f2 = _peak(form.x, form.p)
     if not (f1 > 0 and f2 > 0):
         return None
     y = math.sqrt(f1 / f2)
-    if certificate_min_eig(form, x, y) < -TOL_CERT:
+    if not _certifies(form, x, y):
         return None
     return float(x), float(y)
 

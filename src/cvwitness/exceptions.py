@@ -20,7 +20,8 @@ class PartitionError(CvWitnessError):
 class ScaleOverflowError(CvWitnessError):
     """A covariance matrix is too large for its decision in double precision:
     products of its entries overflow, or its symplectic spectrum does not
-    converge."""
+    converge; or a detector's product-state maximizer is not a positive
+    finite double."""
 
 
 class SingularSumError(CvWitnessError):

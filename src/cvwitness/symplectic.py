@@ -15,6 +15,11 @@ are read against the matrix's scale, its largest |entry|: symmetry to 1e-12
 max(1, scale), the bona-fide test to `tol` plus the eigensolve's rounding
 2 dim eps scale (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 3); `tol` times the scale would accept strongly squeezed non-states.
+That rounding, 2 eps per dimension times the scale of the matrix whose least
+eigenvalue is read (`_EIG_ROUNDING`, `_bona_fide_floor`), is the one floor
+of every least-eigenvalue sign the decision reads: the PPT test and the
+separability certificate read it with no absolute part (`criteria`), and
+`tol`, `TOL_PSD` by default, is the admission's alone.
 
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
@@ -33,7 +38,8 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, ScaleOverflowError
 
-#: absolute PSD tolerance on the minimum eigenvalue of gamma + i*sigma/2.
+#: default admission tolerance of `validate_cm`: how far below rounding the
+#: least eigenvalue of gamma + i*sigma/2 may lie; no other test reads it.
 TOL_PSD = 1e-10
 
 _SYMMETRY_TOL = 1e-12   # per unit of max(1, scale)

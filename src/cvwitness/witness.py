@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from .criteria import admitted_family
-from .exceptions import NonPositiveDeterminantError
+from .exceptions import NonPositiveDeterminantError, ScaleOverflowError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             reduce_to_standard_form)
 from .symplectic import TOL_PSD, CovMatrix
@@ -135,12 +135,18 @@ def lambda_closed_form(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     """Maximal detector mean over product pure states and the maximizing
     (x, y): 1 / H for two modes and 1 / H^2 for Werner-Wolf, whose
     determinant is the square of the two-mode factor product, with H from
-    `_min_det_factors`.  A Lambda below the least normal double is refused."""
+    `_min_det_factors`.  A Lambda below the least normal double is refused,
+    and so is a maximizer that is not a positive finite double: x maps back
+    from the balanced detector times sqrt(m1 / m2), which leaves double
+    precision for m1 = 1.7e308 and m2 = 5e-324."""
     h, xy = _min_det_factors(d)
     lam = 1 / h if d.family is Family.TWO_MODE else 1 / (h * h)
     if not lam >= sys.float_info.min:
         raise NonPositiveDeterminantError(
             "the product-state maximum of the detector underflows double precision")
+    if not all(0 < v < math.inf for v in xy):
+        raise ScaleOverflowError(
+            f"the product-state maximizer {xy} of the detector leaves double precision")
     return lam, xy
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvwitness.criteria import (TOL_CERT, Verdict, WWFamilyParams, _peak,
+from cvwitness.criteria import (Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
                                 feasibility_search, ppt_decide,
                                 separability_lhs, simon_lhs,
@@ -29,6 +29,11 @@ from conftest import (grid_certificate, sample_standard_form,
 from paper_audit import werner_wolf_family_lhs_claim
 
 PROPERTY = settings(max_examples=60)
+
+#: the absolute slack these tests hold a certificate to; the package reads
+#: the slack against its own rounding (`criteria._certifies`), which is
+#: tighter than this at unit scale.
+TOL_CERT = 1e-10
 
 
 def test_simon_lhs_tmsv_closed_form():
@@ -548,6 +553,65 @@ def test_noisy_product_states_read_ppt_at_a_wide_tol():
         assert not validate_cm(noisy).is_physical
         assert decide_separability(noisy, tol=1e-5).ppt.is_ppt
         assert ppt_decide(noisy, tol=1e-5).is_ppt
+
+
+def test_noisy_product_states_read_ppt_at_the_default_tol():
+    """Locally squeezed vacua (r <= 3) lowered by 1e-11 I are admitted at the
+    default tolerance but are no states to within rounding, so the PPT floor
+    is lifted by the image's own deficit: every one reads PPT, in the
+    decision and in `ppt_decide`.  The vacuum point misses them by 1e-11,
+    far beyond its rounding, so none is certified, and at |lhs| <= 1e-11
+    every one is Boundary.  A floor of the absolute admission tolerance left
+    the lift to inputs admitted below it and read 16 of these 20 NPT; a
+    certificate slack floor of 1e-10 called the other 4 Separable."""
+    rng = np.random.default_rng(26)
+    vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
+    for _ in range(20):
+        dressed = _dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        noisy = CovMatrix(dressed.mat - 1e-11 * np.eye(4))
+        assert validate_cm(noisy).is_physical and not validate_cm(noisy, 0.0).is_physical
+        report = decide_separability(noisy)
+        assert report.ppt.is_ppt and ppt_decide(noisy).is_ppt
+        assert report.verdict is Verdict.BOUNDARY and report.certificate is None
+
+
+def _lhs_terms(form):
+    """The sum of |monomial| of the expanded two-mode criterion, the scale
+    of its rounding: (a1 b1 + c1^2)(a2 b2 + c2^2) + |c1 c2|/2 + (a1 a2 +
+    b1 b2)/4 + 1/16."""
+    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
+    return ((a1 * b1 + c1 * c1) * (a2 * b2 + c2 * c2) + abs(c1 * c2) / 2
+            + (a1 * a2 + b1 * b2) / 4 + 1 / 16)
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.floats(0.0, 2 * math.pi),
+       st.floats(3.0, 12.0), st.sampled_from((-1.0, 1.0)))
+def test_sign_of_lhs_beyond_its_rounding_decides_ppt(a, b, angle, log_lhs, sign):
+    """A two-mode form with a, b in [0.5, 10] whose criterion lies beyond
+    1e3 eps times the sum of its |terms| has a resolved sign, and if it is
+    a state to within rounding, the PPT test and the certificate follow it
+    (Simon: PPT iff separable).  At lhs < 0 the state is never Separable
+    nor bound entangled and `ppt_decide` reads NPT; at lhs > 0 both PPT
+    tests read PPT.  Absolute floors of 1e-10 on the PPT eigenvalue and on
+    the certificate slack swallowed such margins at unit scale.  |lhs| is
+    drawn at 1e3..1e12 eps times (2ab)^2, the largest sum of |terms| up to
+    its 1/16."""
+    target = sign * 10 ** log_lhs * np.finfo(float).eps * (2 * a * b) ** 2
+    assume((a * a - 0.25) * (b * b - 0.25) > target)
+    form = _two_mode_form_at(a, b, angle, target)
+    gamma = form.to_cm()
+    # a state to within rounding: a non-state admitted by `tol` is tested
+    # lifted onto the states, and at c1 c2 = 0 it misses them by its lhs
+    assume(validate_cm(gamma, 0.0).is_physical)
+    lhs = separability_lhs(form)
+    assume(abs(lhs) >= 1e3 * np.finfo(float).eps * _lhs_terms(form))
+    report, ppt = decide_separability(gamma), ppt_decide(gamma)
+    if lhs < 0:
+        assert report.verdict is not Verdict.SEPARABLE and not report.bound_entangled
+        assert not ppt.is_ppt and not report.ppt.is_ppt
+    else:
+        assert ppt.is_ppt and report.ppt.is_ppt
 
 
 def test_no_tmsv_rung_is_refused():

@@ -5,8 +5,10 @@ for `tests/data`) and exit code.  A case runs `cli.main` in an empty working
 directory; its stdout must equal `<case>.out` and, for `sweep`, the CSV it
 writes must equal `<case>.csv`.  The corpus covers `check` (auto, ppt and
 witness on a two-mode squeezed vacuum, a locally dressed two-mode state, a
-Werner-Wolf family point and a dressed Werner-Wolf-pattern state; nongauss
-on one ladder state), both sweeps and one two-mode `oracle`.  A change that
+Werner-Wolf family point and a dressed Werner-Wolf-pattern state; auto and
+ppt on two NPT two-mode states within 1e-9 of Simon's boundary, whose
+margins only a floor at rounding resolves; nongauss on one ladder state),
+both sweeps and one two-mode `oracle`.  A change that
 moves a byte rewrites the golden and names the byte and its cause.
 """
 

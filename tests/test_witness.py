@@ -15,7 +15,7 @@ from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability, pp
                                 simon_lhs, werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   NonPositiveDeterminantError,
-                                  PatternMismatchError)
+                                  PatternMismatchError, ScaleOverflowError)
 from cvwitness.standard_form import (Family, QuadratureForm,
                                      TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
@@ -502,6 +502,21 @@ def test_lambda_matches_references_at_any_scale(logs, r5, r6, neg5, neg6, seed):
             p1, p2, p3, p4 = map(mpmath.mpf, m)
             _check_lambda((*map(float, m), 0.0, 0.0),
                           (mpmath.sqrt(p1 * p2) + 0.5) * (mpmath.sqrt(p3 * p4) + 0.5))
+
+
+def test_lambda_with_a_maximizer_past_double_precision_is_refused():
+    """x* maps back from the balanced detector times sqrt(m1 / m2), which is
+    5.8e315 for m1 = 1.7e308 and m2 = 5e-324: Lambda is representable, its
+    maximizer is not, so the pair is refused, not returned with x* = inf.
+    The mirrored detector puts x* at a subnormal 1.7e-316, a positive finite
+    double, and is answered.  A y* past double precision is refused alike."""
+    for family in Family:
+        with pytest.raises(ScaleOverflowError, match="maximizer"):
+            lambda_closed_form(DetectorSpec(family, 1.7e308, 5e-324, 1, 1, 0, 0))
+        with pytest.raises(ScaleOverflowError, match="maximizer"):
+            lambda_closed_form(DetectorSpec(family, 1, 1, 1.7e308, 5e-324, 0, 0))
+        lam, (x, y) = lambda_closed_form(DetectorSpec(family, 5e-324, 1.7e308, 1, 1, 0, 0))
+        assert 0 < x < 1e-300 and y == 1.0 and math.isfinite(lam)
 
 
 @pytest.mark.parametrize("w1, w2, block", [(1.0, 1e15, 5), (1e15, 1.0, 6)])

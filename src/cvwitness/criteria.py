@@ -25,11 +25,12 @@ else.  Every least-eigenvalue sign is read against its own rounding, 2 eps
 per dimension times the scale of the matrix whose eigenvalue it is (the
 rule of `validate_cm`, `symplectic._EIG_ROUNDING`), with no absolute floor:
 the PPT test on the image (`_ppt_report`), lifted by the image's own
-deficit for an input that is not a state to within rounding, so a tolerance
-can admit a noisy state but cannot turn an entangled one PPT; and the
-certificate slack on its 2x2 blocks (`_certifies`).  The bands that stay
-absolute on purpose are the reported Boundary bands, `TOL_BOUNDARY` here and
-`witness.TOL_ELL_BOUNDARY`.
+deficit, which carries the rounding the image inherits from gamma and lets
+a tolerance admit a noisy state but not turn an entangled one PPT; and the
+certificate slack on its 2x2 blocks (`_certifies`), at the scale of the
+rounding the standard form inherits (`QuadratureForm.rounding_scale`).
+The bands that stay absolute on purpose are the reported Boundary bands,
+`TOL_BOUNDARY` here and `witness.TOL_ELL_BOUNDARY`.
 """
 
 import math
@@ -144,17 +145,21 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
     local symplectic, and the symplectic spectrum of gamma's own.
 
     The floor is the eigensolve's rounding at the image's scale, with no
-    absolute part.  An input that is not a state to within rounding (one
-    admitted at a `tol` above 0) has it widened by the image's own deficit
-    d = min(0, least eigenvalue of image + i sigma/2): PT(image - d I) =
-    PT(image) - d I, so this tests the PT of the input lifted onto the
-    states by local noise.  That costs one eigensolve, on that path only."""
+    absolute part, widened by the image's own deficit d = min(0, least
+    eigenvalue of image + i sigma/2): PT(image - d I) = PT(image) - d I, so
+    this tests the PT of the image lifted onto the states by local noise.
+    For a state, d is the rounding the image inherits from gamma, which a
+    local squeeze grows past the image's own: a product of vacua squeezed
+    to r = 2 has an image whose PT misses the states by about 100 eps, and
+    d by the same.  For an input admitted at a `tol` above 0, d is what
+    makes a noisy product read PPT.  As d only lowers the floor, it is
+    taken only where the PT reads NPT without it: one eigensolve more for
+    an NPT reading, none for a PPT one."""
     flip = _pt_flip(gamma.n_modes, party_a)
     floor = _bona_fide_floor(image, 0.0)
-    if not validate_cm(gamma, 0.0).is_physical:
-        floor += min(0.0, _bona_fide_min_eig(image.mat))
+    pt = _bona_fide_min_eig(image.mat * flip)
     return PptReport(
-        is_ppt=_bona_fide_min_eig(image.mat * flip) >= floor,
+        is_ppt=pt >= floor or pt >= floor + min(0.0, _bona_fide_min_eig(image.mat)),
         min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
 
 
@@ -220,6 +225,13 @@ def _peak(cond1, cond2) -> tuple[float, float, float]:
     return (x, f1, f2) if f1 > 0 and f2 > 0 else (x, 0.0, 0.0)
 
 
+def _is_product_state(x: float, y: float) -> bool:
+    """Whether the product squeezed state (x, y) has every mode variance,
+    x/2, y/2, 1/(2x) and 1/(2y), a positive finite double."""
+    # x, y > 0 first: 0.5 / 0.0 raises
+    return x > 0 and y > 0 and all(0 < s < math.inf for s in (x / 2, y / 2, 0.5 / x, 0.5 / y))
+
+
 def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     """Least eigenvalue of the form's CM minus the diagonal CM of the product
     squeezed-vacuum state, mode state (x, y) on every mode of party A (B).
@@ -230,8 +242,8 @@ def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     least eigenvalue of [[p, c], [c, q]] is (p + q)/2 - hypot((p - q)/2, c).
     A product state with a mode variance that is not a positive finite
     double is refused."""
-    x, y = float(x), float(y)   # x, y > 0 first: 0.5 / 0.0 raises
-    if not (x > 0 and y > 0 and all(0 < s < math.inf for s in (x / 2, y / 2, 0.5 / x, 0.5 / y))):
+    x, y = float(x), float(y)
+    if not _is_product_state(x, y):
         raise DimensionMismatchError(f"mode variance at ({x}, {y}) is non-finite or non-positive")
     (a1, b1, c1), (a2, b2, c2) = form.x, form.p
     return float(min((p + q) / 2 - math.hypot((p - q) / 2, c) for p, q, c in (
@@ -240,14 +252,17 @@ def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
 
 def _certifies(form: QuadratureForm, x: float, y: float) -> bool:
     """Whether the product state (x, y) is dominated to within rounding: the
-    slack `certificate_min_eig` is at least -2 eps per dimension of a 2x2
-    block times M, the largest of |a|, |b| and |c| over both triples and of
-    the shifts x/2, y/2, 1/(2x) and 1/(2y).  The tests hold the closed form
-    to 4 eps times the scale of the block that attains it against a
-    50-digit slack."""
+    slack `certificate_min_eig`, the least eigenvalue of the difference of
+    two CMs, is at least -2 eps per dimension of that difference times M,
+    the larger of the form's `rounding_scale` (its largest |entry|, or the
+    rounding it inherits from the state it was reduced from) and the shifts
+    x/2, y/2, 1/(2x) and 1/(2y).  Unlike the PPT test, the slack is not
+    lifted by the form's deficit: the certificate holds for the input as
+    given.  The tests hold the closed form to 4 eps times the scale of the
+    block that attains it against a 50-digit slack."""
     slack = certificate_min_eig(form, x, y)   # refuses (x, y) first
-    scale = max(*map(abs, (*form.x, *form.p)), x / 2, y / 2, 0.5 / x, 0.5 / y)
-    return slack >= -2 * _EIG_ROUNDING * float(scale)
+    scale = max(form.rounding_scale, x / 2, y / 2, 0.5 / x, 0.5 / y)
+    return slack >= -_EIG_ROUNDING * 2 * form.n_modes * scale
 
 
 def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:

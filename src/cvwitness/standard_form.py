@@ -90,6 +90,18 @@ class QuadratureForm:
     def n_modes(self) -> int:
         return self.family.n_modes
 
+    @property
+    def rounding_scale(self) -> float:
+        """The scale of the rounding the entries carry: their largest |entry|,
+        or, for a form that `reduce_to_standard_form` computed as S gamma
+        S^T, the largest entry of |S| |gamma| |S|^T (Higham, ch. 3), kept in
+        the `_rounding_scale` slot.  A local squeeze of e^r grows the latter
+        by about e^(2r), which the entries do not show: a product of vacua
+        squeezed to r = 2 reduces to entries near 1/2 that err by about 100
+        eps."""
+        own = max(map(abs, (*self.x, *self.p)))
+        return float(max(own, self.__dict__.get("_rounding_scale", own)))
+
     def to_cm(self) -> CovMatrix:
         """The form's CM, built on the first call and kept on the instance:
         the form is frozen and the CM read-only, so it cannot go stale.
@@ -252,8 +264,9 @@ def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
 
 def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     """Return (form, S) with S a local symplectic, as a read-only array, and
-    S gamma S^T the form's CM; computed once per matrix instance and kept in
-    its `_reduced` slot."""
+    S gamma S^T the form's CM, whose rounding the form keeps
+    (`QuadratureForm.rounding_scale`); computed once per matrix instance and
+    kept in its `_reduced` slot."""
     family = Family(family)
     if gamma.n_modes != family.n_modes:
         raise PatternMismatchError(
@@ -264,6 +277,13 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     _require_squarable(gamma, "cannot reduce to standard form")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     result = form, s = reduce(gamma)
+    a = abs(s)
+    with np.errstate(over="ignore"):
+        rounding = float((a @ abs(gamma.mat) @ a.T).max())
+    if not rounding < math.inf:
+        raise ScaleOverflowError("cannot reduce to standard form: the rounding it "
+                                 "inherits overflows double precision")
+    object.__setattr__(form, "_rounding_scale", rounding)
     s.flags.writeable = False
     object.__setattr__(gamma, "_reduced", result)
     return result

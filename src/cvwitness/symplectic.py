@@ -18,7 +18,8 @@ ch. 3); `tol` times the scale would accept strongly squeezed non-states.
 That rounding, 2 eps per dimension times the scale of the matrix whose least
 eigenvalue is read (`_EIG_ROUNDING`, `_bona_fide_floor`), is the one floor
 of every least-eigenvalue sign the decision reads: the PPT test and the
-separability certificate read it with no absolute part (`criteria`), and
+separability certificate read it with no absolute part, the certificate at
+the scale of the rounding a reduced form inherits (`criteria`), and
 `tol`, `TOL_PSD` by default, is the admission's alone.
 
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM

@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .criteria import admitted_family
+from .criteria import _is_product_state, admitted_family
 from .exceptions import NonPositiveDeterminantError, ScaleOverflowError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             reduce_to_standard_form)
@@ -136,15 +136,18 @@ def lambda_closed_form(d: QuadratureForm) -> tuple[float, tuple[float, float]]:
     (x, y): 1 / H for two modes and 1 / H^2 for Werner-Wolf, whose
     determinant is the square of the two-mode factor product, with H from
     `_min_det_factors`.  A Lambda below the least normal double is refused,
-    and so is a maximizer that is not a positive finite double: x maps back
-    from the balanced detector times sqrt(m1 / m2), which leaves double
-    precision for m1 = 1.7e308 and m2 = 5e-324."""
+    and so is a maximizer (x, y) that is no product state in double
+    precision, one with a mode variance x/2, y/2, 1/(2x) or 1/(2y) that is
+    not a positive finite double (`criteria._is_product_state`): x maps back
+    from the balanced detector times sqrt(m1 / m2), which overflows for m1
+    = 1.7e308 and m2 = 5e-324 and puts 1/(2x) past double precision for the
+    mirrored detector."""
     h, xy = _min_det_factors(d)
     lam = 1 / h if d.family is Family.TWO_MODE else 1 / (h * h)
     if not lam >= sys.float_info.min:
         raise NonPositiveDeterminantError(
             "the product-state maximum of the detector underflows double precision")
-    if not all(0 < v < math.inf for v in xy):
+    if not _is_product_state(*xy):
         raise ScaleOverflowError(
             f"the product-state maximizer {xy} of the detector leaves double precision")
     return lam, xy

@@ -555,12 +555,33 @@ def test_noisy_product_states_read_ppt_at_a_wide_tol():
         assert ppt_decide(noisy, tol=1e-5).is_ppt
 
 
+def test_dressed_pure_products_are_ppt_and_certified():
+    """Products of vacua squeezed to r in [1, 3] under a random local
+    rotation-squeeze-rotation are states to within rounding, but their
+    images carry the rounding of the squeeze: the local normal form and the
+    standard form have symplectic eigenvalues that miss 1/2 by up to about
+    3e3 eps.  The PPT test, lifted by the image's own deficit, reads PPT in
+    the decision and in `ppt_decide`, and the certificate, read at the
+    rounding the standard form inherits, certifies them Separable.  Read at
+    the images' own scale alone, 15 of these 30 read NPT and 17 were not
+    certified."""
+    rng = np.random.default_rng(27)
+    vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
+    for _ in range(30):
+        signs = rng.choice((-1.0, 1.0), 2)
+        gamma = _dress(vacuum, signs * rng.uniform(1.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        report = decide_separability(gamma)
+        assert report.ppt.is_ppt and ppt_decide(gamma).is_ppt
+        assert report.verdict is Verdict.SEPARABLE and report.certificate is not None
+
+
 def test_noisy_product_states_read_ppt_at_the_default_tol():
     """Locally squeezed vacua (r <= 3) lowered by 1e-11 I are admitted at the
-    default tolerance but are no states to within rounding, so the PPT floor
-    is lifted by the image's own deficit: every one reads PPT, in the
-    decision and in `ppt_decide`.  The vacuum point misses them by 1e-11,
-    far beyond its rounding, so none is certified, and at |lhs| <= 1e-11
+    default tolerance but are no states to within rounding, so the PPT
+    test, lifted by the image's own deficit, reads PPT for every one, in the
+    decision and in `ppt_decide`.  The certificate is not lifted: the
+    vacuum point misses them by about 1e-11, beyond the rounding their
+    standard forms inherit, so none is certified, and at |lhs| <= 1e-11
     every one is Boundary.  A floor of the absolute admission tolerance left
     the lift to inputs admitted below it and read 16 of these 20 NPT; a
     certificate slack floor of 1e-10 called the other 4 Separable."""

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cvwitness import symplectic, witness
-from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability, ppt_decide,
+from cvwitness.criteria import (Verdict, WWFamilyParams, certificate_min_eig,
+                                decide_separability, ppt_decide,
                                 simon_lhs, werner_wolf_family, werner_wolf_lhs)
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   NonPositiveDeterminantError,
@@ -508,15 +509,19 @@ def test_lambda_with_a_maximizer_past_double_precision_is_refused():
     """x* maps back from the balanced detector times sqrt(m1 / m2), which is
     5.8e315 for m1 = 1.7e308 and m2 = 5e-324: Lambda is representable, its
     maximizer is not, so the pair is refused, not returned with x* = inf.
-    The mirrored detector puts x* at a subnormal 1.7e-316, a positive finite
-    double, and is answered.  A y* past double precision is refused alike."""
+    The mirrored detector puts x* at a subnormal 1.7e-316, whose conjugate
+    mode variance 1/(2x*) overflows, so it is no product state either and
+    is refused alike, as is a y* past double precision either way.  Every
+    maximizer that is returned is a product state that
+    `certificate_min_eig` accepts."""
     for family in Family:
-        with pytest.raises(ScaleOverflowError, match="maximizer"):
-            lambda_closed_form(DetectorSpec(family, 1.7e308, 5e-324, 1, 1, 0, 0))
-        with pytest.raises(ScaleOverflowError, match="maximizer"):
-            lambda_closed_form(DetectorSpec(family, 1, 1, 1.7e308, 5e-324, 0, 0))
-        lam, (x, y) = lambda_closed_form(DetectorSpec(family, 5e-324, 1.7e308, 1, 1, 0, 0))
-        assert 0 < x < 1e-300 and y == 1.0 and math.isfinite(lam)
+        for m in ((1.7e308, 5e-324, 1, 1), (5e-324, 1.7e308, 1, 1),
+                  (1, 1, 1.7e308, 5e-324), (1, 1, 5e-324, 1.7e308)):
+            with pytest.raises(ScaleOverflowError, match="maximizer"):
+                lambda_closed_form(DetectorSpec(family, *m, 0, 0))
+        lam, (x, y) = lambda_closed_form(DetectorSpec(family, 1e300, 1e-300, 1, 1, 0, 0))
+        assert x == pytest.approx(1e300) and y == 1.0 and math.isfinite(lam)
+        assert math.isfinite(certificate_min_eig(DetectorSpec(family, 1, 1, 1, 1, 0, 0), x, y))
 
 
 @pytest.mark.parametrize("w1, w2, block", [(1.0, 1e15, 5), (1e15, 1.0, 6)])

@@ -11,26 +11,32 @@ log-concave function of x at the root of one quadratic.  Domination is two
 2x2 inequalities, one per quadrature triple, so `certificate_min_eig` checks
 the certificate on those two blocks in closed form, with no eigensolver.
 
-The PPT annotation flips party B's momenta: the partial transpose is the
-CM's array times a sign matrix, cached per mode count and party A.  A local
-symplectic keeps the sign of its bona-fide test, so the test is taken on an
-image of gamma at the scale of its symplectic eigenvalues: the standard form
-in a decision, the local normal form otherwise.  On gamma a squeeze e^r
-shrinks the eigenvalue like e^-2r and grows rounding like e^2r, so a
-squeezed entangled state would read PPT.
+The PPT annotation of a decision is closed form on the standard form
+(`_form_ppt`): x and p decouple, so the squared symplectic eigenvalues of
+the partial transpose are the roots of one quadratic in the two triples,
+formed exactly from the doubles, and a decision calls no eigensolver after
+its admission.  `ppt_decide` tests any cut of any mode count by eigensolves
+(`_ppt_report`): the partial transpose flips party B's momenta, so it is
+the CM's array times a sign matrix, cached per mode count and party A.  A
+local symplectic keeps the sign of its bona-fide test, so that test is
+taken on the local normal form, an image of gamma at the scale of its
+symplectic eigenvalues.  On gamma a squeeze e^r shrinks the eigenvalue like
+e^-2r and grows rounding like e^2r, so a squeezed entangled state would
+read PPT.
 
 `ppt_decide` and `decide_separability` refuse a CM that is not a state
 (`require_physical`), and their `tol` reaches that admission and nothing
 else.  Every least-eigenvalue sign is read against its own rounding, 2 eps
 per dimension times the scale of the matrix whose eigenvalue it is (the
 rule of `validate_cm`, `symplectic._EIG_ROUNDING`), with no absolute floor:
-the PPT test on the image (`_ppt_report`), lifted by the image's own
-deficit, which carries the rounding the image inherits from gamma and lets
-a tolerance admit a noisy state but not turn an entangled one PPT; and the
-certificate slack on its 2x2 blocks (`_certifies`), at the scale of the
-rounding the standard form inherits (`QuadratureForm.rounding_scale`).
-The bands that stay absolute on purpose are the reported Boundary bands,
-`TOL_BOUNDARY` here and `witness.TOL_ELL_BOUNDARY`.
+the PPT test, on the standard form (`_form_ppt`) or on the image
+(`_ppt_report`), lifted by that matrix's own deficit, which carries the
+rounding it inherits from gamma and lets a tolerance admit a noisy state
+but not turn an entangled one PPT; and the certificate slack on its 2x2
+blocks (`_certifies`), at the scale of the rounding the standard form
+inherits (`QuadratureForm.rounding_scale`).  The bands that stay absolute
+on purpose are the reported Boundary bands, `TOL_BOUNDARY` here and
+`witness.TOL_ELL_BOUNDARY`.
 """
 
 import math
@@ -142,7 +148,9 @@ def _splits(partition: list[int], n_modes: int) -> bool:
 
 def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptReport:
     """The bona-fide test of the partial transpose of `image`, gamma under a
-    local symplectic, and the symplectic spectrum of gamma's own.
+    local symplectic, and the symplectic spectrum of gamma's own, by
+    eigensolves: the route of `ppt_decide`, for any cut of any mode count.
+    A decision takes the closed form `_form_ppt` on its standard form.
 
     The floor is the eigensolve's rounding at the image's scale, with no
     absolute part, widened by the image's own deficit d = min(0, least
@@ -161,6 +169,54 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
     return PptReport(
         is_ppt=pt >= floor or pt >= floor + min(0.0, _bona_fide_min_eig(image.mat)),
         min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
+
+
+def _form_ppt(form: QuadratureForm) -> PptReport:
+    """The PPT test of a standard form in closed form, with no eigensolver.
+
+    The x and p quadratures decouple, so the partial transpose's squared
+    symplectic eigenvalues solve lambda^2 - T lambda + D = 0, with
+    D = (a1 b1 - c1^2)(a2 b2 - c2^2) and T = a1 a2 + b1 b2 + 2 k c1 c2: k = 1
+    for two modes (Simon, PRL 84, 2726 (2000)), and k = 0 for Werner-Wolf,
+    whose T sees the p correlation only squared, so that the partial
+    transpose keeps the state's own spectrum, each root twice.  D, T and
+    T^2 - 4D are formed exactly from the doubles' integer ratios, scaled by
+    a power of two to the largest |entry| so that nothing leaves double
+    precision, and each is rounded once; the least eigenvalue is
+    sqrt(2D / (T + sqrt(T^2 - 4D))), which does not cancel.
+
+    It reads PPT at 1/2 less the eigensolve's rounding at the form's scale
+    (`_EIG_ROUNDING` 2n max |entry|), and wherever k c1 c2 is not positive
+    beyond the rounding the entries carry (`QuadratureForm.rounding_scale`).
+    At k c1 c2 <= 0 the form's own T is at least the partial transpose's,
+    so the partial transpose's least symplectic eigenvalue is at least the
+    form's own: the form lifted onto the states by its own deficit has a PPT
+    partial transpose, as `_ppt_report` lifts the image.  A separable state
+    with det C = 0 on the PPT boundary, locally squeezed, reduces to a c2 of
+    the size of that rounding, of either sign."""
+    values = (*form.x, *form.p)
+    ratios = [float(v).as_integer_ratio() for v in values]
+    big = max(den for _, den in ratios)   # every denominator is a power of two
+    a1, b1, c1, a2, b2, c2 = (num * (big // den) for num, den in ratios)
+    scale = float(max(map(abs, values)))
+    # scaled by 2^-k, below 1, the entries are n / unit with unit = big 2^k,
+    # an integer: a nonzero entry is at least 1 / big
+    k = math.frexp(scale)[1]
+    unit = big << k if k >= 0 else big >> -k
+    u2 = unit * unit
+    u4 = u2 * u2
+    det = (a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2)
+    two_mode = form.family is Family.TWO_MODE
+    trace = a1 * a2 + b1 * b2 + (2 * c1 * c2 if two_mode else 0)
+    d, t = det / u4, trace / u2
+    den = t + math.sqrt(max((trace * trace - 4 * det) / u4, 0.0))
+    nu = math.ldexp(math.sqrt(2 * d / den), k) if d > 0 and den > 0 else 0.0
+    rounding = _EIG_ROUNDING * 2 * form.n_modes
+    cx, cp = float(values[2]), float(values[5])
+    return PptReport(
+        is_ppt=nu >= 0.5 - rounding * scale or not two_mode
+        or cx * cp <= rounding * form.rounding_scale * max(abs(cx), abs(cp)),
+        min_pt_symplectic_eig=nu)
 
 
 def ppt_decide(gamma: CovMatrix, partition: list[int] | None = None,
@@ -321,17 +377,19 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
                         tol: float = TOL_PSD) -> CriterionReport:
     """Full closed-form decision: standard-form reduction, family criterion,
     feasibility certificate and PPT annotation.  `tol` is the bona-fide
-    tolerance of `validate_cm` that admits the state, and nothing else.  The
-    PPT annotation tests the partial transpose of the standard form at the
-    floor of `_ppt_report`, so the criterion and the PPT test read the same
-    numbers, and a wider `tol` cannot report a two-mode state bound
-    entangled.
+    tolerance of `validate_cm` that admits the state, and nothing else; no
+    eigensolver runs after that admission.  The PPT annotation is
+    `_form_ppt` on the standard form, so the criterion and the PPT test read
+    the same numbers.  PPT is separability at 1x1 (Simon), so where a
+    two-mode criterion reads below -`TOL_BOUNDARY` but the partial transpose
+    reads PPT within rounding, the two disagree within rounding and the
+    verdict is Boundary with a note: no two-mode state is reported bound
+    entangled.  A Werner-Wolf state can be.
 
     `partition` may name party A or party B of the family's cut
     (`admitted_family`): both labels give the same report, since
     entanglement and PPT do not depend on which party is called A."""
     family = admitted_family(gamma, partition, tol)
-    default = list(range(family.n_modes_a))
     form, _ = reduce_to_standard_form(gamma, family)
     lhs = separability_lhs(form)
     # NaN is inf - inf: terms past double precision.  An inf criterion keeps
@@ -341,9 +399,16 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
             f"{family.criterion} criterion cannot be evaluated: its terms "
             f"overflow double precision")
     name = family.criterion
-    ppt = _ppt_report(gamma, form.to_cm(), frozenset(default))
+    ppt = _form_ppt(form)
 
     if lhs < -TOL_BOUNDARY:
+        if ppt.is_ppt and family is Family.TWO_MODE:
+            # PPT is separability at 1x1 (Simon), so the criterion's sign
+            # lies within its rounding: no two-mode state is bound entangled
+            return CriterionReport(
+                verdict=Verdict.BOUNDARY, lhs_value=lhs, criterion_name=name, ppt=ppt,
+                note="criterion negative but the partial transpose reads PPT: "
+                     "they disagree within rounding")
         return CriterionReport(
             verdict=Verdict.ENTANGLED, lhs_value=lhs, criterion_name=name,
             ppt=ppt, bound_entangled=ppt.is_ppt,

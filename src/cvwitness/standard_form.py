@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import PatternMismatchError, ScaleOverflowError
-from .symplectic import CovMatrix, block_diag
+from .symplectic import CovMatrix, _laid_out, block_diag
 
 #: largest residual accepted between a reduced CM and its standard form, in
 #: units of max(1, the CM's scale), with which its rounding grows.
@@ -112,7 +112,10 @@ class QuadratureForm:
         cm = self.__dict__.get("_cm")
         if cm is None:
             family = self.family
-            cm = CovMatrix(np.array((0.0, *self.params))[family.cm_index] * family.cm_sign)
+            mat = np.array((0.0, *self.params))[family.cm_index] * family.cm_sign
+            # laid out here, square, even and symmetric: only entries that
+            # are not floats take the checks of a matrix from outside
+            cm = _laid_out(mat) if mat.dtype == float else CovMatrix(mat)
             object.__setattr__(self, "_cm", cm)
         return cm
 

@@ -1,5 +1,5 @@
 """Covariance-matrix core: symplectic form, validity checks, the CM-to-CCM
-transform and symplectic eigenvalues.
+transform and the Williamson spectrum.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
@@ -8,19 +8,23 @@ variance 1/2 on the diagonal.
 refuses, with a typed error, anything that is not a finite, real, symmetric,
 even-sized and nonempty matrix, and keeps a read-only float array.  Code
 inside the package computes on that array and on arrays derived from it
-without checking them again; the bona-fide minimum eigenvalue and the
-Williamson spectrum are module-private functions of a plain array, which
-`validate_cm`, `symplectic_eigenvalues` and the PPT test share.  Tolerances
-are read against the matrix's scale, its largest |entry|: symmetry to 1e-12
-max(1, scale), the bona-fide test to `tol` plus the eigensolve's rounding
-2 dim eps scale (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 3); `tol` times the scale would accept strongly squeezed non-states.
+without checking them again, and a CM the package lays out itself from a
+form's parameters (`_laid_out`) passes only the finite-entry check.  The
+bona-fide minimum eigenvalue and the Williamson spectrum are module-private
+functions of a plain array, which `validate_cm` and `ppt_decide` share.
+Tolerances are read against the matrix's scale, its largest |entry|:
+symmetry to 1e-12 max(1, scale), the bona-fide test to `tol` plus the
+eigensolve's rounding 2 dim eps scale (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 3); `tol` times the scale would accept strongly
+squeezed non-states.
 That rounding, 2 eps per dimension times the scale of the matrix whose least
 eigenvalue is read (`_EIG_ROUNDING`, `_bona_fide_floor`), is the one floor
-of every least-eigenvalue sign the decision reads: the PPT test and the
-separability certificate read it with no absolute part, the certificate at
-the scale of the rounding a reduced form inherits (`criteria`), and
-`tol`, `TOL_PSD` by default, is the admission's alone.
+of every least-eigenvalue sign the package reads: admission, where `tol`,
+`TOL_PSD` by default, is added and read nowhere else; the PPT tests, with no
+absolute part, on the image of `ppt_decide` and on the closed-form least
+symplectic eigenvalue of a decision's standard form, at that form's largest
+|entry|; and the separability certificate, with no absolute part, at the
+scale of the rounding a reduced form inherits (`criteria`).
 
 The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
@@ -102,20 +106,11 @@ class CovMatrix:
             raise DimensionMismatchError("matrix has no modes")
         if mat.shape[0] % 2 != 0:
             raise DimensionMismatchError(f"matrix size {mat.shape[0]} is odd")
-        if not np.isfinite(mat).all():
-            raise DimensionMismatchError("matrix has non-finite entries")
-        # halved first, so that neither the difference nor the sum can
-        # overflow; halving is exact above 2**-1021
-        half = mat / 2.0
-        scale = 2 * float(abs(half).max())
+        half = _finite_half(mat)
         asym = 2 * float(abs(half - half.T).max())
-        if asym > _SYMMETRY_TOL * max(1.0, scale):
+        _keep(self, half)   # first, for its scale: a refusal discards self
+        if asym > _SYMMETRY_TOL * max(1.0, self._scale):
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        mat = half + half.T
-        mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "n_modes", len(mat) // 2)
-        object.__setattr__(self, "_scale", scale)
 
     @property
     def dim(self) -> int:
@@ -126,6 +121,34 @@ class CovMatrix:
         benchmark's workloads call it, and goes with ROADMAP item 11 after
         item 1 (callers that need a tolerance pass it to `validate_cm`)."""
         return validate_cm(self).is_physical
+
+
+def _finite_half(mat: np.ndarray) -> np.ndarray:
+    """mat / 2 of a float array with finite entries, refused otherwise.
+    Halved first, so that neither a difference nor a sum of halves can
+    overflow; halving is exact above 2**-1021."""
+    if not np.isfinite(mat).all():
+        raise DimensionMismatchError("matrix has non-finite entries")
+    return mat / 2.0
+
+
+def _keep(cm: CovMatrix, half: np.ndarray) -> None:
+    """Keep half + half.T on `cm` as its read-only array, with its mode
+    count and its largest |entry| in the `_scale` slot."""
+    mat = half + half.T
+    mat.flags.writeable = False
+    object.__setattr__(cm, "mat", mat)
+    object.__setattr__(cm, "n_modes", len(mat) // 2)
+    object.__setattr__(cm, "_scale", 2 * float(abs(half).max()))
+
+
+def _laid_out(mat: np.ndarray) -> CovMatrix:
+    """The CovMatrix of a square, even-sized, symmetric float array that the
+    package lays out itself: only the finite-entry check of `CovMatrix` is
+    run, and the array kept is the one it keeps."""
+    cm = object.__new__(CovMatrix)
+    _keep(cm, _finite_half(mat))
+    return cm
 
 
 @dataclass(frozen=True)
@@ -179,7 +202,3 @@ def _williamson_spectrum(mat: np.ndarray) -> np.ndarray:
     # eigenvalues come in +/- pairs; keep one of each
     return np.sort(np.abs(eigs.real))[::2]
 
-
-def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
-    """Williamson spectrum: moduli of eigenvalues of i*sigma*gamma, one per mode."""
-    return _williamson_spectrum(gamma.mat)

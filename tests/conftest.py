@@ -18,7 +18,8 @@ from cvwitness.fock import TAIL_TOL, SeesawResult, _bargmann
 from cvwitness.nongauss import NonGaussState
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
-from cvwitness.symplectic import CovMatrix, _ccm_transform, symplectic_form
+from cvwitness.symplectic import (CovMatrix, _ccm_transform, _williamson_spectrum,
+                                  symplectic_form)
 from cvwitness.witness import _abs_triples, _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
@@ -33,6 +34,13 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
     d = 2 * n_modes
     a = rng.normal(size=(d, d))
     return CovMatrix(a @ a.T / d + 0.5 * np.eye(d))
+
+
+def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
+    """Oracle: the Williamson spectrum of gamma, the moduli of the
+    eigenvalues of i sigma gamma, one per mode, ascending, by the general
+    eigensolve of `symplectic._williamson_spectrum`."""
+    return _williamson_spectrum(gamma.mat)
 
 
 def is_symplectic(s: np.ndarray) -> bool:

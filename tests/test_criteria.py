@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvwitness.criteria import (Verdict, WWFamilyParams, _peak,
+from cvwitness.criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
                                 feasibility_search, ppt_decide,
                                 separability_lhs, simon_lhs,
@@ -17,15 +17,15 @@ from cvwitness.criteria import (Verdict, WWFamilyParams, _peak,
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
-from cvwitness.standard_form import (Family, TwoModeStandardForm,
-                                     WernerWolfForm, detect_family,
-                                     reduce_to_standard_form)
-from cvwitness.symplectic import (CovMatrix, symplectic_eigenvalues,
-                                  validate_cm)
+from cvwitness.standard_form import (Family, QuadratureForm,
+                                     TwoModeStandardForm, WernerWolfForm,
+                                     detect_family, reduce_to_standard_form)
+from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
 from conftest import (grid_certificate, sample_standard_form,
-                      sample_ww_family_params, simon_invariant_lhs, tmsv_form)
+                      sample_ww_detector, sample_ww_family_params,
+                      simon_invariant_lhs, symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
 
 PROPERTY = settings(max_examples=60)
@@ -376,14 +376,16 @@ def test_array_level_bits_on_the_decision_golden():
     assert certified > 10
 
 
-def _dress(form, rs, thetas):
-    """The form's CM under a rotation-squeeze-rotation on every mode."""
-    s = np.zeros((2 * form.n_modes,) * 2)
-    for j in range(form.n_modes):
+def _dress(state, rs, thetas):
+    """The CM of `state`, a form or a CovMatrix, under a
+    rotation-squeeze-rotation on every mode."""
+    gamma = state.to_cm() if isinstance(state, QuadratureForm) else state
+    s = np.zeros((gamma.dim,) * 2)
+    for j in range(gamma.n_modes):
         r, t1, t2 = rs[j], thetas[2 * j], thetas[2 * j + 1]
         s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
             _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
-    m = s @ form.to_cm().mat @ s.T
+    m = s @ gamma.mat @ s.T
     return CovMatrix((m + m.T) / 2)
 
 
@@ -670,3 +672,140 @@ def test_simon_lhs_matches_local_invariants():
         assert abs(simon_lhs(form) - simon_invariant_lhs(gamma)) <= 1e-12 * scale
         assert abs(simon_lhs(f) - simon_invariant_lhs(f.to_cm())) <= 1e-12 * scale
 
+
+
+# ----------------------- the decision's closed-form PPT annotation against
+# an 80-digit eigensolve and against `ppt_decide`, the eigen route
+
+EPS = np.finfo(float).eps
+
+
+def _mp_min_pt_eig(form):
+    """The least symplectic eigenvalue of the form's partial transpose at 80
+    digits on the form's own doubles.  x and p decouple, so the squared
+    symplectic eigenvalues are the eigenvalues of X P, with X the CM's x
+    block and P its p block with party B's momenta flipped: those of the
+    symmetric L^T P L, with X = L L^T."""
+    m, n, n_a = form.to_cm().mat, form.n_modes, form.family.n_modes_a
+    sign = [1 if k < n_a else -1 for k in range(n)]
+    with mpmath.workdps(80):
+        x = mpmath.matrix([[mpmath.mpf(float(m[2 * i, 2 * j])) for j in range(n)]
+                           for i in range(n)])
+        p = mpmath.matrix([[mpmath.mpf(float(m[2 * i + 1, 2 * j + 1])) * sign[i] * sign[j]
+                            for j in range(n)] for i in range(n)])
+        chol = mpmath.cholesky(x)
+        lam = min(mpmath.eigsy(chol.T * p * chol, eigvals_only=True))
+        return float(mpmath.sqrt(lam))
+
+
+def test_min_pt_symplectic_eig_matches_mpmath():
+    """The decision's `min_pt_symplectic_eig`, in closed form on the
+    standard form, is within 4 eps, relative, of an 80-digit eigensolve on
+    that form's own doubles: on every TMSV rung 0-95 and on 300 physical
+    random forms of each family.  The general `eigvals` of i sigma gamma
+    erred like eps e^(4r): rung 80 read 5.6364e-8 where its doubles give
+    5.6345e-8.  Coefficients rounded from plain float products give
+    e^(-2r)/2 instead, 5.6268e-8 at rung 80 and 8.4e-9 for 7.45e-9 at 95."""
+    rng = np.random.default_rng(28)
+    forms = [tmsv_form(0.1 * i) for i in range(96)]
+    forms += [sample_standard_form(rng) for _ in range(300)]
+    forms += [sample_ww_detector(rng) for _ in range(300)]
+    for form in forms:
+        gamma = form.to_cm()
+        nu = decide_separability(gamma).ppt.min_pt_symplectic_eig
+        exact = _mp_min_pt_eig(reduce_to_standard_form(gamma, form.family)[0])
+        assert abs(nu - exact) <= 4 * EPS * exact, form
+
+
+def test_decision_ppt_agrees_with_ppt_decide_on_the_golden():
+    inputs = json.loads((Path(__file__).parent / "data" / "golden"
+                         / "decisions-input.json").read_text())
+    for name, mat in inputs.items():
+        gamma = CovMatrix(mat)
+        assert decide_separability(gamma).ppt.is_ppt is ppt_decide(gamma).is_ppt, name
+
+
+@settings(max_examples=100)
+@given(_forms(), st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
+def test_closed_form_ppt_agrees_with_the_eigen_route(form, rs, thetas):
+    """A form at |lhs| > 1e-6 under local squeezes |r| <= 3 (with local
+    rotations for two modes; a Werner-Wolf pattern keeps only squeezes)
+    reads the same PPT bit in the decision, in closed form on its standard
+    form, and in `ppt_decide`, by eigensolves on its local normal form.  The
+    two `min_pt_symplectic_eig` agree to within the error of the general
+    eigensolve of i sigma gamma: 2 dim eps times scale^2 over the eigenvalue
+    bounds it to first order, and 1.1 of that was seen."""
+    assume(form.to_cm().is_physical() and abs(_lhs(form)) > 1e-6)
+    if form.family is Family.WERNER_WOLF:
+        thetas = [0.0] * 8
+    gamma = _dress(form, rs, thetas)
+    report, ppt = decide_separability(gamma), ppt_decide(gamma)
+    assert report.ppt.is_ppt is ppt.is_ppt
+    nu = report.ppt.min_pt_symplectic_eig
+    assert abs(nu - ppt.min_pt_symplectic_eig) <= 2 * gamma.dim * EPS * gamma._scale ** 2 / nu
+
+
+def test_dressed_states_on_the_ppt_boundary_read_ppt_in_the_decision():
+    """Vacuum plus rank-1 classical noise, 0.5 I + t v v^T, is separable with
+    det C = 0, on the PPT boundary.  Under a local rotation-squeeze-rotation
+    at |r| <= 3 its standard form has a c2 of the size of the rounding it
+    inherits, of either sign, so the decision reads the sign of c1 c2
+    against that rounding: all 60 read PPT and Separable.  Read against the
+    form's own scale, 4 of them read NPT; the eigen route the decision took
+    before read these 60 PPT, and 16 of 300 such states NPT."""
+    rng = np.random.default_rng(74)
+    for _ in range(60):
+        v = rng.normal(size=4)
+        noisy = CovMatrix(0.5 * np.eye(4) + rng.uniform(0.1, 2.0) * np.outer(v, v) / v.dot(v))
+        gamma = _dress(noisy, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        report = decide_separability(gamma)
+        assert report.ppt.is_ppt and report.verdict is Verdict.SEPARABLE
+
+
+@pytest.mark.parametrize("c2, want", [(0.01, False), (-0.01, True)])
+def test_a_non_state_admitted_at_a_wide_tol_reads_alike_in_both_routes(c2, want):
+    """TwoModeStandardForm(0.3, 0.3, 0.01, c2) is no state, admitted at tol
+    0.5.  At c2 = 0.01 both squared symplectic eigenvalues of its partial
+    transpose lie below 1/4, so its bona-fide polynomial D - T/4 + 1/16 is
+    positive, and a test of that sign would read it PPT; it is NPT in both
+    routes.  At c2 = -0.01 the partial transpose is at least as physical as
+    the form, and both routes read PPT, lifted by the form's own deficit."""
+    gamma = TwoModeStandardForm(0.3, 0.3, 0.01, c2).to_cm()
+    assert decide_separability(gamma, tol=0.5).ppt.is_ppt is want
+    assert ppt_decide(gamma, tol=0.5).is_ppt is want
+
+
+@pytest.mark.parametrize("gamma", [
+    tmsv_form(0.5).to_cm().mat,
+    _dress(TwoModeStandardForm(1.2, 0.9, 0.5, -0.2), (2.0, -1.0), (0.3, 1.1, 2.0, 0.4)).mat,
+    TwoModeStandardForm(1000.0, 900.0, 948.1826037214564, 948.1826037214564).to_cm().mat,
+    werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm().mat,
+    _dress(WernerWolfForm(1.2, 0.9, 1.1, 1.3, 0.4, 0.3), (1.0, -2.0, 0.5, 3.0), (0.0,) * 8).mat,
+], ids=["tmsv", "dressed-two-mode", "boundary-two-mode", "wwfamily", "wwpattern"])
+def test_decision_runs_no_eigensolver_after_admission(gamma, monkeypatch):
+    """On a fresh CovMatrix the decision calls `eigvalsh` once, to admit it,
+    and no other LAPACK eigensolver: the PPT annotation is closed form."""
+    calls = []
+    for name in ("eigvalsh", "eigvals", "eigh", "eig"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    decide_separability(CovMatrix(gamma))
+    assert calls == ["eigvalsh"]
+
+
+def test_two_mode_state_is_never_bound_entangled():
+    """At 1x1, PPT is separability (Simon), so a negative criterion whose
+    partial transpose reads PPT within rounding is Boundary, with a note,
+    and not bound entanglement: TwoModeStandardForm(1000, 900, c, c) at lhs
+    -8.8e-7, where the criterion's rounding is about 7e-4, read Entangled
+    and bound entangled.  A Werner-Wolf state keeps its bound entanglement
+    (`test_ww_family_state_is_bound_entangled`)."""
+    c = 948.1826037214564
+    report = decide_separability(TwoModeStandardForm(1000.0, 900.0, c, c).to_cm())
+    assert report.lhs_value < -TOL_BOUNDARY and report.ppt.is_ppt
+    assert report.verdict is Verdict.BOUNDARY and not report.bound_entangled
+    assert report.note == ("criterion negative but the partial transpose reads PPT: "
+                           "they disagree within rounding")

@@ -9,11 +9,15 @@ Werner-Wolf family point and a dressed Werner-Wolf-pattern state; auto and
 ppt on two NPT two-mode states within 1e-9 of Simon's boundary, whose
 margins only a floor at rounding resolves; nongauss on one ladder state),
 both sweeps and one two-mode `oracle`.  A change that
-moves a byte rewrites the golden and names the byte and its cause.
+moves a byte rewrites the goldens with
+`PYTHONPATH=src python tests/test_golden_reports.py`, which runs every case
+as the test does, and names the byte and its cause.
 """
 
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -26,16 +30,39 @@ GOLDEN = DATA / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
-    case = CASES[name]
-    argv = [arg.replace("{data}", str(DATA)) for arg in case["argv"]]
-    monkeypatch.chdir(tmp_path)
+def _run(name: str) -> tuple[int, str]:
+    """Exit code and stdout of the case's `cli.main` call, run in the
+    working directory, where a sweep writes its CSV."""
+    argv = [arg.replace("{data}", str(DATA)) for arg in CASES[name]["argv"]]
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(argv)
-    assert code == case["exit"]
-    assert out.getvalue() == (GOLDEN / f"{name}.out").read_text()
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_report_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(name)
+    assert code == CASES[name]["exit"]
+    assert out == (GOLDEN / f"{name}.out").read_text()
     csv = GOLDEN / f"{name}.csv"
     if csv.exists():
         assert (tmp_path / "out.csv").read_bytes() == csv.read_bytes()
+
+
+if __name__ == "__main__":
+    # rewrite every golden: a case's exit code is kept in cases.json, so a
+    # case that now exits otherwise fails its test after the rewrite
+    home = Path.cwd()
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                _, out = _run(name)
+            finally:
+                os.chdir(home)
+            (GOLDEN / f"{name}.out").write_text(out)
+            csv = Path(tmp) / "out.csv"
+            if csv.exists():
+                (GOLDEN / f"{name}.csv").write_bytes(csv.read_bytes())

@@ -11,10 +11,11 @@ from cvwitness.exceptions import PatternMismatchError
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      local_normal_form, reduce_to_standard_form)
-from cvwitness.symplectic import CovMatrix, symplectic_eigenvalues, validate_cm
+from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import DetectorSpec, minmax_optimize
 
-from conftest import is_symplectic, sample_ww_family_params, tmsv_form
+from conftest import (is_symplectic, sample_ww_family_params,
+                      symplectic_eigenvalues, tmsv_form)
 from cvwitness.standard_form import _single_mode_normal
 
 

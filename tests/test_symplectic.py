@@ -9,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 from cvwitness.criteria import decide_separability, ppt_decide
 from cvwitness.exceptions import (CvWitnessError, DimensionMismatchError,
                                   ScaleOverflowError)
-from cvwitness.symplectic import (CovMatrix, symplectic_eigenvalues,
-                                  symplectic_form, validate_cm)
+from cvwitness.symplectic import CovMatrix, symplectic_form, validate_cm
 from cvwitness.witness import minmax_optimize
 
-from conftest import ccm_to_cm, cm_to_ccm, random_physical_cm
+from conftest import (ccm_to_cm, cm_to_ccm, random_physical_cm,
+                      symplectic_eigenvalues)
 
 
 def test_symplectic_form_structure():

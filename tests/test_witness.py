@@ -26,7 +26,8 @@ from cvwitness.witness import (DetectorSpec, _abs_triples, _cone_lambda,
                                lambda_closed_form, minmax_optimize)
 
 from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
-                      sample_two_mode_detector, sample_ww_detector, tmsv_form)
+                      sample_two_mode_detector, sample_ww_detector,
+                      symplectic_eigenvalues, tmsv_form)
 
 PROPERTY = settings(max_examples=40)
 
@@ -577,7 +578,7 @@ def test_minmax_refuses_a_squeezed_non_physical_cm():
     its bona-fide eigenvalue, -3.7e-6, is far below rounding at its scale
     7.7e4.  A tolerance of TOL_PSD times the scale matched it (ell 0.30)."""
     base = WernerWolfForm(1.2, 0.9, 1.1, 1.3, 0.4, 0.3).to_cm()
-    mat = base.mat * (0.3 / symplectic.symplectic_eigenvalues(base)[0])
+    mat = base.mat * (0.3 / symplectic_eigenvalues(base)[0])
     squeeze = np.exp(6.0 * np.array([1, -1, 1, -1]))
     s = np.diag(np.column_stack([squeeze, 1 / squeeze]).ravel())
     with pytest.raises(PatternMismatchError, match="not physical"):

@@ -334,17 +334,21 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
     phi in closed form and y* = sqrt(g1 g2) is the geometric mean of the two
     bounds.  `certificate_min_eig`, the least eigenvalue of the two 2x2
     quadrature blocks of the difference in closed form (no eigensolver), is
-    the final check.
+    the final check.  On Simon's boundary max phi is 1 only to within the
+    rounding of the form, and where it falls short, y* falls short of both
+    bounds: a block whose diagonal entry at x is near 0 hardly feels y, and
+    the other takes the whole shortfall.  The bounds g1 and g2 are then
+    tried, each of which meets its own block.
     """
     if _certifies(form, 1.0, 1.0):
         return 1.0, 1.0
     x, f1, f2 = _peak(form.x, form.p)
     if not (f1 > 0 and f2 > 0):
         return None
-    y = math.sqrt(f1 / f2)
-    if not _certifies(form, x, y):
-        return None
-    return float(x), float(y)
+    for y in (math.sqrt(f1 / f2), 2 * f1, 0.5 / f2):
+        if _is_product_state(x, y) and _certifies(form, x, y):
+            return float(x), float(y)
+    return None
 
 
 def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:

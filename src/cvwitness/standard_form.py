@@ -11,7 +11,15 @@ are the table of each family's data.
 Two-mode states are brought to diag-blocks (a, a), (b, b) with cross block
 diag(c1, -c2) by local rotations and squeezers; the first step, each mode's
 own block to nu_j I, is `local_normal_form` for any mode count.  Werner-Wolf
-states keep the 8x8 sparsity pattern and are equalized by per-mode squeezers.
+states keep the 8x8 sparsity pattern and are equalized by per-mode squeezers;
+a labelling of the modes that swaps the two modes of a party is relabelled
+first, and the relabelling folded into S.  Both reductions are closed forms
+on the entries as Python floats, with no LAPACK call; numpy only lays out
+S.  The two-mode one is 2x2 arithmetic in the four basic operations and
+`sqrt` alone (per-mode normalisers, then the signed SVD of the cross block),
+so IEEE arithmetic fixes its bytes on every platform; the Werner-Wolf one
+solves the 2x2 normal equations of its log squeezes with `math.log` and
+`math.exp`.
 
 A decision and a witness of the same state both need its standard form, so
 `reduce_to_standard_form` keeps its result on the `CovMatrix` instance, as
@@ -28,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import PatternMismatchError, ScaleOverflowError
-from .symplectic import CovMatrix, _laid_out, block_diag
+from .symplectic import CovMatrix, _laid_out
 
 #: largest residual accepted between a reduced CM and its standard form, in
 #: units of max(1, the CM's scale), with which its rounding grows.
@@ -139,31 +147,110 @@ def DetectorSpec(family: Family, m1, m2, m3, m4, m5, m6) -> QuadratureForm:
     return QuadratureForm(family, (m1, m3, m5), (m2, m4, m6))
 
 
-def _single_mode_normal(block: np.ndarray, nu: float) -> np.ndarray:
-    """Symplectic S with S block S^T = nu * I for a 2x2 PD block, given
-    nu = sqrt(det block).
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """(p, e) with p = fl(a b) and a b = p + e exactly, by Dekker's product
+    with Veltkamp's split: the four basic operations only, no FMA."""
+    p = a * b
+    t = 134217729.0 * a   # 2^27 + 1
+    ah = t - (t - a)
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _mode_normal(a: float, b: float, d: float, failure: str) -> tuple[tuple, tuple]:
+    """(S, S M S^T) for the mode block M = [[a, b], [b, d]]: S symplectic,
+    S M S^T = nu I with nu = sqrt(det M), both as 2x2 tuples.  Refuses, with
+    `failure`, a block that is not positive definite, as no state has one.
 
     S = sqrt(nu) M^{-1/2} in closed form: the square root of a 2x2 PD
-    matrix is (M + nu I) / sqrt(tr M + 2 nu), so
-    M^{-1/2} = (adj M + nu I) / (nu sqrt(tr M + 2 nu)).
+    matrix is (M + nu I) / sqrt(tr M + 2 nu), so S = (adj M + nu I) / k with
+    k = sqrt(nu (tr M + 2 nu)), taken as 2 sqrt(nu (tr M / 4 + nu / 2)),
+    which cannot overflow where a d does not and is exact on a block a I,
+    whose S is then exactly I.  det S = 1, hence S is symplectic.
+
+    A squeeze e^r makes a d and b^2 cancel to det M by e^(4r), and the
+    entries of S M S^T to nu from e^(4r) nu.  So det M carries the rounding
+    of both products (`_two_product`), and S M is taken as (nu / k)
+    (M + nu I) (adj M M = det M I = nu^2 I), which cancels nothing: S M S^T
+    then errs by eps e^(2r) nu, the size of what rounding S to doubles
+    leaves, not by eps e^(4r) nu.
     """
-    s = np.array([[block[1, 1], -block[0, 1]], [-block[1, 0], block[0, 0]]])
-    s[0, 0] += nu
-    s[1, 1] += nu
-    # det = 1, hence symplectic
-    return s / (np.sqrt(nu) * np.sqrt(block.trace() + 2 * nu))
+    p, e = _two_product(a, d)
+    q, f = _two_product(b, b)
+    det = (p - q) + (e - f)
+    if not (a > 0 and det > 0):
+        raise PatternMismatchError(f"{failure}: a local block is not positive definite")
+    nu = math.sqrt(det)
+    k = 2 * math.sqrt(nu * ((a + d) / 4 + nu / 2))
+    h, off = nu / k, -b / k
+    s = ((d + nu) / k, off), (off, (a + nu) / k)
+    return s, _mul(((h * (a + nu), h * b), (h * b, h * (d + nu))), s, transpose=True)
 
 
-def _signed_svd_2x2(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Proper rotations (o1, o2) with o1.T @ c @ o2 = diag(d1, d2), d1 >= |d2|."""
-    u, _, vt = np.linalg.svd(c)
-    # u and vt are orthogonal: only the sign of their determinants matters;
-    # flipping u's second column or vt's second row flips the sign of d2
-    if u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] < 0:
-        u[:, 1] = -u[:, 1]
-    if vt[0, 0] * vt[1, 1] - vt[0, 1] * vt[1, 0] < 0:
-        vt[1] = -vt[1]
-    return u, vt.T
+def _mul(p: tuple, q: tuple, transpose: bool = False) -> tuple:
+    """The 2x2 product p q, or p q^T with `transpose`."""
+    (p00, p01), (p10, p11) = p
+    (q00, q01), (q10, q11) = q
+    if transpose:
+        q01, q10 = q10, q01
+    return ((p00 * q00 + p01 * q10, p00 * q01 + p01 * q11),
+            (p10 * q00 + p11 * q10, p10 * q01 + p11 * q11))
+
+
+def _sandwich(s: tuple, m: tuple, t: tuple) -> tuple:
+    """The 2x2 product s m t^T."""
+    return _mul(_mul(s, m), t, transpose=True)
+
+
+def _half_angle(c: float, s: float) -> tuple[float, float]:
+    """(cos t/2, sin t/2) of the unit vector (c, s) = (cos t, sin t), with no
+    cancellation: the larger of the two comes from a square root."""
+    if c >= 0:
+        h = math.sqrt((1 + c) / 2)
+        return h, s / (2 * h)
+    h = math.sqrt((1 - c) / 2)
+    return s / (2 * h), h
+
+
+def _svd_rotations(c: tuple) -> tuple[tuple, tuple]:
+    """Proper rotations (L, R) with L c R^T = diag(d1, d2), d1 >= |d2|: the
+    signed SVD of a 2x2 block, with the four basic operations and `sqrt`.
+
+    With e, f = (c00 +- c11)/2 and g, h = (c10 +- c01)/2, c = R(phi)
+    diag(q + r, q - r) R(theta), where q = |(e, h)|, r = |(f, g)|, and
+    2 theta, 2 phi = a2 -+ a1 for the angles a2 of (e, h) and a1 of (f, g)
+    (Blinn, "Consider the lowly 2x2 matrix", IEEE CG&A 16, 82 (1996)).
+    Where q or r is 0 its angle is free and taken as 0.  Rather than
+    angles, unit vectors: theta's is the half of a2 - a1's, and phi's that
+    of a2 less theta, so phi and theta keep the sum and difference of a1
+    and a2 on whatever branch the half angle takes.
+    """
+    (c00, c01), (c10, c11) = c
+    e, f, g, h = (c00 + c11) / 2, (c00 - c11) / 2, (c10 + c01) / 2, (c10 - c01) / 2
+    q, r = math.sqrt(e * e + h * h), math.sqrt(f * f + g * g)
+    cos2, sin2 = (e / q, h / q) if q > 0 else (1.0, 0.0)
+    cos1, sin1 = (f / r, g / r) if r > 0 else (1.0, 0.0)
+    ct, st = _half_angle(cos2 * cos1 + sin2 * sin1, sin2 * cos1 - cos2 * sin1)
+    cp, sp = cos2 * ct + sin2 * st, sin2 * ct - cos2 * st
+    return ((cp, sp), (-sp, cp)), ((ct, -st), (st, ct))
+
+
+def _local_symplectic(blocks) -> np.ndarray:
+    """The local symplectic with the given 2x2 blocks, mode by mode."""
+    dim = 2 * len(blocks)
+    rows = []
+    for j, block in enumerate(blocks):
+        for row in block:
+            rows.append([0.0] * dim)
+            rows[-1][2 * j:2 * j + 2] = row
+    return np.array(rows)
+
+
+def _abs(p: tuple) -> tuple:
+    (p00, p01), (p10, p11) = p
+    return (abs(p00), abs(p01)), (abs(p10), abs(p11))
 
 
 def _require_reduced(gamma: CovMatrix, residual: float, failure: str) -> None:
@@ -181,88 +268,142 @@ def _require_squarable(gamma: CovMatrix, failure: str) -> None:
                                  f"{gamma._scale:g} overflows double precision")
 
 
-def _local_normal(gamma: CovMatrix, failure: str) -> tuple[np.ndarray, np.ndarray]:
-    """(S, S gamma S^T) for the local symplectic S that brings every mode's
-    own block to nu_j I.  Refuses, with `failure`, a local block that is not
-    positive definite, as no state has one."""
-    m = gamma.mat
-    blocks = [m[j:j + 2, j:j + 2] for j in range(0, gamma.dim, 2)]
-    dets = np.linalg.det(blocks)   # one stacked call: the bits of a call per block
-    if not (min(b[0, 0] for b in blocks) > 0 and dets.min() > 0):
-        raise PatternMismatchError(f"{failure}: a local block is not positive definite")
-    s = block_diag(*map(_single_mode_normal, blocks, np.sqrt(dets)))
-    return s, s @ m @ s.T
-
-
 def local_normal_form(gamma: CovMatrix) -> CovMatrix:
     """gamma with every mode's own block brought to nu_j I by a local
     symplectic: its scale is that of its symplectic eigenvalues, not of its
-    local squeezes.  Refused where a block misses nu_j I by more than
-    `TOL_REDUCE` at gamma's scale: rounding has then taken the squeeze."""
+    local squeezes.  Each mode's own block is the one `_mode_normal` forms
+    without cancellation, the blocks across modes S_i gamma_ij S_j^T.
+    Refused where a local block is not positive definite, or misses nu_j I
+    by more than `TOL_REDUCE` at gamma's scale: rounding has then taken the
+    squeeze."""
     failure = "cannot bring every mode to its normal form"
     _require_squarable(gamma, failure)
-    m = _local_normal(gamma, failure)[1]
+    rows = gamma.mat.tolist()
+    normals = [_mode_normal(rows[j][j], rows[j][j + 1], rows[j + 1][j + 1], failure)
+               for j in range(0, gamma.dim, 2)]
+    s = _local_symplectic([s_j for s_j, _ in normals])
+    m = s @ gamma.mat @ s.T
+    for j, (_, block) in enumerate(normals):   # each mode's own, without the cancellation
+        m[2 * j:2 * j + 2, 2 * j:2 * j + 2] = block
     d = np.diagonal(m)
     _require_reduced(gamma, max(abs(d[::2] - d[1::2]).max(),
                                 abs(np.diagonal(m, 1)[::2]).max()), failure)
     return CovMatrix((m + m.T) / 2)
 
 
-def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
-    m = gamma.mat
-    s, m1 = _local_normal(gamma, "cannot reach two-mode standard form")
-    # local blocks are now nu_A*I, nu_B*I; rotate to diagonalize the cross block
-    o1, o2 = _signed_svd_2x2(m1[:2, 2:])
-    s = block_diag(o1.T, o2.T) @ s
-    m2 = s @ m @ s.T
-    form = TwoModeStandardForm(m2[0, 0], m2[2, 2], m2[0, 2], -m2[1, 3])
-    _require_reduced(gamma, abs(m2 - form.to_cm().mat).max(),
-                     "cannot reach two-mode standard form")
-    return form, s
+def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, float]:
+    """(form, S, rounding): each mode's block to nu_j I (`_mode_normal`),
+    then the cross block diagonalized by its signed SVD (`_svd_rotations`),
+    all in 2x2 arithmetic on the entries as Python floats; rounding is the
+    largest entry of |S| |gamma| |S|^T."""
+    failure = "cannot reach two-mode standard form"
+    (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (*_, b11) = gamma.mat.tolist()
+    block_a, block_b, cross = ((a00, a01), (a01, a11)), ((b00, b01), (b01, b11)), \
+        ((c00, c01), (c10, c11))
+    s_a, normal_a = _mode_normal(a00, a01, a11, failure)
+    s_b, normal_b = _mode_normal(b00, b01, b11, failure)
+    rot_a, rot_b = _svd_rotations(_sandwich(s_a, cross, s_b))
+    (a, ra01), (ra10, ra11) = _sandwich(rot_a, normal_a, rot_a)
+    (b, rb01), (rb10, rb11) = _sandwich(rot_b, normal_b, rot_b)
+    s_a, s_b = _mul(rot_a, s_a), _mul(rot_b, s_b)
+    (c1, rc01), (rc10, c2) = _sandwich(s_a, cross, s_b)
+    form = TwoModeStandardForm(a, b, c1, -c2)
+    _require_reduced(gamma, max(abs(ra01), abs(ra10), abs(ra11 - a), abs(rb01), abs(rb10),
+                                abs(rb11 - b), abs(rc01), abs(rc10)), failure)
+    abs_a, abs_b = _abs(s_a), _abs(s_b)
+    blocks = (_sandwich(abs_a, _abs(block_a), abs_a), _sandwich(abs_a, _abs(cross), abs_b),
+              _sandwich(abs_b, _abs(block_b), abs_b))
+    # inf times 0 is nan where a product overflowed: read it as inf
+    rounding = max((v for block in blocks for row in block for v in row),
+                   key=lambda v: v if v == v else math.inf)
+    return form, _local_symplectic((s_a, s_b)), rounding
 
 
-def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray]:
-    m = gamma.mat
-    _require_reduced(gamma, abs(m[Family.WERNER_WOLF.cm_index == 0]).max(),
+# The zeros of the Werner-Wolf layout's upper triangle.
+_WW_ZEROS = tuple((i, j) for i, row in enumerate(_WERNER_WOLF_LAYOUT)
+                  for j, v in enumerate(row) if j > i and v == 0)
+# Quadrature orders that relabel the modes within party A or party B.  The
+# pattern cannot tell swapping both parties' modes from the sign of E, which
+# it keeps free, so the two swaps cover every labelling of the cut.
+_WW_ORDERS = ((0, 1, 2, 3, 4, 5, 6, 7), (2, 3, 0, 1, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7, 4, 5))
+
+
+def _log_ratio(p: float, q: float) -> float:
+    """log(p / q) of two positive finite doubles, which p / q could take
+    past double precision."""
+    return math.log(p) - math.log(q)
+
+
+def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, float]:
+    """(form, S, rounding): per-mode squeezes diag(s_j, 1/s_j) that equalize
+    the pattern entries, after relabelling the modes within a party where
+    the given order misses the pattern; the relabelling is folded into S.
+    S permutes and scales, so S gamma S^T is s_i m_ij s_j, whose largest
+    |entry| is the rounding, that of |S| |gamma| |S|^T."""
+    m = gamma.mat.tolist()
+    residuals = []
+    for order in _WW_ORDERS:   # the order that misses the pattern least
+        residuals.append(max(abs(m[order[i]][order[j]]) for i, j in _WW_ZEROS))
+        if residuals[-1] == 0:
+            break
+    _require_reduced(gamma, min(residuals),
                      "matrix does not match the Werner-Wolf sparsity pattern")
-    # Per-mode squeezes diag(s_j, 1/s_j); solve for log squeezes equalizing the
-    # pattern entries, which is linear in u_j = 2 log s_j.
-    x = np.array([m[0, 0], m[2, 2], m[4, 4], m[6, 6]])
-    p = np.array([m[1, 1], m[3, 3], m[5, 5], m[7, 7]])
-    e = np.array([m[0, 4], -m[2, 6]])
-    f = np.array([-m[1, 7], -m[3, 5]])
-    if (x <= 0).any() or (p <= 0).any() or (e == 0).any() != (e == 0).all() \
-            or (f == 0).any() != (f == 0).all():
+    order = _WW_ORDERS[residuals.index(min(residuals))]
+    if order is not _WW_ORDERS[0] and m[order[0]][order[4]] < 0:
+        # the other swap, which differs by swapping both parties' modes,
+        # misses the pattern alike and flips E: a relabelled form has E >= 0
+        order = _WW_ORDERS[3 - _WW_ORDERS.index(order)]
+    if order is not _WW_ORDERS[0]:
+        m = [[m[i][j] for j in order] for i in order]
+    x = m[0][0], m[2][2], m[4][4], m[6][6]
+    p = m[1][1], m[3][3], m[5][5], m[7][7]
+    e = m[0][4], -m[2][6]
+    f = -m[1][7], -m[3][5]
+    if min(x) <= 0 or min(p) <= 0 or (e[0] == 0) != (e[1] == 0) \
+            or (f[0] == 0) != (f[1] == 0):
         raise PatternMismatchError("degenerate Werner-Wolf entries")
-    if (e * e[0] < 0).any() or (f * f[0] < 0).any():
+    if (e[0] < 0) != (e[1] < 0) or (f[0] < 0) != (f[1] < 0):
         raise PatternMismatchError("inconsistent cross-block signs for the Werner-Wolf pattern")
-    # equations (in u): x-var equality per party, p-var equality per party,
-    # |E| equality, |F| equality
-    rows = [
-        ([1, -1, 0, 0], np.log(x[1] / x[0])),
-        ([-1, 1, 0, 0], np.log(p[1] / p[0])),
-        ([0, 0, 1, -1], np.log(x[3] / x[2])),
-        ([0, 0, -1, 1], np.log(p[3] / p[2])),
-    ]
-    if (e != 0).all():
-        # E entries transform as s1 s3 and s2 s4
-        rows.append(([1, -1, 1, -1], 2 * np.log(abs(e[1] / e[0]))))
-    if (f != 0).all():
-        # F entries transform as 1/(s1 s4) and 1/(s2 s3)
-        rows.append(([-1, 1, 1, -1], 2 * np.log(abs(f[1] / f[0]))))
-    a_mat = np.array([r[0] for r in rows], dtype=float)
-    rhs = np.array([r[1] for r in rows])
-    u, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    sq = np.exp(u / 2)
-    s = np.diag(np.column_stack([sq, 1.0 / sq]).ravel())
-    m2 = s @ m @ s.T
-    form = WernerWolfForm(
-        (m2[0, 0] + m2[2, 2]) / 2, (m2[1, 1] + m2[3, 3]) / 2,
-        (m2[4, 4] + m2[6, 6]) / 2, (m2[5, 5] + m2[7, 7]) / 2,
-        (m2[0, 4] - m2[2, 6]) / 2, -(m2[1, 7] + m2[3, 5]) / 2)
-    _require_reduced(gamma, abs(m2 - form.to_cm().mat).max(),
+    # The squeezes are linear in u_j = 2 log s_j; least squares over the rows
+    # x-variance and p-variance equality per party (u1 - u2 = log(x2/x1),
+    # u2 - u1 = log(p2/p1), and the same in u3 - u4), |E| equality (E
+    # entries go as s1 s3 and s2 s4: u1 - u2 + u3 - u4 = 2 log|e2/e1|) and
+    # |F| equality (F entries go as 1/(s1 s4) and 1/(s2 s3): u2 - u1 + u3 -
+    # u4 = 2 log|f2/f1|), the last two only where E and F are not 0.  The
+    # rows see only d1 = u1 - u2 and d2 = u3 - u4, so the least-squares u of
+    # least norm is (d1, -d1, d2, -d2)/2, with (d1, d2) the solution of the
+    # 2x2 normal equations n (d1, d2) = rhs.
+    n11, n12 = 2, 0
+    rhs1 = _log_ratio(x[1], x[0]) - _log_ratio(p[1], p[0])
+    rhs2 = _log_ratio(x[3], x[2]) - _log_ratio(p[3], p[2])
+    if e[0]:
+        row = 2 * _log_ratio(abs(e[1]), abs(e[0]))
+        n11, n12, rhs1, rhs2 = n11 + 1, n12 + 1, rhs1 + row, rhs2 + row
+    if f[0]:
+        row = 2 * _log_ratio(abs(f[1]), abs(f[0]))
+        n11, n12, rhs1, rhs2 = n11 + 1, n12 - 1, rhs1 - row, rhs2 + row
+    det = n11 * n11 - n12 * n12
+    d1, d2 = (n11 * rhs1 - n12 * rhs2) / det, (n11 * rhs2 - n12 * rhs1) / det
+    # entries are positive doubles below the squarable scale (1.3e154), so a
+    # log ratio is below 1100 in size and |d1|, |d2| / 4 below 413: exp
+    # neither overflows nor reaches 0
+    sq = [math.exp(u / 4) for u in (d1, -d1, d2, -d2)]
+    d = [v for s in sq for v in (s, 1 / s)]
+    # S gamma S^T on the pattern: the pairs each triple entry averages, and
+    # the largest |entry| where the pattern has a 0
+    diag = [d[i] * m[i][i] * d[i] for i in range(8)]
+    pairs = ((diag[0], diag[2]), (diag[1], diag[3]), (diag[4], diag[6]), (diag[5], diag[7]),
+             (d[0] * m[0][4] * d[4], -(d[2] * m[2][6] * d[6])),
+             (-(d[1] * m[1][7] * d[7]), -(d[3] * m[3][5] * d[5])))
+    off = max(abs(d[i] * m[i][j] * d[j]) for i, j in _WW_ZEROS)
+    form = WernerWolfForm(*((one + other) / 2 for one, other in pairs))
+    _require_reduced(gamma, max(off, *(abs(v - w) for v, pair in zip(form.params, pairs)
+                                       for w in pair)),
                      "cannot equalize Werner-Wolf pattern by local squeezing")
-    return form, s
+    s = np.diag(d)
+    if order is not _WW_ORDERS[0]:
+        s = s[:, np.argsort(order)]
+    return form, s, max(off, *(abs(v) for pair in pairs for v in pair))
 
 
 def reduce_to_standard_form(gamma: CovMatrix, family: Family):
@@ -279,15 +420,13 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
         return result
     _require_squarable(gamma, "cannot reduce to standard form")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
-    result = form, s = reduce(gamma)
-    a = abs(s)
-    with np.errstate(over="ignore"):
-        rounding = float((a @ abs(gamma.mat) @ a.T).max())
+    form, s, rounding = reduce(gamma)
     if not rounding < math.inf:
         raise ScaleOverflowError("cannot reduce to standard form: the rounding it "
                                  "inherits overflows double precision")
     object.__setattr__(form, "_rounding_scale", rounding)
     s.flags.writeable = False
+    result = form, s
     object.__setattr__(gamma, "_reduced", result)
     return result
 

@@ -69,16 +69,6 @@ def _scaled_form(n_modes: int, scale: complex) -> np.ndarray:
     return out
 
 
-def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix with the given square blocks."""
-    out = np.zeros((sum(len(b) for b in blocks),) * 2)
-    at = 0
-    for b in blocks:
-        out[at:at + len(b), at:at + len(b)] = b
-        at += len(b)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class CovMatrix:
     """Real symmetric covariance matrix of an n-mode state or detector.  Its

@@ -36,6 +36,24 @@ def random_physical_cm(rng: np.random.Generator, n_modes: int) -> CovMatrix:
     return CovMatrix(a @ a.T / d + 0.5 * np.eye(d))
 
 
+def rotation(t: float) -> np.ndarray:
+    return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
+
+
+def dress(state, rs, thetas) -> CovMatrix:
+    """The CM of `state`, a form or a CovMatrix, under a
+    rotation-squeeze-rotation on every mode: mode j's squeeze e^(rs[j])
+    between rotations by thetas[2j] and thetas[2j + 1]."""
+    gamma = state.to_cm() if isinstance(state, QuadratureForm) else state
+    s = np.zeros((gamma.dim,) * 2)
+    for j in range(gamma.n_modes):
+        r, t1, t2 = rs[j], thetas[2 * j], thetas[2 * j + 1]
+        s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
+            rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ rotation(t2))
+    m = s @ gamma.mat @ s.T
+    return CovMatrix((m + m.T) / 2)
+
+
 def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     """Oracle: the Williamson spectrum of gamma, the moduli of the
     eigenvalues of i sigma gamma, one per mode, ascending, by the general

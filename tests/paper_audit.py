@@ -13,12 +13,13 @@ reads.
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from cvwitness.criteria import WWFamilyParams
 from cvwitness.fock import gaussian_op_fock
 from cvwitness.nongauss import NonGaussState, mean_on_detector
 from cvwitness.standard_form import DetectorSpec, Family, QuadratureForm
-from cvwitness.symplectic import block_diag, symplectic_form
+from cvwitness.symplectic import symplectic_form
 
 
 def displacement_matrix(mu: complex, cutoff: int) -> np.ndarray:

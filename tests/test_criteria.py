@@ -17,13 +17,12 @@ from cvwitness.criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, _peak,
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
-from cvwitness.standard_form import (Family, QuadratureForm,
-                                     TwoModeStandardForm, WernerWolfForm,
+from cvwitness.standard_form import (Family, TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
-from conftest import (grid_certificate, sample_standard_form,
+from conftest import (dress, grid_certificate, rotation, sample_standard_form,
                       sample_ww_detector, sample_ww_family_params,
                       simon_invariant_lhs, symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
@@ -297,10 +296,6 @@ def test_certificate_small_correlation_keeps_precision():
         assert certificate_min_eig(form, x, y) >= -TOL_CERT
 
 
-def _rotation(t):
-    return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
-
-
 # ----------------------- the bits of the array-level PPT against the
 # CovMatrix-wrapped computation it replaced, and the accuracy of the
 # closed-form certificate slack against mpmath and the dense route
@@ -376,26 +371,13 @@ def test_array_level_bits_on_the_decision_golden():
     assert certified > 10
 
 
-def _dress(state, rs, thetas):
-    """The CM of `state`, a form or a CovMatrix, under a
-    rotation-squeeze-rotation on every mode."""
-    gamma = state.to_cm() if isinstance(state, QuadratureForm) else state
-    s = np.zeros((gamma.dim,) * 2)
-    for j in range(gamma.n_modes):
-        r, t1, t2 = rs[j], thetas[2 * j], thetas[2 * j + 1]
-        s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
-            _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
-    m = s @ gamma.mat @ s.T
-    return CovMatrix((m + m.T) / 2)
-
-
 @PROPERTY
 @given(_forms(), st.lists(st.floats(0.0, 3.0), min_size=4, max_size=4),
        st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
 def test_array_level_bits_on_dressed_states(form, rs, thetas):
     assume(form.to_cm().is_physical())
     _assert_ppt_bits(form.to_cm())
-    _assert_ppt_bits(_dress(form, rs, thetas))
+    _assert_ppt_bits(dress(form, rs, thetas))
     _assert_certificate_accuracy(form)
 
 
@@ -449,7 +431,7 @@ def test_dressed_npt_state_stays_npt():
     -3.6e-7 at scale 1.9e4.  That is far below rounding, so it stays NPT,
     where a tolerance of TOL_PSD times the scale, 1.9e-6, would call it PPT
     and the state bound entangled."""
-    gamma = _dress(TwoModeStandardForm(1.0, 1.0, 0.504, 0.504), (5.0, -5.0),
+    gamma = dress(TwoModeStandardForm(1.0, 1.0, 0.504, 0.504), (5.0, -5.0),
                    (0.4, 1.0, 2.2, 0.7))
     assert ppt_decide(gamma).is_ppt is False
     report = decide_separability(gamma)
@@ -465,12 +447,12 @@ def test_npt_state_squeezed_to_r8_is_not_bound_entangled():
     is never reported bound entangled.  Plain squeezes are resolved in full;
     rotated ones at r = 8 may be refused, but never read PPT."""
     form = TwoModeStandardForm(1.0, 1.0, 0.504, 0.504)
-    gamma = _dress(form, (8.0, -8.0), (0.0, 0.0, 0.0, 0.0))
+    gamma = dress(form, (8.0, -8.0), (0.0, 0.0, 0.0, 0.0))
     assert ppt_decide(gamma).is_ppt is False
     report = decide_separability(gamma)
     assert report.verdict is Verdict.ENTANGLED and not report.bound_entangled
     for thetas in ((0.4, 1.0, 2.2, 0.7), (0.0, 0.4, 3.0, 1.0)):
-        gamma = _dress(form, (8.0, -8.0), thetas)
+        gamma = dress(form, (8.0, -8.0), thetas)
         for decide in (ppt_decide, decide_separability):
             try:
                 report = decide(gamma)
@@ -493,7 +475,7 @@ def test_verdict_survives_local_symplectics(seed, rs, thetas):
     form = sample_standard_form(np.random.default_rng(seed), exclude_band=1e-6)
     want = decide_separability(form.to_cm()).verdict
     for r_max in (5, 8):
-        gamma = _dress(form, [r_max * r for r in rs], thetas)
+        gamma = dress(form, [r_max * r for r in rs], thetas)
         try:
             report, ppt = decide_separability(gamma), ppt_decide(gamma)
         except CvWitnessError:
@@ -534,7 +516,7 @@ def test_tol_admits_and_never_moves_the_ppt_test(a, b, angle, log_lhs, sign, rs,
     lhs = sign * 10 ** log_lhs
     form = _two_mode_form_at(a, b, angle, lhs)
     assume(validate_cm(form.to_cm()).is_physical)
-    gamma = _dress(form, rs, thetas)
+    gamma = dress(form, rs, thetas)
     report = decide_separability(gamma, tol=tol)
     assert report.ppt.is_ppt is (lhs > 0)
     assert not report.bound_entangled
@@ -550,7 +532,7 @@ def test_noisy_product_states_read_ppt_at_a_wide_tol():
     rng = np.random.default_rng(25)
     vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
     for _ in range(40):
-        dressed = _dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        dressed = dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
         noisy = CovMatrix(dressed.mat - 1e-9 * np.eye(4))
         assert not validate_cm(noisy).is_physical
         assert decide_separability(noisy, tol=1e-5).ppt.is_ppt
@@ -571,7 +553,7 @@ def test_dressed_pure_products_are_ppt_and_certified():
     vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
     for _ in range(30):
         signs = rng.choice((-1.0, 1.0), 2)
-        gamma = _dress(vacuum, signs * rng.uniform(1.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        gamma = dress(vacuum, signs * rng.uniform(1.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
         report = decide_separability(gamma)
         assert report.ppt.is_ppt and ppt_decide(gamma).is_ppt
         assert report.verdict is Verdict.SEPARABLE and report.certificate is not None
@@ -590,7 +572,7 @@ def test_noisy_product_states_read_ppt_at_the_default_tol():
     rng = np.random.default_rng(26)
     vacuum = TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)
     for _ in range(20):
-        dressed = _dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        dressed = dress(vacuum, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
         noisy = CovMatrix(dressed.mat - 1e-11 * np.eye(4))
         assert validate_cm(noisy).is_physical and not validate_cm(noisy, 0.0).is_physical
         report = decide_separability(noisy)
@@ -664,7 +646,7 @@ def test_simon_lhs_matches_local_invariants():
             t1, t2 = rng.uniform(0, 2 * np.pi, 2)
             r = rng.uniform(0, 1)
             s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
-                _rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ _rotation(t2))
+                rotation(t1) @ np.diag([np.exp(r), np.exp(-r)]) @ rotation(t2))
         m = s @ f.to_cm().mat @ s.T
         gamma = CovMatrix((m + m.T) / 2)
         form, _ = reduce_to_standard_form(gamma, Family.TWO_MODE)
@@ -739,7 +721,7 @@ def test_closed_form_ppt_agrees_with_the_eigen_route(form, rs, thetas):
     assume(form.to_cm().is_physical() and abs(_lhs(form)) > 1e-6)
     if form.family is Family.WERNER_WOLF:
         thetas = [0.0] * 8
-    gamma = _dress(form, rs, thetas)
+    gamma = dress(form, rs, thetas)
     report, ppt = decide_separability(gamma), ppt_decide(gamma)
     assert report.ppt.is_ppt is ppt.is_ppt
     nu = report.ppt.min_pt_symplectic_eig
@@ -758,7 +740,7 @@ def test_dressed_states_on_the_ppt_boundary_read_ppt_in_the_decision():
     for _ in range(60):
         v = rng.normal(size=4)
         noisy = CovMatrix(0.5 * np.eye(4) + rng.uniform(0.1, 2.0) * np.outer(v, v) / v.dot(v))
-        gamma = _dress(noisy, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
+        gamma = dress(noisy, rng.uniform(-3.0, 3.0, 2), rng.uniform(0.0, 2 * math.pi, 4))
         report = decide_separability(gamma)
         assert report.ppt.is_ppt and report.verdict is Verdict.SEPARABLE
 
@@ -778,10 +760,10 @@ def test_a_non_state_admitted_at_a_wide_tol_reads_alike_in_both_routes(c2, want)
 
 @pytest.mark.parametrize("gamma", [
     tmsv_form(0.5).to_cm().mat,
-    _dress(TwoModeStandardForm(1.2, 0.9, 0.5, -0.2), (2.0, -1.0), (0.3, 1.1, 2.0, 0.4)).mat,
+    dress(TwoModeStandardForm(1.2, 0.9, 0.5, -0.2), (2.0, -1.0), (0.3, 1.1, 2.0, 0.4)).mat,
     TwoModeStandardForm(1000.0, 900.0, 948.1826037214564, 948.1826037214564).to_cm().mat,
     werner_wolf_family(WWFamilyParams(1.0, 0.5, 1.0, 2.0, 1.5)).to_cm().mat,
-    _dress(WernerWolfForm(1.2, 0.9, 1.1, 1.3, 0.4, 0.3), (1.0, -2.0, 0.5, 3.0), (0.0,) * 8).mat,
+    dress(WernerWolfForm(1.2, 0.9, 1.1, 1.3, 0.4, 0.3), (1.0, -2.0, 0.5, 3.0), (0.0,) * 8).mat,
 ], ids=["tmsv", "dressed-two-mode", "boundary-two-mode", "wwfamily", "wwpattern"])
 def test_decision_runs_no_eigensolver_after_admission(gamma, monkeypatch):
     """On a fresh CovMatrix the decision calls `eigvalsh` once, to admit it,

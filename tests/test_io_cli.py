@@ -630,3 +630,19 @@ def test_cli_imports_only_its_layers(tmp_path, case):
     loaded = set(traced["loaded"][-1])
     assert not loaded & set(absent)
     assert loaded >= set(present)
+
+
+@pytest.mark.parametrize("order", [(2, 3, 0, 1, 4, 5, 6, 7), (0, 1, 2, 3, 6, 7, 4, 5)],
+                         ids=["swap-a", "swap-b"])
+@pytest.mark.parametrize("criterion", ["auto", "witness"])
+def test_ww_check_is_kept_under_a_within_party_swap(order, criterion, tmp_path, capsys):
+    """`tests/data/ww_family.json` with party A's two modes swapped, or
+    party B's, gives the original's `check` report and exit code byte for
+    byte: the reduction relabels the modes before it refuses the pattern."""
+    original = Path(__file__).parent / "data" / "ww_family.json"
+    obj = json.loads(original.read_text())
+    obj["cm"] = np.array(obj["cm"])[np.ix_(order, order)].tolist()
+    runs = []
+    for path in (str(original), write_json(tmp_path / "swapped.json", obj)):
+        runs.append((main(["check", path, "--criterion", criterion]), capsys.readouterr().out))
+    assert runs[0] == runs[1]

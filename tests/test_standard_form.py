@@ -2,21 +2,26 @@ import dataclasses
 import gc
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cvwitness import standard_form
 from cvwitness.criteria import decide_separability, werner_wolf_family
-from cvwitness.exceptions import PatternMismatchError
+from cvwitness.exceptions import CvWitnessError, PatternMismatchError
 from cvwitness.standard_form import (Family, TwoModeStandardForm,
                                      WernerWolfForm, detect_family,
                                      local_normal_form, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import DetectorSpec, minmax_optimize
 
-from conftest import (is_symplectic, sample_ww_family_params,
+from conftest import (dress, is_symplectic, sample_standard_form, sample_ww_family_params,
                       symplectic_eigenvalues, tmsv_form)
-from cvwitness.standard_form import _single_mode_normal
+from cvwitness.standard_form import _mode_normal
+
+EPS = np.finfo(float).eps
 
 
 def rotate_locally(gamma: CovMatrix, thetas) -> CovMatrix:
@@ -136,17 +141,38 @@ def test_to_cm_of_integer_arguments_is_float(spec, entry):
     assert m[entry] == 0.5
 
 
+def _squeezed_block(r, rng) -> np.ndarray:
+    """1.3 R diag(e^2r, e^-2r) R^T for a random rotation R."""
+    th = rng.uniform(0, np.pi)
+    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return 1.3 * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
+
+
 @pytest.mark.parametrize("r", [0.0, 0.7, 2.0])
 def test_single_mode_normal_closed_form(r, rng):
     """S = sqrt(nu) M^{-1/2} from the 2x2 closed form: symmetric, det 1, and
     S M S^T = nu I, for a rotated squeezed thermal block M."""
-    th = rng.uniform(0, np.pi)
-    rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    block = 1.3 * rot @ np.diag([np.exp(2 * r), np.exp(-2 * r)]) @ rot.T
-    s = _single_mode_normal(block, np.sqrt(np.linalg.det(block)))
+    block = _squeezed_block(r, rng)
+    s = np.array(_mode_normal(block[0, 0], block[0, 1], block[1, 1], "refused")[0])
     assert np.allclose(s, s.T, rtol=0, atol=1e-14 * np.exp(r))
     assert abs(np.linalg.det(s) - 1) < 1e-12
     assert np.max(np.abs(s @ block @ s.T - 1.3 * np.eye(2))) < 1e-12 * np.exp(2 * r)
+
+
+@pytest.mark.parametrize("r", [0.0, 2.0, 5.0, 8.0])
+def test_single_mode_normal_block_errs_by_eps_e2r(r, rng):
+    """The block `_mode_normal` returns for S M S^T is nu I to a few
+    eps e^(2r) nu, the rounding S carries as doubles, where forming
+    S M S^T from S and M would cancel from e^(4r) nu.  nu is the 50-digit
+    value on the block's doubles; above r = 8 their own rounding, eps
+    e^(4r) relative, takes det M."""
+    for _ in range(20):
+        block = _squeezed_block(r, rng)
+        with mp.workdps(50):
+            a, b, d = (mp.mpf(float(v)) for v in (block[0, 0], block[0, 1], block[1, 1]))
+            nu = float(mp.sqrt(a * d - b * b))
+        normal = np.array(_mode_normal(block[0, 0], block[0, 1], block[1, 1], "refused")[1])
+        assert np.max(np.abs(normal - nu * np.eye(2))) <= 4 * EPS * np.exp(2 * r) * nu
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 6.0])
@@ -267,3 +293,194 @@ def test_memo_does_not_keep_the_matrix_alive(rng):
     del gamma
     gc.collect()
     assert ref() is None
+
+
+# ------------------------------------------- accuracy against 50 digits
+
+def _mp_two_mode(gamma: CovMatrix) -> tuple:
+    """(a, b, c1, c2) of gamma's doubles at 50 digits, from local invariants
+    and no reduction: a, b = sqrt(det A), sqrt(det B); c1 c2 = -det C and
+    c1^2 + c2^2 = tr(adj A C adj B C^T) / (a b), c1 >= |c2|."""
+    with mp.workdps(50):
+        (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (*_, b11) = (
+            [mp.mpf(v) for v in row] for row in gamma.mat.tolist())
+        a, b = mp.sqrt(a00 * a11 - a01 * a01), mp.sqrt(b00 * b11 - b01 * b01)
+        # adj A C = [[p, q], [r, t]], times adj B and C^T, traced
+        p, q = a11 * c00 - a01 * c10, a11 * c01 - a01 * c11
+        r, t = a00 * c10 - a01 * c00, a00 * c11 - a01 * c01
+        norm2 = ((p * b11 - q * b01) * c00 + (q * b00 - p * b01) * c01
+                 + (r * b11 - t * b01) * c10 + (t * b00 - r * b01) * c11) / (a * b)
+        det_c = c00 * c11 - c01 * c10
+        c1 = (mp.sqrt(norm2 + 2 * abs(det_c)) + mp.sqrt(max(norm2 - 2 * abs(det_c), 0))) / 2
+        return a, b, c1, -det_c / c1 if c1 else mp.mpf(0)
+
+
+def _mp_werner_wolf(gamma: CovMatrix) -> tuple:
+    """(A..F) of a Werner-Wolf-pattern CM's doubles at 50 digits: the
+    least-squares log squeezes of the pattern rows, then the averaged
+    entries."""
+    with mp.workdps(50):
+        m = mp.matrix(gamma.mat.tolist())
+        x, p = [m[i, i] for i in (0, 2, 4, 6)], [m[i, i] for i in (1, 3, 5, 7)]
+        e, f = (m[0, 4], -m[2, 6]), (-m[1, 7], -m[3, 5])
+        rows = [((1, 0), mp.log(x[1] / x[0])), ((-1, 0), mp.log(p[1] / p[0])),
+                ((0, 1), mp.log(x[3] / x[2])), ((0, -1), mp.log(p[3] / p[2]))]
+        if e[0]:
+            rows.append(((1, 1), 2 * mp.log(abs(e[1] / e[0]))))
+        if f[0]:
+            rows.append(((-1, 1), 2 * mp.log(abs(f[1] / f[0]))))
+        a = mp.matrix([r for r, _ in rows])
+        delta = mp.lu_solve(a.T * a, a.T * mp.matrix([v for _, v in rows]))
+        sq = [mp.exp(u / 4) for u in (delta[0], -delta[0], delta[1], -delta[1])]
+        d = [v for s in sq for v in (s, 1 / s)]
+        m2 = [[d[i] * m[i, j] * d[j] for j in range(8)] for i in range(8)]
+        return ((m2[0][0] + m2[2][2]) / 2, (m2[1][1] + m2[3][3]) / 2,
+                (m2[4][4] + m2[6][6]) / 2, (m2[5][5] + m2[7][7]) / 2,
+                (m2[0][4] - m2[2][6]) / 2, -(m2[1][7] + m2[3][5]) / 2)
+
+
+def _reduction_error(gamma: CovMatrix, family: Family) -> float:
+    """Largest |form entry - its 50-digit value| in eps * rounding_scale."""
+    form, _ = reduce_to_standard_form(gamma, family)
+    if family is Family.TWO_MODE:
+        got, exact = (*form.x, form.p[2]), _mp_two_mode(gamma)
+    else:
+        got, exact = form.params, _mp_werner_wolf(gamma)
+    return max(float(abs(v - w)) for v, w in zip(got, exact)) / (EPS * form.rounding_scale)
+
+
+def test_reduction_matches_a_50_digit_reduction():
+    """Every form entry lies within 8 eps rounding_scale (the certificate's
+    2 eps per dimension) of a 50-digit reduction of the same doubles, with
+    no refusal: the dressed ensemble (300 forms at |lhs| > 1e-6, each mode
+    dressed by a rotation-squeeze-rotation at |r| <= 5 and <= 8), the TMSV
+    ladder r = 0.1 i, i = 0..95, whose forms come back exactly, and
+    Werner-Wolf forms per-mode squeezed to |u| <= 3."""
+    for r_max in (5, 8):
+        rng, dressing = np.random.default_rng(1), np.random.default_rng(7)
+        for _ in range(300):
+            gamma = dress(sample_standard_form(rng, exclude_band=1e-6),
+                          dressing.uniform(-r_max, r_max, 2), dressing.uniform(0, 2 * np.pi, 4))
+            assert _reduction_error(gamma, Family.TWO_MODE) <= 8
+    for i in range(96):
+        form = tmsv_form(0.1 * i)
+        assert reduce_to_standard_form(form.to_cm(), Family.TWO_MODE)[0] == form
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        form = WernerWolfForm(*rng.uniform(0.8, 1.5, 4), *rng.uniform(-0.4, 0.4, 2))
+        squeeze = np.exp(np.kron(rng.uniform(-3, 3, 4), [0.5, -0.5]))
+        assert _reduction_error(CovMatrix(squeeze[:, None] * form.to_cm().mat * squeeze),
+                                Family.WERNER_WOLF) <= 8
+
+
+@pytest.mark.parametrize("family", [Family.TWO_MODE, Family.WERNER_WOLF])
+def test_rounding_scale_is_that_of_abs_s_gamma_abs_s(family, rng):
+    """The rounding a reduced form keeps is the largest entry of
+    |S| |gamma| |S|^T, formed from the arrays, to a few eps."""
+    for _ in range(20):
+        if family is Family.TWO_MODE:
+            gamma = dress(sample_standard_form(rng), rng.uniform(-4, 4, 2), rng.uniform(0, 6, 4))
+        else:
+            order = _SWAPS["swap-a"] if rng.uniform() < 0.5 else tuple(range(8))
+            squeeze = np.exp(np.kron(rng.uniform(-3, 3, 4), [0.5, -0.5]))
+            mat = squeeze[:, None] * _ww_family_cm(rng).mat * squeeze
+            gamma = CovMatrix(mat[np.ix_(order, order)])
+        form, s = reduce_to_standard_form(gamma, family)
+        own = max(map(abs, form.params))
+        want = max(own, float((abs(s) @ abs(gamma.mat) @ abs(s).T).max()))
+        assert abs(form.rounding_scale - want) <= 4 * EPS * want
+
+
+def test_reduction_calls_no_linear_algebra(monkeypatch):
+    """Both reductions and the local normal form run without `np.linalg`."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+    for name in ("det", "svd", "lstsq", "eig", "eigh", "eigvals", "eigvalsh", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    reduce_to_standard_form(_dressed_two_mode(np.random.default_rng(0)), Family.TWO_MODE)
+    reduce_to_standard_form(_ww_family_cm(np.random.default_rng(0)), Family.WERNER_WOLF)
+    local_normal_form(_dressed_two_mode(np.random.default_rng(1)))
+
+
+# ------------------------------------------------- within-party relabelling
+
+_SWAPS = {"swap-a": (2, 3, 0, 1, 4, 5, 6, 7), "swap-b": (0, 1, 2, 3, 6, 7, 4, 5),
+          "swap-both": (2, 3, 0, 1, 6, 7, 4, 5)}
+
+
+@settings(max_examples=100)
+@given(st.tuples(*[st.floats(0.8, 1.5)] * 4), st.tuples(*[st.floats(-0.4, 0.4)] * 2),
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.sampled_from(sorted(_SWAPS)))
+def test_ww_reduction_is_kept_under_within_party_reordering(abcd, ef, us, swap):
+    """A Werner-Wolf-pattern state, per-mode squeezed, with the two modes of
+    party A, of party B or of both swapped, reduces by a local symplectic
+    that folds in the relabelling, to a form whose entries equal the given
+    order's up to the sign of E and F and within rounding, and keeps its
+    verdict."""
+    squeeze = np.exp(np.kron(us, [0.5, -0.5]))
+    mat = squeeze[:, None] * WernerWolfForm(*abcd, *ef).to_cm().mat * squeeze
+    gamma = CovMatrix(mat)
+    assume(validate_cm(gamma).is_physical)
+    order = _SWAPS[swap]
+    swapped = CovMatrix(mat[np.ix_(order, order)])
+    form, _ = reduce_to_standard_form(gamma, Family.WERNER_WOLF)
+    form2, s2 = reduce_to_standard_form(swapped, Family.WERNER_WOLF)
+    assert_local_symplectic(s2, swapped, form2, n_modes_a=2)
+    scale = 8 * EPS * max(form.rounding_scale, form2.rounding_scale)
+    assert np.allclose(np.abs(form.params), np.abs(form2.params), rtol=0, atol=scale)
+    assert decide_separability(swapped).verdict is decide_separability(gamma).verdict
+
+
+# ------------------------------------------------------- degenerate inputs
+
+_DEGENERATE = {
+    "product": TwoModeStandardForm(1.2, 0.9, 0.0, 0.0),
+    "rank-one-cross": TwoModeStandardForm(1.2, 0.9, 0.5, 0.0),
+    "vacuum": TwoModeStandardForm(0.5, 0.5, 0.0, 0.0),
+    "equal-correlations": TwoModeStandardForm(1.2, 0.9, 0.4, 0.4),
+    "opposite-correlations": TwoModeStandardForm(1.2, 0.9, 0.4, -0.4),
+    "ww-no-e": WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.0, 0.3),
+    "ww-no-f": WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.3, 0.0),
+    "ww-product": WernerWolfForm(1.1, 1.2, 1.3, 1.4, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+@pytest.mark.parametrize("dressed", [False, True])
+def test_degenerate_forms_reduce_to_themselves(name, dressed):
+    """Zero or rank-one cross blocks, equal or opposite correlations (equal
+    singular values of the cross block) and Werner-Wolf forms with E or F
+    at 0 reduce, undressed and locally dressed, to the form within
+    rounding, and the decision and the witness report on them."""
+    form = _DEGENERATE[name]
+    gamma = form.to_cm()
+    if dressed and form.family is Family.TWO_MODE:
+        gamma = dress(gamma, (0.7, -0.4), (0.3, 1.2, 2.0, 0.4))
+    elif dressed:
+        # a Werner-Wolf pattern takes squeezes, not rotations; the form is
+        # kept by opposite squeezes within each party
+        gamma = dress(gamma, (0.7, -0.7, 0.3, -0.3), (0.0,) * 8)
+    reduced, s = reduce_to_standard_form(gamma, form.family)
+    assert_local_symplectic(s, gamma, reduced, n_modes_a=form.family.n_modes_a)
+    assert np.allclose(reduced.params, form.params, rtol=0, atol=1e-12)
+    decide_separability(gamma)
+    minmax_optimize(gamma)
+
+
+@pytest.mark.parametrize("mat", [
+    np.diag([2.4e133, 1.0, 1.0, -2e-143]),
+    np.diag([1.0, 1.0, 0.0, 1.0]),
+    np.diag([1e-162, 1e-162, 1.0, 1.0]),
+    1e160 * np.eye(4),
+    np.diag([5e-324, 1e154, 1.0, 1.0, 1e154, 5e-324, 1.0, 1.0]),
+], ids=["huge-non-state", "singular-block", "tiny-block", "overflowing-scale", "extreme-ww"])
+def test_extreme_inputs_reduce_or_raise_a_typed_error(mat):
+    """No input makes the closed forms raise a stray ValueError,
+    ZeroDivisionError or OverflowError from `math` or a division."""
+    gamma = CovMatrix(mat)
+    for call in (lambda: reduce_to_standard_form(gamma, detect_family(gamma)),
+                 lambda: local_normal_form(gamma)):
+        try:
+            call()
+        except CvWitnessError:
+            pass

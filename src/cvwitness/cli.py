@@ -5,9 +5,11 @@ Exit codes: 0 Separable, 2 Entangled, 3 Boundary/undecided, 1 error
 Every report embeds the tool version and the options that shape it: `check`
 its tolerances, `oracle` the seed of its random seesaw starts.  Output is
 byte-identical for the same input and options.  `--tol-psd` is `check`'s
-admission tolerance and nothing else: each criterion is one library call,
-which refuses a non-state at it.  `sweep` draws its Werner-Wolf samples from
-`--seed`; its states are generated, not read, so it has no tolerance.
+admission tolerance and nothing else, a finite number >= 0: each criterion
+is one library call, which refuses a non-state at it, and `nongauss`
+admits its kernel at it before the ladder state is built.  `sweep` draws
+its Werner-Wolf samples from `--seed`; its states are generated, not read,
+so it has no tolerance.
 
 Start-up is most of a command's run, so the module imports at the top only
 what every command needs (`criteria`, `io`, `standard_form`, `symplectic`);
@@ -28,7 +30,7 @@ from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
 from .standard_form import QuadratureForm, TwoModeStandardForm
-from .symplectic import TOL_PSD
+from .symplectic import TOL_PSD, _admission_tol
 
 EXIT_SEPARABLE = 0
 EXIT_ERROR = 1
@@ -46,7 +48,7 @@ def cmd_check(args) -> int:
     criterion = args.criterion
     if criterion == "nongauss":
         from .nongauss import decide_separability_nongauss
-        state, partition = load_nongauss(args.input)
+        state, partition = load_nongauss(args.input, tol=args.tol_psd)
         decision = decide_separability_nongauss(state, partition, tol=args.tol_psd)
         verdict, report = decision.verdict, criterion_report_dict(decision)
     else:
@@ -144,6 +146,15 @@ def cmd_sweep(args) -> int:
     return EXIT_SEPARABLE
 
 
+def _tolerance(text: str) -> float:
+    """A `--tol-psd` value, refused as a usage error, before any input is
+    read, where the library would refuse it (`symplectic._admission_tol`)."""
+    try:
+        return _admission_tol(float(text))
+    except (ValueError, CvWitnessError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cvwitness",
@@ -159,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("input")
     p_check.add_argument("--criterion", default="auto",
                          choices=["auto", "ppt", "witness", "nongauss"])
-    p_check.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
+    p_check.add_argument("--tol-psd", dest="tol_psd", type=_tolerance, default=TOL_PSD)
     p_check.set_defaults(func=cmd_check)
 
     p_oracle = sub.add_parser(

@@ -50,8 +50,8 @@ from .exceptions import (ConstraintViolatedError, DimensionMismatchError, Partit
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, local_normal_form, reduce_to_standard_form)
-from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide_floor,
-                         _bona_fide_min_eig, _williamson_spectrum, validate_cm)
+from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide, _bona_fide_floor,
+                         _bona_fide_min_eig, _williamson_spectrum)
 
 #: |lhs| below this is reported as Boundary instead of a binary verdict.
 TOL_BOUNDARY = 1e-9
@@ -285,7 +285,8 @@ def _is_product_state(x: float, y: float) -> bool:
     """Whether the product squeezed state (x, y) has every mode variance,
     x/2, y/2, 1/(2x) and 1/(2y), a positive finite double."""
     # x, y > 0 first: 0.5 / 0.0 raises
-    return x > 0 and y > 0 and all(0 < s < math.inf for s in (x / 2, y / 2, 0.5 / x, 0.5 / y))
+    return (x > 0 and y > 0 and 0 < x / 2 < math.inf and 0 < y / 2 < math.inf
+            and 0 < 0.5 / x < math.inf and 0 < 0.5 / y < math.inf)
 
 
 def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
@@ -302,8 +303,9 @@ def certificate_min_eig(form: QuadratureForm, x: float, y: float) -> float:
     if not _is_product_state(x, y):
         raise DimensionMismatchError(f"mode variance at ({x}, {y}) is non-finite or non-positive")
     (a1, b1, c1), (a2, b2, c2) = form.x, form.p
-    return float(min((p + q) / 2 - math.hypot((p - q) / 2, c) for p, q, c in (
-        (a1 - x / 2, b1 - y / 2, c1), (a2 - 0.5 / x, b2 - 0.5 / y, c2))))
+    p1, q1, p2, q2 = a1 - x / 2, b1 - y / 2, a2 - 0.5 / x, b2 - 0.5 / y
+    return float(min((p1 + q1) / 2 - math.hypot((p1 - q1) / 2, c1),
+                     (p2 + q2) / 2 - math.hypot((p2 - q2) / 2, c2)))
 
 
 def _certifies(form: QuadratureForm, x: float, y: float) -> bool:
@@ -354,7 +356,7 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
 def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
     """Refuse a CM that fails `validate_cm` at `tol`: no criterion decides,
     and no witness or mean is taken on, a state that does not exist."""
-    if not validate_cm(gamma, tol).is_physical:
+    if not _bona_fide(gamma, tol)[1]:
         raise PatternMismatchError("covariance matrix is not physical")
 
 

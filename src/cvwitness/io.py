@@ -10,10 +10,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .criteria import CriterionReport
+from .criteria import CriterionReport, require_physical
 from .exceptions import DimensionMismatchError, NonZeroMeanError, PartitionError
 from .standard_form import DetectorSpec, Family, QuadratureForm
-from .symplectic import CovMatrix
+from .symplectic import TOL_PSD, CovMatrix
 
 if TYPE_CHECKING:   # imported where used, so reading a CM loads neither
     from .nongauss import NonGaussState
@@ -82,10 +82,14 @@ def load_cm(path: str) -> tuple[CovMatrix, list[int] | None]:
     return _read(path, "state")
 
 
-def load_nongauss(path: str) -> tuple["NonGaussState", list[int] | None]:
-    """Read a kernel CM file extended with {"add": [k...], "subtract": [m...]}."""
+def load_nongauss(path: str, tol: float = TOL_PSD) -> tuple["NonGaussState", list[int] | None]:
+    """Read a kernel CM file extended with {"add": [k...], "subtract": [m...]}.
+    A kernel that fails `require_physical` at `tol` is refused before the
+    state, and its norm, is built: no ladder acts on a state that does not
+    exist, and the norm of a non-state could refuse it for the ladder."""
     from .nongauss import NonGaussState
     kernel, partition, add, sub = _read(path, "nongauss")
+    require_physical(kernel, tol)
     return NonGaussState(kernel, add, sub), partition
 
 

@@ -311,12 +311,19 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, floa
     _require_reduced(gamma, max(abs(ra01), abs(ra10), abs(ra11 - a), abs(rb01), abs(rb10),
                                 abs(rb11 - b), abs(rc01), abs(rc10)), failure)
     abs_a, abs_b = _abs(s_a), _abs(s_b)
-    blocks = (_sandwich(abs_a, _abs(block_a), abs_a), _sandwich(abs_a, _abs(cross), abs_b),
-              _sandwich(abs_b, _abs(block_b), abs_b))
-    # inf times 0 is nan where a product overflowed: read it as inf
-    rounding = max((v for block in blocks for row in block for v in row),
-                   key=lambda v: v if v == v else math.inf)
-    return form, _local_symplectic((s_a, s_b)), rounding
+    # the rows of its blocks over A, across the cut and over B
+    (a_0, a_1), (c_0, c_1), (b_0, b_1) = (_sandwich(abs_a, _abs(block_a), abs_a),
+                                          _sandwich(abs_a, _abs(cross), abs_b),
+                                          _sandwich(abs_b, _abs(block_b), abs_b))
+    entries = (*a_0, *a_1, *c_0, *c_1, *b_0, *b_1)
+    # inf times 0 is nan where a product overflowed, which the sum of these
+    # entries (all >= 0) carries and `max` would skip: read it as inf
+    rounding = math.inf if math.isnan(sum(entries)) else max(entries)
+    (sa00, sa01), (sa10, sa11) = s_a
+    (sb00, sb01), (sb10, sb11) = s_b
+    s = np.array(((sa00, sa01, 0.0, 0.0), (sa10, sa11, 0.0, 0.0),
+                  (0.0, 0.0, sb00, sb01), (0.0, 0.0, sb10, sb11)))
+    return form, s, rounding
 
 
 # The zeros of the Werner-Wolf layout's upper triangle.
@@ -411,7 +418,8 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     S gamma S^T the form's CM, whose rounding the form keeps
     (`QuadratureForm.rounding_scale`); computed once per matrix instance and
     kept in its `_reduced` slot."""
-    family = Family(family)
+    if not isinstance(family, Family):
+        family = Family(family)
     if gamma.n_modes != family.n_modes:
         raise PatternMismatchError(
             f"{family.value} family needs {family.n_modes} modes, got {gamma.n_modes}")
@@ -431,8 +439,12 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     return result
 
 
+# Each family by its mode count, which fixes it.
+_FAMILY_BY_MODES = {family.n_modes: family for family in Family}
+
+
 def detect_family(gamma: CovMatrix) -> Family:
-    for family in Family:
-        if family.n_modes == gamma.n_modes:
-            return family
-    raise PatternMismatchError(f"no supported family for {gamma.n_modes} modes")
+    family = _FAMILY_BY_MODES.get(gamma.n_modes)
+    if family is None:
+        raise PatternMismatchError(f"no supported family for {gamma.n_modes} modes")
+    return family

@@ -30,18 +30,20 @@ The symplectic form sigma, its multiples i sigma/2 and i sigma, and the CCM
 transform depend on the mode count alone, so each is built once per mode
 count and cached as a read-only array: every validity check and symplectic
 spectrum of a decision would otherwise rebuild the same matrix.  The checks
-on these small matrices call ndarray methods (`abs(x).max()`,
-`isfinite(m).all()`) rather than numpy's module-level wrappers, whose Python
-overhead outweighs the arithmetic at 4x4 and 8x8.
+on these small matrices call ndarray methods (`abs(x).max()`) rather than
+numpy's module-level wrappers, whose Python overhead outweighs the
+arithmetic at 4x4 and 8x8, and the finite-entry check reads the largest
+|entry| that the scale takes anyway.
 """
 
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, ScaleOverflowError
+from .exceptions import CvWitnessError, DimensionMismatchError, ScaleOverflowError
 
 #: default admission tolerance of `validate_cm`: how far below rounding the
 #: least eigenvalue of gamma + i*sigma/2 may lie; no other test reads it.
@@ -96,11 +98,11 @@ class CovMatrix:
             raise DimensionMismatchError("matrix has no modes")
         if mat.shape[0] % 2 != 0:
             raise DimensionMismatchError(f"matrix size {mat.shape[0]} is odd")
-        half = _finite_half(mat)
+        half, scale = _finite_half(mat)   # refuses a non-finite entry first
         asym = 2 * float(abs(half - half.T).max())
-        _keep(self, half)   # first, for its scale: a refusal discards self
-        if asym > _SYMMETRY_TOL * max(1.0, self._scale):
+        if asym > _SYMMETRY_TOL * max(1.0, scale):
             raise DimensionMismatchError(f"matrix is not symmetric (max asymmetry {asym:g})")
+        _keep(self, half, scale)
 
     @property
     def dim(self) -> int:
@@ -113,23 +115,27 @@ class CovMatrix:
         return validate_cm(self).is_physical
 
 
-def _finite_half(mat: np.ndarray) -> np.ndarray:
-    """mat / 2 of a float array with finite entries, refused otherwise.
-    Halved first, so that neither a difference nor a sum of halves can
-    overflow; halving is exact above 2**-1021."""
-    if not np.isfinite(mat).all():
+def _finite_half(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """(mat / 2, the largest |entry| of mat) of a float array with finite
+    entries, refused otherwise: that scale is inf or nan exactly where an
+    entry is, so it is the finite-entry check, taken before any difference
+    of entries could warn.  Halved first, so that neither a difference nor
+    a sum of halves can overflow; halving is exact above 2**-1021."""
+    half = mat / 2.0
+    scale = 2 * float(abs(half).max())
+    if not scale < math.inf:
         raise DimensionMismatchError("matrix has non-finite entries")
-    return mat / 2.0
+    return half, scale
 
 
-def _keep(cm: CovMatrix, half: np.ndarray) -> None:
+def _keep(cm: CovMatrix, half: np.ndarray, scale: float) -> None:
     """Keep half + half.T on `cm` as its read-only array, with its mode
-    count and its largest |entry| in the `_scale` slot."""
+    count and its largest |entry| `scale` in the `_scale` slot."""
     mat = half + half.T
     mat.flags.writeable = False
     object.__setattr__(cm, "mat", mat)
     object.__setattr__(cm, "n_modes", len(mat) // 2)
-    object.__setattr__(cm, "_scale", 2 * float(abs(half).max()))
+    object.__setattr__(cm, "_scale", scale)
 
 
 def _laid_out(mat: np.ndarray) -> CovMatrix:
@@ -137,7 +143,7 @@ def _laid_out(mat: np.ndarray) -> CovMatrix:
     package lays out itself: only the finite-entry check of `CovMatrix` is
     run, and the array kept is the one it keeps."""
     cm = object.__new__(CovMatrix)
-    _keep(cm, _finite_half(mat))
+    _keep(cm, *_finite_half(mat))
     return cm
 
 
@@ -157,15 +163,38 @@ def _bona_fide_floor(gamma: CovMatrix, tol: float) -> float:
     return -(tol + _EIG_ROUNDING * gamma.dim * gamma._scale)
 
 
-def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
-    """Bona-fide check: gamma + i*sigma/2 must be PSD to within `tol` and
-    rounding.  The least eigenvalue is kept in the matrix's `_min_eig` slot,
-    so the entries that check one matrix in turn pay one eigensolve."""
+def _admission_tol(tol: float) -> float:
+    """`tol` if it is a finite number >= 0, refused otherwise: nan would
+    refuse every state, inf admit every matrix and a negative `tol` refuse
+    states."""
+    try:
+        valid = 0 <= tol < math.inf
+    except (TypeError, ValueError):   # not a number, or an array
+        valid = False
+    if not valid:
+        raise CvWitnessError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
+def _bona_fide(gamma: CovMatrix, tol: float) -> tuple[float, bool]:
+    """(least eigenvalue of gamma + i*sigma/2, whether it reads PSD at
+    `tol`), the eigenvalue kept in the matrix's `_min_eig` slot, so that
+    the entries that check one matrix in turn pay one eigensolve.  A `tol`
+    that `_admission_tol` refuses is refused."""
+    _admission_tol(tol)
     min_eig = gamma.__dict__.get("_min_eig")
     if min_eig is None:
         min_eig = _bona_fide_min_eig(gamma.mat)
         object.__setattr__(gamma, "_min_eig", min_eig)
-    return ValidityReport(min_eig=min_eig, is_physical=min_eig >= _bona_fide_floor(gamma, tol))
+    return min_eig, min_eig >= _bona_fide_floor(gamma, tol)
+
+
+def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
+    """Bona-fide check: gamma + i*sigma/2 must be PSD to within `tol` and
+    rounding (`_bona_fide`, which refuses a `tol` that is not a finite
+    number >= 0)."""
+    min_eig, is_physical = _bona_fide(gamma, tol)
+    return ValidityReport(min_eig=min_eig, is_physical=is_physical)
 
 
 @lru_cache

@@ -170,25 +170,33 @@ def _cone_lambda(w1: float, w2: float, t: float,
 
 
 def _cone_ratio(triples: list[tuple[float, float, float]], w1: float, w2: float,
-                t: float = math.inf) -> tuple[float, float]:
+                scales: tuple[float, ...] = (math.inf,)) -> tuple[list[float], float]:
     """ell^(1/power) = 16 (t n1 + d1)(t n2 + d2) / (1 + 2 t s)^2 of the cone
-    detector of direction (w1, w2) at scale t (module docstring), and a
-    first-order bound on its relative rounding error in units of the machine
-    epsilon, over the form's `_abs_triples`.  It is evaluated divided
-    through by t^2, so t = inf gives the large-detector limit 4 n1 n2 / s^2."""
+    detector of direction (w1, w2) at each scale t of `scales` (module
+    docstring), and a first-order bound on the relative rounding error of
+    the last one in units of the machine epsilon, over the form's
+    `_abs_triples`.  It is evaluated divided through by t^2, so t = inf
+    gives the large-detector limit 4 n1 n2 / s^2; the terms that do not
+    depend on t are formed once for every scale."""
     u = math.sqrt(w1) * math.sqrt(w2)
-    den = 2 * (u + 1 / u) + 1 / t
-    ratio, cond = 16.0, 0.0
-    for (a, b, c), w in zip(triples, (w1, w2)):
-        f = w * b + a / w - 2 * c + (a * b - c * c) / t
-        if not f > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
+    s2 = 2 * (u + 1 / u)
+    (a1, b1, c1), (a2, b2, c2) = triples
+    g1, g2 = w1 * b1 + a1 / w1, w2 * b2 + a2 / w2
+    n1, n2, d1, d2 = g1 - 2 * c1, g2 - 2 * c2, a1 * b1 - c1 * c1, a2 * b2 - c2 * c2
+    ratios = []
+    for t in scales:
+        den = s2 + 1 / t
+        f1, f2 = n1 + d1 / t, n2 + d2 / t
+        if not (f1 > 0 and f2 > 0):   # rounding when |c| ~ sqrt(ab) at a very large scale
             where = ("in the large-detector limit" if t == math.inf
                      else f"at detector scale {t:g}")
             raise NonPositiveDeterminantError(
                 f"det(gamma + gamma_M) is non-positive {where}")
-        ratio *= f / den
-        cond = max(cond, (w * b + a / w + 2 * c + (a * b + c * c) / t) / f)
-    return ratio, cond
+        ratios.append(16.0 * (f1 / den) * (f2 / den))
+    # at the last scale, the t the loop leaves
+    cond = max(0.0, (g1 + 2 * c1 + (a1 * b1 + c1 * c1) / t) / f1,
+               (g2 + 2 * c2 + (a2 * b2 + c2 * c2) / t) / f2)
+    return ratios, cond
 
 
 def _limit_argmin(triples: list[tuple[float, float, float]]
@@ -217,11 +225,12 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
     def clip(z):
         return min(max(z, eps), 1 / eps)
 
-    edges = [(a1 * (a2 - c2 * c2 / b2), (eps, clip(c2 / b2))),
-             (b1 * (b2 - c2 * c2 / a2), (1 / eps, 1 / clip(c2 / a2))),
-             (a2 * (a1 - c1 * c1 / b1), (clip(c1 / b1), eps)),
-             (b2 * (b1 - c1 * c1 / a1), (1 / clip(c1 / a1), 1 / eps))]
-    edge, w_edge = min(edges, key=lambda e: e[0])
+    edges = (a1 * (a2 - c2 * c2 / b2), b1 * (b2 - c2 * c2 / a2),
+             a2 * (a1 - c1 * c1 / b1), b2 * (b1 - c1 * c1 / a1))
+    directions = ((eps, clip(c2 / b2)), (1 / eps, 1 / clip(c2 / a2)),
+                  (clip(c1 / b1), eps), (1 / clip(c1 / a1), 1 / eps))
+    edge = min(edges)   # the first least one: `index` finds that very object
+    w_edge = directions[edges.index(edge)]
     edge *= 4
     if c1 == 0 and c2 == 0:
         return edge, w_edge, "product"
@@ -236,7 +245,7 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
         x = math.inf   # qa underflowed: the root is at the edge
     y = (a2 * x + c2) / (c2 * x + b2)
     if 0 < x < math.inf and 0 < y < math.inf:
-        val = _cone_ratio(triples, x, y)[0]
+        val = _cone_ratio(triples, x, y)[0][0]
         # a root that does not beat the edges by more than rounding lies at
         # infinity to working precision (|c| -> 0 sends x or 1/x -> inf)
         if val < edge * (1 - _EDGE_MARGIN):
@@ -285,21 +294,19 @@ def minmax_optimize(gamma: CovMatrix, partition: list[int] | None = None,
         raise NonPositiveDeterminantError(
             "det(gamma + gamma_M) is non-positive in the large-detector limit")
     ell_limit = float(limit ** power)
-    direction = DetectorSpec(family, w1, w2, 1 / w1, 1 / w2,
-                             -1.0 if form.x[2] < 0 else 1.0,
-                             -1.0 if form.p[2] < 0 else 1.0)
-    audit = []
-    for t in AUDIT_SCALES:
-        ratio, cond = _cone_ratio(triples, w1, w2, t)
-        audit.append((t, ratio ** power))
+    t = AUDIT_SCALES[-1]
+    matched = DetectorSpec(family, t * w1, t * w2, t * (1 / w1), t * (1 / w2),
+                           -t if form.x[2] < 0 else t, -t if form.p[2] < 0 else t)
+    ratios, cond = _cone_ratio(triples, w1, w2, AUDIT_SCALES)
+    audit = tuple((scale, ratio ** power) for scale, ratio in zip(AUDIT_SCALES, ratios))
     ell = audit[-1][1]
-    lam, xy = _cone_lambda(w1, w2, AUDIT_SCALES[-1], power)
+    lam, xy = _cone_lambda(w1, w2, t, power)
     boundary = (abs(ell - 1) <= TOL_ELL_BOUNDARY or abs(ell_limit - 1) <= TOL_ELL_BOUNDARY
                 or (ell < 1) != (ell_limit < 1))
     return WitnessReport(
         lam=lam, ell=ell, ell_limit=ell_limit,
-        matched_params=direction.scaled(AUDIT_SCALES[-1]), argmax_xy=xy,
-        trace_mean=lam / ell, scaling_audit=tuple(audit),
+        matched_params=matched, argmax_xy=xy,
+        trace_mean=lam / ell, scaling_audit=audit,
         entangled=(not boundary) and ell < 1, boundary=boundary,
         diagnostics={"path": path,
                      "ell_rel_err": sys.float_info.epsilon * power * cond})

@@ -148,7 +148,7 @@ def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
     triples = _abs_triples(form)
 
     def objective(v):
-        return _cone_ratio(triples, np.exp(v[0]), np.exp(v[1]))[0]
+        return _cone_ratio(triples, np.exp(v[0]), np.exp(v[1]))[0][0]
 
     starts = [np.zeros(2)] + [rng.uniform(-2, 2, 2) for _ in range(restarts)]
     return float(min(

@@ -35,6 +35,17 @@ PROPERTY = settings(max_examples=60)
 TOL_CERT = 1e-10
 
 
+@pytest.mark.parametrize("n_modes", [1, 3])
+def test_mode_count_without_a_family_is_refused(n_modes):
+    """Only two and four modes have a family: a vacuum of another mode count
+    is admitted as a state and then refused by name."""
+    gamma = CovMatrix(np.eye(2 * n_modes) / 2)
+    for call in (decide_separability, minmax_optimize):
+        with pytest.raises(PatternMismatchError,
+                           match=f"^no supported family for {n_modes} modes$"):
+            call(gamma)
+
+
 def test_simon_lhs_tmsv_closed_form():
     for r in (0.0, 0.1, 0.3, 0.5):
         lhs = simon_lhs(tmsv_form(r))

@@ -441,6 +441,29 @@ def test_cli_every_criterion_applies_tol_psd(tmp_path, capsys, criterion, name):
     assert report["tolerances"]["tol_psd"] == 1e-8
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_cli_refuses_a_tol_psd_that_is_no_finite_nonnegative_number(capsys, value):
+    """--tol-psd nan and -1 would refuse the valid dressed state, inf admit
+    0.1 I and print "tol_psd": Infinity, which is not JSON: each is a
+    usage error, exit 1 with nothing on stdout."""
+    path = str(Path(__file__).parent / "data" / "dressed_two_mode.json")
+    assert main(["check", path, f"--tol-psd={value}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "must be a finite number >= 0" in err
+
+
+@pytest.mark.parametrize("ladder", [{"subtract": [3, 0]}, {"add": [1, 0]}],
+                         ids=["subtract", "add"])
+def test_cli_nongauss_refuses_a_kernel_that_is_no_state(tmp_path, capsys, ladder):
+    """The kernel 0.1 I is no state.  It is admitted before the ladder state
+    and its norm are built, so three subtractions, whose norm would vanish,
+    are refused as a non-state like one addition."""
+    path = cm_file(tmp_path, 0.1 * np.eye(4), extra=ladder)
+    assert main(["check", path, "--criterion", "nongauss"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: covariance matrix is not physical\n"
+
+
 @pytest.mark.parametrize("argv, verdict, code", [
     (["--tol-psd", "1e-5"], "Entangled", 2),
     (["--criterion", "ppt", "--tol-psd", "1e-5"], "Entangled", 2),

@@ -36,12 +36,25 @@ def test_covmatrix_rejects_odd_dimension():
         CovMatrix(np.eye(3))
 
 
-@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
-def test_covmatrix_rejects_non_finite(entry):
+def _off_diagonal(entry):
+    """A 4x4 with `entry` at (0, 3) alone, so also asymmetric."""
+    mat = np.eye(4) / 2
+    mat[0, 3] = entry
+    return mat
+
+
+@pytest.mark.parametrize("raw", [
+    *(np.array([[entry, 0.0], [0.0, 1.0]]) for entry in (np.nan, np.inf, -np.inf)),
+    *(_off_diagonal(entry) for entry in (np.nan, np.inf, -np.inf)),
+], ids=["nan", "inf", "-inf", "nan-off-diagonal", "inf-off-diagonal", "-inf-off-diagonal"])
+def test_covmatrix_rejects_non_finite(raw):
+    """A non-finite entry is refused as such, before the symmetry check: an
+    entry in one triangle only reads "non-finite", not "not symmetric", and
+    no difference of entries warns."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DimensionMismatchError, match="non-finite"):
-            CovMatrix(np.array([[entry, 0.0], [0.0, 1.0]]))
+            CovMatrix(raw)
 
 
 @pytest.mark.parametrize("raw, message", [
@@ -119,6 +132,18 @@ def test_vacuum_is_physical_boundary():
 
 def test_below_vacuum_is_unphysical():
     assert not validate_cm(CovMatrix(np.eye(2) * 0.4)).is_physical
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, "1e-8"],
+                         ids=["nan", "inf", "-inf", "-1", "text"])
+def test_validate_cm_refuses_a_tolerance_that_is_no_finite_nonnegative_number(tol):
+    """nan would refuse every state and inf admit 0.1 I, which is none: a
+    `tol` that is not a finite number >= 0 is a typed refusal, in
+    `validate_cm` and in every entry that admits a state at it."""
+    gamma = CovMatrix(np.eye(4) / 2)
+    for call in (validate_cm, decide_separability, ppt_decide, minmax_optimize):
+        with pytest.raises(CvWitnessError, match="tol must be a finite number >= 0"):
+            call(gamma, tol=tol)
 
 
 def test_symplectic_eigenvalues_thermal():

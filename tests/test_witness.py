@@ -170,7 +170,7 @@ def _check_cone_closed_form(form, family, power, lw1, lw2, t):
     lam, (x, y) = _cone_lambda(w1, w2, t, power)
     assert abs(lam / lambda_closed_form(d)[0] - 1) <= 1e-10
     assert abs(_g1g2(d, x, y) ** -power / lam - 1) <= 1e-10   # the argmin
-    ell = _cone_ratio(_abs_triples(form), w1, w2, t)[0] ** power
+    ell = _cone_ratio(_abs_triples(form), w1, w2, (t,))[0][0] ** power
     assert abs(ell / ell_ratio(form.to_cm(), d) - 1) <= 1e-10
 
 

@@ -3,13 +3,17 @@
 Exit codes: 0 Separable, 2 Entangled, 3 Boundary/undecided, 1 error
 (usage errors included).
 Every report embeds the tool version and the options that shape it: `check`
-its tolerances, `oracle` the seed of its random seesaw starts.  Output is
-byte-identical for the same input and options.  `--tol-psd` is `check`'s
-admission tolerance and nothing else, a finite number >= 0: each criterion
-is one library call, which refuses a non-state at it, and `nongauss`
-admits its kernel at it before the ladder state is built.  `sweep` draws
-its Werner-Wolf samples from `--seed`; its states are generated, not read,
-so it has no tolerance.
+its admission tolerance, `oracle` the seed of its random seesaw starts.
+Output is byte-identical for the same input and options.  A Gaussian
+decision reads its criterion's sign against the criterion's own rounding,
+which its report carries as `lhs_rounding`; no option sets it, and the one
+absolute Boundary band left is the witness's `TOL_ELL_BOUNDARY`.
+`--tol-psd` is `check`'s admission tolerance and nothing else, a finite
+number >= 0: each criterion is one library call, which refuses a
+non-state at it, and `nongauss` admits its kernel at it before the ladder
+state is built.  `sweep` draws
+its Werner-Wolf samples from `--seed`, and only those load `numpy.random`;
+its states are generated, not read, so it has no tolerance.
 
 Start-up is most of a command's run, so the module imports at the top only
 what every command needs (`criteria`, `io`, `standard_form`, `symplectic`);
@@ -24,8 +28,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, decide_separability,
-                       ppt_decide, separability_lhs, werner_wolf_family)
+from .criteria import (Verdict, WWFamilyParams, decide_separability, ppt_decide,
+                       separability_lhs, werner_wolf_family)
 from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
@@ -70,7 +74,7 @@ def cmd_check(args) -> int:
             decision = decide_separability(gamma, partition, tol=args.tol_psd)
             verdict, report = decision.verdict, criterion_report_dict(decision)
     dump_report({"version": __version__,
-                 "tolerances": {"tol_psd": args.tol_psd, "tol_boundary": TOL_BOUNDARY},
+                 "tolerances": {"tol_psd": args.tol_psd},
                  "report": report}, sys.stdout)
     return _VERDICT_EXIT[verdict]
 
@@ -127,8 +131,8 @@ def cmd_sweep(args) -> int:
     if args.n_samples < 1 or args.seed < 0:
         raise CvWitnessError(f"need n_samples >= 1 and seed >= 0, got n_samples "
                              f"{args.n_samples} and seed {args.seed}")
-    rng = np.random.default_rng(args.seed)
     if args.family == "wernerwolf":
+        rng = np.random.default_rng(args.seed)
         header = ["a", "b", "c", "d", "e", "lhs_criterion", "is_ppt", "ell"]
         samples = [_ww_sample(rng) for _ in range(args.n_samples)]
         points = [(werner_wolf_family(p), [p.a, p.b, p.c, p.d, p.e]) for p in samples]

@@ -34,9 +34,10 @@ the PPT test, on the standard form (`_form_ppt`) or on the image
 rounding it inherits from gamma and lets a tolerance admit a noisy state
 but not turn an entangled one PPT; and the certificate slack on its 2x2
 blocks (`_certifies`), at the scale of the rounding the standard form
-inherits (`QuadratureForm.rounding_scale`).  The bands that stay absolute
-on purpose are the reported Boundary bands, `TOL_BOUNDARY` here and
-`witness.TOL_ELL_BOUNDARY`.
+inherits (`QuadratureForm.rounding_scale`).  So is the sign of the
+criterion (`_lhs_and_rounding`): its band is the running error of its
+evaluation plus the rounding the form's entries inherit, and the one
+absolute Boundary band left is `witness.TOL_ELL_BOUNDARY`.
 """
 
 import math
@@ -52,9 +53,6 @@ from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, local_normal_form, reduce_to_standard_form)
 from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide, _bona_fide_floor,
                          _bona_fide_min_eig, _williamson_spectrum)
-
-#: |lhs| below this is reported as Boundary instead of a binary verdict.
-TOL_BOUNDARY = 1e-9
 
 
 class Verdict(str, Enum):
@@ -73,6 +71,7 @@ class PptReport:
 class CriterionReport:
     verdict: Verdict
     lhs_value: float
+    lhs_rounding: float
     criterion_name: str
     certificate: tuple[float, float] | None = None
     ppt: PptReport | None = None
@@ -107,9 +106,41 @@ def separability_lhs(form: QuadratureForm) -> float:
     `simon_lhs` and `werner_wolf_lhs` are aliases of it.  They stay only
     while the benchmark's workloads call them, and go with ROADMAP item 11
     after item 1."""
+    return _lhs_and_rounding(form)[0]
+
+
+def _lhs_and_rounding(form: QuadratureForm) -> tuple[float, float]:
+    """(lhs, rounding): `separability_lhs` and a first-order bound on its
+    distance from the criterion of the state the form was reduced from.
+
+    The bound has two parts.  The running error of the evaluation in
+    doubles (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    each product and sum errs by at most u = eps/2 of its computed value,
+    and P1 P2 by |P1| e2 + |P2| e1 + e1 e2 more, with P_i = a_i b_i - c_i^2
+    and e_i their errors.  And the rounding the entries inherit, 2 eps per
+    dimension times `QuadratureForm.rounding_scale` each (as the certificate
+    reads it, and the reduction meets it), times the sum of |d lhs / d entry|:
+    |d lhs / d a1| <= b1 |P2| + a2/4, |d lhs / d c1| <= 2 |c1| |P2| + |c2|/2,
+    and alike for the other four, with |P_i| + e_i for |P_i|.  The
+    variances a and b of a reduced state are positive."""
     (a1, b1, c1), (a2, b2, c2) = form.x, form.p
-    return ((a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2) - 0.5 * abs(c1 * c2)
-            - 0.25 * (a1 * a2 + b1 * b2) + 1.0 / 16)
+    t1, t2, t3, t4 = a1 * b1, c1 * c1, a2 * b2, c2 * c2
+    p1, p2 = t1 - t2, t3 - t4
+    q = p1 * p2
+    m = 0.5 * abs(c1 * c2)
+    n = 0.25 * (a1 * a2 + b1 * b2)
+    s1 = q - m
+    s2 = s1 - n
+    lhs = s2 + 1.0 / 16
+    u = 2.0 ** -53   # unit roundoff
+    g1, g2 = abs(p1), abs(p2)   # |q| is g1 g2: rounding keeps no sign
+    e1, e2 = u * (t1 + t2 + g1), u * (t3 + t4 + g2)
+    evaluation = (g1 * e2 + g2 * e1 + e1 * e2
+                  + u * (g1 * g2 + m + abs(s1) + 2 * n + abs(s2) + abs(lhs)))
+    k1, k2 = abs(c1), abs(c2)
+    slope = ((a1 + b1 + 2 * k1) * (g2 + e2) + (a2 + b2 + 2 * k2) * (g1 + e1)
+             + 0.25 * (a1 + b1 + a2 + b2) + 0.5 * (k1 + k2))
+    return lhs, evaluation + _EIG_ROUNDING * 2 * form.n_modes * form.rounding_scale * slope
 
 
 simon_lhs = werner_wolf_lhs = separability_lhs
@@ -386,48 +417,57 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     tolerance of `validate_cm` that admits the state, and nothing else; no
     eigensolver runs after that admission.  The PPT annotation is
     `_form_ppt` on the standard form, so the criterion and the PPT test read
-    the same numbers.  PPT is separability at 1x1 (Simon), so where a
-    two-mode criterion reads below -`TOL_BOUNDARY` but the partial transpose
-    reads PPT within rounding, the two disagree within rounding and the
-    verdict is Boundary with a note: no two-mode state is reported bound
-    entangled.  A Werner-Wolf state can be.
+    the same numbers.
+
+    The criterion's sign is read against its own rounding, the bound of
+    `_lhs_and_rounding`, reported as `lhs_rounding`: below -rounding the
+    state is Entangled; otherwise a certificate makes it Separable, and
+    without one it is Boundary, with a note that says whether the criterion
+    lay within its rounding.  An lhs past double precision keeps its sign.
+    PPT is separability at 1x1 (Simon), so where a two-mode criterion reads
+    below its band but the partial transpose reads PPT within rounding, the
+    two disagree within rounding and the verdict is Boundary with a note: no
+    two-mode state is reported bound entangled.  A Werner-Wolf state can be.
 
     `partition` may name party A or party B of the family's cut
     (`admitted_family`): both labels give the same report, since
     entanglement and PPT do not depend on which party is called A."""
     family = admitted_family(gamma, partition, tol)
     form, _ = reduce_to_standard_form(gamma, family)
-    lhs = separability_lhs(form)
+    lhs, rounding = _lhs_and_rounding(form)
     # NaN is inf - inf: terms past double precision.  An inf criterion keeps
-    # its sign and is reported.
+    # its sign and is reported, with a band of 0.
     if lhs != lhs:
         raise ScaleOverflowError(
             f"{family.criterion} criterion cannot be evaluated: its terms "
             f"overflow double precision")
-    name = family.criterion
+    if math.isinf(lhs):
+        rounding = 0.0
     ppt = _form_ppt(form)
+    name = family.criterion
 
-    if lhs < -TOL_BOUNDARY:
+    if lhs < -rounding:
         if ppt.is_ppt and family is Family.TWO_MODE:
-            # PPT is separability at 1x1 (Simon), so the criterion's sign
-            # lies within its rounding: no two-mode state is bound entangled
+            # PPT is separability at 1x1 (Simon), so the two disagree within
+            # rounding (a CM admitted just below the states can make them):
+            # no two-mode state is bound entangled
             return CriterionReport(
-                verdict=Verdict.BOUNDARY, lhs_value=lhs, criterion_name=name, ppt=ppt,
+                verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
+                criterion_name=name, ppt=ppt,
                 note="criterion negative but the partial transpose reads PPT: "
                      "they disagree within rounding")
         return CriterionReport(
-            verdict=Verdict.ENTANGLED, lhs_value=lhs, criterion_name=name,
-            ppt=ppt, bound_entangled=ppt.is_ppt,
+            verdict=Verdict.ENTANGLED, lhs_value=lhs, lhs_rounding=rounding,
+            criterion_name=name, ppt=ppt, bound_entangled=ppt.is_ppt,
             note="bound entanglement (PPT but entangled)" if ppt.is_ppt else "")
     cert = feasibility_search(form)
     if cert is None:
-        # nonnegative criterion but no certificate: boundary / undecided
-        note = "" if abs(lhs) <= TOL_BOUNDARY else \
-            "criterion nonnegative but certificate search failed"
         return CriterionReport(
-            verdict=Verdict.BOUNDARY, lhs_value=lhs, criterion_name=name,
-            ppt=ppt, note=note)
+            verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
+            criterion_name=name, ppt=ppt,
+            note="criterion within its rounding and no certificate found" if lhs <= rounding
+            else "criterion nonnegative but certificate search failed")
     # an explicit certificate proves separability even on the boundary
     return CriterionReport(
-        verdict=Verdict.SEPARABLE, lhs_value=lhs, criterion_name=name,
-        certificate=cert, ppt=ppt)
+        verdict=Verdict.SEPARABLE, lhs_value=lhs, lhs_rounding=rounding,
+        criterion_name=name, certificate=cert, ppt=ppt)

@@ -102,6 +102,7 @@ def criterion_report_dict(report: CriterionReport) -> dict:
     out = {
         "verdict": report.verdict.value,
         "lhs": report.lhs_value,
+        "lhs_rounding": report.lhs_rounding,
         "criterion": report.criterion_name,
         "certificate": list(report.certificate) if report.certificate else None,
         "ppt": None,

@@ -102,13 +102,13 @@ class QuadratureForm:
     def rounding_scale(self) -> float:
         """The scale of the rounding the entries carry: their largest |entry|,
         or, for a form that `reduce_to_standard_form` computed as S gamma
-        S^T, the largest entry of |S| |gamma| |S|^T (Higham, ch. 3), kept in
-        the `_rounding_scale` slot.  A local squeeze of e^r grows the latter
-        by about e^(2r), which the entries do not show: a product of vacua
-        squeezed to r = 2 reduces to entries near 1/2 that err by about 100
-        eps."""
-        own = max(map(abs, (*self.x, *self.p)))
-        return float(max(own, self.__dict__.get("_rounding_scale", own)))
+        S^T, the larger of that and the largest entry of |S| |gamma| |S|^T
+        (Higham, ch. 3), kept in the `_rounding_scale` slot.  A local squeeze
+        of e^r grows the latter by about e^(2r), which the entries do not
+        show: a product of vacua squeezed to r = 2 reduces to entries near
+        1/2 that err by about 100 eps."""
+        kept = self.__dict__.get("_rounding_scale")
+        return kept if kept is not None else float(max(map(abs, (*self.x, *self.p))))
 
     def to_cm(self) -> CovMatrix:
         """The form's CM, built on the first call and kept on the instance:
@@ -315,10 +315,11 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, floa
     (a_0, a_1), (c_0, c_1), (b_0, b_1) = (_sandwich(abs_a, _abs(block_a), abs_a),
                                           _sandwich(abs_a, _abs(cross), abs_b),
                                           _sandwich(abs_b, _abs(block_b), abs_b))
-    entries = (*a_0, *a_1, *c_0, *c_1, *b_0, *b_1)
-    # inf times 0 is nan where a product overflowed, which the sum of these
-    # entries (all >= 0) carries and `max` would skip: read it as inf
-    rounding = math.inf if math.isnan(sum(entries)) else max(entries)
+    # no entry is nan: an admitted block's det is at least about
+    # sqrt(a d) 2^-54 squared, the spacing of a d - b^2 in doubles, so every
+    # entry of S is below 1e128 and the products |S| |block| below 3e282;
+    # their products with |S| can only overflow to inf
+    rounding = max(*a_0, *a_1, *c_0, *c_1, *b_0, *b_1)
     (sa00, sa01), (sa10, sa11) = s_a
     (sb00, sb01), (sb10, sb11) = s_b
     s = np.array(((sa00, sa01, 0.0, 0.0), (sa10, sa11, 0.0, 0.0),
@@ -429,10 +430,12 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     _require_squarable(gamma, "cannot reduce to standard form")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     form, s, rounding = reduce(gamma)
+    # no input is known to reach this; an inf scale would let the
+    # certificate pass any product state
     if not rounding < math.inf:
         raise ScaleOverflowError("cannot reduce to standard form: the rounding it "
                                  "inherits overflows double precision")
-    object.__setattr__(form, "_rounding_scale", rounding)
+    object.__setattr__(form, "_rounding_scale", float(max(form.rounding_scale, rounding)))
     s.flags.writeable = False
     result = form, s
     object.__setattr__(gamma, "_reduced", result)

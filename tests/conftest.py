@@ -1,5 +1,6 @@
 """Shared samplers and helpers for the test suite."""
 
+from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, prod
 
@@ -106,6 +107,16 @@ def sample_standard_form(rng: np.random.Generator,
         return f
 
 
+def dressed_ensemble(r_max: float, count: int):
+    """The dressed ensemble: `sample_standard_form` forms at |lhs| > 1e-6
+    (rng seed 1), each mode under a rotation-squeeze-rotation with |r| <=
+    r_max (dressing seed 7), as CovMatrix."""
+    rng, dressing = np.random.default_rng(1), np.random.default_rng(7)
+    for _ in range(count):
+        yield dress(sample_standard_form(rng, exclude_band=1e-6),
+                    dressing.uniform(-r_max, r_max, 2), dressing.uniform(0, 2 * np.pi, 4))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
@@ -138,6 +149,28 @@ def simon_invariant_lhs(gamma: CovMatrix) -> float:
     return float(det_a * det_b + (0.25 - abs(np.linalg.det(c))) ** 2
                  - np.trace(a @ j @ c @ j @ b @ j @ c.T @ j)
                  - (det_a + det_b) / 4)
+
+
+def exact_simon_lhs(gamma: CovMatrix) -> Fraction:
+    """`simon_invariant_lhs` of the CM's doubles, exactly: the local
+    invariants formed in rational arithmetic, with no reduction and no
+    rounding."""
+    m = [[Fraction(v) for v in row] for row in gamma.mat.tolist()]
+    a, b, c = ([row[i:i + 2] for row in m[j:j + 2]] for j, i in ((0, 0), (2, 2), (0, 2)))
+
+    def det(x):
+        return x[0][0] * x[1][1] - x[0][1] * x[1][0]
+
+    def jm(x):   # J x with J = [[0, 1], [-1, 0]]
+        return [x[1], [-v for v in x[0]]]
+
+    def mul(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+    ct = [list(col) for col in zip(*c)]
+    chain = reduce(mul, [a, jm(c), jm(b), jm(ct), jm([[1, 0], [0, 1]])])
+    return (det(a) * det(b) + (Fraction(1, 4) - abs(det(c))) ** 2
+            - (chain[0][0] + chain[1][1]) - (det(a) + det(b)) / 4)
 
 
 def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cvwitness.criteria import (TOL_BOUNDARY, Verdict, WWFamilyParams, _peak,
+from cvwitness.criteria import (Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
                                 feasibility_search, ppt_decide,
                                 separability_lhs, simon_lhs,
@@ -22,8 +23,8 @@ from cvwitness.standard_form import (Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
-from conftest import (dress, grid_certificate, rotation, sample_standard_form,
-                      sample_ww_detector, sample_ww_family_params,
+from conftest import (dress, dressed_ensemble, exact_simon_lhs, grid_certificate, rotation,
+                      sample_standard_form, sample_ww_detector, sample_ww_family_params,
                       simon_invariant_lhs, symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
 
@@ -790,15 +791,89 @@ def test_decision_runs_no_eigensolver_after_admission(gamma, monkeypatch):
 
 
 def test_two_mode_state_is_never_bound_entangled():
-    """At 1x1, PPT is separability (Simon), so a negative criterion whose
-    partial transpose reads PPT within rounding is Boundary, with a note,
-    and not bound entanglement: TwoModeStandardForm(1000, 900, c, c) at lhs
-    -8.8e-7, where the criterion's rounding is about 7e-4, read Entangled
-    and bound entangled.  A Werner-Wolf state keeps its bound entanglement
-    (`test_ww_family_state_is_bound_entangled`)."""
+    """A two-mode criterion within its rounding is not bound entanglement:
+    TwoModeStandardForm(1000, 900, c, c), at lhs -8.8e-7 (exactly -8.7e-7)
+    against a band of 1.3e-5, read Entangled and bound entangled under an
+    absolute band of 1e-9, and then Boundary through the PPT disagreement.
+    Within its band the certificate decides, and the vacuum point dominates
+    the state to within the certificate's rounding (slack -2.3e-13 against
+    8 eps 1000), so it is Separable.  A Werner-Wolf state keeps its bound
+    entanglement (`test_ww_family_state_is_bound_entangled`)."""
     c = 948.1826037214564
-    report = decide_separability(TwoModeStandardForm(1000.0, 900.0, c, c).to_cm())
-    assert report.lhs_value < -TOL_BOUNDARY and report.ppt.is_ppt
+    gamma = TwoModeStandardForm(1000.0, 900.0, c, c).to_cm()
+    report = decide_separability(gamma)
+    assert -report.lhs_rounding <= report.lhs_value < 0 and exact_simon_lhs(gamma) < 0
+    assert report.verdict is Verdict.SEPARABLE and report.certificate == (1.0, 1.0)
+    assert report.ppt.is_ppt and not report.bound_entangled and report.note == ""
+
+
+def test_criterion_within_its_rounding_without_a_certificate_is_boundary():
+    """Where the criterion lies within its band and no product state is
+    dominated, the verdict is Boundary with a note that says so: the state
+    above with its p correlation 32 ulps larger reads lhs -7.4e-6 against a
+    band of 1.3e-5, and the vacuum point misses it beyond the certificate's
+    rounding."""
+    form = TwoModeStandardForm(1000.0, 900.0, 948.1826037214564, 948.18260372146)
+    report = decide_separability(form.to_cm())
+    assert abs(report.lhs_value) <= report.lhs_rounding and report.certificate is None
+    assert report.verdict is Verdict.BOUNDARY
+    assert report.note == "criterion within its rounding and no certificate found"
+
+
+def test_criterion_against_a_ppt_reading_is_boundary():
+    """The two-mode guard: a CM admitted at `tol` but below the states,
+    (1, 1, 0, 0.75 (1 + 1e-12)) with least symplectic eigenvalue 1/2 -
+    7.5e-13, has a criterion below its band, -1.1e-12 against 1.1e-14, from
+    its own deficit, while its partial transpose, with c1 = 0, reads PPT
+    lifted by that deficit.  At 1x1 PPT is separability, so the two disagree
+    within rounding, and the verdict is Boundary with a note that says so,
+    not Entangled."""
+    report = decide_separability(TwoModeStandardForm(1.0, 1.0, 0.0, 0.75 * (1 + 1e-12)).to_cm())
+    assert report.lhs_value < -report.lhs_rounding and report.ppt.is_ppt
     assert report.verdict is Verdict.BOUNDARY and not report.bound_entangled
     assert report.note == ("criterion negative but the partial transpose reads PPT: "
                            "they disagree within rounding")
+
+
+@pytest.mark.parametrize("r_max", [0, 3, 5, 8])
+def test_lhs_rounding_bounds_the_exact_criterion(r_max):
+    """The band a decision reports holds the criterion of the input's own
+    doubles, Simon's invariants formed exactly: |lhs - exact| <=
+    lhs_rounding on undressed forms and on the dressed ensemble up to r = 8,
+    where the form's entries inherit rounding grown by e^(2r)."""
+    for gamma in dressed_ensemble(r_max, 100):
+        report = decide_separability(gamma)
+        assert abs(Fraction(report.lhs_value) - exact_simon_lhs(gamma)) <= report.lhs_rounding
+
+
+def _near_boundary(a: float, b: float, c1: float, shift: float):
+    """The two-mode form (a, b, c1, c2) with |c2| on Simon's boundary, moved
+    by the relative `shift`: the positive root in |c2| of (ab - c1^2)(ab -
+    c2^2) - |c1 c2|/2 - (a^2 + b^2)/4 + 1/16 = 0, or None where there is
+    none."""
+    p = a * b - c1 * c1
+    k = a * b * p - (a * a + b * b) / 4 + 1 / 16
+    if not (p > 0 and k > 0):
+        return None
+    root = (math.sqrt(c1 * c1 / 4 + 4 * p * k) - abs(c1) / 2) / (2 * p)
+    return TwoModeStandardForm(a, b, c1, root * (1 + shift))
+
+
+@settings(max_examples=300)
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-1.0, 1.0),
+       st.floats(-15.0, -7.0), st.sampled_from([-1.0, 1.0]))
+def test_verdict_outside_the_band_is_the_exact_sign(a, b, c1, log_shift, sign):
+    """On undressed forms within 1e-7 of Simon's boundary, the band holds
+    the exact criterion of the form's doubles, and wherever |lhs| exceeds it
+    the verdict is binary, with the exact sign: the band is the criterion's
+    own rounding, not an absolute 1e-9."""
+    form = _near_boundary(a, b, c1, sign * 10 ** log_shift)
+    assume(form is not None)
+    gamma = form.to_cm()
+    exact = exact_simon_lhs(gamma)
+    assume(Fraction(1, 10 ** 14) <= abs(exact) <= Fraction(1, 10 ** 7)
+           and validate_cm(gamma, 0.0).is_physical)
+    report = decide_separability(gamma)
+    assert abs(Fraction(report.lhs_value) - exact) <= report.lhs_rounding
+    if abs(report.lhs_value) > report.lhs_rounding:
+        assert report.verdict is (Verdict.ENTANGLED if exact < 0 else Verdict.SEPARABLE)

@@ -5,14 +5,17 @@ covariance matrices; `decisions.out` holds, per case, the
 `criterion_report_dict` of `decide_separability` and the `witness_report_dict`
 of `minmax_optimize`, as `dump_report` writes them, or the type and message of
 the error a call raises.  The ensemble reaches the vacuum and the root
-certificates, Entangled, Separable and Boundary verdicts, bound-entangled
+certificates, Entangled and Separable verdicts, bound-entangled
 Werner-Wolf family points, two-mode states under local symplectics with
 squeezes up to r = 3, Werner-Wolf-pattern states under per-mode squeezes,
 the TMSV ladder below rung 76, and the product, edge and root paths of the
 witness.  The three `refused-*` cases keep the names they had when the
 absolute tolerances refused them: TMSV rung 80 is now decided Entangled and
 the state dressed up to r = 8 Separable, and only the witness of TMSV rung
-99, where a == c in floating point, is still refused.
+99, where a == c in floating point, is still refused.  The `near-boundary-*`
+cases sit at lhs -5e-10, -9e-10, 0 and 5e-10: the criterion's own rounding,
+about 1e-14 there, decides the first two Entangled, which an absolute band
+of 1e-9 once reported Boundary.
 
 A change that moves a byte rewrites both files with
 `PYTHONPATH=src python tests/test_decision_golden.py` and names the byte and

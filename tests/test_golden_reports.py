@@ -7,8 +7,11 @@ writes must equal `<case>.csv`.  The corpus covers `check` (auto, ppt and
 witness on a two-mode squeezed vacuum, a locally dressed two-mode state, a
 Werner-Wolf family point and a dressed Werner-Wolf-pattern state; auto and
 ppt on two NPT two-mode states within 1e-9 of Simon's boundary, whose
-margins only a floor at rounding resolves; nongauss on one ladder state),
-both sweeps and one two-mode `oracle`.  A change that
+margins only floors at rounding resolve: the criterion's sign is read
+against its own rounding, `lhs_rounding` (about 1e-13 and 1e-11 there),
+and the one absolute Boundary band left is the witness's
+`TOL_ELL_BOUNDARY`; nongauss on one ladder state), both sweeps and one
+two-mode `oracle`.  A change that
 moves a byte rewrites the goldens with
 `PYTHONPATH=src python tests/test_golden_reports.py`, which runs every case
 as the test does, and names the byte and its cause.

@@ -633,6 +633,7 @@ _COMMAND_LAYERS = {
     "check ww --criterion ppt": (_LAZY, []),
     "check two --criterion witness": (_LAZY[:2], ["cvwitness.witness"]),
     "oracle det --cutoff 14 --restarts 1": ([], ["cvwitness.fock", "cvwitness.witness"]),
+    "sweep --family tmsv -n 3 out.csv": (_LAZY[:2] + _LAZY[3:], ["cvwitness.witness"]),
 }
 
 

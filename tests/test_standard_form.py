@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import mpmath as mp
@@ -17,8 +18,8 @@ from cvwitness.standard_form import (Family, TwoModeStandardForm,
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import DetectorSpec, minmax_optimize
 
-from conftest import (dress, is_symplectic, sample_standard_form, sample_ww_family_params,
-                      symplectic_eigenvalues, tmsv_form)
+from conftest import (dress, dressed_ensemble, is_symplectic, sample_standard_form,
+                      sample_ww_family_params, symplectic_eigenvalues, tmsv_form)
 from cvwitness.standard_form import _mode_normal
 
 EPS = np.finfo(float).eps
@@ -173,6 +174,26 @@ def test_single_mode_normal_block_errs_by_eps_e2r(r, rng):
             nu = float(mp.sqrt(a * d - b * b))
         normal = np.array(_mode_normal(block[0, 0], block[0, 1], block[1, 1], "refused")[1])
         assert np.max(np.abs(normal - nu * np.eye(2))) <= 4 * EPS * np.exp(2 * r) * nu
+
+
+def test_mode_normaliser_is_bounded_on_the_most_squeezed_blocks():
+    """Every entry of S stays below 1e128 on the most squeezed mode blocks
+    doubles allow: a up to the squarable 1.34e154, d down to the least
+    subnormal, b at and next to sqrt(a d).  det M is then at least the
+    spacing of a d - b^2, so the products |S| |block| stay below 3e282 and
+    the rounding a two-mode reduction inherits is finite or inf, never nan."""
+    largest = 0.0
+    for a in (1.34e154, 1e100, 1.0):
+        for d in (5e-324, 1e-310, 1e-300, 1e-150, 1.0):
+            for rel in (0.0, 0.5, 1 - 2.0 ** -52, 1.0):
+                b = math.sqrt(a) * math.sqrt(d) * rel
+                for b in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+                    try:
+                        s, _ = _mode_normal(a, b, d, "refused")
+                    except PatternMismatchError:
+                        continue
+                    largest = max(largest, *(abs(v) for row in s for v in row))
+    assert 1e120 < largest < 1e128
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0, 6.0])
@@ -357,10 +378,7 @@ def test_reduction_matches_a_50_digit_reduction():
     ladder r = 0.1 i, i = 0..95, whose forms come back exactly, and
     Werner-Wolf forms per-mode squeezed to |u| <= 3."""
     for r_max in (5, 8):
-        rng, dressing = np.random.default_rng(1), np.random.default_rng(7)
-        for _ in range(300):
-            gamma = dress(sample_standard_form(rng, exclude_band=1e-6),
-                          dressing.uniform(-r_max, r_max, 2), dressing.uniform(0, 2 * np.pi, 4))
+        for gamma in dressed_ensemble(r_max, 300):
             assert _reduction_error(gamma, Family.TWO_MODE) <= 8
     for i in range(96):
         form = tmsv_form(0.1 * i)

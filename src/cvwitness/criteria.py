@@ -428,6 +428,10 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     below its band but the partial transpose reads PPT within rounding, the
     two disagree within rounding and the verdict is Boundary with a note: no
     two-mode state is reported bound entangled.  A Werner-Wolf state can be.
+    Likewise, where a two-mode certificate is found but the partial
+    transpose reads NPT, the verdict is Boundary with a note, without the
+    certificate: no two-mode state is reported Separable against its own
+    PPT annotation.
 
     `partition` may name party A or party B of the family's cut
     (`admitted_family`): both labels give the same report, since
@@ -467,6 +471,14 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
             criterion_name=name, ppt=ppt,
             note="criterion within its rounding and no certificate found" if lhs <= rounding
             else "criterion nonnegative but certificate search failed")
+    if not ppt.is_ppt and family is Family.TWO_MODE:
+        # PPT is separability at 1x1 (Simon): a certificate accepted within
+        # its rounding against an NPT partial transpose proves nothing
+        return CriterionReport(
+            verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
+            criterion_name=name, ppt=ppt,
+            note="certificate found but the partial transpose reads NPT: "
+                 "they disagree within rounding")
     # an explicit certificate proves separability even on the boundary
     return CriterionReport(
         verdict=Verdict.SEPARABLE, lhs_value=lhs, lhs_rounding=rounding,

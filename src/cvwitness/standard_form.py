@@ -226,10 +226,19 @@ def _svd_rotations(c: tuple) -> tuple[tuple, tuple]:
     angles, unit vectors: theta's is the half of a2 - a1's, and phi's that
     of a2 less theta, so phi and theta keep the sum and difference of a1
     and a2 on whatever branch the half angle takes.
+
+    A block whose squares overflow is refused (`ScaleOverflowError`): q =
+    inf would zero a unit vector, and S lose a mode.  A CM below the
+    squarable scale reaches one once its modes are normalised, where one
+    mode is squeezed far and the correlation is large: diag(1e150, 1e-150,
+    0.5, 0.5) with a p correlation of 1e100 normalises to 1e175.
     """
     (c00, c01), (c10, c11) = c
     e, f, g, h = (c00 + c11) / 2, (c00 - c11) / 2, (c10 + c01) / 2, (c10 - c01) / 2
     q, r = math.sqrt(e * e + h * h), math.sqrt(f * f + g * g)
+    if not (q < math.inf and r < math.inf):
+        raise ScaleOverflowError("cannot reach two-mode standard form: the square of "
+                                 "the normalised cross block overflows double precision")
     cos2, sin2 = (e / q, h / q) if q > 0 else (1.0, 0.0)
     cos1, sin1 = (f / r, g / r) if r > 0 else (1.0, 0.0)
     ct, st = _half_angle(cos2 * cos1 + sin2 * sin1, sin2 * cos1 - cos2 * sin1)

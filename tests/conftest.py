@@ -62,6 +62,16 @@ def symplectic_eigenvalues(gamma: CovMatrix) -> np.ndarray:
     return _williamson_spectrum(gamma.mat)
 
 
+def overflowing_cross_block() -> CovMatrix:
+    """diag(1e150, 1e-150, 0.5, 0.5) with a p_A-p_B correlation of 1e100: no
+    state, but admitted by the floor at its scale, and below the squarable
+    scale; normalising mode A takes its cross block to 1e175, whose square
+    overflows."""
+    m = np.diag([1e150, 1e-150, 0.5, 0.5])
+    m[1, 3] = m[3, 1] = 1e100
+    return CovMatrix(m)
+
+
 def is_symplectic(s: np.ndarray) -> bool:
     """Whether S sigma S^T = sigma to within 1e-10 in every entry."""
     sigma = symplectic_form(len(s) // 2)

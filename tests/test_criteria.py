@@ -23,9 +23,10 @@ from cvwitness.standard_form import (Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
-from conftest import (dress, dressed_ensemble, exact_simon_lhs, grid_certificate, rotation,
-                      sample_standard_form, sample_ww_detector, sample_ww_family_params,
-                      simon_invariant_lhs, symplectic_eigenvalues, tmsv_form)
+from conftest import (dress, dressed_ensemble, exact_simon_lhs, grid_certificate,
+                      overflowing_cross_block, rotation, sample_standard_form,
+                      sample_ww_detector, sample_ww_family_params, simon_invariant_lhs,
+                      symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
 
 PROPERTY = settings(max_examples=60)
@@ -83,6 +84,34 @@ def test_ppt_refuses_partition_without_two_parties(partition):
     lacks is refused; it used to report a two-mode squeezed vacuum PPT."""
     with pytest.raises(PartitionError, match="must name between 1 and 1"):
         ppt_decide(tmsv_form(0.5).to_cm(), partition)
+
+
+def _two_tmsvs(pairs, n_modes) -> CovMatrix:
+    """Vacua on `n_modes` modes with a two-mode squeezed vacuum (r = 0.5) on
+    each mode pair of `pairs`."""
+    mat = np.eye(2 * n_modes) / 2
+    tmsv = tmsv_form(0.5).to_cm().mat
+    for pair in pairs:
+        idx = [2 * j + k for j in pair for k in (0, 1)]
+        mat[np.ix_(idx, idx)] = tmsv
+    return CovMatrix(mat)
+
+
+@pytest.mark.parametrize("gamma, partition, is_ppt", [
+    (_two_tmsvs([(0, 1)], 3), [0], False),
+    (_two_tmsvs([(0, 1)], 3), [0, 2], False),
+    (_two_tmsvs([(0, 1)], 3), [2], True),
+    (_two_tmsvs([(0, 2), (1, 3)], 4), [0, 1], False),
+    (_two_tmsvs([(0, 2), (1, 3)], 4), [0, 2], True),
+], ids=["3-mode-1x2", "3-mode-2x1", "3-mode-vacuum-apart", "4-mode-off-pattern",
+        "4-mode-product-across-0-2"])
+def test_ppt_decide_off_the_family_cuts(gamma, partition, is_ppt):
+    """`ppt_decide` decides cuts no family fits: a two-mode squeezed vacuum
+    beside a vacuum is NPT across its own modes and PPT with the vacuum
+    alone on one side, and two of them on the mode pairs (0, 2) and (1, 3),
+    off the Werner-Wolf pattern, are NPT across {0, 1} | {2, 3} and a
+    product across {0, 2} | {1, 3}.  No other test takes such a cut."""
+    assert ppt_decide(gamma, partition).is_ppt is is_ppt
 
 
 def test_ww_family_params_validation():
@@ -174,6 +203,22 @@ def test_cm_past_double_precision_is_refused(name, scale):
     for decide in (decide_separability, minmax_optimize, ppt_decide):
         with pytest.raises(ScaleOverflowError, match="overflows double precision"):
             decide(gamma)
+
+
+def test_cross_block_that_overflows_is_refused():
+    """A cross block whose square overflows once its modes are normalised
+    is refused by name, for the decision and the witness, with no warning.
+    Its signed SVD zeroed a unit vector, S lost mode A and the form (0,
+    0.25, 0, 0) passed the residual check: the decision read Boundary with
+    a `min_pt_symplectic_eig` of 0.0, and the witness raised
+    ZeroDivisionError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decide in (decide_separability, minmax_optimize):
+            with pytest.raises(ScaleOverflowError,
+                               match="^cannot reach two-mode standard form: the square of "
+                                     "the normalised cross block overflows double precision$"):
+                decide(overflowing_cross_block())
 
 
 # the criterion's np.float64 terms warn as they overflow
@@ -818,6 +863,29 @@ def test_criterion_within_its_rounding_without_a_certificate_is_boundary():
     assert abs(report.lhs_value) <= report.lhs_rounding and report.certificate is None
     assert report.verdict is Verdict.BOUNDARY
     assert report.note == "criterion within its rounding and no certificate found"
+
+
+def test_dressed_binary_verdicts_follow_the_exact_sign():
+    """On the dressed ensemble at r_max = 8 every binary verdict has the
+    sign of the criterion of the input's own doubles, formed exactly, and
+    a two-mode Separable verdict reads PPT.  Three of its states have a
+    certificate accepted within the rounding the reduction inherits while
+    their partial transpose reads NPT; at 1x1 PPT is separability, so they
+    are Boundary, without the certificate and with a note that says so,
+    not Separable (their exact criterion is -0.095, -0.016 and -0.035)."""
+    guarded = []
+    for k, gamma in enumerate(dressed_ensemble(8, 300)):
+        report = decide_separability(gamma)
+        if report.note.startswith("certificate found"):
+            assert report.note == ("certificate found but the partial transpose reads NPT: "
+                                   "they disagree within rounding")
+            assert report.verdict is Verdict.BOUNDARY and report.certificate is None
+            assert not report.ppt.is_ppt and abs(report.lhs_value) <= report.lhs_rounding
+            guarded.append(k)
+        elif report.verdict is not Verdict.BOUNDARY:
+            assert (report.verdict is Verdict.SEPARABLE) is (exact_simon_lhs(gamma) >= 0), k
+            assert report.ppt.is_ppt is (report.verdict is Verdict.SEPARABLE), k
+    assert guarded == [144, 146, 282]
 
 
 def test_criterion_against_a_ppt_reading_is_boundary():

@@ -23,7 +23,7 @@ from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import minmax_optimize
 
-from conftest import tmsv_form
+from conftest import overflowing_cross_block, tmsv_form
 
 
 def write_json(path, obj):
@@ -257,6 +257,21 @@ def test_cli_refuses_cm_past_double_precision(tmp_path, capsys, form, scale):
         assert code == 1 and out == ""
         assert err.startswith("error: cannot reduce to standard form") and \
             err.endswith("overflows double precision\n") and err.count("\n") == 1
+
+
+def test_cli_refuses_a_cross_block_that_overflows(tmp_path, capsys):
+    """A non-state admitted at its scale, whose cross block squares past
+    double precision once its modes are normalised, exits 1 with one error
+    line for auto and the witness; auto read it Boundary with a
+    `min_pt_symplectic_eig` of 0.0, and the witness raised
+    ZeroDivisionError."""
+    path = cm_file(tmp_path, overflowing_cross_block().mat)
+    for criterion in ("auto", "witness"):
+        code = main(["check", path, "--criterion", criterion])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: cannot reach two-mode standard form: the square of the "
+                       "normalised cross block overflows double precision\n")
 
 
 def test_load_cm_refuses_partition_out_of_range(tmp_path):

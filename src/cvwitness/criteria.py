@@ -11,12 +11,13 @@ log-concave function of x at the root of one quadratic.  Domination is two
 2x2 inequalities, one per quadrature triple, so `certificate_min_eig` checks
 the certificate on those two blocks in closed form, with no eigensolver.
 
-The PPT annotation of a decision is closed form on the standard form
-(`_form_ppt`): x and p decouple, so the squared symplectic eigenvalues of
-the partial transpose are the roots of one quadratic in the two triples,
-formed exactly from the doubles, and a decision calls no eigensolver after
-its admission.  `ppt_decide` tests any cut of any mode count by eigensolves
-(`_ppt_report`): the partial transpose flips party B's momenta, so it is
+A decision takes its criterion and PPT annotation from one exact pass over
+the standard form's doubles (`_form_criterion`): x and p decouple, so the
+squared symplectic eigenvalues of the partial transpose are the roots of
+one quadratic whose constant term is the criterion's determinant D, and a
+decision calls no eigensolver after its admission.  `ppt_decide` tests any
+cut of any mode count by eigensolves (`_ppt_report`): the partial
+transpose flips party B's momenta, so it is
 the CM's array times a sign matrix, cached per mode count and party A.  A
 local symplectic keeps the sign of its bona-fide test, so that test is
 taken on the local normal form, an image of gamma at the scale of its
@@ -29,15 +30,16 @@ read PPT.
 else.  Every least-eigenvalue sign is read against its own rounding, 2 eps
 per dimension times the scale of the matrix whose eigenvalue it is (the
 rule of `validate_cm`, `symplectic._EIG_ROUNDING`), with no absolute floor:
-the PPT test, on the standard form (`_form_ppt`) or on the image
+the PPT test, on the standard form (`_form_criterion`) or on the image
 (`_ppt_report`), lifted by that matrix's own deficit, which carries the
 rounding it inherits from gamma and lets a tolerance admit a noisy state
 but not turn an entangled one PPT; and the certificate slack on its 2x2
 blocks (`_certifies`), at the scale of the rounding the standard form
 inherits (`QuadratureForm.rounding_scale`).  So is the sign of the
-criterion (`_lhs_and_rounding`): its band is the running error of its
-evaluation plus the rounding the form's entries inherit, and the one
-absolute Boundary band left is `witness.TOL_ELL_BOUNDARY`.
+criterion (`_form_criterion`): the criterion of the form's doubles is
+rounded once, so its band is half an ulp plus the rounding the form's
+entries inherit, and the one absolute Boundary band left is
+`witness.TOL_ELL_BOUNDARY`.
 """
 
 import math
@@ -101,46 +103,14 @@ def separability_lhs(form: QuadratureForm) -> float:
     Werner-Wolf quantity of a Werner-Wolf one; negative means entangled.
 
     With the triples (a1, b1, c1) of x and (a2, b2, c2) of p it is
-    (a1 b1 - c1^2)(a2 b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16.
+    (a1 b1 - c1^2)(a2 b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16,
+    formed exactly from the form's doubles and rounded once
+    (`_form_criterion`), or inf of its exact sign past double precision.
 
     `simon_lhs` and `werner_wolf_lhs` are aliases of it.  They stay only
     while the benchmark's workloads call them, and go with ROADMAP item 11
     after item 1."""
-    return _lhs_and_rounding(form)[0]
-
-
-def _lhs_and_rounding(form: QuadratureForm) -> tuple[float, float]:
-    """(lhs, rounding): `separability_lhs` and a first-order bound on its
-    distance from the criterion of the state the form was reduced from.
-
-    The bound has two parts.  The running error of the evaluation in
-    doubles (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
-    each product and sum errs by at most u = eps/2 of its computed value,
-    and P1 P2 by |P1| e2 + |P2| e1 + e1 e2 more, with P_i = a_i b_i - c_i^2
-    and e_i their errors.  And the rounding the entries inherit, 2 eps per
-    dimension times `QuadratureForm.rounding_scale` each (as the certificate
-    reads it, and the reduction meets it), times the sum of |d lhs / d entry|:
-    |d lhs / d a1| <= b1 |P2| + a2/4, |d lhs / d c1| <= 2 |c1| |P2| + |c2|/2,
-    and alike for the other four, with |P_i| + e_i for |P_i|.  The
-    variances a and b of a reduced state are positive."""
-    (a1, b1, c1), (a2, b2, c2) = form.x, form.p
-    t1, t2, t3, t4 = a1 * b1, c1 * c1, a2 * b2, c2 * c2
-    p1, p2 = t1 - t2, t3 - t4
-    q = p1 * p2
-    m = 0.5 * abs(c1 * c2)
-    n = 0.25 * (a1 * a2 + b1 * b2)
-    s1 = q - m
-    s2 = s1 - n
-    lhs = s2 + 1.0 / 16
-    u = 2.0 ** -53   # unit roundoff
-    g1, g2 = abs(p1), abs(p2)   # |q| is g1 g2: rounding keeps no sign
-    e1, e2 = u * (t1 + t2 + g1), u * (t3 + t4 + g2)
-    evaluation = (g1 * e2 + g2 * e1 + e1 * e2
-                  + u * (g1 * g2 + m + abs(s1) + 2 * n + abs(s2) + abs(lhs)))
-    k1, k2 = abs(c1), abs(c2)
-    slope = ((a1 + b1 + 2 * k1) * (g2 + e2) + (a2 + b2 + 2 * k2) * (g1 + e1)
-             + 0.25 * (a1 + b1 + a2 + b2) + 0.5 * (k1 + k2))
-    return lhs, evaluation + _EIG_ROUNDING * 2 * form.n_modes * form.rounding_scale * slope
+    return _form_criterion(form)[0]
 
 
 simon_lhs = werner_wolf_lhs = separability_lhs
@@ -181,7 +151,7 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
     """The bona-fide test of the partial transpose of `image`, gamma under a
     local symplectic, and the symplectic spectrum of gamma's own, by
     eigensolves: the route of `ppt_decide`, for any cut of any mode count.
-    A decision takes the closed form `_form_ppt` on its standard form.
+    A decision takes the closed form `_form_criterion` on its standard form.
 
     The floor is the eigensolve's rounding at the image's scale, with no
     absolute part, widened by the image's own deficit d = min(0, least
@@ -202,19 +172,38 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
         min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
 
 
-def _form_ppt(form: QuadratureForm) -> PptReport:
-    """The PPT test of a standard form in closed form, with no eigensolver.
+def _quotient(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded, or inf of its sign past
+    double precision."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _form_criterion(form: QuadratureForm) -> tuple[float, float, PptReport]:
+    """(lhs, rounding, PPT annotation) of a standard form, from one exact
+    pass over its doubles, as integers over a common power of two: D = P1 P2
+    with P_i = a_i b_i - c_i^2, the criterion D - |c1 c2|/2 - (a1 a2 +
+    b1 b2)/4 + 1/16, and the PPT quadratic's T and T^2 - 4D, each output
+    rounded once.  So lhs is correctly rounded, or inf of its exact sign.
+    A form with an entry that is not a finite number is refused.
+
+    rounding bounds lhs's distance from the criterion of the state the form
+    was reduced from, to first order: half an ulp, plus 2 eps per dimension
+    times `QuadratureForm.rounding_scale` (the rounding each entry inherits,
+    as the certificate reads it) times the sum of |d lhs / d entry|, at most
+    s1 (|P2| + 1/4) + s2 (|P1| + 1/4) with s_i = a_i + b_i + 2 |c_i| (the
+    variances of a reduced state are positive), formed exactly.
 
     The x and p quadratures decouple, so the partial transpose's squared
     symplectic eigenvalues solve lambda^2 - T lambda + D = 0, with
-    D = (a1 b1 - c1^2)(a2 b2 - c2^2) and T = a1 a2 + b1 b2 + 2 k c1 c2: k = 1
-    for two modes (Simon, PRL 84, 2726 (2000)), and k = 0 for Werner-Wolf,
-    whose T sees the p correlation only squared, so that the partial
-    transpose keeps the state's own spectrum, each root twice.  D, T and
-    T^2 - 4D are formed exactly from the doubles' integer ratios, scaled by
-    a power of two to the largest |entry| so that nothing leaves double
-    precision, and each is rounded once; the least eigenvalue is
-    sqrt(2D / (T + sqrt(T^2 - 4D))), which does not cancel.
+    T = a1 a2 + b1 b2 + 2 k c1 c2: k = 1 for two modes (Simon, PRL 84, 2726
+    (2000)), and k = 0 for Werner-Wolf, whose T sees the p correlation only
+    squared, so that the partial transpose keeps the state's own spectrum,
+    each root twice.  D, T and T^2 - 4D are scaled by a power of two to the
+    largest |entry| so that nothing leaves double precision; the least
+    eigenvalue is sqrt(2D / (T + sqrt(T^2 - 4D))), which does not cancel.
 
     It reads PPT at 1/2 less the eigensolve's rounding at the form's scale
     (`_EIG_ROUNDING` 2n max |entry|), and wherever k c1 c2 is not positive
@@ -226,9 +215,21 @@ def _form_ppt(form: QuadratureForm) -> PptReport:
     with det C = 0 on the PPT boundary, locally squeezed, reduces to a c2 of
     the size of that rounding, of either sign."""
     values = (*form.x, *form.p)
+    if not all(map(math.isfinite, values)):
+        raise DimensionMismatchError(f"form entries {values} are not all finite")
     ratios = [float(v).as_integer_ratio() for v in values]
     big = max(den for _, den in ratios)   # every denominator is a power of two
     a1, b1, c1, a2, b2, c2 = (num * (big // den) for num, den in ratios)
+    big2 = big * big
+    p1, p2 = a1 * b1 - c1 * c1, a2 * b2 - c2 * c2
+    det = p1 * p2
+    sums = a1 * a2 + b1 * b2
+    # the criterion times 16 big^4 and the slope times 4 big^3 are integers
+    lhs = _quotient(16 * det - 4 * big2 * (2 * abs(c1 * c2) + sums) + big2 * big2,
+                    16 * big2 * big2)
+    s1, s2 = a1 + b1 + 2 * abs(c1), a2 + b2 + 2 * abs(c2)
+    slope = _quotient(4 * (s1 * abs(p2) + s2 * abs(p1)) + big2 * (s1 + s2), 4 * big2 * big)
+    eig_rounding = _EIG_ROUNDING * 2 * form.n_modes
     scale = float(max(map(abs, values)))
     # scaled by 2^-k, below 1, the entries are n / unit with unit = big 2^k,
     # an integer: a nonzero entry is at least 1 / big
@@ -236,17 +237,16 @@ def _form_ppt(form: QuadratureForm) -> PptReport:
     unit = big << k if k >= 0 else big >> -k
     u2 = unit * unit
     u4 = u2 * u2
-    det = (a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2)
     two_mode = form.family is Family.TWO_MODE
-    trace = a1 * a2 + b1 * b2 + (2 * c1 * c2 if two_mode else 0)
+    trace = sums + (2 * c1 * c2 if two_mode else 0)
     d, t = det / u4, trace / u2
     den = t + math.sqrt(max((trace * trace - 4 * det) / u4, 0.0))
     nu = math.ldexp(math.sqrt(2 * d / den), k) if d > 0 and den > 0 else 0.0
-    rounding = _EIG_ROUNDING * 2 * form.n_modes
     cx, cp = float(values[2]), float(values[5])
-    return PptReport(
-        is_ppt=nu >= 0.5 - rounding * scale or not two_mode
-        or cx * cp <= rounding * form.rounding_scale * max(abs(cx), abs(cp)),
+    lhs_rounding = math.ulp(lhs) / 2 + eig_rounding * form.rounding_scale * slope
+    return lhs, lhs_rounding, PptReport(
+        is_ppt=nu >= 0.5 - eig_rounding * scale or not two_mode
+        or cx * cp <= eig_rounding * form.rounding_scale * max(abs(cx), abs(cp)),
         min_pt_symplectic_eig=nu)
 
 
@@ -415,15 +415,17 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     """Full closed-form decision: standard-form reduction, family criterion,
     feasibility certificate and PPT annotation.  `tol` is the bona-fide
     tolerance of `validate_cm` that admits the state, and nothing else; no
-    eigensolver runs after that admission.  The PPT annotation is
-    `_form_ppt` on the standard form, so the criterion and the PPT test read
-    the same numbers.
+    eigensolver runs after that admission.  The criterion, its rounding and
+    the PPT annotation come from one exact pass over the standard form
+    (`_form_criterion`), so the criterion and the PPT test read the same D.
 
-    The criterion's sign is read against its own rounding, the bound of
-    `_lhs_and_rounding`, reported as `lhs_rounding`: below -rounding the
-    state is Entangled; otherwise a certificate makes it Separable, and
+    The criterion of the form's doubles is rounded once, and its sign is
+    read against its own rounding, reported as `lhs_rounding`: half an ulp
+    of lhs plus the rounding the form inherits from gamma.  Below -rounding
+    the state is Entangled; otherwise a certificate makes it Separable, and
     without one it is Boundary, with a note that says whether the criterion
-    lay within its rounding.  An lhs past double precision keeps its sign.
+    lay within its rounding.  A criterion past double precision is refused
+    (`ScaleOverflowError`).
     PPT is separability at 1x1 (Simon), so where a two-mode criterion reads
     below its band but the partial transpose reads PPT within rounding, the
     two disagree within rounding and the verdict is Boundary with a note: no
@@ -438,16 +440,11 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     entanglement and PPT do not depend on which party is called A."""
     family = admitted_family(gamma, partition, tol)
     form, _ = reduce_to_standard_form(gamma, family)
-    lhs, rounding = _lhs_and_rounding(form)
-    # NaN is inf - inf: terms past double precision.  An inf criterion keeps
-    # its sign and is reported, with a band of 0.
-    if lhs != lhs:
+    lhs, rounding, ppt = _form_criterion(form)
+    if not math.isfinite(lhs):
         raise ScaleOverflowError(
             f"{family.criterion} criterion cannot be evaluated: its terms "
             f"overflow double precision")
-    if math.isinf(lhs):
-        rounding = 0.0
-    ppt = _form_ppt(form)
     name = family.criterion
 
     if lhs < -rounding:

@@ -284,7 +284,10 @@ def local_normal_form(gamma: CovMatrix) -> CovMatrix:
     without cancellation, the blocks across modes S_i gamma_ij S_j^T.
     Refused where a local block is not positive definite, or misses nu_j I
     by more than `TOL_REDUCE` at gamma's scale: rounding has then taken the
-    squeeze."""
+    squeeze.  Refused too where the image's largest entry squares past
+    double precision, as gamma's may not: normalising a far-squeezed mode
+    grows its cross blocks, and the PPT test's eigensolves run at that
+    scale."""
     failure = "cannot bring every mode to its normal form"
     _require_squarable(gamma, failure)
     rows = gamma.mat.tolist()
@@ -297,7 +300,9 @@ def local_normal_form(gamma: CovMatrix) -> CovMatrix:
     d = np.diagonal(m)
     _require_reduced(gamma, max(abs(d[::2] - d[1::2]).max(),
                                 abs(np.diagonal(m, 1)[::2]).max()), failure)
-    return CovMatrix((m + m.T) / 2)
+    image = CovMatrix((m + m.T) / 2)
+    _require_squarable(image, failure)
+    return image
 
 
 def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, float]:
@@ -324,10 +329,15 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, floa
     (a_0, a_1), (c_0, c_1), (b_0, b_1) = (_sandwich(abs_a, _abs(block_a), abs_a),
                                           _sandwich(abs_a, _abs(cross), abs_b),
                                           _sandwich(abs_b, _abs(block_b), abs_b))
-    # no entry is nan: an admitted block's det is at least about
-    # sqrt(a d) 2^-54 squared, the spacing of a d - b^2 in doubles, so every
-    # entry of S is below 1e128 and the products |S| |block| below 3e282;
-    # their products with |S| can only overflow to inf
+    # rounding is finite.  A mode block's det is a nonzero multiple of the
+    # spacing of a d - b^2 in doubles, so nu > sqrt(a d) 2^-54 > |b| 2^-54.
+    # With k >= sqrt(nu (a + d)), the normaliser's entry (max(a, d) + nu)/k
+    # is below 1e128 and its other three below 2^28, so after the rotations
+    # an entry of |S| |block| |S|^T is below 2^60 times the CM's scale, and
+    # one across the cut below 2^32 1e128 times it, about 1e292, except the
+    # product of the two large entries with a cross entry: that is at most
+    # the normalised cross block's entry, which squares in double precision
+    # (`_svd_rotations`), plus the other three products of that sum.
     rounding = max(*a_0, *a_1, *c_0, *c_1, *b_0, *b_1)
     (sa00, sa01), (sa10, sa11) = s_a
     (sb00, sb01), (sb10, sb11) = s_b
@@ -356,7 +366,10 @@ def _reduce_werner_wolf(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, f
     the pattern entries, after relabelling the modes within a party where
     the given order misses the pattern; the relabelling is folded into S.
     S permutes and scales, so S gamma S^T is s_i m_ij s_j, whose largest
-    |entry| is the rounding, that of |S| |gamma| |S|^T."""
+    |entry| is the rounding, that of |S| |gamma| |S|^T.  It is finite: an inf
+    off the pattern or in one entry of a pair leaves an inf residual, which
+    is refused, and both entries of a pair are not inf, as their product is
+    that of two entries of gamma, which squares in double precision."""
     m = gamma.mat.tolist()
     residuals = []
     for order in _WW_ORDERS:   # the order that misses the pattern least
@@ -439,11 +452,8 @@ def reduce_to_standard_form(gamma: CovMatrix, family: Family):
     _require_squarable(gamma, "cannot reduce to standard form")
     reduce = _reduce_two_mode if family is Family.TWO_MODE else _reduce_werner_wolf
     form, s, rounding = reduce(gamma)
-    # no input is known to reach this; an inf scale would let the
-    # certificate pass any product state
-    if not rounding < math.inf:
-        raise ScaleOverflowError("cannot reduce to standard form: the rounding it "
-                                 "inherits overflows double precision")
+    # rounding is finite (`_reduce_two_mode`, `_reduce_werner_wolf`): an inf
+    # scale would let the certificate pass any product state
     object.__setattr__(form, "_rounding_scale", float(max(form.rounding_scale, rounding)))
     s.flags.writeable = False
     result = form, s

@@ -183,6 +183,15 @@ def exact_simon_lhs(gamma: CovMatrix) -> Fraction:
             - (chain[0][0] + chain[1][1]) - (det(a) + det(b)) / 4)
 
 
+def exact_form_lhs(form: QuadratureForm) -> Fraction:
+    """`separability_lhs` of the form's doubles, exactly: (a1 b1 - c1^2)(a2
+    b2 - c2^2) - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16 of its two triples in
+    rational arithmetic, with no rounding."""
+    (a1, b1, c1), (a2, b2, c2) = ([Fraction(v) for v in t] for t in (form.x, form.p))
+    return ((a1 * b1 - c1 * c1) * (a2 * b2 - c2 * c2) - abs(c1 * c2) / 2
+            - (a1 * a2 + b1 * b2) / 4 + Fraction(1, 16))
+
+
 def nelder_mead_limit(form, restarts: int = 5, seed: int = 0,
                       budget: int = 10_000) -> float:
     """Oracle for the closed-form witness min-max: the smallest limit ratio

@@ -23,8 +23,8 @@ from cvwitness.standard_form import (Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
-from conftest import (dress, dressed_ensemble, exact_simon_lhs, grid_certificate,
-                      overflowing_cross_block, rotation, sample_standard_form,
+from conftest import (dress, dressed_ensemble, exact_form_lhs, exact_simon_lhs,
+                      grid_certificate, overflowing_cross_block, rotation, sample_standard_form,
                       sample_ww_detector, sample_ww_family_params, simon_invariant_lhs,
                       symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
@@ -207,17 +207,22 @@ def test_cm_past_double_precision_is_refused(name, scale):
 
 def test_cross_block_that_overflows_is_refused():
     """A cross block whose square overflows once its modes are normalised
-    is refused by name, for the decision and the witness, with no warning.
-    Its signed SVD zeroed a unit vector, S lost mode A and the form (0,
-    0.25, 0, 0) passed the residual check: the decision read Boundary with
-    a `min_pt_symplectic_eig` of 0.0, and the witness raised
-    ZeroDivisionError."""
+    is refused by name, for the decision, the witness and the PPT test,
+    with no warning.  Its signed SVD zeroed a unit vector, S lost mode A
+    and the form (0, 0.25, 0, 0) passed the residual check: the decision
+    read Boundary with a `min_pt_symplectic_eig` of 0.0, and the witness
+    raised ZeroDivisionError.  `ppt_decide` ran its eigensolves on the
+    local normal form at 1e175 and read PPT, `min_pt_symplectic_eig`
+    8.6e71."""
+    reduction = ("^cannot reach two-mode standard form: the square of "
+                 "the normalised cross block overflows double precision$")
+    normal_form = ("^cannot bring every mode to its normal form: the square of the "
+                   "largest entry 1e\\+175 overflows double precision$")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for decide in (decide_separability, minmax_optimize):
-            with pytest.raises(ScaleOverflowError,
-                               match="^cannot reach two-mode standard form: the square of "
-                                     "the normalised cross block overflows double precision$"):
+        for decide, message in ((decide_separability, reduction), (minmax_optimize, reduction),
+                                (ppt_decide, normal_form)):
+            with pytest.raises(ScaleOverflowError, match=message):
                 decide(overflowing_cross_block())
 
 
@@ -692,6 +697,15 @@ def test_closed_forms_overflow_to_inf():
     assert feasibility_search(form) is None
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+def test_form_with_a_non_finite_entry_is_refused(entry):
+    """The exact pass takes each entry as an integer ratio, which a
+    non-finite double has not: a typed refusal, not a bare OverflowError
+    or ValueError."""
+    with pytest.raises(DimensionMismatchError, match="not all finite"):
+        separability_lhs(TwoModeStandardForm(1.2, 1.3, entry, 0.3))
+
+
 def test_simon_lhs_matches_local_invariants():
     """`simon_lhs` of the reduced form equals Simon's quantity from the local
     invariants of the dressed CM (no reduction), relative to ||gamma||^4."""
@@ -925,6 +939,31 @@ def _near_boundary(a: float, b: float, c1: float, shift: float):
         return None
     root = (math.sqrt(c1 * c1 / 4 + 4 * p * k) - abs(c1) / 2) / (2 * p)
     return TwoModeStandardForm(a, b, c1, root * (1 + shift))
+
+
+def test_lhs_is_the_criterion_of_the_forms_doubles_rounded_once():
+    """`separability_lhs` equals, bit for bit, the float of the form
+    polynomial evaluated exactly on the form's doubles (`exact_form_lhs`):
+    on 2,000 random forms of each family, TMSV rungs 0-95 and 500 forms
+    within 1e-8 of Simon's boundary.  An evaluation in doubles is not
+    correctly rounded and misses many of them.  The decision reports that
+    same number for its standard form, here on the dressed ensemble at
+    r_max = 3."""
+    rng = np.random.default_rng(32)
+    forms = [sample_standard_form(rng) for _ in range(2000)]
+    forms += [sample_ww_detector(rng) for _ in range(2000)]
+    forms += [tmsv_form(0.1 * i) for i in range(96)]
+    near = []
+    while len(near) < 500:
+        form = _near_boundary(*rng.uniform(0.5, 2.0, 2), rng.uniform(-1.0, 1.0),
+                              rng.uniform(-1e-8, 1e-8))
+        if form is not None:
+            near.append(form)
+    for form in forms + near:
+        assert separability_lhs(form) == float(exact_form_lhs(form)), form
+    for gamma in dressed_ensemble(3, 300):
+        form, _ = reduce_to_standard_form(gamma, Family.TWO_MODE)
+        assert decide_separability(gamma).lhs_value == separability_lhs(form)
 
 
 @settings(max_examples=300)

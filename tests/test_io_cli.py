@@ -262,16 +262,20 @@ def test_cli_refuses_cm_past_double_precision(tmp_path, capsys, form, scale):
 def test_cli_refuses_a_cross_block_that_overflows(tmp_path, capsys):
     """A non-state admitted at its scale, whose cross block squares past
     double precision once its modes are normalised, exits 1 with one error
-    line for auto and the witness; auto read it Boundary with a
-    `min_pt_symplectic_eig` of 0.0, and the witness raised
-    ZeroDivisionError."""
+    line for auto, the witness and ppt; auto read it Boundary with a
+    `min_pt_symplectic_eig` of 0.0, the witness raised ZeroDivisionError,
+    and ppt read it PPT and exited 0."""
     path = cm_file(tmp_path, overflowing_cross_block().mat)
-    for criterion in ("auto", "witness"):
+    reduction = ("error: cannot reach two-mode standard form: the square of the "
+                 "normalised cross block overflows double precision\n")
+    normal_form = ("error: cannot bring every mode to its normal form: the square of the "
+                   "largest entry 1e+175 overflows double precision\n")
+    for criterion, message in (("auto", reduction), ("witness", reduction),
+                               ("ppt", normal_form)):
         code = main(["check", path, "--criterion", criterion])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == ("error: cannot reach two-mode standard form: the square of the "
-                       "normalised cross block overflows double precision\n")
+        assert err == message
 
 
 def test_load_cm_refuses_partition_out_of_range(tmp_path):

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .criteria import (Verdict, WWFamilyParams, decide_separability, ppt_decide,
-                       separability_lhs, werner_wolf_family)
+                       werner_wolf_family)
 from .exceptions import CvWitnessError
 from .io import (criterion_report_dict, dump_report, load_cm, load_detector,
                  load_nongauss, witness_report_dict)
@@ -114,12 +114,14 @@ def _ww_sample(rng: "np.random.Generator") -> WWFamilyParams:
 
 
 def _sweep_row(form: QuadratureForm, lead: list) -> list:
-    """lead, lhs, is_ppt, ell of one family point; the witness runs before
-    the PPT test, so its refusal is the row's error."""
+    """lead, lhs, is_ppt, ell of one family point, lhs and is_ppt from the
+    decision, as `check` reports them; the witness runs first, so its
+    refusal is the row's error."""
     from .witness import minmax_optimize
     gamma = form.to_cm()
     ell = minmax_optimize(gamma).ell_limit
-    return [*lead, separability_lhs(form), ppt_decide(gamma).is_ppt, ell]
+    decision = decide_separability(gamma)
+    return [*lead, decision.lhs_value, decision.ppt.is_ppt, ell]
 
 
 def _tmsv(r: float) -> QuadratureForm:

@@ -54,7 +54,7 @@ from .exceptions import (ConstraintViolatedError, DimensionMismatchError, Partit
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, local_normal_form, reduce_to_standard_form)
 from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide, _bona_fide_floor,
-                         _bona_fide_min_eig, _williamson_spectrum)
+                         _bona_fide_min_eig, _integers, _quotient, _williamson_spectrum)
 
 
 class Verdict(str, Enum):
@@ -75,8 +75,8 @@ class CriterionReport:
     lhs_value: float
     lhs_rounding: float
     criterion_name: str
+    ppt: PptReport
     certificate: tuple[float, float] | None = None
-    ppt: PptReport | None = None
     bound_entangled: bool = False
     note: str = ""
 
@@ -172,22 +172,14 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
         min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
 
 
-def _quotient(num: int, den: int) -> float:
-    """num / den for den > 0, correctly rounded, or inf of its sign past
-    double precision."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
 def _form_criterion(form: QuadratureForm) -> tuple[float, float, PptReport]:
     """(lhs, rounding, PPT annotation) of a standard form, from one exact
-    pass over its doubles, as integers over a common power of two: D = P1 P2
-    with P_i = a_i b_i - c_i^2, the criterion D - |c1 c2|/2 - (a1 a2 +
-    b1 b2)/4 + 1/16, and the PPT quadratic's T and T^2 - 4D, each output
-    rounded once.  So lhs is correctly rounded, or inf of its exact sign.
-    A form with an entry that is not a finite number is refused.
+    pass over its doubles, as integers over a common power of two
+    (`_integers`): D = P1 P2 with P_i = a_i b_i - c_i^2, the criterion
+    D - |c1 c2|/2 - (a1 a2 + b1 b2)/4 + 1/16, and the PPT quadratic's T and
+    T^2 - 4D, each output rounded once.  So lhs is correctly rounded, or inf
+    of its exact sign.  A form with an entry that is not a finite number is
+    refused.
 
     rounding bounds lhs's distance from the criterion of the state the form
     was reduced from, to first order: half an ulp, plus 2 eps per dimension
@@ -217,9 +209,7 @@ def _form_criterion(form: QuadratureForm) -> tuple[float, float, PptReport]:
     values = (*form.x, *form.p)
     if not all(map(math.isfinite, values)):
         raise DimensionMismatchError(f"form entries {values} are not all finite")
-    ratios = [float(v).as_integer_ratio() for v in values]
-    big = max(den for _, den in ratios)   # every denominator is a power of two
-    a1, b1, c1, a2, b2, c2 = (num * (big // den) for num, den in ratios)
+    (a1, b1, c1, a2, b2, c2), big = _integers(*values)
     big2 = big * big
     p1, p2 = a1 * b1 - c1 * c1, a2 * b2 - c2 * c2
     det = p1 * p2

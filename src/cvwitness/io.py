@@ -99,20 +99,17 @@ def load_detector(path: str) -> QuadratureForm:
 
 
 def criterion_report_dict(report: CriterionReport) -> dict:
-    out = {
+    return {
         "verdict": report.verdict.value,
         "lhs": report.lhs_value,
         "lhs_rounding": report.lhs_rounding,
         "criterion": report.criterion_name,
         "certificate": list(report.certificate) if report.certificate else None,
-        "ppt": None,
+        "ppt": {"is_ppt": report.ppt.is_ppt,
+                "min_pt_symplectic_eig": report.ppt.min_pt_symplectic_eig},
         "bound_entangled": report.bound_entangled,
         "note": report.note,
     }
-    if report.ppt is not None:
-        out["ppt"] = {"is_ppt": report.ppt.is_ppt,
-                      "min_pt_symplectic_eig": report.ppt.min_pt_symplectic_eig}
-    return out
 
 
 def witness_report_dict(report: "WitnessReport") -> dict:

@@ -16,10 +16,10 @@ a labelling of the modes that swaps the two modes of a party is relabelled
 first, and the relabelling folded into S.  Both reductions are closed forms
 on the entries as Python floats, with no LAPACK call; numpy only lays out
 S.  The two-mode one is 2x2 arithmetic in the four basic operations and
-`sqrt` alone (per-mode normalisers, then the signed SVD of the cross block),
-so IEEE arithmetic fixes its bytes on every platform; the Werner-Wolf one
-solves the 2x2 normal equations of its log squeezes with `math.log` and
-`math.exp`.
+`sqrt` (per-mode normalisers, then the signed SVD of the cross block), with
+each mode's determinant formed exactly and rounded once, so IEEE arithmetic
+fixes its bytes on every platform; the Werner-Wolf one solves the 2x2
+normal equations of its log squeezes with `math.log` and `math.exp`.
 
 A decision and a witness of the same state both need its standard form, so
 `reduce_to_standard_form` keeps its result on the `CovMatrix` instance, as
@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .exceptions import PatternMismatchError, ScaleOverflowError
-from .symplectic import CovMatrix, _laid_out
+from .symplectic import CovMatrix, _integers, _laid_out, _quotient
 
 #: largest residual accepted between a reduced CM and its standard form, in
 #: units of max(1, the CM's scale), with which its rounding grows.
@@ -147,22 +147,11 @@ def DetectorSpec(family: Family, m1, m2, m3, m4, m5, m6) -> QuadratureForm:
     return QuadratureForm(family, (m1, m3, m5), (m2, m4, m6))
 
 
-def _two_product(a: float, b: float) -> tuple[float, float]:
-    """(p, e) with p = fl(a b) and a b = p + e exactly, by Dekker's product
-    with Veltkamp's split: the four basic operations only, no FMA."""
-    p = a * b
-    t = 134217729.0 * a   # 2^27 + 1
-    ah = t - (t - a)
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _mode_normal(a: float, b: float, d: float, failure: str) -> tuple[tuple, tuple]:
     """(S, S M S^T) for the mode block M = [[a, b], [b, d]]: S symplectic,
     S M S^T = nu I with nu = sqrt(det M), both as 2x2 tuples.  Refuses, with
-    `failure`, a block that is not positive definite, as no state has one.
+    `failure`, a block that is not positive definite, as no state has one,
+    or whose determinant rounds to 0.
 
     S = sqrt(nu) M^{-1/2} in closed form: the square root of a 2x2 PD
     matrix is (M + nu I) / sqrt(tr M + 2 nu), so S = (adj M + nu I) / k with
@@ -171,15 +160,14 @@ def _mode_normal(a: float, b: float, d: float, failure: str) -> tuple[tuple, tup
     whose S is then exactly I.  det S = 1, hence S is symplectic.
 
     A squeeze e^r makes a d and b^2 cancel to det M by e^(4r), and the
-    entries of S M S^T to nu from e^(4r) nu.  So det M carries the rounding
-    of both products (`_two_product`), and S M is taken as (nu / k)
-    (M + nu I) (adj M M = det M I = nu^2 I), which cancels nothing: S M S^T
-    then errs by eps e^(2r) nu, the size of what rounding S to doubles
-    leaves, not by eps e^(4r) nu.
+    entries of S M S^T to nu from e^(4r) nu.  So det M is formed exactly
+    from the doubles and rounded once (`symplectic._integers`), and S M is
+    taken as (nu / k) (M + nu I) (adj M M = det M I = nu^2 I), which
+    cancels nothing: S M S^T then errs by eps e^(2r) nu, the size of what
+    rounding S to doubles leaves, not by eps e^(4r) nu.
     """
-    p, e = _two_product(a, d)
-    q, f = _two_product(b, b)
-    det = (p - q) + (e - f)
+    (na, nb, nd), den = _integers(a, b, d)
+    det = _quotient(na * nd - nb * nb, den * den)
     if not (a > 0 and det > 0):
         raise PatternMismatchError(f"{failure}: a local block is not positive definite")
     nu = math.sqrt(det)
@@ -308,8 +296,9 @@ def local_normal_form(gamma: CovMatrix) -> CovMatrix:
 def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, float]:
     """(form, S, rounding): each mode's block to nu_j I (`_mode_normal`),
     then the cross block diagonalized by its signed SVD (`_svd_rotations`),
-    all in 2x2 arithmetic on the entries as Python floats; rounding is the
-    largest entry of |S| |gamma| |S|^T."""
+    all in 2x2 arithmetic on the entries as Python floats, each mode's
+    determinant correctly rounded; rounding is the largest entry of
+    |S| |gamma| |S|^T."""
     failure = "cannot reach two-mode standard form"
     (a00, a01, c00, c01), (_, a11, c10, c11), (_, _, b00, b01), (*_, b11) = gamma.mat.tolist()
     block_a, block_b, cross = ((a00, a01), (a01, a11)), ((b00, b01), (b01, b11)), \
@@ -329,8 +318,9 @@ def _reduce_two_mode(gamma: CovMatrix) -> tuple[QuadratureForm, np.ndarray, floa
     (a_0, a_1), (c_0, c_1), (b_0, b_1) = (_sandwich(abs_a, _abs(block_a), abs_a),
                                           _sandwich(abs_a, _abs(cross), abs_b),
                                           _sandwich(abs_b, _abs(block_b), abs_b))
-    # rounding is finite.  A mode block's det is a nonzero multiple of the
-    # spacing of a d - b^2 in doubles, so nu > sqrt(a d) 2^-54 > |b| 2^-54.
+    # rounding is finite.  A mode block's exact a d - b^2 is a positive
+    # multiple of its spacing in doubles, above a d 2^-107, and its det, that
+    # rounded once, is at least half of it, so nu > sqrt(a d) 2^-54 > |b| 2^-54.
     # With k >= sqrt(nu (a + d)), the normaliser's entry (max(a, d) + nu)/k
     # is below 1e128 and its other three below 2^28, so after the rotations
     # an entry of |S| |block| |S|^T is below 2^60 times the CM's scale, and

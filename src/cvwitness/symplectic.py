@@ -1,5 +1,7 @@
 """Covariance-matrix core: symplectic form, validity checks, the CM-to-CCM
-transform and the Williamson spectrum.
+transform and the Williamson spectrum, and the exact integer kernel
+(`_integers`, `_quotient`) by which the reduction, the criterion and the
+witness round a polynomial of doubles once.
 
 Quadrature ordering is (x1, p1, x2, p2, ...) throughout, with vacuum
 variance 1/2 on the diagonal.
@@ -209,6 +211,24 @@ def _ccm_transform(n_modes: int) -> np.ndarray:
         t[n_modes + j, 2 * j + 1] = -1.0 / np.sqrt(2)
     t.flags.writeable = False
     return t
+
+
+def _integers(*values: float) -> tuple[list[int], int]:
+    """(nums, den) with value = num / den exactly for each finite double:
+    den, a power of two, is the largest of their denominators, so sums and
+    products of the values are exact in Python integers."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max([d for _, d in ratios])
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den for den > 0, correctly rounded, or inf of its sign past
+    double precision."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _williamson_spectrum(mat: np.ndarray) -> np.ndarray:

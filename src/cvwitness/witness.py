@@ -33,7 +33,7 @@ from .criteria import _is_product_state, admitted_family
 from .exceptions import NonPositiveDeterminantError, ScaleOverflowError
 from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             reduce_to_standard_form)
-from .symplectic import TOL_PSD, CovMatrix
+from .symplectic import TOL_PSD, CovMatrix, _integers, _quotient
 
 #: boundary band on |ell - 1| below which no binary verdict is issued.
 TOL_ELL_BOUNDARY = 1e-9
@@ -62,14 +62,11 @@ def _block_gap(m1: float, m3: float, m5: float) -> float:
     """1 - m5^2 / (m1 m3) of a detector block, rounded once from the exact
     doubles: a product rounded first errs by about 1e-16, which decides
     Lambda near the cone at large scale.  -1, which is refused, for a
-    non-finite entry, a non-positive diagonal, or a gap below -1, where the
-    division could overflow."""
+    non-finite entry or a non-positive diagonal."""
     if not (0 < m1 < math.inf and 0 < m3 < math.inf and math.isfinite(m5)):
         return -1.0
-    (p1, q1), (p3, q3), (p5, q5) = (m.as_integer_ratio() for m in (m1, m3, m5))
-    den = p1 * p3 * q5 * q5
-    num = den - p5 * p5 * q1 * q3
-    return num / den if num > -den else -1.0
+    (n1, n3, n5), _ = _integers(m1, m3, m5)
+    return _quotient(n1 * n3 - n5 * n5, n1 * n3)
 
 
 def _min_det_factors(d: QuadratureForm) -> tuple[float, tuple[float, float]]:

@@ -226,12 +226,10 @@ def test_cross_block_that_overflows_is_refused():
                 decide(overflowing_cross_block())
 
 
-# the criterion's np.float64 terms warn as they overflow
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_nan_criterion_is_refused():
-    """Just below that scale the reduction works, but the criterion's terms
-    overflow to inf - inf: refused rather than reported as NaN."""
+    """Just below that scale the reduction works, but the criterion of its
+    form, formed exactly in integers, rounds past double precision: refused
+    rather than reported as inf or NaN, with no numpy warning on the way."""
     gamma = CovMatrix(1e154 * OVERFLOW_FORMS["two-mode"].to_cm().mat)
     reduce_to_standard_form(gamma, Family.TWO_MODE)
     with pytest.raises(ScaleOverflowError, match="simon criterion cannot be evaluated"):
@@ -546,6 +544,23 @@ def test_verdict_survives_local_symplectics(seed, rs, thetas):
             continue
         assert report.verdict is want and not report.bound_entangled
         assert report.ppt.is_ppt is ppt.is_ppt is (want is Verdict.SEPARABLE)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP 'Do first': inside the inherited rounding band at r = 8")
+def test_entangled_draw_squeezed_to_r8_reads_entangled():
+    """The draw of `test_verdict_survives_local_symplectics` that its
+    derandomized examples miss: an entangled form (seed 139) dressed at
+    r_max = 8 reads Boundary, its lhs -0.1969 inside a band of 0.549 and no
+    certificate found.  Once the verdict reads the exact sign there (ROADMAP
+    item 12), this passes, and the draw becomes an `@example` of that
+    property."""
+    rs, thetas = (0.1266746503198395, -0.9854531527070234), (
+        2.0468515439446144, 1.161416813239107, 5.701567203428728, 0.7101704133719654)
+    form = sample_standard_form(np.random.default_rng(139), exclude_band=1e-6)
+    assert decide_separability(form.to_cm()).verdict is Verdict.ENTANGLED
+    report = decide_separability(dress(form, [8 * r for r in rs], thetas))
+    assert report.verdict is Verdict.ENTANGLED, report
 
 
 def _two_mode_form_at(a, b, angle, lhs):

@@ -177,6 +177,15 @@ def test_build_fock_state_normalized_hermitian():
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
 
 
+def test_build_fock_state_refuses_a_ladder_past_the_cutoff():
+    """Three photons added to the two-mode vacuum at cutoff 3 shift every
+    kept Fock entry past the truncation: the state's truncated trace is 0,
+    and the build refuses it rather than divide by it."""
+    s = NonGaussState(CovMatrix(np.eye(4) / 2), add=(3, 0), subtract=(0, 0))
+    with pytest.raises(DegeneratePreparationError, match="Fock trace 0 vanishes"):
+        build_fock_state(s, cutoff=3)
+
+
 class _SingleModeSpec:
     """Minimal stand-in exposing scaled()/to_cm() for a single-mode thermal."""
 

@@ -1,4 +1,7 @@
+import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 from cvwitness.criteria import decide_separability, ppt_decide
 from cvwitness.exceptions import (CvWitnessError, DimensionMismatchError,
                                   ScaleOverflowError)
-from cvwitness.symplectic import CovMatrix, symplectic_form, validate_cm
+from cvwitness.symplectic import (CovMatrix, _integers, _quotient, symplectic_form,
+                                  validate_cm)
 from cvwitness.witness import minmax_optimize
 
 from conftest import (ccm_to_cm, cm_to_ccm, random_physical_cm,
@@ -185,3 +189,58 @@ def test_ccm_quadratic_form_structure(rng):
     assert np.allclose(g, g.T)
     assert np.allclose(g[:n, :n], g[n:, n:].conj())
     assert np.allclose(g[:n, n:], g[n:, :n].conj())
+
+
+# the doubles at the ends of the range: subnormal, least normal, largest
+_EDGE_DOUBLES = (5e-324, 1e-310, sys.float_info.min, 1e-300, 1.0, 1e300, 1e308,
+                 sys.float_info.max)
+
+
+def _doubles(rng, count):
+    """`count` doubles of both signs with exponents uniform from the
+    subnormals to 1e308, and the edge doubles of both signs."""
+    mags = [math.ldexp(m, int(e)) for m, e in zip(rng.uniform(0.5, 1.0, count),
+                                                   rng.integers(-1073, 1025, count))]
+    signs = rng.choice((-1.0, 1.0), count)
+    return [*(s * m for s, m in zip(signs, mags)), *_EDGE_DOUBLES, *(-v for v in _EDGE_DOUBLES)]
+
+
+def _is_nearest(r, q):
+    """Whether the double r is q rounded to nearest, ties to even, or inf of
+    q's sign where q is at least the largest double plus half its ulp; read
+    from the neighbours of r as fractions, not from a float division."""
+    top = Fraction(sys.float_info.max) + Fraction(math.ulp(sys.float_info.max)) / 2
+    if math.isinf(r):
+        return abs(q) >= top and (r > 0) == (q > 0)
+    err = abs(Fraction(r) - q)
+    for other in (math.nextafter(r, math.inf), math.nextafter(r, -math.inf)):
+        if math.isfinite(other):
+            gap = abs(Fraction(other) - q)
+            if gap < err or (gap == err and (Fraction(r) / Fraction(math.ulp(r))) % 2):
+                return False
+    return abs(q) < top
+
+
+def test_integers_and_quotient_match_fractions(rng):
+    """`_integers` puts doubles over their least common power-of-two
+    denominator exactly, and `_quotient` of the polynomials built on them
+    (a mode determinant a d - b^2 and a block gap 1 - c^2 / (a d)) is the
+    exact value rounded to nearest, or inf of its sign past the largest
+    double, on doubles from the subnormals to 1e308 of both signs."""
+    values = _doubles(rng, 3000)
+    order = rng.permutation(len(values))
+    for i in range(0, len(values) - 2, 3):
+        triple = [values[j] for j in order[i:i + 3]]
+        (na, nb, nd), den = _integers(*triple)
+        assert den == max(Fraction(v).denominator for v in triple)
+        assert den & (den - 1) == 0
+        a, b, d = map(Fraction, triple)
+        assert (Fraction(na, den), Fraction(nb, den), Fraction(nd, den)) == (a, b, d)
+        assert _is_nearest(_quotient(na * nd - nb * nb, den * den), a * d - b * b)
+        if na * nd > 0:   # a block gap has a positive diagonal
+            assert _is_nearest(_quotient(na * nd - nb * nb, na * nd), 1 - b * b / (a * d))
+    big, tiny = sys.float_info.max, 5e-324
+    (n, t), den = _integers(big, tiny)
+    assert _quotient(n * n, den * den) == math.inf
+    assert _quotient(-n * n, den * den) == -math.inf
+    assert _quotient(t * t, den * den) == 0.0

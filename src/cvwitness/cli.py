@@ -8,9 +8,9 @@ Output is byte-identical for the same input and options.  A Gaussian
 decision forms its criterion exactly from the standard form's doubles and
 rounds it once, and reads its sign against its own rounding, half an ulp
 plus what the form inherits from the input, which its report carries as
-`lhs_rounding`; no option sets it, and the one absolute Boundary band left
-is the witness's `TOL_ELL_BOUNDARY`.  A criterion past double precision is
-an error, not an `Infinity` in the report.
+`lhs_rounding`; no option sets it, nor the bounds the witness reads its
+Boundary against.  A number that is not finite, such as a criterion past
+double precision, is an error, not an `Infinity` in the report.
 `--tol-psd` is `check`'s admission tolerance and nothing else, a finite
 number >= 0: each criterion is one library call, which refuses a
 non-state at it, and `nongauss` admits its kernel at it before the ladder

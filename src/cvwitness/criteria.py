@@ -38,8 +38,7 @@ blocks (`_certifies`), at the scale of the rounding the standard form
 inherits (`QuadratureForm.rounding_scale`).  So is the sign of the
 criterion (`_form_criterion`): the criterion of the form's doubles is
 rounded once, so its band is half an ulp plus the rounding the form's
-entries inherit, and the one absolute Boundary band left is
-`witness.TOL_ELL_BOUNDARY`.
+entries inherit.
 """
 
 import math
@@ -416,14 +415,11 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
     without one it is Boundary, with a note that says whether the criterion
     lay within its rounding.  A criterion past double precision is refused
     (`ScaleOverflowError`).
-    PPT is separability at 1x1 (Simon), so where a two-mode criterion reads
-    below its band but the partial transpose reads PPT within rounding, the
-    two disagree within rounding and the verdict is Boundary with a note: no
-    two-mode state is reported bound entangled.  A Werner-Wolf state can be.
-    Likewise, where a two-mode certificate is found but the partial
-    transpose reads NPT, the verdict is Boundary with a note, without the
-    certificate: no two-mode state is reported Separable against its own
-    PPT annotation.
+    PPT is separability at 1x1 (Simon), so a two-mode binary verdict needs
+    the PPT annotation to agree: Entangled against a PPT reading, or
+    Separable against an NPT one, is Boundary with a note that says so, and
+    without the certificate.  So no two-mode state is reported bound
+    entangled; a Werner-Wolf state can be.
 
     `partition` may name party A or party B of the family's cut
     (`admitted_family`): both labels give the same report, since
@@ -435,38 +431,27 @@ def decide_separability(gamma: CovMatrix, partition: list[int] | None = None,
         raise ScaleOverflowError(
             f"{family.criterion} criterion cannot be evaluated: its terms "
             f"overflow double precision")
-    name = family.criterion
-
+    cert = None
     if lhs < -rounding:
-        if ppt.is_ppt and family is Family.TWO_MODE:
-            # PPT is separability at 1x1 (Simon), so the two disagree within
-            # rounding (a CM admitted just below the states can make them):
-            # no two-mode state is bound entangled
-            return CriterionReport(
-                verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
-                criterion_name=name, ppt=ppt,
-                note="criterion negative but the partial transpose reads PPT: "
-                     "they disagree within rounding")
-        return CriterionReport(
-            verdict=Verdict.ENTANGLED, lhs_value=lhs, lhs_rounding=rounding,
-            criterion_name=name, ppt=ppt, bound_entangled=ppt.is_ppt,
-            note="bound entanglement (PPT but entangled)" if ppt.is_ppt else "")
-    cert = feasibility_search(form)
-    if cert is None:
-        return CriterionReport(
-            verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
-            criterion_name=name, ppt=ppt,
-            note="criterion within its rounding and no certificate found" if lhs <= rounding
+        verdict = Verdict.ENTANGLED
+        note = "bound entanglement (PPT but entangled)" if ppt.is_ppt else ""
+    else:
+        # an explicit certificate proves separability even on the boundary
+        cert = feasibility_search(form)
+        verdict = Verdict.SEPARABLE if cert else Verdict.BOUNDARY
+        note = "" if cert else (
+            "criterion within its rounding and no certificate found" if lhs <= rounding
             else "criterion nonnegative but certificate search failed")
-    if not ppt.is_ppt and family is Family.TWO_MODE:
-        # PPT is separability at 1x1 (Simon): a certificate accepted within
-        # its rounding against an NPT partial transpose proves nothing
-        return CriterionReport(
-            verdict=Verdict.BOUNDARY, lhs_value=lhs, lhs_rounding=rounding,
-            criterion_name=name, ppt=ppt,
-            note="certificate found but the partial transpose reads NPT: "
-                 "they disagree within rounding")
-    # an explicit certificate proves separability even on the boundary
+    if (family is Family.TWO_MODE and verdict is not Verdict.BOUNDARY
+            and ppt.is_ppt is not (verdict is Verdict.SEPARABLE)):
+        # PPT is separability at 1x1 (Simon), so the two disagree within
+        # rounding: a CM admitted just below the states, or a certificate
+        # accepted within the rounding the form inherits
+        note = ("criterion negative but the partial transpose reads PPT" if ppt.is_ppt
+                else "certificate found but the partial transpose reads NPT"
+                ) + ": they disagree within rounding"
+        verdict, cert = Verdict.BOUNDARY, None
     return CriterionReport(
-        verdict=Verdict.SEPARABLE, lhs_value=lhs, lhs_rounding=rounding,
-        criterion_name=name, certificate=cert, ppt=ppt)
+        verdict=verdict, lhs_value=lhs, lhs_rounding=rounding,
+        criterion_name=family.criterion, ppt=ppt, certificate=cert,
+        bound_entangled=verdict is Verdict.ENTANGLED and ppt.is_ppt, note=note)

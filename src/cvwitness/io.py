@@ -11,7 +11,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .criteria import CriterionReport, require_physical
-from .exceptions import DimensionMismatchError, NonZeroMeanError, PartitionError
+from .exceptions import (CvWitnessError, DimensionMismatchError, NonZeroMeanError,
+                         PartitionError)
 from .standard_form import DetectorSpec, Family, QuadratureForm
 from .symplectic import TOL_PSD, CovMatrix
 
@@ -129,5 +130,10 @@ def witness_report_dict(report: "WitnessReport") -> dict:
 
 
 def dump_report(payload: dict, fh) -> None:
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """Write `payload` as indented JSON with sorted keys, or refuse a number
+    that is not finite, which JSON cannot hold, before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise CvWitnessError("the report holds a number that is not finite") from None
+    fh.write(text + "\n")

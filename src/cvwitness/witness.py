@@ -35,9 +35,6 @@ from .standard_form import (DetectorSpec, Family, QuadratureForm,
                             reduce_to_standard_form)
 from .symplectic import TOL_PSD, CovMatrix, _integers, _quotient
 
-#: boundary band on |ell - 1| below which no binary verdict is issued.
-TOL_ELL_BOUNDARY = 1e-9
-
 #: relative gain over the edge limits below which the interior root of the
 #: limit ratio is taken to lie at infinity (a few ulps of rounding).
 _EDGE_MARGIN = 1e-14
@@ -174,7 +171,11 @@ def _cone_ratio(triples: list[tuple[float, float, float]], w1: float, w2: float,
     the last one in units of the machine epsilon, over the form's
     `_abs_triples`.  It is evaluated divided through by t^2, so t = inf
     gives the large-detector limit 4 n1 n2 / s^2; the terms that do not
-    depend on t are formed once for every scale."""
+    depend on t are formed once for every scale.  The bound sums the two
+    factors' condition terms (the sum of |terms| of t n_i + d_i over its
+    value), each at least the factor's running error less one unit, and
+    adds one unit per factor, six for the squared denominator and two for
+    the quotients and the product; the form's inherited rounding is not in it."""
     u = math.sqrt(w1) * math.sqrt(w2)
     s2 = 2 * (u + 1 / u)
     (a1, b1, c1), (a2, b2, c2) = triples
@@ -191,13 +192,13 @@ def _cone_ratio(triples: list[tuple[float, float, float]], w1: float, w2: float,
                 f"det(gamma + gamma_M) is non-positive {where}")
         ratios.append(16.0 * (f1 / den) * (f2 / den))
     # at the last scale, the t the loop leaves
-    cond = max(0.0, (g1 + 2 * c1 + (a1 * b1 + c1 * c1) / t) / f1,
-               (g2 + 2 * c2 + (a2 * b2 + c2 * c2) / t) / f2)
+    cond = ((g1 + 2 * c1 + (a1 * b1 + c1 * c1) / t) / f1
+            + (g2 + 2 * c2 + (a2 * b2 + c2 * c2) / t) / f2 + 10)
     return ratios, cond
 
 
 def _limit_argmin(triples: list[tuple[float, float, float]]
-                  ) -> tuple[float, tuple[float, float], str]:
+                  ) -> tuple[float, float, tuple[float, float], str]:
     """Minimum of the limit ratio over cone directions of a form with
     `_abs_triples` `triples`, in closed form.
 
@@ -208,13 +209,18 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
     - (a1 c2 + b2 c1) = 0, whose leading coefficient is >= 0 and constant
     term <= 0, so it has exactly one positive root unless c1 = c2 = 0.  The
     root is compared with the limits along the four edges x -> 0, inf (at
-    y = c2/b2, a2/c2) and y -> 0, inf (at x = c1/b1, a1/c1).  For a product
-    form (c1 = c2 = 0) the infimum is the least edge, 4 min(a1 a2, b1 b2).
+    y = c2/b2, a2/c2) and y -> 0, inf (at x = c1/b1, a1/c1), each of the
+    form 4 a (b - c^2/d).  For a product form (c1 = c2 = 0) the infimum is
+    the least edge, 4 min(a1 a2, b1 b2).  A non-positive minimum, rounding
+    when |c| ~ sqrt(ab), is refused.
 
-    Returns (minimum, direction (w1, w2), path) with path "root", "edge" or
-    "product".  Edge and product minima are approached only at infinity, so
-    they report the finite direction on the winning edge with the far
-    coordinate at eps (or 1/eps) and the other clipped to [eps, 1/eps].
+    Returns (minimum, bound, direction (w1, w2), path) with path "root",
+    "edge" or "product", and bound a first-order bound on the minimum's
+    relative rounding error in units of the machine epsilon: `_cone_ratio`'s
+    at the root, and on an edge the cancellation (b + c^2/d) / (b - c^2/d)
+    plus two units.  Edge and product minima are approached only at
+    infinity, so they report the finite direction on the winning edge with
+    the far coordinate at eps (or 1/eps) and the other clipped to [eps, 1/eps].
     """
     (a1, b1, c1), (a2, b2, c2) = triples
     eps = _EDGE_EPS
@@ -222,15 +228,18 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
     def clip(z):
         return min(max(z, eps), 1 / eps)
 
-    edges = (a1 * (a2 - c2 * c2 / b2), b1 * (b2 - c2 * c2 / a2),
-             a2 * (a1 - c1 * c1 / b1), b2 * (b1 - c1 * c1 / a1))
-    directions = ((eps, clip(c2 / b2)), (1 / eps, 1 / clip(c2 / a2)),
-                  (clip(c1 / b1), eps), (1 / clip(c1 / a1), 1 / eps))
-    edge = min(edges)   # the first least one: `index` finds that very object
-    w_edge = directions[edges.index(edge)]
-    edge *= 4
+    edges = ((a1, a2, c2 * c2 / b2, (eps, clip(c2 / b2))),
+             (b1, b2, c2 * c2 / a2, (1 / eps, 1 / clip(c2 / a2))),
+             (a2, a1, c1 * c1 / b1, (clip(c1 / b1), eps)),
+             (b2, b1, c1 * c1 / a1, (1 / clip(c1 / a1), 1 / eps)))
+    a, b, q, w_edge = min(edges, key=lambda e: e[0] * (e[1] - e[2]))   # the first least
+    edge = 4 * (a * (b - q))
+    if not edge > 0:
+        raise NonPositiveDeterminantError(
+            "det(gamma + gamma_M) is non-positive in the large-detector limit")
+    cond = (b + q) / (b - q) + 2
     if c1 == 0 and c2 == 0:
-        return edge, w_edge, "product"
+        return edge, cond, w_edge, "product"
     qa, qb, qc = a2 * c1 + b1 * c2, b1 * b2 - a1 * a2, a1 * c2 + b2 * c1
     disc = math.sqrt(qb * qb + 4 * qa * qc)
     # the positive root, in the form free of cancellation for the sign of qb
@@ -242,12 +251,12 @@ def _limit_argmin(triples: list[tuple[float, float, float]]
         x = math.inf   # qa underflowed: the root is at the edge
     y = (a2 * x + c2) / (c2 * x + b2)
     if 0 < x < math.inf and 0 < y < math.inf:
-        val = _cone_ratio(triples, x, y)[0][0]
+        (val,), root_cond = _cone_ratio(triples, x, y)
         # a root that does not beat the edges by more than rounding lies at
         # infinity to working precision (|c| -> 0 sends x or 1/x -> inf)
         if val < edge * (1 - _EDGE_MARGIN):
-            return val, (x, y), "root"
-    return edge, w_edge, "edge"
+            return val, root_cond, (x, y), "root"
+    return edge, cond, w_edge, "edge"
 
 
 @dataclass(frozen=True)
@@ -277,19 +286,17 @@ def minmax_optimize(gamma: CovMatrix, partition: list[int] | None = None,
     closed-form `_limit_argmin`; its path is reported in `diagnostics`.  The
     matched detector is realized at the scales `AUDIT_SCALES`, where Lambda
     (`_cone_lambda`) and ell (`_cone_ratio`) are closed forms too; the ratio
-    along t is the scaling audit, and `diagnostics["ell_rel_err"]` bounds the
-    relative rounding error of the reported ell to first order.  Where ell
-    and its limit fall on either side of 1, the audit has not settled the
-    sign, and the report is `boundary`.
+    along t is the scaling audit.  `diagnostics` bounds the relative
+    rounding error of ell and ell_limit from the standard form's doubles to
+    first order, as `ell_rel_err` and `ell_limit_rel_err`.  The report is
+    `boundary` where either lies within its own bound of 1, or where the
+    two fall on either side of 1, so that the audit has not settled the sign.
     """
     family = admitted_family(gamma, partition, tol)
     form, _ = reduce_to_standard_form(gamma, family)
     power = family.power
     triples = _abs_triples(form)
-    limit, (w1, w2), path = _limit_argmin(triples)
-    if not limit > 0:   # rounding when |c| ~ sqrt(ab) at a very large scale
-        raise NonPositiveDeterminantError(
-            "det(gamma + gamma_M) is non-positive in the large-detector limit")
+    limit, limit_cond, (w1, w2), path = _limit_argmin(triples)
     ell_limit = float(limit ** power)
     t = AUDIT_SCALES[-1]
     matched = DetectorSpec(family, t * w1, t * w2, t * (1 / w1), t * (1 / w2),
@@ -298,12 +305,12 @@ def minmax_optimize(gamma: CovMatrix, partition: list[int] | None = None,
     audit = tuple((scale, ratio ** power) for scale, ratio in zip(AUDIT_SCALES, ratios))
     ell = audit[-1][1]
     lam, xy = _cone_lambda(w1, w2, t, power)
-    boundary = (abs(ell - 1) <= TOL_ELL_BOUNDARY or abs(ell_limit - 1) <= TOL_ELL_BOUNDARY
+    ell_err, limit_err = (sys.float_info.epsilon * power * c for c in (cond, limit_cond))
+    boundary = (abs(ell - 1) <= ell * ell_err or abs(ell_limit - 1) <= ell_limit * limit_err
                 or (ell < 1) != (ell_limit < 1))
     return WitnessReport(
         lam=lam, ell=ell, ell_limit=ell_limit,
         matched_params=matched, argmax_xy=xy,
         trace_mean=lam / ell, scaling_audit=audit,
         entangled=(not boundary) and ell < 1, boundary=boundary,
-        diagnostics={"path": path,
-                     "ell_rel_err": sys.float_info.epsilon * power * cond})
+        diagnostics={"path": path, "ell_rel_err": ell_err, "ell_limit_rel_err": limit_err})

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, prod
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from cvwitness.nongauss import NonGaussState
 from cvwitness.standard_form import (DetectorSpec, Family, QuadratureForm,
                                      TwoModeStandardForm)
 from cvwitness.symplectic import (CovMatrix, _ccm_transform, _williamson_spectrum,
-                                  symplectic_form)
+                                  symplectic_form, validate_cm)
 from cvwitness.witness import _abs_triples, _cone_ratio, _min_det_factors
 
 # every property test is derandomized and runs without an example database,
@@ -125,6 +125,32 @@ def dressed_ensemble(r_max: float, count: int):
     for _ in range(count):
         yield dress(sample_standard_form(rng, exclude_band=1e-6),
                     dressing.uniform(-r_max, r_max, 2), dressing.uniform(0, 2 * np.pi, 4))
+
+
+def near_boundary_form(a: float, b: float, c1: float, shift: float):
+    """The two-mode form (a, b, c1, c2) with |c2| on Simon's boundary, moved
+    by the relative `shift`: the positive root in |c2| of (ab - c1^2)(ab -
+    c2^2) - |c1 c2|/2 - (a^2 + b^2)/4 + 1/16 = 0, or None where there is
+    none."""
+    p = a * b - c1 * c1
+    k = a * b * p - (a * a + b * b) / 4 + 1 / 16
+    if not (p > 0 and k > 0):
+        return None
+    root = (sqrt(c1 * c1 / 4 + 4 * p * k) - abs(c1) / 2) / (2 * p)
+    return TwoModeStandardForm(a, b, c1, root * (1 + shift))
+
+
+def near_boundary_ensemble(count: int):
+    """The near-boundary recipe: `count` physical `near_boundary_form`s
+    (rng seed 5) with a, b in [0.5, 2], c1 in [-1, 1] and a shift of
+    either sign and log-uniform magnitude in [1e-12, 1e-7], as CovMatrix."""
+    rng = np.random.default_rng(5)
+    while count:
+        form = near_boundary_form(*rng.uniform(0.5, 2.0, 2), rng.uniform(-1, 1),
+                                  rng.choice([-1, 1]) * 10 ** rng.uniform(-12, -7))
+        if form is not None and validate_cm(form.to_cm()).is_physical:
+            count -= 1
+            yield form.to_cm()
 
 
 @pytest.fixture

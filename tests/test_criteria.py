@@ -24,7 +24,8 @@ from cvwitness.symplectic import CovMatrix, validate_cm
 from cvwitness.witness import minmax_optimize
 
 from conftest import (dress, dressed_ensemble, exact_form_lhs, exact_simon_lhs,
-                      grid_certificate, overflowing_cross_block, rotation, sample_standard_form,
+                      grid_certificate, near_boundary_form, overflowing_cross_block,
+                      rotation, sample_standard_form,
                       sample_ww_detector, sample_ww_family_params, simon_invariant_lhs,
                       symplectic_eigenvalues, tmsv_form)
 from paper_audit import werner_wolf_family_lhs_claim
@@ -943,19 +944,6 @@ def test_lhs_rounding_bounds_the_exact_criterion(r_max):
         assert abs(Fraction(report.lhs_value) - exact_simon_lhs(gamma)) <= report.lhs_rounding
 
 
-def _near_boundary(a: float, b: float, c1: float, shift: float):
-    """The two-mode form (a, b, c1, c2) with |c2| on Simon's boundary, moved
-    by the relative `shift`: the positive root in |c2| of (ab - c1^2)(ab -
-    c2^2) - |c1 c2|/2 - (a^2 + b^2)/4 + 1/16 = 0, or None where there is
-    none."""
-    p = a * b - c1 * c1
-    k = a * b * p - (a * a + b * b) / 4 + 1 / 16
-    if not (p > 0 and k > 0):
-        return None
-    root = (math.sqrt(c1 * c1 / 4 + 4 * p * k) - abs(c1) / 2) / (2 * p)
-    return TwoModeStandardForm(a, b, c1, root * (1 + shift))
-
-
 def test_lhs_is_the_criterion_of_the_forms_doubles_rounded_once():
     """`separability_lhs` equals, bit for bit, the float of the form
     polynomial evaluated exactly on the form's doubles (`exact_form_lhs`):
@@ -970,7 +958,7 @@ def test_lhs_is_the_criterion_of_the_forms_doubles_rounded_once():
     forms += [tmsv_form(0.1 * i) for i in range(96)]
     near = []
     while len(near) < 500:
-        form = _near_boundary(*rng.uniform(0.5, 2.0, 2), rng.uniform(-1.0, 1.0),
+        form = near_boundary_form(*rng.uniform(0.5, 2.0, 2), rng.uniform(-1.0, 1.0),
                               rng.uniform(-1e-8, 1e-8))
         if form is not None:
             near.append(form)
@@ -989,7 +977,7 @@ def test_verdict_outside_the_band_is_the_exact_sign(a, b, c1, log_shift, sign):
     the exact criterion of the form's doubles, and wherever |lhs| exceeds it
     the verdict is binary, with the exact sign: the band is the criterion's
     own rounding, not an absolute 1e-9."""
-    form = _near_boundary(a, b, c1, sign * 10 ** log_shift)
+    form = near_boundary_form(a, b, c1, sign * 10 ** log_shift)
     assume(form is not None)
     gamma = form.to_cm()
     exact = exact_simon_lhs(gamma)

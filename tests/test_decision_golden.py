@@ -15,7 +15,11 @@ the state dressed up to r = 8 Separable, and only the witness of TMSV rung
 99, where a == c in floating point, is still refused.  The `near-boundary-*`
 cases sit at lhs -5e-10, -9e-10, 0 and 5e-10: the criterion's own rounding,
 about 1e-14 there, decides the first two Entangled, which an absolute band
-of 1e-9 once reported Boundary.
+of 1e-9 once reported Boundary.  The witness reads its ratios against their
+own rounding bounds too, about 2e-15 there: the last one's ell_limit, 1 +
+5e-10, reads Separable, and the first three, whose ell at t = 1e4 and
+ell_limit fall on either side of 1 or within the bound of the limit, read
+Boundary.
 
 A change that moves a byte rewrites both files with
 `PYTHONPATH=src python tests/test_decision_golden.py` and names the byte and

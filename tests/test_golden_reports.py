@@ -9,8 +9,8 @@ Werner-Wolf family point and a dressed Werner-Wolf-pattern state; auto and
 ppt on two NPT two-mode states within 1e-9 of Simon's boundary, whose
 margins only floors at rounding resolve: the criterion's sign is read
 against its own rounding, `lhs_rounding` (about 1e-13 and 1e-11 there),
-and the one absolute Boundary band left is the witness's
-`TOL_ELL_BOUNDARY`; nongauss on one ladder state), both sweeps and one
+and the witness's ratio against its own, `ell_rel_err` and
+`ell_limit_rel_err`; nongauss on one ladder state), both sweeps and one
 two-mode `oracle`.  A change that
 moves a byte rewrites the goldens with
 `PYTHONPATH=src python tests/test_golden_reports.py`, which runs every case

@@ -1,4 +1,5 @@
 import importlib
+import io
 import json
 import math
 import os
@@ -6,18 +7,20 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvwitness
+from cvwitness import cli
 from cvwitness.cli import _VERDICT_EXIT, main
 from cvwitness.criteria import (Verdict, WWFamilyParams, decide_separability,
                                 ppt_decide, werner_wolf_family)
-from cvwitness.exceptions import (DimensionMismatchError, NonZeroMeanError,
+from cvwitness.exceptions import (CvWitnessError, DimensionMismatchError, NonZeroMeanError,
                                   PartitionError)
-from cvwitness.io import load_cm, load_detector, load_nongauss
+from cvwitness.io import dump_report, load_cm, load_detector, load_nongauss
 from cvwitness.nongauss import NonGaussState, decide_separability_nongauss
 from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix
@@ -326,6 +329,33 @@ def test_cli_rejects_non_finite_cm(tmp_path, capsys, entry):
         warnings.simplefilter("error")
         assert main(["check", str(path), "--criterion", "ppt"]) == 1
     assert capsys.readouterr().err == "error: matrix has non-finite entries\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dump_report_refuses_a_number_that_is_not_finite(value):
+    """JSON holds no NaN or Infinity, so a report with one is a typed
+    refusal and nothing is written; a finite report has the bytes of
+    `json.dump` with sorted keys and an indent of 2, and a newline."""
+    payload = {"report": {"lhs": 0.25, "ppt": {"eig": 0.5}}, "version": "x"}
+    out, want = io.StringIO(), io.StringIO()
+    dump_report(payload, out)
+    json.dump(payload, want, indent=2, sort_keys=True)
+    assert out.getvalue() == want.getvalue() + "\n"
+    out = io.StringIO()
+    with pytest.raises(CvWitnessError, match="not finite"):
+        dump_report({"report": {"lhs": value}}, out)
+    assert out.getvalue() == ""
+
+
+def test_cli_refuses_a_report_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    """A decision whose lhs is NaN makes `check` exit 1 with one error line
+    and nothing on stdout, not a report that is no JSON."""
+    report = decide_separability(tmsv_form(0.5).to_cm())
+    monkeypatch.setattr(cli, "decide_separability",
+                        lambda *args, **kwargs: replace(report, lhs_value=math.nan))
+    assert main(["check", cm_file(tmp_path, tmsv_form(0.5).to_cm().mat)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: the report holds a number that is not finite\n"
 
 
 def test_cli_missing_file(capsys):

@@ -1,7 +1,9 @@
+import json
 import math
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,13 +23,13 @@ from cvwitness.standard_form import (Family, QuadratureForm,
                                      TwoModeStandardForm, WernerWolfForm,
                                      detect_family, reduce_to_standard_form)
 from cvwitness.symplectic import CovMatrix
-from cvwitness.witness import (DetectorSpec, _abs_triples, _cone_lambda,
-                               _cone_ratio, _min_det_factors,
+from cvwitness.witness import (AUDIT_SCALES, DetectorSpec, _abs_triples, _cone_lambda,
+                               _cone_ratio, _limit_argmin, _min_det_factors,
                                lambda_closed_form, minmax_optimize)
 
-from conftest import (ell_ratio, nelder_mead_limit, sample_standard_form,
-                      sample_two_mode_detector, sample_ww_detector,
-                      symplectic_eigenvalues, tmsv_form)
+from conftest import (dressed_ensemble, ell_ratio, exact_simon_lhs, near_boundary_ensemble,
+                      nelder_mead_limit, sample_standard_form, sample_two_mode_detector,
+                      sample_ww_detector, symplectic_eigenvalues, tmsv_form)
 
 PROPERTY = settings(max_examples=40)
 
@@ -297,6 +299,100 @@ def test_tmsv_ell_matches_50_digit_reference():
                          + mpmath.matrix(rep.matched_params.to_cm().mat.tolist()))
         ref = mpmath.sqrt(det * x * y / (g1 * g2))
         assert abs(rep.ell / ref - 1) <= 1e-12
+
+
+def _ratio_reference(triples, w1, w2, t):
+    """16 (t n1 + d1)(t n2 + d2) / (1 + 2 t s)^2 / t^2, `_cone_ratio`'s
+    formula, at 50 digits on the given doubles; t = inf is the limit."""
+    (a1, b1, c1), (a2, b2, c2) = ([mpmath.mpf(v) for v in tr] for tr in triples)
+    w1, w2 = mpmath.mpf(w1), mpmath.mpf(w2)
+    u = mpmath.sqrt(w1) * mpmath.sqrt(w2)
+    inv_t = 0 if t == math.inf else 1 / mpmath.mpf(t)
+    f1 = w1 * b1 + a1 / w1 - 2 * c1 + (a1 * b1 - c1 * c1) * inv_t
+    f2 = w2 * b2 + a2 / w2 - 2 * c2 + (a2 * b2 - c2 * c2) * inv_t
+    return 16 * f1 * f2 / (2 * (u + 1 / u) + inv_t) ** 2
+
+
+def _edge_reference(triples):
+    """4 a (b - c^2/d) of the edge `_limit_argmin` takes, the first least of
+    the four in doubles, at 50 digits on the given doubles."""
+    (a1, b1, c1), (a2, b2, c2) = triples
+    edges = ((a1, a2, c2, b2), (b1, b2, c2, a2), (a2, a1, c1, b1), (b2, b1, c1, a1))
+    values = [a * (b - c * c / d) for a, b, c, d in edges]
+    a, b, c, d = map(mpmath.mpf, edges[values.index(min(values))])
+    return 4 * a * (b - c * c / d)
+
+
+def test_rel_err_bounds_the_rounding_of_ell_and_its_limit():
+    """`ell_rel_err` and `ell_limit_rel_err` hold the relative error of ell
+    and ell_limit against a 50-digit evaluation of the same formulas on the
+    standard form's doubles and the chosen direction, on every form, and are
+    within 100x of it at the median: 300 random forms per family, the
+    dressed ensemble at r_max = 8, TMSV rungs 0-95, 200 near-boundary forms,
+    the path forms, and 120 random forms with no or one tiny correlation,
+    most of which take the product or an edge path.  Here the largest error
+    over bound is 0.39 and the median 0.052; the larger factor's condition
+    term alone, the bound before, fell short by up to 2.5x on these sets."""
+    rng = np.random.default_rng(34)
+    states = [sample_standard_form(rng).to_cm() for _ in range(300)]
+    states += [sample_ww_detector(rng).to_cm() for _ in range(300)]
+    states += list(dressed_ensemble(8, 100))
+    states += [tmsv_form(0.1 * i).to_cm() for i in range(96)]
+    states += list(near_boundary_ensemble(200))
+    states += [form.to_cm() for form, _ in _PATH_FORMS + _WW_PATH_FORMS]
+    for c1, c2 in [(0.0, 0.0), (1e-7, 0.0), (0.0, 1e-12)] * 40:   # product and edge paths
+        states.append(TwoModeStandardForm(*rng.uniform(0.5, 2.0, 2), c1, c2).to_cm())
+    ratios, paths = [], set()
+    with mpmath.workdps(50):
+        for gamma in states:
+            family = detect_family(gamma)
+            triples = _abs_triples(reduce_to_standard_form(gamma, family)[0])
+            _, _, (w1, w2), path = _limit_argmin(triples)
+            limit = (_ratio_reference(triples, w1, w2, math.inf) if path == "root"
+                     else _edge_reference(triples))
+            rep = minmax_optimize(gamma)
+            paths.add(rep.diagnostics["path"])
+            for value, ref, bound in (
+                    (rep.ell, _ratio_reference(triples, w1, w2, AUDIT_SCALES[-1]),
+                     rep.diagnostics["ell_rel_err"]),
+                    (rep.ell_limit, limit, rep.diagnostics["ell_limit_rel_err"])):
+                ratio = float(abs(value / ref ** family.power - 1)) / bound
+                assert ratio <= 1, (gamma.mat.tolist(), value, bound)
+                ratios.append(ratio)
+    assert paths == {"root", "edge", "product"}
+    assert np.median(ratios) >= 0.01
+
+
+def test_witness_sign_follows_the_exact_criterion():
+    """Where the decision's lhs lies outside its rounding and ell_limit
+    outside its own bound of 1, the two have one sign, and every binary
+    witness verdict has the sign of the criterion of the input's doubles,
+    formed exactly: on the dressed ensemble at r_max = 8 and on 300 forms
+    of the near-boundary recipe, where the witness reads Boundary on the
+    entangled side when ell at t = 1e4 lies above 1 and its limit below."""
+    for gamma in [*dressed_ensemble(8, 300), *near_boundary_ensemble(300)]:
+        decision, rep = decide_separability(gamma), minmax_optimize(gamma)
+        band = rep.ell_limit * rep.diagnostics["ell_limit_rel_err"]
+        if abs(decision.lhs_value) > decision.lhs_rounding and abs(rep.ell_limit - 1) > band:
+            assert (rep.ell_limit < 1) is (decision.lhs_value < 0)
+        if not rep.boundary:
+            assert rep.entangled is (exact_simon_lhs(gamma) < 0)
+
+
+def test_witness_reads_near_boundary_3_separable():
+    """The decision golden's near-boundary-3 (lhs +5e-10, decided
+    Separable) has ell_limit 1 + 5e-10, far outside its bound of 2e-15, and
+    reads Separable, where an absolute band of 1e-9 on ell - 1 read
+    Boundary.  The vacuum product, whose ell_limit is 1 exactly, and a
+    state whose ell and ell_limit straddle 1 stay Boundary
+    (`test_minmax_vacuum_product_is_boundary` and
+    `test_witness_is_boundary_where_its_ratios_straddle_one`)."""
+    gamma = CovMatrix(json.loads((Path(__file__).parent / "data" / "golden"
+                                  / "decisions-input.json").read_text())["near-boundary-3"])
+    rep = minmax_optimize(gamma)
+    assert abs(rep.ell_limit - 1) > rep.ell_limit * rep.diagnostics["ell_limit_rel_err"]
+    assert not rep.boundary and not rep.entangled
+    assert decide_separability(gamma).verdict is Verdict.SEPARABLE
 
 
 # ---------------------------------------------- determinant-factor minimum

@@ -15,7 +15,7 @@ _EXPORTS = {
     "criteria": ("CriterionReport", "PptReport", "Verdict", "WWFamilyParams",
                  "certificate_min_eig", "decide_separability",
                  "feasibility_search", "ppt_decide", "separability_lhs",
-                 "simon_lhs", "werner_wolf_family", "werner_wolf_lhs"),
+                 "werner_wolf_family"),
     "exceptions": ("CvWitnessError",),
     "fock": ("SeesawResult", "gaussian_op_fock", "seesaw_lambda"),
     "nongauss": ("NonGaussState", "build_fock_state",

@@ -52,8 +52,8 @@ from .exceptions import (ConstraintViolatedError, DimensionMismatchError, Partit
                          PatternMismatchError, ScaleOverflowError)
 from .standard_form import (Family, QuadratureForm, WernerWolfForm,
                             detect_family, local_normal_form, reduce_to_standard_form)
-from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide, _bona_fide_floor,
-                         _bona_fide_min_eig, _integers, _quotient, _williamson_spectrum)
+from .symplectic import (_EIG_ROUNDING, TOL_PSD, CovMatrix, _bona_fide_floor, _bona_fide_min_eig,
+                         _integers, _quotient, _williamson_spectrum, validate_cm)
 
 
 class Verdict(str, Enum):
@@ -106,9 +106,10 @@ def separability_lhs(form: QuadratureForm) -> float:
     formed exactly from the form's doubles and rounded once
     (`_form_criterion`), or inf of its exact sign past double precision.
 
-    `simon_lhs` and `werner_wolf_lhs` are aliases of it.  They stay only
-    while the benchmark's workloads call them, and go with ROADMAP item 11
-    after item 1."""
+    `criteria.simon_lhs` and `criteria.werner_wolf_lhs` are aliases of it,
+    kept only for the benchmark's workloads, which call them by those names;
+    the package does not export them, and they go with ROADMAP item 11 once
+    item 1 points the workloads here."""
     return _form_criterion(form)[0]
 
 
@@ -161,13 +162,13 @@ def _ppt_report(gamma: CovMatrix, image: CovMatrix, party_a: frozenset) -> PptRe
     to r = 2 has an image whose PT misses the states by about 100 eps, and
     d by the same.  For an input admitted at a `tol` above 0, d is what
     makes a noisy product read PPT.  As d only lowers the floor, it is
-    taken only where the PT reads NPT without it: one eigensolve more for
-    an NPT reading, none for a PPT one."""
+    taken only where the PT reads NPT without it, from the image's kept
+    `_min_eig`: one eigensolve more for an NPT reading, none for a PPT one."""
     flip = _pt_flip(gamma.n_modes, party_a)
     floor = _bona_fide_floor(image, 0.0)
     pt = _bona_fide_min_eig(image.mat * flip)
     return PptReport(
-        is_ppt=pt >= floor or pt >= floor + min(0.0, _bona_fide_min_eig(image.mat)),
+        is_ppt=pt >= floor or pt >= floor + min(0.0, image._min_eig),
         min_pt_symplectic_eig=float(_williamson_spectrum(gamma.mat * flip)[0]))
 
 
@@ -374,9 +375,10 @@ def feasibility_search(form: QuadratureForm) -> tuple[float, float] | None:
 
 
 def require_physical(gamma: CovMatrix, tol: float = TOL_PSD) -> None:
-    """Refuse a CM that fails `validate_cm` at `tol`: no criterion decides,
-    and no witness or mean is taken on, a state that does not exist."""
-    if not _bona_fide(gamma, tol)[1]:
+    """Refuse a CM whose `validate_cm` report at `tol` is not physical: no
+    criterion decides, and no witness or mean is taken on, a state that does
+    not exist.  Every public Gaussian entry admits its input here."""
+    if not validate_cm(gamma, tol).is_physical:
         raise PatternMismatchError("covariance matrix is not physical")
 
 

@@ -10,16 +10,18 @@ are the table of each family's data.
 
 Two-mode states are brought to diag-blocks (a, a), (b, b) with cross block
 diag(c1, -c2) by local rotations and squeezers; the first step, each mode's
-own block to nu_j I, is `local_normal_form` for any mode count.  Werner-Wolf
-states keep the 8x8 sparsity pattern and are equalized by per-mode squeezers;
-a labelling of the modes that swaps the two modes of a party is relabelled
-first, and the relabelling folded into S.  Both reductions are closed forms
-on the entries as Python floats, with no LAPACK call; numpy only lays out
-S.  The two-mode one is 2x2 arithmetic in the four basic operations and
-`sqrt` (per-mode normalisers, then the signed SVD of the cross block), with
-each mode's determinant formed exactly and rounded once, so IEEE arithmetic
-fixes its bytes on every platform; the Werner-Wolf one solves the 2x2
-normal equations of its log squeezes with `math.log` and `math.exp`.
+own block to nu_j I and the cross blocks to S_i gamma_ij S_j^T, is
+`local_normal_form` for any mode count.  Werner-Wolf states keep the 8x8
+sparsity pattern and are equalized by per-mode squeezers; a labelling of
+the modes that swaps the two modes of a party is relabelled first, and the
+relabelling folded into S.  All three are closed forms on the entries as
+Python floats, with no LAPACK call and no matrix product; numpy only lays
+out S and the normal form.  The two-mode one is 2x2 arithmetic in the four
+basic operations and `sqrt` (per-mode normalisers, then the signed SVD of
+the cross block), with each mode's determinant formed exactly and rounded
+once, so IEEE arithmetic fixes its bytes on every platform; the Werner-Wolf
+one solves the 2x2 normal equations of its log squeezes with `math.log`
+and `math.exp`.
 
 A decision and a witness of the same state both need its standard form, so
 `reduce_to_standard_form` keeps its result on the `CovMatrix` instance, as
@@ -32,6 +34,7 @@ a kept result cannot go stale.  A refusal is not kept and raises on every call.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -110,22 +113,22 @@ class QuadratureForm:
         kept = self.__dict__.get("_rounding_scale")
         return kept if kept is not None else float(max(map(abs, (*self.x, *self.p))))
 
+    @cached_property
+    def _cm(self) -> CovMatrix:
+        family = self.family
+        mat = np.array((0.0, *self.params))[family.cm_index] * family.cm_sign
+        # laid out here, square, even and symmetric: only entries that are
+        # not floats take the checks of a matrix from outside
+        return _laid_out(mat) if mat.dtype == float else CovMatrix(mat)
+
     def to_cm(self) -> CovMatrix:
-        """The form's CM, built on the first call and kept on the instance:
-        the form is frozen and the CM read-only, so it cannot go stale.
-        Repeated means on one detector reuse it, where a build costs up to a
-        tenth of a mean.  It is not a dataclass field, so `==`, `hash` and
-        `repr` ignore it, and `scaled` or `dataclasses.replace` give a form
-        that builds its own."""
-        cm = self.__dict__.get("_cm")
-        if cm is None:
-            family = self.family
-            mat = np.array((0.0, *self.params))[family.cm_index] * family.cm_sign
-            # laid out here, square, even and symmetric: only entries that
-            # are not floats take the checks of a matrix from outside
-            cm = _laid_out(mat) if mat.dtype == float else CovMatrix(mat)
-            object.__setattr__(self, "_cm", cm)
-        return cm
+        """The form's CM, built on the first call and kept on the instance
+        (`_cm`, a cached property): the form is frozen and the CM read-only,
+        so it cannot go stale.  Repeated means on one detector reuse it,
+        where a build costs up to a tenth of a mean.  It is not a dataclass
+        field, so `==`, `hash` and `repr` ignore it, and `scaled` or
+        `dataclasses.replace` give a form that builds its own."""
+        return self._cm
 
     def scaled(self, t: float) -> "QuadratureForm":
         return DetectorSpec(self.family, *(t * v for v in self.params))
@@ -234,17 +237,6 @@ def _svd_rotations(c: tuple) -> tuple[tuple, tuple]:
     return ((cp, sp), (-sp, cp)), ((ct, -st), (st, ct))
 
 
-def _local_symplectic(blocks) -> np.ndarray:
-    """The local symplectic with the given 2x2 blocks, mode by mode."""
-    dim = 2 * len(blocks)
-    rows = []
-    for j, block in enumerate(blocks):
-        for row in block:
-            rows.append([0.0] * dim)
-            rows[-1][2 * j:2 * j + 2] = row
-    return np.array(rows)
-
-
 def _abs(p: tuple) -> tuple:
     (p00, p01), (p10, p11) = p
     return (abs(p00), abs(p01)), (abs(p10), abs(p11))
@@ -269,26 +261,29 @@ def local_normal_form(gamma: CovMatrix) -> CovMatrix:
     """gamma with every mode's own block brought to nu_j I by a local
     symplectic: its scale is that of its symplectic eigenvalues, not of its
     local squeezes.  Each mode's own block is the one `_mode_normal` forms
-    without cancellation, the blocks across modes S_i gamma_ij S_j^T.
-    Refused where a local block is not positive definite, or misses nu_j I
-    by more than `TOL_REDUCE` at gamma's scale: rounding has then taken the
-    squeeze.  Refused too where the image's largest entry squares past
-    double precision, as gamma's may not: normalising a far-squeezed mode
-    grows its cross blocks, and the PPT test's eigensolves run at that
-    scale."""
+    without cancellation, the blocks across modes S_i gamma_ij S_j^T
+    (`_sandwich`): the two-mode reduction's first step, on the entries as
+    Python floats, for any mode count.  Refused where a local block is not
+    positive definite, or misses nu_j I by more than `TOL_REDUCE` at
+    gamma's scale: rounding has then taken the squeeze.  Refused too where
+    the image's largest entry squares past double precision, as gamma's may
+    not: normalising a far-squeezed mode grows its cross blocks, and the PPT
+    test's eigensolves run at that scale."""
     failure = "cannot bring every mode to its normal form"
     _require_squarable(gamma, failure)
     rows = gamma.mat.tolist()
+    modes = range(0, gamma.dim, 2)
     normals = [_mode_normal(rows[j][j], rows[j][j + 1], rows[j + 1][j + 1], failure)
-               for j in range(0, gamma.dim, 2)]
-    s = _local_symplectic([s_j for s_j, _ in normals])
-    m = s @ gamma.mat @ s.T
-    for j, (_, block) in enumerate(normals):   # each mode's own, without the cancellation
-        m[2 * j:2 * j + 2, 2 * j:2 * j + 2] = block
-    d = np.diagonal(m)
-    _require_reduced(gamma, max(abs(d[::2] - d[1::2]).max(),
-                                abs(np.diagonal(m, 1)[::2]).max()), failure)
-    image = CovMatrix((m + m.T) / 2)
+               for j in modes]
+    _require_reduced(gamma, max(max(abs(b00 - b11), abs(b01))
+                                for _, ((b00, b01), (_, b11)) in normals), failure)
+    m = []
+    for i, (s_i, normal) in zip(modes, normals):
+        blocks = [normal if j == i else _sandwich(s_i, ((rows[i][j], rows[i][j + 1]),
+                                                        (rows[i + 1][j], rows[i + 1][j + 1])), s_j)
+                  for j, (s_j, _) in zip(modes, normals)]
+        m += [[v for block_row in row for v in block_row] for row in zip(*blocks)]
+    image = _laid_out(np.array(m))
     _require_squarable(image, failure)
     return image
 

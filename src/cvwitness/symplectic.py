@@ -12,8 +12,9 @@ even-sized and nonempty matrix, and keeps a read-only float array.  Code
 inside the package computes on that array and on arrays derived from it
 without checking them again, and a CM the package lays out itself from a
 form's parameters (`_laid_out`) passes only the finite-entry check.  The
-bona-fide minimum eigenvalue and the Williamson spectrum are module-private
-functions of a plain array, which `validate_cm` and `ppt_decide` share.
+bona-fide least eigenvalue and the Williamson spectrum are module-private
+functions of a plain array, which `validate_cm`, the one admission, and
+`ppt_decide` share; a matrix keeps its own (`CovMatrix._min_eig`).
 Tolerances are read against the matrix's scale, its largest |entry|:
 symmetry to 1e-12 max(1, scale), the bona-fide test to `tol` plus the
 eigensolve's rounding 2 dim eps scale (Higham, *Accuracy and Stability of
@@ -41,7 +42,7 @@ arithmetic at 4x4 and 8x8, and the finite-entry check reads the largest
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,8 +78,9 @@ def _scaled_form(n_modes: int, scale: complex) -> np.ndarray:
 class CovMatrix:
     """Real symmetric covariance matrix of an n-mode state or detector.  Its
     largest |entry| is kept in the `_scale` slot, its standard form (form, S)
-    in `_reduced` and its bona-fide least eigenvalue in `_min_eig`; none is a
-    dataclass field, so `==`, `hash` and `repr` ignore them."""
+    in `_reduced`, which the reducer sets, and its bona-fide least eigenvalue
+    in the cached property `_min_eig`; none is a dataclass field, so `==`,
+    `hash` and `repr` ignore them."""
 
     mat: np.ndarray
     n_modes: int = field(init=False)
@@ -109,6 +111,12 @@ class CovMatrix:
     @property
     def dim(self) -> int:
         return 2 * self.n_modes
+
+    @cached_property
+    def _min_eig(self) -> float:
+        """Least eigenvalue of mat + i*sigma/2, kept after the first call: the
+        admissions and PPT floors that read one matrix pay one eigensolve."""
+        return _bona_fide_min_eig(self.mat)
 
     def is_physical(self) -> bool:
         """`validate_cm(self).is_physical`.  It stays only while the
@@ -178,25 +186,14 @@ def _admission_tol(tol: float) -> float:
     return tol
 
 
-def _bona_fide(gamma: CovMatrix, tol: float) -> tuple[float, bool]:
-    """(least eigenvalue of gamma + i*sigma/2, whether it reads PSD at
-    `tol`), the eigenvalue kept in the matrix's `_min_eig` slot, so that
-    the entries that check one matrix in turn pay one eigensolve.  A `tol`
-    that `_admission_tol` refuses is refused."""
-    _admission_tol(tol)
-    min_eig = gamma.__dict__.get("_min_eig")
-    if min_eig is None:
-        min_eig = _bona_fide_min_eig(gamma.mat)
-        object.__setattr__(gamma, "_min_eig", min_eig)
-    return min_eig, min_eig >= _bona_fide_floor(gamma, tol)
-
-
 def validate_cm(gamma: CovMatrix, tol: float = TOL_PSD) -> ValidityReport:
     """Bona-fide check: gamma + i*sigma/2 must be PSD to within `tol` and
-    rounding (`_bona_fide`, which refuses a `tol` that is not a finite
-    number >= 0)."""
-    min_eig, is_physical = _bona_fide(gamma, tol)
-    return ValidityReport(min_eig=min_eig, is_physical=is_physical)
+    rounding (`_bona_fide_floor`).  A `tol` that `_admission_tol` refuses is
+    refused; the eigenvalue is the matrix's kept `_min_eig`.  This is the
+    one admission: `criteria.require_physical` reads it."""
+    _admission_tol(tol)
+    min_eig = gamma._min_eig
+    return ValidityReport(min_eig=min_eig, is_physical=min_eig >= _bona_fide_floor(gamma, tol))
 
 
 @lru_cache

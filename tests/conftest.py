@@ -11,7 +11,7 @@ from hypothesis import settings
 
 from cvwitness.cli import _tmsv as tmsv_form
 from cvwitness.cli import _ww_sample as sample_ww_family_params
-from cvwitness.criteria import simon_lhs
+from cvwitness.criteria import separability_lhs
 from cvwitness.exceptions import (CutoffTooSmallError, DimensionMismatchError,
                                   NonPositiveDeterminantError,
                                   OptimizerStalledError, ScaleOverflowError)
@@ -112,7 +112,7 @@ def sample_standard_form(rng: np.random.Generator,
         f = TwoModeStandardForm(a, b, c1, c2)
         if not f.to_cm().is_physical():
             continue
-        if exclude_band and abs(simon_lhs(f)) <= exclude_band:
+        if exclude_band and abs(separability_lhs(f)) <= exclude_band:
             continue
         return f
 
@@ -177,7 +177,7 @@ def simon_invariant_lhs(gamma: CovMatrix) -> float:
     """Simon's two-mode quantity from the local invariants of the CM, with
     no reduction (Simon, PRL 84, 2726 (2000)): det A det B + (1/4 - |det
     C|)^2 - tr(A J C J B J C^T J) - (det A + det B)/4 for gamma = [[A, C],
-    [C^T, B]]; on the standard form it is `simon_lhs`."""
+    [C^T, B]]; on the standard form it is `separability_lhs`."""
     m = gamma.mat
     a, b, c = m[:2, :2], m[2:, 2:], m[:2, 2:]
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -46,7 +46,7 @@ def werner_wolf_family_lhs_claim(p: WWFamilyParams) -> float:
     """Closed-form family value quoted for the criterion LHS (audited, not
     normative).
 
-    On the family it is exactly half of `werner_wolf_lhs`: over 1000 family
+    On the family it is exactly half of `separability_lhs`: over 1000 family
     points the ratio is 0.5 to within 1e-12.  Same sign, so the quoted value
     agrees with the verdict, but not the same number."""
     return -(p.a * p.d - p.b * p.c) / (16 * p.b * (p.c * p.e - p.a))

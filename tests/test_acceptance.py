@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from cvwitness.criteria import (Verdict, certificate_min_eig,
-                                feasibility_search, ppt_decide, simon_lhs,
-                                werner_wolf_family, werner_wolf_lhs)
+                                feasibility_search, ppt_decide, separability_lhs,
+                                werner_wolf_family)
 from cvwitness.fock import gaussian_op_fock, seesaw_lambda
 from cvwitness.nongauss import (NonGaussState, decide_separability_nongauss,
                                 fock_direct_trace, mean_on_detector)
@@ -30,10 +30,10 @@ from paper_audit import (asymptotic_check, channel_commutator_norm,
 def test_criterion_1_simon_tmsv_reproduction():
     t0 = time.time()
     for r in (0.0, 0.1, 0.3, 0.5):
-        lhs = simon_lhs(tmsv_form(r))
+        lhs = separability_lhs(tmsv_form(r))
         assert abs(lhs - (1 - np.cosh(4 * r)) / 8) < 1e-10
     # r = 0 sits exactly on the boundary
-    assert simon_lhs(tmsv_form(0.0)) == 0.0
+    assert separability_lhs(tmsv_form(0.0)) == 0.0
     assert time.time() - t0 < 1.0
 
 
@@ -43,7 +43,7 @@ def test_criterion_2_werner_wolf_bound_entanglement():
     for _ in range(1000):
         p = sample_ww_family_params(rng)
         form = werner_wolf_family(p)
-        assert werner_wolf_lhs(form) < 0
+        assert separability_lhs(form) < 0
         assert ppt_decide(form.to_cm()).is_ppt
     assert time.time() - t0 < 10.0
 
@@ -83,7 +83,7 @@ def test_criterion_4_witness_matches_simon_sign():
     for _ in range(1000):
         f = sample_standard_form(rng, exclude_band=1e-6)
         rep = minmax_optimize(f.to_cm())
-        assert np.sign(rep.ell_limit - 1) == np.sign(simon_lhs(f))
+        assert np.sign(rep.ell_limit - 1) == np.sign(separability_lhs(f))
 
 
 def test_criterion_5_certificate_soundness():
@@ -91,7 +91,7 @@ def test_criterion_5_certificate_soundness():
     n_separable = 0
     for _ in range(1000):
         f = sample_standard_form(rng, exclude_band=1e-6)
-        if simon_lhs(f) < 0:
+        if separability_lhs(f) < 0:
             continue
         cert = feasibility_search(f)
         assert cert is not None

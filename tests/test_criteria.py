@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from cvwitness.criteria import (Verdict, WWFamilyParams, _peak,
                                 certificate_min_eig, decide_separability,
                                 feasibility_search, ppt_decide,
-                                separability_lhs, simon_lhs,
-                                werner_wolf_family, werner_wolf_lhs)
+                                separability_lhs, werner_wolf_family)
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   DimensionMismatchError, PartitionError,
                                   PatternMismatchError, ScaleOverflowError)
@@ -51,17 +50,17 @@ def test_mode_count_without_a_family_is_refused(n_modes):
 
 def test_simon_lhs_tmsv_closed_form():
     for r in (0.0, 0.1, 0.3, 0.5):
-        lhs = simon_lhs(tmsv_form(r))
+        lhs = separability_lhs(tmsv_form(r))
         assert abs(lhs - (1 - np.cosh(4 * r)) / 8) < 1e-12
 
 
 def test_simon_vacuum_boundary():
-    assert simon_lhs(TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)) == 0.0
+    assert separability_lhs(TwoModeStandardForm(0.5, 0.5, 0.0, 0.0)) == 0.0
 
 
 def test_simon_thermal_product_separable():
     f = TwoModeStandardForm(1.5, 1.5, 0.0, 0.0)
-    assert simon_lhs(f) > 0
+    assert separability_lhs(f) > 0
     report = decide_separability(f.to_cm())
     assert report.verdict is Verdict.SEPARABLE
     assert report.certificate is not None
@@ -129,7 +128,7 @@ def test_ww_family_state_is_bound_entangled():
     form = werner_wolf_family(p)
     gamma = form.to_cm()
     assert gamma.is_physical()
-    assert werner_wolf_lhs(form) < 0
+    assert separability_lhs(form) < 0
     assert ppt_decide(gamma).is_ppt
     report = decide_separability(gamma)
     assert report.verdict is Verdict.ENTANGLED
@@ -140,7 +139,7 @@ def test_ww_family_lhs_matches_scaled_claim(rng):
     # observed relation: the criterion value is twice the quoted family value
     for _ in range(50):
         p = sample_ww_family_params(rng)
-        lhs = werner_wolf_lhs(werner_wolf_family(p))
+        lhs = separability_lhs(werner_wolf_family(p))
         claim = werner_wolf_family_lhs_claim(p)
         assert claim < 0
         assert abs(lhs - 2 * claim) < 1e-10 * max(1.0, abs(lhs))
@@ -157,7 +156,7 @@ def test_certificate_is_sound_on_separable_samples(rng):
         c1 = rng.uniform(-0.8, 0.8)
         c2 = rng.uniform(-0.8, 0.8)
         f = TwoModeStandardForm(a, b, c1, c2)
-        if not f.to_cm().is_physical() or simon_lhs(f) <= 1e-6:
+        if not f.to_cm().is_physical() or separability_lhs(f) <= 1e-6:
             continue
         cert = feasibility_search(f)
         assert cert is not None
@@ -271,24 +270,19 @@ def _forms():
     return st.one_of(two_mode, ww)
 
 
-def _lhs(form):
-    return simon_lhs(form) if form.family is Family.TWO_MODE \
-        else werner_wolf_lhs(form)
-
-
 @PROPERTY
 @given(_forms())
 def test_certificate_matches_grid_oracle(form):
     """Outside a 1e-9 band of the criterion the closed form finds a
     certificate iff the grid plus Nelder-Mead oracle does, and the
     certificate is sound."""
-    assume(form.to_cm().is_physical() and abs(_lhs(form)) > 1e-9)
+    assume(form.to_cm().is_physical() and abs(separability_lhs(form)) > 1e-9)
     cert = feasibility_search(form)
     oracle = grid_certificate(form)
     found = (oracle is not None and oracle[2] >= -TOL_CERT
              and certificate_min_eig(form, *oracle[:2]) >= -TOL_CERT)
     assert (cert is not None) == found
-    assert (cert is not None) == (_lhs(form) > 0)
+    assert (cert is not None) == (separability_lhs(form) > 0)
     if cert is not None:
         assert certificate_min_eig(form, *cert) >= -1e-10
 
@@ -723,7 +717,7 @@ def test_form_with_a_non_finite_entry_is_refused(entry):
 
 
 def test_simon_lhs_matches_local_invariants():
-    """`simon_lhs` of the reduced form equals Simon's quantity from the local
+    """`separability_lhs` of the reduced form equals Simon's quantity from the local
     invariants of the dressed CM (no reduction), relative to ||gamma||^4."""
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -738,8 +732,8 @@ def test_simon_lhs_matches_local_invariants():
         gamma = CovMatrix((m + m.T) / 2)
         form, _ = reduce_to_standard_form(gamma, Family.TWO_MODE)
         scale = np.linalg.norm(gamma.mat, 2) ** 4
-        assert abs(simon_lhs(form) - simon_invariant_lhs(gamma)) <= 1e-12 * scale
-        assert abs(simon_lhs(f) - simon_invariant_lhs(f.to_cm())) <= 1e-12 * scale
+        assert abs(separability_lhs(form) - simon_invariant_lhs(gamma)) <= 1e-12 * scale
+        assert abs(separability_lhs(f) - simon_invariant_lhs(f.to_cm())) <= 1e-12 * scale
 
 
 
@@ -805,7 +799,7 @@ def test_closed_form_ppt_agrees_with_the_eigen_route(form, rs, thetas):
     two `min_pt_symplectic_eig` agree to within the error of the general
     eigensolve of i sigma gamma: 2 dim eps times scale^2 over the eigenvalue
     bounds it to first order, and 1.1 of that was seen."""
-    assume(form.to_cm().is_physical() and abs(_lhs(form)) > 1e-6)
+    assume(form.to_cm().is_physical() and abs(separability_lhs(form)) > 1e-6)
     if form.family is Family.WERNER_WOLF:
         thetas = [0.0] * 8
     gamma = dress(form, rs, thetas)
@@ -813,6 +807,37 @@ def test_closed_form_ppt_agrees_with_the_eigen_route(form, rs, thetas):
     assert report.ppt.is_ppt is ppt.is_ppt
     nu = report.ppt.min_pt_symplectic_eig
     assert abs(nu - ppt.min_pt_symplectic_eig) <= 2 * gamma.dim * EPS * gamma._scale ** 2 / nu
+
+
+#: quadrature orders that exchange party A's modes with party B's, per mode count
+_PARTY_SWAP = {2: [2, 3, 0, 1], 4: [4, 5, 6, 7, 0, 1, 2, 3]}
+
+
+def _readings(gamma):
+    """(decision, ppt_decide's PPT bit, witness) of one CM."""
+    return decide_separability(gamma), ppt_decide(gamma).is_ppt, minmax_optimize(gamma)
+
+
+@settings(max_examples=100)
+@given(_forms(), st.lists(st.floats(-8.0, 8.0), min_size=4, max_size=4),
+       st.lists(st.floats(0.0, 2 * math.pi), min_size=8, max_size=8))
+def test_exchanging_the_parties_keeps_every_reading(form, rs, thetas):
+    """Entanglement does not depend on which party is called A.  A two-mode
+    form at |lhs| > 1e-6 under local rotation-squeeze-rotations |r| <= 8, or
+    a Werner-Wolf pattern form at |lhs| > 1e-6 as it is, given with party
+    B's modes first, P gamma P^T, keeps the decision's verdict and
+    `bound_entangled` and both routes' PPT bits wherever neither decision
+    reads Boundary, and the witness verdict wherever neither witness does."""
+    assume(validate_cm(form.to_cm()).is_physical and abs(separability_lhs(form)) > 1e-6)
+    gamma = dress(form, rs, thetas) if form.family is Family.TWO_MODE else form.to_cm()
+    order = _PARTY_SWAP[gamma.n_modes]
+    (report, ppt, witness), (swapped, swapped_ppt, swapped_witness) = (
+        _readings(gamma), _readings(CovMatrix(gamma.mat[np.ix_(order, order)])))
+    if Verdict.BOUNDARY not in (report.verdict, swapped.verdict):
+        assert ((report.verdict, report.bound_entangled, report.ppt.is_ppt, ppt)
+                == (swapped.verdict, swapped.bound_entangled, swapped.ppt.is_ppt, swapped_ppt))
+    if not (witness.boundary or swapped_witness.boundary):
+        assert witness.entangled is swapped_witness.entangled
 
 
 def test_dressed_states_on_the_ppt_boundary_read_ppt_in_the_decision():

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from cvwitness.criteria import (WWFamilyParams, decide_separability,
-                                simon_lhs, werner_wolf_family)
+                                separability_lhs, werner_wolf_family)
 from cvwitness.exceptions import CvWitnessError
 from cvwitness.io import criterion_report_dict, dump_report, witness_report_dict
 from cvwitness.standard_form import (QuadratureForm, TwoModeStandardForm,
@@ -95,7 +95,7 @@ def _on_lhs(a: float, b: float, target: float) -> QuadratureForm:
     lo, hi = 0.0, math.sqrt(a * b)
     for _ in range(200):
         c = (lo + hi) / 2
-        lo, hi = (c, hi) if simon_lhs(TwoModeStandardForm(a, b, c, c)) > target else (lo, c)
+        lo, hi = (c, hi) if separability_lhs(TwoModeStandardForm(a, b, c, c)) > target else (lo, c)
     return TwoModeStandardForm(a, b, lo, lo)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -6,12 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cvwitness
 from cvwitness import cli
@@ -26,7 +30,7 @@ from cvwitness.standard_form import Family, TwoModeStandardForm, WernerWolfForm
 from cvwitness.symplectic import CovMatrix
 from cvwitness.witness import minmax_optimize
 
-from conftest import overflowing_cross_block, tmsv_form
+from conftest import overflowing_cross_block, sample_ww_family_params, tmsv_form
 
 
 def write_json(path, obj):
@@ -44,10 +48,11 @@ def cm_file(tmp_path, mat, name="state.json", extra=None):
 
 def test_every_exported_name_resolves():
     """Each exported name is the object its submodule defines, `dir` lists
-    it, `import *` binds all 36, and an unknown name is an AttributeError."""
+    it, `import *` binds all 33 (`__version__` and 32 names), and an unknown
+    name is an AttributeError."""
     missing = [name for name in cvwitness.__all__ if not hasattr(cvwitness, name)]
     assert not missing
-    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 35
+    assert len(set(cvwitness.__all__)) == len(cvwitness.__all__) == 33
     for name in cvwitness.__all__[1:]:
         module = importlib.import_module(f"cvwitness.{cvwitness._SOURCE[name]}")
         assert getattr(cvwitness, name) is getattr(module, name), name
@@ -719,3 +724,117 @@ def test_ww_check_is_kept_under_a_within_party_swap(order, criterion, tmp_path, 
     for path in (str(original), write_json(tmp_path / "swapped.json", obj)):
         runs.append((main(["check", path, "--criterion", criterion]), capsys.readouterr().out))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------- CLI fuzz
+
+_FIELDS = ("n_modes", "cm", "partition", "mean", "family", "m", "add", "subtract")
+_ENTRIES = st.one_of(st.floats(-1.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _scaled(mat, exponent):
+    with np.errstate(all="ignore"):   # an entry past double precision is inf
+        return (10.0 ** exponent * np.asarray(mat, dtype=float)).tolist()
+
+
+def _symmetric(values, n, physical):
+    """A 2n x 2n symmetric matrix from 4 n^2 values: a a^T / 2n plus the
+    vacuum, a state, or a + a^T + 2n I."""
+    a, eye = np.reshape(values, (2 * n, 2 * n)), np.eye(2 * n)
+    with np.errstate(all="ignore"):
+        return a @ a.T / (2 * n) + eye / 2 if physical else a + a.T + 2 * n * eye
+
+
+def _cm_objects():
+    """State and ladder files: 1- to 4-mode matrices, laid out from a form or
+    symmetric from random entries, at scales 1e-300 to 1e300, with or
+    without a partition and ladder counts."""
+    forms = st.one_of(
+        st.floats(0.0, 3.0).map(tmsv_form),
+        st.integers(0, 2 ** 16).map(lambda seed: werner_wolf_family(
+            sample_ww_family_params(np.random.default_rng(seed)))),
+        st.builds(TwoModeStandardForm, *[st.floats(0.4, 3.0)] * 2, *[st.floats(-2.0, 2.0)] * 2),
+        st.builds(WernerWolfForm, *[st.floats(0.4, 3.0)] * 4, *[st.floats(-1.0, 1.0)] * 2))
+    symmetric = st.tuples(st.integers(1, 4), st.booleans()).flatmap(lambda shape: st.lists(
+        st.floats(-1.0, 1.0) if shape[1] else _ENTRIES,
+        min_size=4 * shape[0] ** 2, max_size=4 * shape[0] ** 2).map(
+            lambda values: _symmetric(values, *shape)))
+    counts = st.lists(st.integers(-1, 2), min_size=1, max_size=4)
+    return st.builds(
+        lambda mat, exponent, partition, ladder: {
+            "n_modes": len(mat) // 2, "cm": _scaled(mat, exponent),
+            **({} if partition is None else {"partition": partition}),
+            **({} if ladder is None else {"add": ladder[0], "subtract": ladder[1]})},
+        st.one_of(forms.map(lambda f: f.to_cm().mat), symmetric),
+        st.just(0) | st.integers(-300, 300),
+        st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=2)
+        | st.lists(st.integers(-1, 4), max_size=3),
+        st.none() | st.tuples(counts, counts))
+
+
+def _detector_objects():
+    m = st.tuples(*[st.floats(0.4, 1.0)] * 4, *[st.floats(-0.3, 0.3)] * 2).map(list)
+    return st.builds(lambda family, m, exponent: {"family": family, "m": _scaled(m, exponent)},
+                     st.sampled_from(["two_mode", "werner_wolf"]),
+                     m | st.lists(_ENTRIES, min_size=5, max_size=7),
+                     st.just(0) | st.integers(-300, 300))
+
+
+def _junk_objects():
+    leaves = st.none() | st.booleans() | _ENTRIES | st.integers() | st.text(max_size=4)
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=4), max_leaves=12)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_cli_answers(text):
+    """Under `check` with each criterion and `oracle --cutoff 3`, the file
+    `text` exits 0-3 with no warning: on exit 1 with nothing on stdout and
+    one `error:` line on stderr, otherwise with a strict JSON report.
+    `oracle` alone also exits 1 with its report, and nothing on stderr,
+    where the closed form and the seesaw differ by more than 1e-3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for argv in ([["check", path, "--criterion", criterion]
+                      for criterion in ("auto", "ppt", "witness", "nongauss")]
+                     + [["oracle", path, "--cutoff", "3"]]):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2, 3), argv
+            if code == 1 and not (argv[0] == "oracle" and out):
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+            else:
+                report = json.loads(out, parse_constant=_refuse_constant)["report"]
+                assert err == "" and (code != 1 or report["delta"] > 1e-3), argv
+
+
+@settings(max_examples=60)
+@given(_cm_objects().map(json.dumps))
+@example(json.dumps({"n_modes": 2, "cm": overflowing_cross_block().mat.tolist()}))
+@example(json.dumps({"n_modes": 2, "cm": _scaled(
+    TwoModeStandardForm(1.2, 1.3, 0.4, -0.3).to_cm().mat, 80)}))
+def test_cli_answers_every_state_file_with_a_report_or_one_error(text):
+    """State and ladder files, 1 to 4 modes at scales 1e-300 to 1e300
+    (`_assert_cli_answers`).  The examples are ROADMAP item 2's inputs: a
+    cross block that squares past double precision once its modes are
+    normalised, and a state at 1e80, whose criterion and witness ratio
+    overflow."""
+    _assert_cli_answers(text)
+
+
+@settings(max_examples=40)
+@given(_detector_objects().map(json.dumps) | _junk_objects().map(json.dumps)
+       | st.text(max_size=20))
+def test_cli_answers_every_other_file_with_a_report_or_one_error(text):
+    """Detector files, JSON that is no input file and text that is not JSON
+    (`_assert_cli_answers`)."""
+    _assert_cli_answers(text)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from cvwitness import symplectic, witness
 from cvwitness.criteria import (Verdict, WWFamilyParams, certificate_min_eig,
                                 decide_separability, ppt_decide,
-                                simon_lhs, werner_wolf_family, werner_wolf_lhs)
+                                separability_lhs, werner_wolf_family)
 from cvwitness.exceptions import (ConstraintViolatedError, CvWitnessError,
                                   NonPositiveDeterminantError,
                                   PatternMismatchError, ScaleOverflowError)
@@ -157,8 +157,7 @@ def test_closed_form_matches_nelder_mead_ww(form):
 @PROPERTY
 @given(st.one_of(two_mode_forms(), ww_forms()))
 def test_ell_limit_sign_matches_criterion(form):
-    lhs = (simon_lhs(form) if form.family is Family.TWO_MODE
-           else werner_wolf_lhs(form))
+    lhs = separability_lhs(form)
     assume(abs(lhs) > 1e-6)
     rep = minmax_optimize(form.to_cm())
     assert np.sign(rep.ell_limit - 1) == np.sign(lhs)
